@@ -21,6 +21,7 @@ from .gf import (
 )
 from .geometry import (
     CoordGeometry,
+    CoordQuotient,
     FiniteGeometry,
     Flat,
     GeometryMorphism,

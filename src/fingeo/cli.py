@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gallery import EXAMPLE_NAMES, build_example
 from .geometry import CoordGeometry, Flat, bits_of, quotient
-from .gf import parse_field_name
 from .projective import build_pg, check_projective_axioms, pg_of
 from .geometry import check_geometry_axioms
 from .reconstruct import (
@@ -39,7 +38,7 @@ from .reconstruct import (
     reconstruct_locally_projective,
 )
 
-CONSTRUCTOR_ERRORS = (SizeLimit, ValueError, AssertionError)
+CONSTRUCTOR_ERRORS = (SizeLimit, ValueError)
 
 
 def _digest(path):
@@ -71,10 +70,7 @@ def _parse_ambient(text):
 
 
 def cmd_make_example(args, t0):
-    try:
-        K = parse_field_name(args.field)
-    except ValueError as exc:
-        raise FileFormatError(str(exc))
+    K = serialize.field_from_name(args.field)
     try:
         X = build_example(args.name, K, args.dim)
     except CONSTRUCTOR_ERRORS + (FingeoError,) as exc:
@@ -159,7 +155,7 @@ def _instance_from_files(args):
     K = G.field
     K2 = file_target
     if args.target:
-        K2 = parse_field_name(args.target)
+        K2 = serialize.field_from_name(args.target)
     if K2 is None:
         K2 = K
     if not pairs:
@@ -169,6 +165,8 @@ def _instance_from_files(args):
     for s, d in pairs:
         if len(d) != m1:
             raise FileFormatError("target coordinate rows are ragged")
+        serialize.check_entries(s, K, "source point")
+        serialize.check_entries(d, K2, "target point")
         sv = linalg.normalize_vec(K, s)
         dv = linalg.normalize_vec(K2, d)
         if sv is None or dv is None:
@@ -181,34 +179,42 @@ def _instance_from_files(args):
     return G, K2, m1 - 1, images
 
 
+def _all_images(G, images):
+    """The image of every point in point order; an unmapped point is an
+    input error."""
+    missing = [i for i in range(G.n_points) if i not in images]
+    if missing:
+        raise FileFormatError(f"map file leaves {len(missing)} points unmapped")
+    return tuple(images[i] for i in range(G.n_points))
+
+
 def cmd_reconstruct(args, t0):
     G, K2, target_dim, images = _instance_from_files(args)
+    # input errors exit 2: they are checked before the try below turns every
+    # library error into a negative verdict
+    if args.kind == "pg":
+        if G is not pg_of(G):
+            raise FileFormatError("kind pg expects the full projective space")
+    else:
+        all_images = _all_images(G, images)
     try:
         if args.kind == "pg":
-            P = pg_of(G)
-            if G is not P:
-                raise FileFormatError("kind pg expects the full projective space")
-            point_map = tuple(images.get(i) for i in range(P.n_points))
-            phi = reconstruct_ftpg(PartialPointMap(P, K2, target_dim, point_map))
+            point_map = tuple(images.get(i) for i in range(G.n_points))
+            phi = reconstruct_ftpg(PartialPointMap(G, K2, target_dim, point_map))
             cert = {
                 "base_points": [],
-                "verified_points": P.n_points,
+                "verified_points": G.n_points,
                 "sigma_power": phi.sigma.frobenius_power,
                 "scalar_normalization": 1,
             }
             result = ReconstructionResult(phi, phi.kernel(), (), cert)
         else:
-            missing = [i for i in range(G.n_points) if i not in images]
-            if missing:
-                raise FileFormatError(f"map file leaves {len(missing)} points unmapped")
             kind_name = {
                 "lp": "locally-projective",
                 "ap": "affino-projective",
                 "lap": "locally-affino-projective",
             }[args.kind]
-            inst = MorphismInstance(
-                G, K2, target_dim, tuple(images[i] for i in range(G.n_points)), kind_name
-            )
+            inst = MorphismInstance(G, K2, target_dim, all_images, kind_name)
             driver = {
                 "lp": reconstruct_locally_projective,
                 "ap": reconstruct_affino_projective,
@@ -230,10 +236,7 @@ def cmd_reconstruct(args, t0):
 
 def cmd_oracle(args, t0):
     G, K2, target_dim, images = _instance_from_files(args)
-    missing = [i for i in range(G.n_points) if i not in images]
-    if missing:
-        raise FileFormatError(f"map file leaves {len(missing)} points unmapped")
-    inst = MorphismInstance(G, K2, target_dim, tuple(images[i] for i in range(G.n_points)))
+    inst = MorphismInstance(G, K2, target_dim, _all_images(G, images))
     maps = brute_force_oracle(inst, cap=args.limit or 1 << 24)
     payload = {
         "matches": [serialize.semilinear_to_dict(phi) for phi in maps],

@@ -2,8 +2,9 @@
 flat unions, two-hyperplane geometries, subfield complements, and the three
 quadric families (elliptic ovoid, hyperbolic ruled, cone minus vertex).
 
-Every constructor is a pure function of its parameters, and each one asserts
-the classification property it is built to exhibit.
+Every constructor is a pure function of its parameters, and each one checks
+the classification property it is built to exhibit, raising
+InternalContradiction when it fails (the checks hold under python -O too).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .classify import check_line_condition, is_locally_projective
-from .errors import EqualHyperplanes, NoEmbedding, NoIrreducibleForm, SizeLimit
+from .errors import EqualHyperplanes, InternalContradiction, NoEmbedding, NoIrreducibleForm, SizeLimit
 from .geometry import CoordGeometry, bits_of, mask_of, subgeometry
 from .gf import GF, gf, list_homomorphisms
 from .projective import LinearSubspace, build_pg
@@ -21,7 +22,7 @@ from .projective import LinearSubspace, build_pg
 
 def make_complement(P: CoordGeometry, flats) -> CoordGeometry:
     """The subgeometry on P minus a union of subspaces.  When fewer flats
-    than |K| are removed, the ambient line condition is asserted."""
+    than |K| are removed, the ambient line condition is checked."""
     flats = list(flats)
     removed = 0
     for W in flats:
@@ -32,7 +33,8 @@ def make_complement(P: CoordGeometry, flats) -> CoordGeometry:
     X = subgeometry(P, keep)
     X._name = f"complement({P.label()}, {len(flats)} flats)"
     if len(flats) < P.field.q:
-        assert check_line_condition(X), "removed fewer flats than |K| yet a tangent line exists"
+        if not check_line_condition(X):
+            raise InternalContradiction("removed fewer flats than |K| yet a tangent line exists")
     return X
 
 
@@ -46,7 +48,7 @@ def make_affine(n: int, K: GF) -> CoordGeometry:
 
 
 def make_two_hyperplanes(P: CoordGeometry, H1: LinearSubspace, H2: LinearSubspace) -> CoordGeometry:
-    """(H1 u H2) - (H1 n H2); locally projective, which is asserted."""
+    """(H1 u H2) - (H1 n H2); locally projective, which is checked."""
     if H1.rows == H2.rows:
         raise EqualHyperplanes("the two hyperplanes coincide")
     keep = []
@@ -56,7 +58,8 @@ def make_two_hyperplanes(P: CoordGeometry, H1: LinearSubspace, H2: LinearSubspac
             keep.append(i)
     X = subgeometry(P, keep)
     X._name = f"two-hyperplanes({P.label()})"
-    assert is_locally_projective(X), "two-hyperplane geometry must be locally projective"
+    if not is_locally_projective(X):
+        raise InternalContradiction("two-hyperplane geometry must be locally projective")
     return X
 
 
@@ -95,7 +98,8 @@ def make_subfield_complement(n: int, K: GF, L: GF) -> CoordGeometry:
     keep = [i for i, v in enumerate(P.vectors) if v not in image]
     X = subgeometry(P, keep)
     X._name = f"subfield-complement({L.name} minus {K.name}, dim {n})"
-    assert check_line_condition(X), "subfield complement must satisfy the line condition"
+    if not check_line_condition(X):
+        raise InternalContradiction("subfield complement must satisfy the line condition")
     return X
 
 

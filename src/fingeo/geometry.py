@@ -6,7 +6,10 @@ operator on point subsets.  Point sets are handled as Python int bitmasks
 internally; the public face is the Flat wrapper.  Three backends exist:
 coordinate geometries (points carry homogeneous coordinates, closure is
 linear-span trace), table geometries (an explicit closed-set family), and
-quotient geometries (classes of x v E over a parent).
+quotient geometries (classes of x v E over a parent).  A quotient of a
+coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
+so every coordinate backend shares one closure kernel; only quotients of
+table geometries close through their parent.
 
 Everything is immutable after construction; the flat cache is built once on
 first demand and only read afterwards.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
-    ExhaustionLimit,
+    ExceptionalNotFlat,
     NotConstantOnClasses,
     NotGenerating,
     PreconditionLinesTooShort,
@@ -36,12 +39,11 @@ def mask_of(indices) -> int:
 
 
 def bits_of(mask: int):
-    i = 0
+    """Indices of the set bits, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Flat:
@@ -209,7 +211,7 @@ class FiniteGeometry:
         """The quotient at a single point, cached per geometry."""
         got = self._point_quotients.get(x)
         if got is None:
-            got = QuotientGeometry(self, 1 << x)
+            got = quotient_geometry(self, 1 << x)
             self._point_quotients[x] = got
         return got
 
@@ -229,10 +231,16 @@ class FiniteGeometry:
 class CoordGeometry(FiniteGeometry):
     """Points with homogeneous coordinates over GF(q); closure = span trace.
 
-    When is_full_pg is set the point list is all of PG(n, q) and closures may
-    enumerate span points directly; otherwise membership of the geometry's
-    own points in the span is tested.  A subgeometry keeps a reference to its
-    ambient projective space together with the index injection.
+    One kernel serves every coordinate geometry: the points of a span are
+    the points on which every form of its annihilator vanishes, so a trace
+    is the AND of the hyperplane bitmasks of the annihilator's basis forms.
+    linalg.annihilator reads those forms off the span's RREF rows, already
+    normalised, and the bitmask of each form is computed once per geometry.
+
+    Flats come from a covering sweep (see _build_flats) that skips every
+    point of a new flat, which is sound only for span traces.  A subgeometry
+    keeps a reference to its ambient projective space together with the
+    index injection; is_full_pg marks the full point set of PG(n, q).
     """
 
     def __init__(self, K: GF, vectors, ambient=None, ambient_indices=None, is_full_pg=False, name=None):
@@ -245,7 +253,8 @@ class CoordGeometry(FiniteGeometry):
         self.is_full_pg = is_full_pg
         self._name = name
         self._vec_index = {v: i for i, v in enumerate(self.vectors)}
-        self._flat_rows = None
+        self._flat_rows = {}
+        self._form_masks = {}
 
     @property
     def ambient(self):
@@ -254,86 +263,69 @@ class CoordGeometry(FiniteGeometry):
     def point_index(self, coords):
         return self._vec_index.get(tuple(coords))
 
-    def to_ambient_mask(self, mask):
-        if self.ambient_indices is None:
-            return mask
-        m = 0
-        for i in bits_of(mask):
-            m |= 1 << self.ambient_indices[i]
-        return m
-
-    def from_ambient_mask(self, mask):
-        if self.ambient_indices is None:
-            return mask
-        m = 0
-        for local, amb in enumerate(self.ambient_indices):
-            if mask >> amb & 1:
-                m |= 1 << local
-        return m
-
     def span_rows(self, mask):
         """RREF basis of the span of the points in mask."""
         return linalg.rref(self.field, [self.vectors[i] for i in bits_of(mask)])
 
+    def form_mask(self, form):
+        """Points on which the linear form vanishes; memoised per form."""
+        got = self._form_masks.get(form)
+        if got is None:
+            K = self.field
+            got = 0
+            for i, v in enumerate(self.vectors):
+                if not linalg.dot(K, form, v):
+                    got |= 1 << i
+            self._form_masks[form] = got
+        return got
+
     def trace_mask(self, rows, pivots):
-        """Points of this geometry lying in the given span."""
-        K = self.field
-        if self.is_full_pg and 2 * len(rows) * K.q ** len(rows) < self.n_points:
-            m = 0
-            for v in linalg.span_points(K, rows):
-                idx = self._vec_index.get(v)
-                if idx is not None:
-                    m |= 1 << idx
-            return m
-        m = 0
-        for i, v in enumerate(self.vectors):
-            if linalg.in_span(K, rows, pivots, v):
-                m |= 1 << i
+        """Points of this geometry lying in the span of an RREF basis."""
+        m = self.full_mask
+        for form in linalg.annihilator(self.field, rows, pivots, self.ncoords):
+            m &= self.form_mask(form)
         return m
 
     def _closure_mask(self, mask):
-        rows, pivots = self.span_rows(mask)
-        return self.trace_mask(rows, pivots)
+        return self.trace_mask(*self.span_rows(mask))
 
     def flat_rows(self, mask):
         """Cached span basis per flat."""
-        if self._flat_rows is None:
-            self._flat_rows = {}
         got = self._flat_rows.get(mask)
         if got is None:
-            got = self.span_rows(mask)
-            self._flat_rows[mask] = got
+            got = self._flat_rows[mask] = self.span_rows(mask)
         return got
 
     def _build_flats(self):
-        """Span-aware sweep: extend each flat's basis by one point, dedupe
-        spans before computing traces."""
+        """Covering sweep: extend each flat's basis by one outside point x.
+        Every other point of the resulting flat gives the same span, so all
+        of them leave the points still to visit.  That skip needs span
+        traces: a point y of the new flat outside the old one lies in the
+        span of flat + x but not in the flat's span, so flat + y spans the
+        same space.  Table geometries have no such guarantee, which is why
+        the generic sweep visits every point."""
         K = self.field
-        empty = 0
-        seen = {empty}
-        self._flat_rows = {empty: ((), ())}
-        span_trace = {(): empty}
-        frontier = [empty]
+        rows_of = {0: ((), ())}
+        frontier = [0]
         while frontier:
             nxt = []
             for fmask in frontier:
-                rows, pivots = self.flat_rows(fmask)
+                rows, pivots = rows_of[fmask]
                 rest = self.full_mask & ~fmask
-                for x in bits_of(rest):
-                    rows2, piv2 = linalg.rref_extend(K, rows, pivots, self.vectors[x])
-                    t = span_trace.get(rows2)
-                    if t is None:
-                        t = self.trace_mask(rows2, piv2)
-                        span_trace[rows2] = t
-                    if t not in seen:
-                        seen.add(t)
-                        self._flat_rows[t] = self.span_rows(t)
+                while rest:
+                    x = (rest & -rest).bit_length() - 1
+                    basis = linalg.rref_extend(K, rows, pivots, self.vectors[x])
+                    t = self.trace_mask(*basis)
+                    rest &= ~t
+                    if t not in rows_of:
+                        rows_of[t] = basis
                         nxt.append(t)
             frontier = nxt
-        flats = sorted(seen, key=lambda m: (m.bit_count(), m))
+        self._flat_rows.update(rows_of)
+        flats = sorted(rows_of, key=lambda m: (m.bit_count(), m))
         self._flats = tuple(flats)
         self._flat_set = frozenset(flats)
-        self._flat_dims = {m: len(self.flat_rows(m)[0]) - 1 for m in flats}
+        self._flat_dims = {m: len(rows_of[m][0]) - 1 for m in flats}
 
     def _dim_of(self, mask):
         # nested flats of a span-trace geometry have strictly nested spans,
@@ -366,52 +358,44 @@ class TableGeometry(FiniteGeometry):
         return self._name or f"table-geometry({self.n_points} points)"
 
 
-class QuotientGeometry(FiniteGeometry):
+class _QuotientClasses:
     """Classes of x v E over a parent geometry, for a flat E.
 
     Point i is the class whose parent point set is self.classes[i]; classes
-    are ordered by their smallest parent representative.
+    are ordered by their smallest parent representative self.reps[i].
     """
 
-    def __init__(self, parent, e_mask):
+    def _set_classes(self, parent, e_mask, classes):
         self.parent = parent
         self.e_mask = e_mask
-        class_map = {}
-        for x in bits_of(parent.full_mask & ~e_mask):
-            key = parent.closure_mask(e_mask | (1 << x))
-            class_map.setdefault(key, 0)
-            class_map[key] |= 1 << x
-        classes = sorted(class_map.values(), key=lambda m: (m & -m).bit_length())
-        super().__init__(len(classes))
         self.classes = tuple(classes)
-        self.reps = tuple((m & -m).bit_length() - 1 for m in classes)
-        self._class_of = {}
-        for i, m in enumerate(classes):
-            for x in bits_of(m):
-                self._class_of[x] = i
-        if isinstance(parent, CoordGeometry):
-            self._e_basis = parent.span_rows(e_mask)
-            self._rep_vectors = tuple(parent.vectors[r] for r in self.reps)
-        else:
-            self._e_basis = None
+        self.reps = tuple((m & -m).bit_length() - 1 for m in self.classes)
+        self._class_of = {x: i for i, m in enumerate(self.classes) for x in bits_of(m)}
 
     def class_of_parent_point(self, x):
         """Class index of a parent point not in E."""
         return self._class_of.get(x)
 
+    def label(self):
+        return f"quotient({self.parent.label()} / {self.e_mask.bit_count()} pts)"
+
+
+class QuotientGeometry(_QuotientClasses, FiniteGeometry):
+    """The quotient of a geometry without coordinates: a class set is closed
+    when the parent closure of E and its representatives holds no other
+    representative."""
+
+    def __init__(self, parent, e_mask):
+        class_map = {}
+        for x in bits_of(parent.full_mask & ~e_mask):
+            key = parent.closure_mask(e_mask | (1 << x))
+            class_map[key] = class_map.get(key, 0) | 1 << x
+        # points are scanned in ascending order, so classes come out ordered
+        # by their smallest representative
+        super().__init__(len(class_map))
+        self._set_classes(parent, e_mask, class_map.values())
+
     def _closure_mask(self, mask):
-        if self._e_basis is not None:
-            # span of E plus the class representatives; a class lies in a
-            # parent flat through E exactly when its representative does
-            K = self.parent.field
-            rows, piv = self._e_basis
-            for i in bits_of(mask):
-                rows, piv = linalg.rref_extend(K, rows, piv, self._rep_vectors[i])
-            out = 0
-            for i, v in enumerate(self._rep_vectors):
-                if linalg.in_span(K, rows, piv, v):
-                    out |= 1 << i
-            return out
         pm = self.e_mask
         for i in bits_of(mask):
             pm |= 1 << self.reps[i]
@@ -422,8 +406,36 @@ class QuotientGeometry(FiniteGeometry):
                 out |= 1 << i
         return out
 
-    def label(self):
-        return f"quotient({self.parent.label()} / {self.e_mask.bit_count()} pts)"
+
+class CoordQuotient(_QuotientClasses, CoordGeometry):
+    """The quotient of a coordinate geometry by a flat E, as a coordinate
+    geometry on V/W with W the span of E.
+
+    A class lies in a parent flat through E exactly when its representative
+    does, and the classes are the fibres of the projection V -> V/W, so the
+    quotient's points are the normalised projections of the classes and
+    its closure is the span-trace kernel of every coordinate geometry.
+    """
+
+    def __init__(self, parent, e_mask):
+        K = parent.field
+        proj = linalg.quotient_projection(K, *parent.span_rows(e_mask), parent.ncoords)
+        class_map = {}
+        for x in bits_of(parent.full_mask & ~e_mask):
+            u = linalg.normalize_vec(K, linalg.matvec(K, proj, parent.vectors[x]))
+            if u is None:
+                raise ExceptionalNotFlat(f"point {x} lies in the span of E but not in E")
+            class_map[u] = class_map.get(u, 0) | 1 << x
+        CoordGeometry.__init__(self, K, list(class_map))
+        self._set_classes(parent, e_mask, class_map.values())
+
+
+def quotient_geometry(parent: FiniteGeometry, e_mask: int) -> FiniteGeometry:
+    """X/E: coordinate geometries get a coordinate quotient, others the
+    generic class geometry."""
+    if isinstance(parent, CoordGeometry):
+        return CoordQuotient(parent, e_mask)
+    return QuotientGeometry(parent, e_mask)
 
 
 # -- operations ---------------------------------------------------------------
@@ -523,10 +535,10 @@ def check_geometry_axioms(G: FiniteGeometry, sample_seed=101, closure_samples=20
 
     The closure operator itself is checked (extensive, monotone, idempotent)
     on singletons, cached flats and sampled subsets.  The exchange axiom is
-    checked for every (flat, outside point) pair; for span-trace geometries
-    strictly nested flats have strictly nested spans, so the sweep verifies
-    rank increments, while table and quotient backends get the literal
-    interval scan.
+    checked for every (flat, outside point) pair; for span-trace geometries,
+    coordinate quotients included, strictly nested flats have strictly
+    nested spans, so the sweep verifies rank increments, while table
+    geometries and their quotients get the literal interval scan.
     """
     witnesses = {}
     flats = G.flats()
@@ -867,7 +879,7 @@ def is_generated_by_lines_planes(G, node_limit=120000, sample_count=300, seed=0x
 
 def quotient(G: FiniteGeometry, E: Flat):
     """The quotient geometry and its projection partial morphism."""
-    Q = QuotientGeometry(G, E.mask)
+    Q = quotient_geometry(G, E.mask)
     mapping = []
     for i in range(G.n_points):
         if E.mask >> i & 1:

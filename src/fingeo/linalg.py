@@ -69,10 +69,6 @@ def transpose(M):
     return tuple(zip(*M))
 
 
-def sigma_vec(sigma: FieldHom, v):
-    return sigma.map_vec(v)
-
-
 def sigma_matrix(sigma: FieldHom, M):
     return sigma.map_matrix(M)
 
@@ -177,24 +173,45 @@ def rref_extend(K: GF, basis_rows, pivots, v):
     return tuple(rows), tuple(pivs)
 
 
+def annihilator(K: GF, rows, pivots, ncols):
+    """Basis of the forms f with f . r = 0 for every row r of an RREF basis,
+    read straight off the rows: one form per free column j, with 1 at j and
+    -row[j] at each row's pivot.  Pivots before j are the only other nonzero
+    entries, so each form ends in its 1: normalised with a trailing 1, the
+    same tuple for the same span every time."""
+    neg = K._neg
+    pivot_set = set(pivots)
+    forms = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        f = [0] * ncols
+        f[j] = 1
+        for row, piv in zip(rows, pivots):
+            f[piv] = neg[row[j]]
+        forms.append(tuple(f))
+    return forms
+
+
 def kernel_basis(K: GF, M):
     """RREF basis of {v : M v = 0}."""
     if not M:
         return ()
-    ncols = len(M[0])
     rows, pivots = rref(K, M)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for row, piv in zip(rows, pivots):
-            # pivot coordinate solves row . v = 0
-            v[piv] = K.neg(row[j])
-        basis.append(tuple(v))
-    out, _ = rref(K, basis)
+    out, _ = rref(K, annihilator(K, rows, pivots, len(M[0])))
     return out
+
+
+def quotient_projection(K: GF, rows, pivots, ncols):
+    """Matrix of V -> V/W for W the span of an RREF basis: reduce against
+    the basis and read off the non-pivot coordinates.  It kills exactly W,
+    and is the identity on the free coordinates."""
+    free = [j for j in range(ncols) if j not in pivots]
+    cols = []
+    for j in range(ncols):
+        red = reduce_against(K, rows, pivots, unit_vec(ncols, j))
+        cols.append(tuple(red[f] for f in free))
+    return tuple(zip(*cols))
 
 
 def solve(K: GF, A, b):

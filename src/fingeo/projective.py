@@ -495,11 +495,7 @@ def quotient_coords(W: LinearSubspace) -> QuotientCoords:
     n = W.ambient_dim
     pivots = W.pivots
     free = [j for j in range(n) if j not in pivots]
-    proj_rows = []
-    for v in (linalg.unit_vec(n, j) for j in range(n)):
-        red = linalg.reduce_against(K, W.rows, pivots, v)
-        proj_rows.append(tuple(red[j] for j in free))
-    proj = tuple(zip(*proj_rows))  # (n-w) x n
+    proj = linalg.quotient_projection(K, W.rows, pivots, n)  # (n-w) x n
     lift = tuple(tuple(1 if j == f else 0 for f in free) for j in range(n))
     return QuotientCoords(K, n, W, proj, lift)
 

@@ -43,6 +43,20 @@ def dump_json(obj, path=None):
     return text
 
 
+def field_from_name(text):
+    """parse_field_name with its errors reported as FileFormatError."""
+    try:
+        return parse_field_name(text)
+    except (ValueError, AttributeError) as exc:
+        _fail(str(exc))
+
+
+def check_entries(row, K: GF, what):
+    """Every coordinate of row must encode an element of K."""
+    if not all(isinstance(c, int) and 0 <= c < K.q for c in row):
+        _fail(f"{what} {list(row)} has entries outside {K.name}")
+
+
 # -- geometries -----------------------------------------------------------------
 
 
@@ -87,8 +101,7 @@ def geometry_from_dict(data) -> object:
         for row in raw_points:
             if not isinstance(row, list) or len(row) != n + 1:
                 _fail(f"point {row!r} is not a coordinate row of length {n + 1}")
-            if not all(isinstance(c, int) and 0 <= c < K.q for c in row):
-                _fail(f"point {row!r} has coordinates outside gf({K.q})")
+            check_entries(row, K, "point")
             v = linalg.normalize_vec(K, tuple(row))
             if v is None:
                 _fail(f"point {row!r} is the zero vector")
@@ -145,8 +158,7 @@ def semilinear_from_dict(data) -> SemilinearMap:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         _fail("matrix rows are ragged")
     for r in rows:
-        if not all(isinstance(c, int) and 0 <= c < K2.q for c in r):
-            _fail(f"matrix row {r!r} has entries outside gf({K2.q})")
+        check_entries(r, K2, "matrix row")
     sigma = hom_from_power(K, K2, power)
     return SemilinearMap(sigma, tuple(tuple(r) for r in rows))
 
@@ -170,14 +182,17 @@ def map_pairs_to_dict(pairs, target: GF | None = None) -> dict:
 
 
 def map_pairs_from_dict(data):
-    """Returns (pairs, target_field_or_None)."""
+    """Returns (pairs, target_field_or_None); target entries are checked
+    against the target field the file names."""
     try:
         pairs = [(tuple(s), tuple(d)) for s, d in data["pairs"]]
     except (KeyError, ValueError, TypeError) as exc:
         _fail(f"bad map file: {exc}")
     target = None
     if "target" in data:
-        target = parse_field_name(data["target"])
+        target = field_from_name(data["target"])
+        for _, d in pairs:
+            check_entries(d, target, "target point")
     return pairs, target
 
 

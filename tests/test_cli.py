@@ -205,3 +205,58 @@ def test_classify_report_deterministic(tmp_path):
     a = run_cli("classify", "--geometry", str(out), "--predicate", "mobius,ovoid")
     b = run_cli("classify", "--geometry", str(out), "--predicate", "mobius,ovoid")
     assert strip_timing(a.stdout) == strip_timing(b.stdout)
+
+
+def _ag32_map(tmp_path):
+    geo = tmp_path / "ag2.json"
+    run_cli("make-example", "--name", "affine", "--field", "gf(2)", "--dim", "3", "--out", str(geo))
+    pairs = [[list(v), list(v)] for v in load_geometry(geo).vectors]
+    return geo, pairs
+
+
+def test_reconstruct_out_of_range_element_exit_2(tmp_path):
+    geo, pairs = _ag32_map(tmp_path)
+    for side in (0, 1):
+        bad = [[list(s), list(d)] for s, d in pairs]
+        bad[3][side][0] = 7  # not an element of gf(2)
+        mapfile = tmp_path / f"bad{side}.json"
+        mapfile.write_text(dump_json({"pairs": bad}))
+        for cmd in (("reconstruct", "--kind", "lp"), ("oracle",)):
+            proc = run_cli(cmd[0], "--geometry", str(geo), "--map", str(mapfile), *cmd[1:])
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "outside gf(2)" in proc.stderr
+
+
+def test_map_file_target_field_checked(tmp_path):
+    geo, pairs = _ag32_map(tmp_path)
+    pairs[0][1] = [4, 0, 0, 1]
+    mapfile = tmp_path / "bad.json"
+    mapfile.write_text(dump_json({"pairs": pairs, "target": "gf(4)"}))
+    proc = run_cli("reconstruct", "--geometry", str(geo), "--map", str(mapfile), "--kind", "lp")
+    assert proc.returncode == 2
+    assert "outside gf(4)" in proc.stderr
+    mapfile.write_text(dump_json({"pairs": pairs, "target": "gf4"}))
+    proc = run_cli("reconstruct", "--geometry", str(geo), "--map", str(mapfile), "--kind", "lp")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_reconstruct_unmapped_points_exit_2(tmp_path):
+    geo, pairs = _ag32_map(tmp_path)
+    mapfile = tmp_path / "short.json"
+    mapfile.write_text(dump_json({"pairs": pairs[:-2]}))
+    proc = run_cli("reconstruct", "--geometry", str(geo), "--map", str(mapfile), "--kind", "lp")
+    assert proc.returncode == 2
+    assert "2 points unmapped" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_reconstruct_kind_pg_on_subgeometry_exit_2(tmp_path):
+    geo, pairs = _ag32_map(tmp_path)
+    mapfile = tmp_path / "phi.json"
+    mapfile.write_text(dump_json({"pairs": pairs}))
+    proc = run_cli("reconstruct", "--geometry", str(geo), "--map", str(mapfile), "--kind", "pg")
+    assert proc.returncode == 2
+    assert "full projective space" in proc.stderr
+    assert proc.stdout == ""

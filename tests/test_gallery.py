@@ -5,12 +5,14 @@ import itertools
 
 import pytest
 
+from fingeo import gallery
 from fingeo.classify import (
+    Verdict,
     check_line_condition,
     is_locally_affino_projective,
     is_locally_projective,
 )
-from fingeo.errors import EqualHyperplanes, NoEmbedding
+from fingeo.errors import EqualHyperplanes, InternalContradiction, NoEmbedding
 from fingeo.gallery import (
     _anisotropic_binary_form,
     build_example,
@@ -143,3 +145,18 @@ def test_example_spec_is_pure():
     a, b = spec.build(), spec.build()
     assert a.vectors == b.vectors
     assert a.n_points == 16
+
+
+@pytest.mark.parametrize(
+    "build, check",
+    [
+        (lambda: make_complement(build_pg(3, 3), coordinate_hyperplanes(build_pg(3, 3))[:1]), "check_line_condition"),
+        (lambda: build_example("two-hyperplanes", gf(3)), "is_locally_projective"),
+        (lambda: make_subfield_complement(3, gf(2), gf(4)), "check_line_condition"),
+    ],
+)
+def test_failed_property_check_is_a_typed_error(monkeypatch, build, check):
+    # the checks are real code, not asserts, so they survive python -O
+    monkeypatch.setattr(gallery, check, lambda X: Verdict(check, False))
+    with pytest.raises(InternalContradiction):
+        build()

@@ -1,0 +1,264 @@
+"""Differential tests for the coordinate closure kernel, the covering flat
+sweep and the bitset bundle sweep.
+
+The literal algorithms they replaced are kept here as references: a
+per-point in_span trace of the span, the generic quotient closure through
+the parent, the generic flat sweep, and the bundle check over every
+itertools.combinations 4-tuple.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from fingeo import linalg
+from fingeo.classify import BUNDLE_SAMPLES, BUNDLE_SEED, _one_gap_tuples, check_bundle_theorem
+from fingeo.errors import DimensionTooLow, ExceptionalNotFlat
+from fingeo.gallery import make_quadric
+from fingeo.geometry import (
+    CoordGeometry,
+    CoordQuotient,
+    FiniteGeometry,
+    QuotientGeometry,
+    TableGeometry,
+    bits_of,
+    mask_of,
+)
+from fingeo.projective import build_pg
+
+
+def literal_trace(G, mask):
+    """Points whose vector lies in the span of the points in mask."""
+    rows, pivots = linalg.rref(G.field, [G.vectors[i] for i in bits_of(mask)])
+    return mask_of(i for i, v in enumerate(G.vectors) if linalg.in_span(G.field, rows, pivots, v))
+
+
+def literal_closure(G, mask):
+    """The reference closure: literal traces on coordinate geometries, and
+    on a quotient the parent closure of E and the representatives."""
+    if isinstance(G, CoordQuotient):
+        pm = G.e_mask | mask_of(G.reps[i] for i in bits_of(mask))
+        s = literal_closure(G.parent, pm)
+        return mask_of(i for i, rep in enumerate(G.reps) if s >> rep & 1)
+    return literal_trace(G, mask)
+
+
+def sample_masks(G, rng, count=60):
+    masks = [0, G.full_mask]
+    for _ in range(count):
+        k = rng.randint(1, min(4, G.n_points))
+        masks.append(mask_of(rng.sample(range(G.n_points), k)))
+        masks.append(rng.getrandbits(G.n_points))
+    return masks
+
+
+@pytest.fixture(scope="module")
+def kernel_geometries(pg32, pg33, ag33, elliptic_34):
+    return {
+        "pg(3,2)": pg32,
+        "pg(3,3)": pg33,
+        "pg(2,4)": build_pg(2, 4),
+        "ag(3,3)": ag33,
+        "elliptic(3,4)": elliptic_34,
+    }
+
+
+NAMES = ("pg(3,2)", "pg(3,3)", "pg(2,4)", "ag(3,3)", "elliptic(3,4)")
+
+
+def fresh_copy(G):
+    """The same coordinate geometry with empty caches."""
+    return CoordGeometry(G.field, G.vectors)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_closure_matches_literal_trace(kernel_geometries, name):
+    G = fresh_copy(kernel_geometries[name])
+    rng = random.Random(name)
+    for m in sample_masks(G, rng):
+        assert G.closure_mask(m) == literal_trace(G, m), sorted(bits_of(m))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_quotient_closures_match_parent_route(kernel_geometries, name):
+    G = kernel_geometries[name]
+    rng = random.Random(f"quotient {name}")
+    x = rng.randrange(G.n_points)
+    line = G.lines_through(x)[0]
+    for e_mask in (1 << x, line):
+        Q = CoordQuotient(G, e_mask)
+        generic = QuotientGeometry(G, e_mask)
+        assert Q.classes == generic.classes
+        assert Q.reps == generic.reps
+        for m in sample_masks(Q, rng, count=30):
+            assert Q.closure_mask(m) == literal_closure(Q, m) == generic.closure_mask(m)
+    # the point quotient of a coordinate geometry is a coordinate quotient
+    assert isinstance(G.point_quotient(x), CoordQuotient)
+
+
+def test_quotient_of_quotient_matches_parent_route(pg33):
+    Q = CoordQuotient(pg33, 1)
+    QQ = Q.point_quotient(0)
+    rng = random.Random(7)
+    for m in sample_masks(QQ, rng, count=20):
+        assert QQ.closure_mask(m) == literal_closure(QQ, m)
+
+
+def test_coordinate_quotient_needs_a_flat(pg32):
+    # points 0 and 1 span a line with a third point
+    with pytest.raises(ExceptionalNotFlat):
+        CoordQuotient(pg32, 0b11)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_covering_sweep_matches_generic_sweep(kernel_geometries, name):
+    G = fresh_copy(kernel_geometries[name])
+    ref = fresh_copy(G)
+    FiniteGeometry._build_flats(ref)
+    assert G.flats() == ref.flats()
+    assert G._flat_dims == ref._flat_dims
+    # the stored extended bases are the flats' own RREF bases
+    for m in G.flats():
+        assert G.flat_rows(m) == G.span_rows(m)
+
+
+def test_covering_sweep_on_quotients(pg33, elliptic_34):
+    for G in (pg33, elliptic_34):
+        Q = CoordQuotient(G, 1)
+        ref = QuotientGeometry(G, 1)
+        assert Q.flats() == ref.flats()
+        assert Q._flat_dims == ref._flat_dims
+
+
+def covering_sweep(G):
+    """The coordinate sweep's skip applied to any closure: what it finds."""
+    seen = {G.closure_mask(0)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            rest = G.full_mask & ~f
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                t = G.closure_mask(f | 1 << x)
+                rest &= ~t
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def test_table_failing_exchange_keeps_every_flat():
+    # {1} < {1, 2} < {0, 1, 2, 3} breaks exchange: {1} v 0 is everything
+    G = TableGeometry(4, [[], [0], [1], [2], [3], [1, 2], [0, 1, 2, 3]])
+    every_closure = {G.closure_mask(m) for m in range(1 << G.n_points)}
+    assert set(G.flats()) == every_closure
+    assert mask_of([1, 2]) in G.flat_set()
+    # the covering skip would lose it, so the generic sweep must not skip
+    assert mask_of([1, 2]) not in covering_sweep(G)
+
+
+# -- bundle sweep -------------------------------------------------------------
+
+
+def literal_bundle(X, limit, seed=BUNDLE_SEED):
+    """The bundle check over every 4-tuple (or the seeded draws)."""
+    if X.dim() < 3:
+        raise DimensionTooLow(f"dim {X.dim()} < 3")
+    lines = X.lines()
+    nl = len(lines)
+
+    def coplanar(*idx):
+        m = 0
+        for i in idx:
+            m |= lines[i]
+        return X.flat_dim(X.closure_mask(m)) <= 2
+
+    def hit(tup):
+        if sum(coplanar(i, j) for i, j in itertools.combinations(tup, 2)) != 5:
+            return False
+        for tri in itertools.combinations(tup, 3):
+            if all(coplanar(a, b) for a, b in itertools.combinations(tri, 2)) and coplanar(*tri):
+                return False
+        return True
+
+    if nl**4 <= limit:
+        method, used_seed = "exhaustive", None
+        tuples = itertools.combinations(range(nl), 4)
+    else:
+        method, used_seed = "sampled", seed
+        rng = random.Random(seed)
+        tuples = (tuple(sorted(rng.sample(range(nl), 4))) for _ in range(BUNDLE_SAMPLES))
+    witnesses = []
+    for tup in tuples:
+        if hit(tup):
+            witnesses.append([sorted(bits_of(lines[i])) for i in tup])
+            if len(witnesses) >= 5:
+                break
+    d = {"verdict": not witnesses, "method": method}
+    if used_seed is not None:
+        d["seed"] = used_seed
+    d["certificates"] = {"violations": len(witnesses)}
+    if witnesses:
+        d["witnesses"] = witnesses
+    return d
+
+
+def assert_bundle_agrees(X, limit):
+    """Both sweeps give the same report, or both find the dimension too
+    low; returns the report (None in the second case)."""
+    try:
+        want = literal_bundle(X, limit)
+    except DimensionTooLow:
+        with pytest.raises(DimensionTooLow):
+            check_bundle_theorem(X, limit=limit)
+        return None
+    got = check_bundle_theorem(X, limit=limit).as_dict()
+    assert got == want, X.label()
+    return got
+
+
+def pg32_minus_plane(pg32, k):
+    """PG(3,2)'s flat table with its k-th plane removed."""
+    plane = pg32.planes()[k]
+    return TableGeometry(15, [m for m in pg32.flats() if m != plane])
+
+
+@pytest.mark.parametrize("limit", (10**8, 10))
+@pytest.mark.parametrize("k", range(15))
+def test_bundle_on_pg32_minus_a_plane(pg32, k, limit):
+    got = assert_bundle_agrees(pg32_minus_plane(pg32, k), limit)
+    if k == 0:
+        # points 0, 1, 2 no longer close to a plane, so the greedy
+        # dimension of the whole table drops to 2
+        assert got is None
+    else:
+        assert got["method"] == ("sampled" if limit == 10 else "exhaustive")
+        assert got["certificates"]["violations"] == 5
+
+
+@pytest.mark.parametrize("limit", (10**8, 10))
+def test_bundle_matches_literal_on_gallery(pg32, hyperbolic_32, elliptic_33, two_hyperplanes_33, limit):
+    cone_32 = make_quadric(pg32, "cone")
+    for X in (pg32, hyperbolic_32, cone_32, elliptic_33, two_hyperplanes_33):
+        assert_bundle_agrees(X, limit)
+
+
+@pytest.mark.parametrize("density", (0.3, 0.6, 0.9))
+def test_one_gap_enumeration_matches_combinations(density):
+    rng = random.Random(density)
+    n = 22
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    want = [
+        tup
+        for tup in itertools.combinations(range(n), 4)
+        if sum(not adj[i] >> j & 1 for i, j in itertools.combinations(tup, 2)) == 1
+    ]
+    assert want
+    assert list(_one_gap_tuples(adj)) == want

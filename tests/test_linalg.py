@@ -144,3 +144,27 @@ def test_all_proj_points_is_normalized_lex():
         (1, 1, 0),
         (1, 1, 1),
     ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_annihilator_and_quotient_projection(q):
+    K = gf(q)
+    rng = random.Random(q * 313)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        rows, pivots = linalg.rref(K, random_matrix(rng, K, rng.randrange(0, 5), n))
+        forms = linalg.annihilator(K, rows, pivots, n)
+        assert len(forms) == n - len(rows)
+        assert linalg.rank(K, forms) == len(forms)
+        for f in forms:
+            assert f[max(j for j, c in enumerate(f) if c)] == 1  # trailing 1
+            assert all(linalg.dot(K, f, r) == 0 for r in rows)
+        # a vector lies in the span exactly when every form vanishes on it,
+        # and exactly when the projection to V/W kills it
+        proj = linalg.quotient_projection(K, rows, pivots, n)
+        if q**n > 256:
+            continue
+        for v in linalg.all_vectors(K, n):
+            inside = linalg.in_span(K, rows, pivots, v)
+            assert inside == all(linalg.dot(K, f, v) == 0 for f in forms)
+            assert inside == (not any(linalg.matvec(K, proj, v)))
