@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import DimensionTooLow, InternalContradiction
-from .geometry import CoordGeometry, Flat, bits_of, mask_of, quotient, subgeometry
+from .geometry import CoordGeometry, bits_of, mask_of
 from .projective import check_projective_axioms, pg_of
 
 BUNDLE_LIMIT = 10**8
@@ -319,50 +319,85 @@ def check_lp_axioms(X) -> Verdict:
 # -- bundle condition ----------------------------------------------------------------
 
 
+def _coplanarity(X):
+    """The lines of X, one coplanarity bitset per line, and a test for
+    three lines in a common plane.
+
+    On a coordinate geometry both are read off the planes.  Two distinct
+    lines span rank 3 or 4, and rank 3 exactly when the trace of their sum,
+    a plane of X, holds both; so two lines (or three) close to dim <= 2
+    exactly when some plane holds them, and the lines of each plane form a
+    clique.  Table geometries have no such guarantee and close every pair
+    and triple, the same split _build_flats makes.
+    """
+    lines = X.lines()
+    nl = len(lines)
+    adj = [0] * nl
+    if isinstance(X, CoordGeometry):
+        planes_of = [0] * nl
+        for p, pm in enumerate(X.planes()):
+            clique = 0
+            for i, m in enumerate(lines):
+                if m & ~pm == 0:
+                    clique |= 1 << i
+                    planes_of[i] |= 1 << p
+            for i in bits_of(clique):
+                adj[i] |= clique & ~(1 << i)
+
+        def triple_coplanar(i, j, k):
+            return planes_of[i] & planes_of[j] & planes_of[k] != 0
+
+        return lines, adj, triple_coplanar
+
+    def coplanar(m):
+        return X.flat_dim(X.closure_mask(m)) <= 2
+
+    for i, j in itertools.combinations(range(nl), 2):
+        if coplanar(lines[i] | lines[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+
+    def triple_coplanar(i, j, k):
+        return coplanar(lines[i] | lines[j] | lines[k])
+
+    return lines, adj, triple_coplanar
+
+
 def check_bundle_theorem(X, limit=BUNDLE_LIMIT, seed=BUNDLE_SEED) -> Verdict:
     """Among four lines with no three in a common plane, five coplanar pairs
     force the sixth.  Exhaustive when line_count^4 <= limit, else seeded
     random sampling (the seed is recorded).
 
-    The exhaustive sweep builds the coplanarity graph as one bitset per line
-    and enumerates, in lexicographic order, only the 4-tuples with exactly
-    one non-coplanar pair; the sampled sweep tests BUNDLE_SAMPLES seeded
-    rng.sample draws.  Both stop at the fifth violation.
+    Both sweeps read the coplanarity bitsets of _coplanarity.  The
+    exhaustive sweep enumerates, in lexicographic order, only the 4-tuples
+    with exactly one non-coplanar pair; the sampled sweep tests
+    BUNDLE_SAMPLES seeded rng.sample draws.  Both stop at the fifth
+    violation.
     """
     if X.dim() < 3:
         raise DimensionTooLow(f"dim {X.dim()} < 3")
-    lines = X.lines()
+    lines, adj, triple_coplanar = _coplanarity(X)
     nl = len(lines)
-    coplanar = {}
-
-    def pair_coplanar(pair):
-        got = coplanar.get(pair)
-        if got is None:
-            i, j = pair
-            got = coplanar[pair] = X.flat_dim(X.closure_mask(lines[i] | lines[j])) <= 2
-        return got
-
-    def triple_coplanar(i, j, k):
-        return X.flat_dim(X.closure_mask(lines[i] | lines[j] | lines[k])) <= 2
 
     def violation(tup):
         """The witness when exactly one pair of tup is not coplanar and
-        neither triple of pairwise coplanar lines lies in a plane."""
-        gaps = [pair for pair in itertools.combinations(tup, 2) if not pair_coplanar(pair)]
-        if len(gaps) != 1:
+        neither triple of pairwise coplanar lines lies in a plane.  With one
+        gap the degrees inside tup are 2, 2, 3, 3 (sum 10), and the two
+        lines of degree 2 are the gap."""
+        t = 0
+        for i in tup:
+            t |= 1 << i
+        degrees = [(adj[i] & t).bit_count() for i in tup]
+        if sum(degrees) != 10:
             return None
-        c, d = (i for i in tup if i not in gaps[0])
-        if any(triple_coplanar(a, c, d) for a in gaps[0]):
+        a, b = (i for i, deg in zip(tup, degrees) if deg == 2)
+        c, d = (i for i, deg in zip(tup, degrees) if deg == 3)
+        if triple_coplanar(a, c, d) or triple_coplanar(b, c, d):
             return None
         return [sorted(bits_of(lines[i])) for i in tup]
 
     if nl**4 <= limit:
         method, used_seed = "exhaustive", None
-        adj = [0] * nl
-        for i, j in itertools.combinations(range(nl), 2):
-            if pair_coplanar((i, j)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
         tuples = _one_gap_tuples(adj)
     else:
         method, used_seed = "sampled", seed
@@ -403,29 +438,32 @@ def _one_gap_tuples(adj):
 
 def certified_bundles(X, limit=200000):
     """Concurrency data for complete bundles: 4-tuples of lines, pairwise
-    coplanar, no three in a common plane; returns (count, all_concurrent)."""
+    coplanar, no three in a common plane; returns (count, all_concurrent).
+    The tuples are the 4-cliques of the coplanarity graph, extended one
+    line at a time and dropped at the first coplanar triple."""
     lines = X.lines()
     nl = len(lines)
     if nl**4 > limit * 24:
         raise DimensionTooLow("too many lines for exhaustive bundle certification")
+    _, adj, triple_coplanar = _coplanarity(X)
     count = 0
     all_conc = True
-    for tup in itertools.combinations(range(nl), 4):
-        masks = [lines[i] for i in tup]
-        if any(
-            X.flat_dim(X.closure_mask(m1 | m2)) > 2
-            for m1, m2 in itertools.combinations(masks, 2)
-        ):
-            continue
-        if any(
-            X.flat_dim(X.closure_mask(a | b | c)) <= 2
-            for a, b, c in itertools.combinations(masks, 3)
-        ):
-            continue
-        count += 1
-        common = masks[0] & masks[1] & masks[2] & masks[3]
-        if not common:
-            all_conc = False
+    for i, ai in enumerate(adj):
+        for j in bits_of(ai >> (i + 1) << (i + 1)):
+            aij = ai & adj[j]
+            for k in bits_of(aij >> (j + 1) << (j + 1)):
+                if triple_coplanar(i, j, k):
+                    continue
+                for l in bits_of((aij & adj[k]) >> (k + 1) << (k + 1)):
+                    if (
+                        triple_coplanar(i, j, l)
+                        or triple_coplanar(i, k, l)
+                        or triple_coplanar(j, k, l)
+                    ):
+                        continue
+                    count += 1
+                    if not lines[i] & lines[j] & lines[k] & lines[l]:
+                        all_conc = False
     return count, all_conc
 
 

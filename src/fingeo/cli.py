@@ -16,16 +16,10 @@ import time
 
 from . import linalg, serialize
 from .classify import ALL_PREDICATES, BUNDLE_LIMIT, BUNDLE_SEED, classify
-from .errors import (
-    CapExceeded,
-    ExhaustionLimit,
-    FileFormatError,
-    FingeoError,
-    SizeLimit,
-)
+from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
 from .gallery import EXAMPLE_NAMES, build_example
-from .geometry import CoordGeometry, Flat, bits_of, quotient
-from .projective import build_pg, check_projective_axioms, pg_of
+from .geometry import CoordGeometry, bits_of, quotient
+from .projective import check_projective_axioms, pg_of
 from .geometry import check_geometry_axioms
 from .reconstruct import (
     MorphismInstance,
@@ -115,7 +109,9 @@ def cmd_classify(args, t0):
         unknown = [p for p in preds if p not in ALL_PREDICATES]
         if unknown:
             raise FileFormatError(f"unknown predicates: {unknown}")
-    report = classify(G, preds, limit=args.limit or BUNDLE_LIMIT, seed=args.seed or BUNDLE_SEED)
+    limit = BUNDLE_LIMIT if args.limit is None else args.limit
+    seed = BUNDLE_SEED if args.seed is None else args.seed
+    report = classify(G, preds, limit=limit, seed=seed)
     payload = {"classification": report.as_dict(include_witnesses=args.witnesses)}
     ok = all(v.verdict is not False for v in report.verdicts.values())
     _report(args, {"geometry": args.geometry}, payload, t0)
@@ -222,7 +218,7 @@ def cmd_reconstruct(args, t0):
             }[args.kind]
             result = driver(inst)
     except FingeoError as exc:
-        if isinstance(exc, (CapExceeded, ExhaustionLimit)):
+        if isinstance(exc, CapExceeded):
             raise
         payload = {"reconstruction": None, "failure": type(exc).__name__, "detail": str(exc)}
         _report(args, {"geometry": args.geometry, "map": args.map}, payload, t0)
@@ -237,7 +233,7 @@ def cmd_reconstruct(args, t0):
 def cmd_oracle(args, t0):
     G, K2, target_dim, images = _instance_from_files(args)
     inst = MorphismInstance(G, K2, target_dim, _all_images(G, images))
-    maps = brute_force_oracle(inst, cap=args.limit or 1 << 24)
+    maps = brute_force_oracle(inst, cap=1 << 24 if args.limit is None else args.limit)
     payload = {
         "matches": [serialize.semilinear_to_dict(phi) for phi in maps],
         "count": len(maps),
@@ -312,7 +308,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, ExhaustionLimit) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SizeLimit as exc:

@@ -21,10 +21,6 @@ class NotGenerating(FingeoError):
     pass
 
 
-class ExhaustionLimit(FingeoError):
-    """An exhaustive sweep would exceed the configured budget."""
-
-
 class PreconditionLinesTooShort(FingeoError):
     pass
 

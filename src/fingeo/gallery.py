@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import linalg
 from .classify import check_line_condition, is_locally_projective
 from .errors import EqualHyperplanes, InternalContradiction, NoEmbedding, NoIrreducibleForm, SizeLimit
-from .geometry import CoordGeometry, bits_of, mask_of, subgeometry
+from .geometry import CoordGeometry, bits_of, subgeometry
 from .gf import GF, gf, list_homomorphisms
 from .projective import LinearSubspace, build_pg
 

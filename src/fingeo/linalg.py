@@ -120,7 +120,28 @@ def rref(K: GF, rows):
 
 
 def rank(K: GF, rows):
-    return len(rref(K, rows)[0])
+    """Rank by forward elimination: each row is reduced against the rows
+    kept so far and kept, normalised at its leading entry, when something
+    is left.  A kept row is zero at every earlier pivot, so one pass in
+    keeping order clears them all; no back-substitution is needed."""
+    add, neg, mul, invt = K._add, K._neg, K._mul, K._inv
+    kept = []
+    for v in rows:
+        for piv, row in kept:
+            c = v[piv]
+            if c:
+                mrow = mul[neg[c]]
+                v = [add[a][mrow[b]] if b else a for a, b in zip(v, row)]
+        for lead, c in enumerate(v):
+            if c:
+                if c != 1:
+                    mrow = mul[invt[c]]
+                    v = [mrow[a] for a in v]
+                kept.append((lead, v))
+                break
+        if len(kept) == len(v):
+            break  # full rank: every further row is in the span
+    return len(kept)
 
 
 def reduce_against(K: GF, basis_rows, pivots, v):

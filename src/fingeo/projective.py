@@ -24,7 +24,7 @@ from .geometry import (
     mask_of,
     quotient,
 )
-from .gf import GF, FieldHom, gf, identity_hom
+from .gf import GF, FieldHom, gf
 
 PG_MAX_POINTS = 6000
 

@@ -19,7 +19,7 @@ import json
 from . import linalg
 from .errors import FileFormatError
 from .geometry import CoordGeometry, TableGeometry, subgeometry
-from .gf import GF, gf, hom_from_power, parse_field_name
+from .gf import GF, hom_from_power, parse_field_name
 from .projective import SemilinearMap, build_pg
 
 
@@ -106,6 +106,8 @@ def geometry_from_dict(data) -> object:
             if v is None:
                 _fail(f"point {row!r} is the zero vector")
             indices.add(P.point_index(v))
+        if not indices:
+            _fail("embedded geometry has no points")
         if len(indices) == P.n_points:
             return P
         return subgeometry(P, sorted(indices))
@@ -115,6 +117,8 @@ def geometry_from_dict(data) -> object:
             flats = data["flats"]
         except (KeyError, ValueError, TypeError) as exc:
             _fail(f"bad abstract geometry: {exc}")
+        if n < 1:
+            _fail(f"abstract geometry needs at least one point, not {n}")
         masks = []
         for f in flats:
             if not all(isinstance(i, int) and 0 <= i < n for i in f):

@@ -9,7 +9,7 @@ import pytest
 from fingeo import linalg
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import SemilinearMap, build_pg
-from fingeo.serialize import dump_json, load_geometry, save_map_pairs
+from fingeo.serialize import dump_json, load_geometry, save_geometry, save_map_pairs
 
 
 def run_cli(*args):
@@ -259,4 +259,38 @@ def test_reconstruct_kind_pg_on_subgeometry_exit_2(tmp_path):
     proc = run_cli("reconstruct", "--geometry", str(geo), "--map", str(mapfile), "--kind", "pg")
     assert proc.returncode == 2
     assert "full projective space" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_seed_and_limit_zero_are_used(tmp_path):
+    geo = tmp_path / "pg.json"
+    save_geometry(build_pg(3, 2), geo)
+    proc = run_cli(
+        "classify", "--geometry", str(geo), "--predicate", "bundle_theorem", "--seed", "0", "--limit", "0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    bundle = report_of(proc)["classification"]["predicates"]["bundle_theorem"]
+    # 35 lines: 35^4 exceeds a limit of 0, so the verdict is sampled with seed 0
+    assert bundle["method"] == "sampled"
+    assert bundle["seed"] == 0
+    mapfile = tmp_path / "phi.json"
+    save_map_pairs([(v, v) for v in build_pg(3, 2).vectors], mapfile)
+    proc = run_cli("oracle", "--geometry", str(geo), "--map", str(mapfile), "--limit", "0")
+    assert proc.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (("classify",), {"field": "gf(2)", "ambient_dim": 3, "points": []}),
+        (("check", "--axioms", "g"), {"points": 0, "flats": [[]]}),
+    ],
+)
+def test_zero_point_geometry_exit_2(tmp_path, command, data):
+    geo = tmp_path / "empty.json"
+    geo.write_text(dump_json(data))
+    proc = run_cli(*command, "--geometry", str(geo))
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "point" in proc.stderr
     assert proc.stdout == ""

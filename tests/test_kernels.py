@@ -1,10 +1,12 @@
 """Differential tests for the coordinate closure kernel, the covering flat
-sweep and the bitset bundle sweep.
+sweep, forward-elimination rank, the plane-derived coplanarity graph and
+the bitset bundle sweeps.
 
 The literal algorithms they replaced are kept here as references: a
 per-point in_span trace of the span, the generic quotient closure through
-the parent, the generic flat sweep, and the bundle check over every
-itertools.combinations 4-tuple.
+the parent, the generic flat sweep, rank as the length of the RREF,
+coplanarity by closing pairs and triples of lines, and the bundle check and
+bundle certification over every itertools.combinations 4-tuple.
 """
 
 import itertools
@@ -13,9 +15,17 @@ import random
 import pytest
 
 from fingeo import linalg
-from fingeo.classify import BUNDLE_SAMPLES, BUNDLE_SEED, _one_gap_tuples, check_bundle_theorem
+from fingeo.classify import (
+    BUNDLE_SAMPLES,
+    BUNDLE_SEED,
+    _coplanarity,
+    _one_gap_tuples,
+    certified_bundles,
+    check_bundle_theorem,
+)
 from fingeo.errors import DimensionTooLow, ExceptionalNotFlat
 from fingeo.gallery import make_quadric
+from fingeo.gf import gf
 from fingeo.geometry import (
     CoordGeometry,
     CoordQuotient,
@@ -24,6 +34,7 @@ from fingeo.geometry import (
     TableGeometry,
     bits_of,
     mask_of,
+    subgeometry,
 )
 from fingeo.projective import build_pg
 
@@ -262,3 +273,138 @@ def test_one_gap_enumeration_matches_combinations(density):
     ]
     assert want
     assert list(_one_gap_tuples(adj)) == want
+
+
+# -- rank -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_rank_matches_rref_length(q):
+    K = gf(q)
+    rng = random.Random(q)
+    cases = [(), ((0, 0, 0),), ((1, 2 % q, 0), (1, 2 % q, 0))]
+    for _ in range(150):
+        ncols = rng.randint(1, 6)
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [
+            tuple(rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols))
+            for _ in range(rng.randint(0, 7))
+        ]
+        if rows:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * ncols)
+            rows.append(rng.choice(rows))
+            # a multiple of one row plus another lies in their span
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(linalg.vec_add(K, linalg.vec_scale(K, rng.randrange(q), a), b))
+        cases.append(tuple(rows))
+    for rows in cases:
+        assert linalg.rank(K, rows) == len(linalg.rref(K, rows)[0]), rows
+
+
+# -- coplanarity graph ------------------------------------------------------------
+
+
+def closure_coplanarity(X):
+    """Coplanarity by closing every pair of lines, and a closing triple test."""
+    lines = X.lines()
+
+    def coplanar(*idx):
+        m = 0
+        for i in idx:
+            m |= lines[i]
+        return X.flat_dim(X.closure_mask(m)) <= 2
+
+    adj = [0] * len(lines)
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        if coplanar(i, j):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj, coplanar
+
+
+def sample_triples(adj, rng, count=1500):
+    """Random triples of lines, and as many pairwise coplanar ones."""
+    nl = len(adj)
+    out = [tuple(rng.sample(range(nl), 3)) for _ in range(count)] if nl >= 3 else []
+    pairs = [(i, j) for i in range(nl) for j in bits_of(adj[i]) if i < j]
+    for _ in range(count if pairs else 0):
+        i, j = rng.choice(pairs)
+        common = list(bits_of(adj[i] & adj[j]))
+        if common:
+            out.append((i, j, rng.choice(common)))
+    return out
+
+
+def assert_coplanarity_agrees(X, rng):
+    lines, adj, triple = _coplanarity(X)
+    assert lines == X.lines()
+    ref_adj, coplanar = closure_coplanarity(X)
+    assert adj == ref_adj, X.label()
+    nl = len(lines)
+    if nl <= 40:
+        triples = itertools.combinations(range(nl), 3)
+    else:
+        triples = sample_triples(adj, rng)
+    for tri in triples:
+        assert triple(*tri) == coplanar(*tri), (X.label(), tri)
+
+
+def test_coplanarity_from_planes_on_gallery(pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
+    rng = random.Random("gallery coplanarity")
+    for X in (pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
+        assert isinstance(X, CoordGeometry)
+        assert_coplanarity_agrees(X, rng)
+
+
+def test_coplanarity_from_planes_on_quotients(pg33, elliptic_34):
+    rng = random.Random("quotient coplanarity")
+    pg42 = build_pg(4, 2)
+    quotients = [CoordQuotient(pg42, 1), CoordQuotient(pg42, 1 << 17), CoordQuotient(pg33, 1)]
+    quotients.append(CoordQuotient(elliptic_34, 1))
+    # a three-dimensional quotient of a subgeometry, and a quotient by a line
+    sub = subgeometry(pg42, rng.sample(range(pg42.n_points), 24))
+    quotients.append(CoordQuotient(sub, 1))
+    quotients.append(CoordQuotient(pg42, pg42.lines()[5]))
+    assert any(Q.dim() == 3 for Q in quotients)
+    for Q in quotients:
+        assert_coplanarity_agrees(Q, rng)
+
+
+def test_coplanarity_from_planes_on_random_subgeometries(pg33):
+    rng = random.Random("subgeometry coplanarity")
+    for size in (12, 18, 24, 30, 36):
+        X = subgeometry(pg33, rng.sample(range(pg33.n_points), size))
+        assert_coplanarity_agrees(X, rng)
+
+
+# -- bundle certification ----------------------------------------------------------
+
+
+def literal_certified_bundles(X):
+    """(count, all_concurrent) over every itertools.combinations 4-tuple."""
+    lines = X.lines()
+
+    def coplanar(*ms):
+        m = 0
+        for x in ms:
+            m |= x
+        return X.flat_dim(X.closure_mask(m)) <= 2
+
+    count = 0
+    all_conc = True
+    for tup in itertools.combinations(lines, 4):
+        if not all(coplanar(a, b) for a, b in itertools.combinations(tup, 2)):
+            continue
+        if any(coplanar(a, b, c) for a, b, c in itertools.combinations(tup, 3)):
+            continue
+        count += 1
+        if not tup[0] & tup[1] & tup[2] & tup[3]:
+            all_conc = False
+    return count, all_conc
+
+
+def test_certified_bundles_match_literal(pg32, elliptic_33):
+    for X in (pg32, elliptic_33, pg32_minus_plane(pg32, 3)):
+        got = certified_bundles(X)
+        assert got == literal_certified_bundles(X), X.label()
+        assert got[0] > 0
