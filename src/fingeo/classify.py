@@ -70,11 +70,6 @@ def _ambient_of(X: CoordGeometry):
     return P, X.ambient_indices
 
 
-def ambient_point_mask(X: CoordGeometry) -> int:
-    P, idx = _ambient_of(X)
-    return mask_of(idx)
-
-
 # -- enough points ---------------------------------------------------------------
 
 

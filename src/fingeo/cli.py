@@ -136,7 +136,7 @@ def cmd_quotient(args, t0):
     if args.out:
         table = {
             "points": Q.n_points,
-            "flats": [serialize.sorted_bits(m) for m in Q.flats()],
+            "flats": [list(bits_of(m)) for m in Q.flats()],
         }
         serialize.dump_json(table, args.out)
     _report(args, {"geometry": args.geometry}, payload, t0)

@@ -641,9 +641,6 @@ class GeometryMorphism:
     def __call__(self, i):
         return self.map[i]
 
-    def image_mask(self):
-        return mask_of(set(self.map))
-
     def is_surjective(self):
         return len(set(self.map)) == self.target.n_points
 
@@ -718,15 +715,21 @@ class MorphismReport:
         }
 
 
-def flat_preimage_condition(f: GeometryMorphism) -> bool:
-    """The defining morphism condition alone: every target-flat preimage is
-    a source flat.  Exact, and much cheaper than the finite-closure sweep."""
+def _flat_preimage_witness(f: GeometryMorphism):
+    """The first target flat whose preimage is not a source flat, with that
+    preimage, or None when every preimage is a flat."""
     src_flats = f.source.flat_set()
     for t in f.target.flats():
         pre = f.preimage_mask(t)
         if pre not in src_flats and f.source.closure_mask(pre) != pre:
-            return False
-    return True
+            return {"target_flat": list(bits_of(t)), "preimage": list(bits_of(pre))}
+    return None
+
+
+def flat_preimage_condition(f: GeometryMorphism) -> bool:
+    """The defining morphism condition alone: every target-flat preimage is
+    a source flat.  Exact, and much cheaper than the finite-closure sweep."""
+    return _flat_preimage_witness(f) is None
 
 
 def check_morphism(f: GeometryMorphism, subset_limit=60000, seed=0xC0FFEE) -> MorphismReport:
@@ -734,15 +737,8 @@ def check_morphism(f: GeometryMorphism, subset_limit=60000, seed=0xC0FFEE) -> Mo
     condition on subsets of size <= 4 (exhaustively up to subset_limit,
     then seeded sampling).  The two verdicts must agree."""
     src, tgt = f.source, f.target
-    cond_a = True
-    witness = None
-    src_flats = src.flat_set()
-    for t in tgt.flats():
-        pre = f.preimage_mask(t)
-        if pre not in src_flats and src.closure_mask(pre) != pre:
-            cond_a = False
-            witness = {"target_flat": sorted(bits_of(t)), "preimage": sorted(bits_of(pre))}
-            break
+    witness = _flat_preimage_witness(f)
+    cond_a = witness is None
 
     n = src.n_points
     subsets = []

@@ -47,13 +47,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 # -- dense polynomials over GF(p), little-endian coefficient tuples --------
 
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _poly_mod(p, a, m):
     """Remainder of a modulo the monic polynomial m, coefficients mod p."""
     a = list(a)
@@ -380,10 +373,6 @@ class FieldHom:
 
 def identity_hom(K: GF) -> FieldHom:
     return FieldHom(K, K, tuple(range(K.q)))
-
-
-def frobenius_hom(K: GF, i: int) -> FieldHom:
-    return FieldHom(K, K, tuple(K.frobenius(a, i) for a in K.elements))
 
 
 @lru_cache(maxsize=None)

@@ -20,10 +20,6 @@ def unit_vec(n, j):
     return tuple(1 if i == j else 0 for i in range(n))
 
 
-def is_zero_vec(v):
-    return not any(v)
-
-
 def vec_add(K: GF, u, v):
     add = K.add
     return tuple(add(a, b) for a, b in zip(u, v))

@@ -69,18 +69,11 @@ class LinearSubspace:
         return len(self.rows)
 
     @property
-    def proj_dim(self):
-        return self.rank - 1
-
-    @property
     def pivots(self):
         return tuple(next(i for i, c in enumerate(r) if c) for r in self.rows)
 
     def contains(self, v):
         return linalg.in_span(self.field, self.rows, self.pivots, v)
-
-    def proj_points(self):
-        return [ProjPoint(self.field, v) for v in linalg.span_points(self.field, self.rows)]
 
     def __repr__(self):
         return f"subspace(rank {self.rank} of K^{self.ambient_dim})"
@@ -174,14 +167,6 @@ class ProjPartialMap:
 
     underlying: SemilinearMap
     exceptional: LinearSubspace
-
-    @property
-    def source_dim(self):
-        return self.underlying.n_in - 1
-
-    @property
-    def target_dim(self):
-        return self.underlying.n_out - 1
 
     def apply(self, x: ProjPoint):
         w = self.underlying.apply_vec(x.coords)
@@ -510,9 +495,6 @@ class QuotientIso:
     target_pg: CoordGeometry
     class_to_target: tuple
     projection: PartialMorphism
-
-    def as_point_map(self):
-        return {c: t for c, t in enumerate(self.class_to_target)}
 
 
 def quotient_iso(P: CoordGeometry, W: LinearSubspace, verify=True) -> QuotientIso:

@@ -4,12 +4,15 @@ The base engine turns a partial morphism between full projective spaces into
 the unique-up-to-scalar semilinear map inducing it: fix a frame on a
 complement of the exceptional flat, rescale the frame images through the
 unit point, read the field homomorphism off a coordinate line, extend
-semilinearly, and verify against every point.  The drivers handle embedded
-geometries: quotient at two base points, reconstruct each quotient leg
-(extending through an affino-projective hyperplane first when needed),
-normalize the pair to a common scalar, and glue along the fibred product of
-the two quotients.  A final sweep over all of X replaces any case analysis:
-either the induced map agrees everywhere or the reconstruction fails loudly.
+semilinearly, and verify against every point.  Embedded geometries go
+through one two-point driver: pick a base pair, recover a leg (the
+semilinear map V/<v_x> -> V'/<v_x'>) at each base point, normalize the pair
+to a common scalar, and glue along the fibred product of the two quotients.
+The locally projective and locally affino-projective cases differ only in
+how a leg is recovered: directly from the quotient map, or through the fiber
+of the base image and an extension over the completing hyperplane.  A final
+sweep over all of X replaces any case analysis: either the induced map
+agrees everywhere or the reconstruction fails loudly.
 """
 
 from __future__ import annotations
@@ -150,6 +153,18 @@ def _as_point_map(psi) -> PartialPointMap:
     raise TypeError(f"cannot interpret {type(psi).__name__} as a partial point map")
 
 
+def _class_clash(pm: PartialPointMap, undef):
+    """The first defined point where pm is not constant on its join class
+    with the undefined flat, or None."""
+    if not undef:
+        return None
+    seen = {}
+    for i, img in enumerate(pm.images):
+        if img is not None and seen.setdefault(pm.source.closure_mask(undef | 1 << i), img) != img:
+            return i
+    return None
+
+
 def reconstruct_ftpg(psi) -> SemilinearMap:
     """The semilinear map (canonically scaled) inducing a partial morphism
     between full projective spaces whose image is not contained in a line.
@@ -176,15 +191,9 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     if len(img_rows) < 3:
         raise ImageInLine(f"image spans a rank-{len(img_rows)} subspace")
 
-    if undef:
-        seen = {}
-        for i, img in enumerate(pm.images):
-            if img is None:
-                continue
-            key = src.closure_mask(undef | (1 << i))
-            prev = seen.setdefault(key, img)
-            if prev != img:
-                raise VerificationFailed(f"map is not constant on the class of point {i}")
+    clash = _class_clash(pm, undef)
+    if clash is not None:
+        raise VerificationFailed(f"map is not constant on the class of point {clash}")
 
     e_rows, e_piv = src.span_rows(undef)
     free = [j for j in range(n1) if j not in e_piv]
@@ -289,19 +298,6 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
 # -- quotient transport -------------------------------------------------------------
 
 
-@dataclass
-class QuotientLeg:
-    """One leg of the two-point pipeline: the map induced on P/x_i carried to
-    canonical quotient coordinates."""
-
-    base_index: int
-    base_vec: tuple
-    base_image: tuple
-    qc_source: object  # V -> V/<v_i>
-    qc_target: object  # V' -> V'/<v_i'>
-    point_map: PartialPointMap
-
-
 def _ambient_data(inst: MorphismInstance):
     X = inst.geometry
     P = pg_of(X)
@@ -327,15 +323,14 @@ def _require_enough_points(inst: MorphismInstance):
         raise NotEnoughPoints("a plane of X has no quadrilateral")
 
 
-def _lp_leg(inst: MorphismInstance, xi: int) -> QuotientLeg:
-    """Transport of the induced map X/xi -> P'/phi(xi) to PG(n-1, q), valid
-    when X/xi fills P/xi."""
+def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
+    """The leg V/<v_xi> -> V'/<v_xi'> when X/xi fills P/xi: the induced map
+    X/xi -> P'/phi(xi), carried to PG(n-1, q) and run through the base
+    engine."""
     X, P, idx = _ambient_data(inst)
     K, K2 = P.field, inst.target_field
-    v_i = P.vectors[idx[xi]]
-    v_i_img = inst.images[xi]
-    qc = quotient_coords(LinearSubspace.from_vectors(K, P.ncoords, [v_i]))
-    qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [v_i_img]))
+    qc = quotient_coords(LinearSubspace.from_vectors(K, P.ncoords, [P.vectors[idx[xi]]]))
+    qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [inst.images[xi]]))
     src_q = build_pg(qc.dim_q - 1, K.q)
     images = [None] * src_q.n_points
     touched = [False] * src_q.n_points
@@ -353,7 +348,7 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> QuotientLeg:
             images[t] = img
     if not all(touched):
         raise NoBasePair(f"X/{xi} does not fill the ambient quotient")
-    return QuotientLeg(xi, v_i, v_i_img, qc, qcp, PartialPointMap(src_q, K2, qcp.dim_q - 1, tuple(images)))
+    return reconstruct_ftpg(PartialPointMap(src_q, K2, qcp.dim_q - 1, tuple(images)))
 
 
 def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> PartialMorphism:
@@ -402,23 +397,23 @@ def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> Part
 # -- pair normalization and gluing ----------------------------------------------------
 
 
-def _global_matrix(K2, leg_or_coords, phi: SemilinearMap):
-    """L'_i . A_i . sigma(Q_i): the V -> V' matrix computing a representative
-    of the quotient-level image."""
-    qc, qcp = leg_or_coords
-    inner = linalg.mat_mul(K2, phi.matrix, phi.sigma.map_matrix(qc.proj_matrix))
-    return linalg.mat_mul(K2, qcp.lift_matrix, inner)
-
-
-def _pair_coords(K, K2, v1, v2, v1p, v2p, n1, m1):
+def _pair_matrices(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
+    """For each leg phi_i: V/<v_i> -> V'/<v_i'>, the pair (G_i, B_i) of its
+    global matrix G_i = L'_i . A_i . sigma(Q_i), a V -> V' map computing a
+    representative of the quotient-level image, and its reduction
+    B_i = Q'_12 . G_i . L_12 modulo the base pair."""
+    K, K2 = phi1.source_field, phi1.target_field
+    n1, m1 = len(v1), len(v1p)
     q12 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v1, v2]))
     q12p = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v1p, v2p]))
-    return q12, q12p
-
-
-def _reduction(K2, G, q12, q12p):
-    """Q'_12 . G . L_12: the induced map on the double quotients."""
-    return linalg.mat_mul(K2, q12p.proj_matrix, linalg.mat_mul(K2, G, q12.lift_matrix))
+    out = []
+    for phi, v, vp in ((phi1, v1, v1p), (phi2, v2, v2p)):
+        qc = quotient_coords(LinearSubspace.from_vectors(K, n1, [v]))
+        qcp = quotient_coords(LinearSubspace.from_vectors(K2, m1, [vp]))
+        inner = linalg.mat_mul(K2, phi.matrix, phi.sigma.map_matrix(qc.proj_matrix))
+        G = linalg.mat_mul(K2, qcp.lift_matrix, inner)
+        out.append((G, linalg.mat_mul(K2, q12p.proj_matrix, linalg.mat_mul(K2, G, q12.lift_matrix))))
+    return out
 
 
 def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
@@ -429,30 +424,14 @@ def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -
     """
     if phi1.sigma != phi2.sigma:
         raise NotProportional("the two legs carry different field homomorphisms")
-    K, K2 = phi1.source_field, phi1.target_field
-    n1, m1 = len(v1), len(v1p)
-    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v1]))
-    qc2 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v2]))
-    qp1 = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v1p]))
-    qp2 = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v2p]))
-    q12, q12p = _pair_coords(K, K2, v1, v2, v1p, v2p, n1, m1)
-    B1 = _reduction(K2, _global_matrix(K2, (qc1, qp1), phi1), q12, q12p)
-    B2 = _reduction(K2, _global_matrix(K2, (qc2, qp2), phi2), q12, q12p)
+    K2 = phi1.target_field
+    (_, B1), (_, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
     if all(not any(r) for r in B1) or all(not any(r) for r in B2):
         raise NotProportional("a reduction modulo the base pair vanished")
-    lam = None
-    for r1, r2 in zip(B1, B2):
-        for a, b in zip(r1, r2):
-            if a:
-                lam = K2.div(b, a)
-                break
-        if lam is not None:
-            break
-    scaled = phi1.scaled(lam) if lam is not None else phi1
-    B1s = linalg.mat_scale(K2, lam, B1) if lam is not None else B1
-    if lam is None or lam == 0 or B1s != B2:
+    lam = next(K2.div(b, a) for r1, r2 in zip(B1, B2) for a, b in zip(r1, r2) if a)
+    if lam == 0 or linalg.mat_scale(K2, lam, B1) != B2:
         raise NotProportional("reductions are not proportional")
-    return scaled
+    return phi1.scaled(lam)
 
 
 def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
@@ -462,17 +441,11 @@ def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v
     if phi1.sigma != phi2.sigma:
         raise ReductionsDisagree("the two legs carry different field homomorphisms")
     K, K2 = phi1.source_field, phi1.target_field
-    n1, m1 = len(v1), len(v1p)
+    n1 = len(v1)
     if linalg.rank(K, (v1, v2)) != 2 or linalg.rank(K2, (v1p, v2p)) != 2:
         raise LiftInconsistent("base vectors must be independent on both sides")
-    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v1]))
-    qc2 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v2]))
-    qp1 = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v1p]))
-    qp2 = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v2p]))
-    G1 = _global_matrix(K2, (qc1, qp1), phi1)
-    G2 = _global_matrix(K2, (qc2, qp2), phi2)
-    q12, q12p = _pair_coords(K, K2, v1, v2, v1p, v2p, n1, m1)
-    if _reduction(K2, G1, q12, q12p) != _reduction(K2, G2, q12, q12p):
+    (G1, B1), (G2, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
+    if B1 != B2:
         raise ReductionsDisagree("reductions modulo the base pair differ; normalize first")
 
     pair_cols = linalg.transpose((v1p, v2p))
@@ -543,23 +516,25 @@ def _finish(phi_raw: SemilinearMap, inst, pair, extra_cert=None) -> Reconstructi
     return ReconstructionResult(phi, phi.kernel(), pair, cert)
 
 
+def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
+    """Pick a base pair among the admissible points, recover the leg at each
+    base point, normalize the pair to a common scalar, glue along the fibred
+    product, then verify against all of X."""
+    X, P, idx = _ambient_data(inst)
+    pair = _pick_pair(inst, admissible, pair_rank)
+    psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
+    v1, v2 = (P.vectors[idx[x]] for x in pair)
+    v1p, v2p = (inst.images[x] for x in pair)
+    psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
+    return _finish(glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p), inst, pair)
+
+
 def reconstruct_locally_projective(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:
     """Two-point reconstruction for X embedded with X/x = P/x at the base
-    points: quotient legs through the base pair, base reconstruction on each,
-    scalar normalization, fibred-product gluing, then total verification."""
+    points: each leg is the base engine run on the quotient map."""
     _require_enough_points(inst)
     _require_image_not_in_plane(inst)
-    admissible = full_quotient_points(inst.geometry)
-    pair = _pick_pair(inst, admissible, pair_rank)
-    leg1 = _lp_leg(inst, pair[0])
-    leg2 = _lp_leg(inst, pair[1])
-    psi1 = reconstruct_ftpg(leg1.point_map)
-    psi2 = reconstruct_ftpg(leg2.point_map)
-    v1, v2 = leg1.base_vec, leg2.base_vec
-    v1p, v2p = leg1.base_image, leg2.base_image
-    psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
-    phi = glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p)
-    return _finish(phi, inst, pair)
+    return _two_point(inst, full_quotient_points(inst.geometry), _lp_leg, pair_rank)
 
 
 def extend_affino(inst: MorphismInstance, hyperplane_mask=None) -> PartialPointMap:
@@ -617,16 +592,9 @@ def _check_partial_point_map(pm: PartialPointMap):
     constant on exceptional join classes, and per line collinear images with
     an injective-or-constant restriction."""
     P, K2 = pm.source, pm.target_field
-    e_mask = pm.undefined_mask()
-    if e_mask:
-        seen = {}
-        for i, img in enumerate(pm.images):
-            if img is None:
-                continue
-            key = P.closure_mask(e_mask | (1 << i))
-            prev = seen.setdefault(key, img)
-            if prev != img:
-                raise InconsistentExtension(f"extension not constant on the class of {i}")
+    clash = _class_clash(pm, pm.undefined_mask())
+    if clash is not None:
+        raise InconsistentExtension(f"extension not constant on the class of {clash}")
     for line in P.lines():
         vals = [pm.images[i] for i in bits_of(line) if pm.images[i] is not None]
         if len(vals) < 2:
@@ -653,10 +621,11 @@ def reconstruct_affino_projective(inst: MorphismInstance, hyperplane_mask=None) 
     return _finish(phi, inst, pair)
 
 
-def _affino_leg(inst: MorphismInstance, xi: int) -> QuotientLeg:
-    """Quotient leg factoring through the fiber of the base image: quotient X
-    by the fiber F, extend the induced affino-projective map on X/F over
-    P/span(F), reconstruct, then precompose with V/<v_i> -> V/span(F)."""
+def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
+    """The leg V/<v_xi> -> V'/<v_xi'> factoring through the fiber of the
+    base image: quotient X by the fiber F, extend the induced
+    affino-projective map on X/F over P/span(F), reconstruct, then
+    precompose with V/<v_xi> -> V/span(F)."""
     X, P, idx = _ambient_data(inst)
     K, K2 = P.field, inst.target_field
     n1, m1 = P.ncoords, inst.target_dim + 1
@@ -703,7 +672,7 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> QuotientLeg:
     qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v_i]))
     C = linalg.mat_mul(K, qcF.proj_matrix, qc1.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
-    return QuotientLeg(xi, v_i, v_i_img, qc1, qcp, None), SemilinearMap(psiF.sigma, A)
+    return SemilinearMap(psiF.sigma, A)
 
 
 def affino_admissible_points(inst: MorphismInstance):
@@ -725,15 +694,7 @@ def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> Reconstru
     _field_clause(inst.source_field, inst.target_field)
     _require_enough_points(inst)
     _require_image_not_in_plane(inst)
-    admissible = affino_admissible_points(inst)
-    pair = _pick_pair(inst, admissible, pair_rank)
-    leg1, psi1 = _affino_leg(inst, pair[0])
-    leg2, psi2 = _affino_leg(inst, pair[1])
-    v1, v2 = leg1.base_vec, leg2.base_vec
-    v1p, v2p = leg1.base_image, leg2.base_image
-    psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
-    phi = glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p)
-    return _finish(phi, inst, pair)
+    return _two_point(inst, affino_admissible_points(inst), _affino_leg, pair_rank)
 
 
 # -- certification -----------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 
 from . import linalg
 from .errors import FileFormatError
-from .geometry import CoordGeometry, TableGeometry, subgeometry
+from .geometry import CoordGeometry, TableGeometry, bits_of, mask_of, subgeometry
 from .gf import GF, hom_from_power, parse_field_name
 from .projective import SemilinearMap, build_pg
 
@@ -53,7 +53,7 @@ def field_from_name(text):
 
 def check_entries(row, K: GF, what):
     """Every coordinate of row must encode an element of K."""
-    if not all(isinstance(c, int) and 0 <= c < K.q for c in row):
+    if not all(type(c) is int and 0 <= c < K.q for c in row):
         _fail(f"{what} {list(row)} has entries outside {K.name}")
 
 
@@ -70,20 +70,9 @@ def geometry_to_dict(G) -> dict:
     if isinstance(G, TableGeometry):
         return {
             "points": G.n_points,
-            "flats": [sorted_bits(m) for m in G.raw_table],
+            "flats": [list(bits_of(m)) for m in G.raw_table],
         }
     _fail(f"cannot serialize {type(G).__name__}")
-
-
-def sorted_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def geometry_from_dict(data) -> object:
@@ -96,6 +85,10 @@ def geometry_from_dict(data) -> object:
             raw_points = data["points"]
         except (KeyError, ValueError, TypeError) as exc:
             _fail(f"bad embedded geometry: {exc}")
+        if not isinstance(raw_points, list):
+            _fail("'points' must be a list of coordinate rows")
+        if not 1 <= n <= 5:
+            _fail(f"ambient_dim {n} outside 1..5")
         P = build_pg(n, K.q)
         indices = set()
         for row in raw_points:
@@ -119,15 +112,12 @@ def geometry_from_dict(data) -> object:
             _fail(f"bad abstract geometry: {exc}")
         if n < 1:
             _fail(f"abstract geometry needs at least one point, not {n}")
-        masks = []
+        if not isinstance(flats, list):
+            _fail("'flats' must be a list of index lists")
         for f in flats:
-            if not all(isinstance(i, int) and 0 <= i < n for i in f):
-                _fail(f"flat {f!r} has indices outside 0..{n - 1}")
-            m = 0
-            for i in f:
-                m |= 1 << i
-            masks.append(m)
-        return TableGeometry(n, masks)
+            if not (isinstance(f, list) and all(type(i) is int and 0 <= i < n for i in f)):
+                _fail(f"flat {f!r} is not a list of indices in 0..{n - 1}")
+        return TableGeometry(n, [mask_of(f) for f in flats])
     _fail("geometry file needs either a 'field' or a 'flats' key")
 
 

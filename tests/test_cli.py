@@ -294,3 +294,23 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
     assert "Traceback" not in proc.stderr
     assert "point" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"points": 3, "flats": 5},
+        {"field": "gf(2)", "ambient_dim": 3, "points": 5},
+        {"points": 3, "flats": [3]},
+        {"field": "gf(2)", "ambient_dim": -1, "points": [[1]]},
+        {"field": "gf(2)", "ambient_dim": 1, "points": [[True, 0], [0, 1]]},
+    ],
+    ids=["flats-not-list", "points-not-list", "flat-not-list", "ambient-dim-range", "bool-coordinate"],
+)
+def test_malformed_geometry_shape_exit_2(tmp_path, data):
+    geo = tmp_path / "bad.json"
+    geo.write_text(dump_json(data))
+    proc = run_cli("check", "--axioms", "g", "--geometry", str(geo))
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,6 +1,8 @@
-"""Static checks on the package source: every module uses what it imports.
+"""Static checks on the package source: every module uses what it imports,
+and every top-level function or class is referred to somewhere.
 
-The package's __init__.py is skipped, since its imports are re-exports.
+The package's __init__.py is skipped by the import check, since its imports
+are re-exports; for the definition check they count as references.
 """
 
 import ast
@@ -8,8 +10,14 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fingeo"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fingeo"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# everything that may refer to a definition in src/fingeo
+CORPUS = sorted(
+    p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -25,6 +33,39 @@ def unused_imports(source):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def referenced_names(source):
+    """Names a module refers to: plain and attribute names, imported names,
+    and string constants spelling a name (lookups by name).  A top-level
+    definition's references to itself do not count."""
+    out = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def dead_definitions(source, referenced):
+    """(line, name) for each top-level function or class of the module that
+    is not among the referenced names."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, DEFINITIONS) and node.name not in referenced
+    ]
+
+
 def test_modules_found():
     assert "classify.py" in MODULES and "__init__.py" not in MODULES
 
@@ -37,3 +78,24 @@ def test_no_unused_imports(module):
 def test_unused_import_is_reported():
     source = "import os\nfrom .geometry import Flat, bits_of\n\nprint(bits_of)\n"
     assert unused_imports(source) == [(1, "os"), (2, "Flat")]
+
+
+@pytest.fixture(scope="module")
+def corpus_references():
+    return set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in CORPUS))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_definitions(module, corpus_references):
+    assert dead_definitions((SRC / module).read_text(encoding="utf-8"), corpus_references) == []
+
+
+def test_dead_definition_is_reported():
+    source = (
+        "def used():\n    return 1\n\n\n"
+        "def dead(n):\n    return dead(n - 1)\n\n\n"
+        "class ByName:\n    pass\n"
+    )
+    other = "from .m import used\n\nhandler = getattr(m, 'ByName')\n"
+    referenced = referenced_names(source) | referenced_names(other)
+    assert dead_definitions(source, referenced) == [(5, "dead")]

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from fingeo import linalg
+from fingeo.classify import full_quotient_points
 from fingeo.errors import (
     ExceptionalNotFlat,
     FieldClauseViolated,
+    FingeoError,
     ImageInLine,
     ImageInPlane,
     NoBasePair,
@@ -29,6 +31,9 @@ from fingeo.projective import (
 from fingeo.reconstruct import (
     MorphismInstance,
     PartialPointMap,
+    _affino_leg,
+    _lp_leg,
+    affino_admissible_points,
     brute_force_oracle,
     certify_side_conditions,
     extend_affino,
@@ -429,6 +434,54 @@ def test_lap_frobenius_on_hyperbolic(hyperbolic_34):
     res = reconstruct_locally_affino(inst)
     assert res.phi.sigma.frobenius_power == 1
     assert proportional(res.phi, gen.canonical()) == 1
+
+
+# -- legs and perturbed inputs ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixture, leg, admissible",
+    [
+        ("ag33", _lp_leg, lambda inst: full_quotient_points(inst.geometry)),
+        ("elliptic_33", _affino_leg, affino_admissible_points),
+    ],
+    ids=["lp-ag33", "lap-elliptic33"],
+)
+def test_leg_is_the_induced_quotient_map(fixture, leg, admissible, request):
+    X = request.getfixturevalue(fixture)
+    P = build_pg(3, 3)
+    rng = random.Random(97)
+    for _ in range(3):
+        gen = random_semilinear(rng, gf(3), min_rank=4)
+        inst = MorphismInstance.restrict_semilinear(gen, X)
+        for x in admissible(inst)[:6]:
+            amb = X.ambient_indices[x]
+            want = leg_maps(gen, P, amb, amb)[0]
+            assert proportional(leg(inst, x), want) is not None
+
+
+@pytest.mark.parametrize(
+    "fixture, driver",
+    [
+        ("ag33", reconstruct_locally_projective),
+        ("two_hyperplanes_33", reconstruct_locally_projective),
+        ("elliptic_33", reconstruct_locally_affino),
+        ("cone_33", reconstruct_locally_affino),
+    ],
+)
+def test_perturbed_input_never_returns_a_map(fixture, driver, request):
+    """Moving one image of an induced map to another point is always
+    rejected, and always with a typed error."""
+    X = request.getfixturevalue(fixture)
+    K = gf(3)
+    targets = linalg.all_proj_points(K, 4)
+    rng = random.Random(f"perturb-{fixture}")
+    for _ in range(30):
+        images = list(MorphismInstance.restrict_semilinear(random_semilinear(rng, K), X).images)
+        x = rng.randrange(X.n_points)
+        images[x] = rng.choice([v for v in targets if v != images[x]])
+        with pytest.raises(FingeoError):
+            driver(MorphismInstance(X, K, 3, tuple(images)))
 
 
 # -- certification ------------------------------------------------------------------------------
