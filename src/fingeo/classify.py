@@ -12,13 +12,14 @@ CoordGeometry (X.ambient is its projective space).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
-from . import linalg
 from .errors import DimensionTooLow, InternalContradiction
-from .geometry import CoordGeometry, bits_of, mask_of
+from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
 from .projective import check_projective_axioms, pg_of
 
 BUNDLE_LIMIT = 10**8
@@ -63,13 +64,6 @@ class ClassificationReport:
         }
 
 
-def _ambient_of(X: CoordGeometry):
-    P = pg_of(X)
-    if P is X:
-        return P, tuple(range(X.n_points))
-    return P, X.ambient_indices
-
-
 # -- enough points ---------------------------------------------------------------
 
 
@@ -94,6 +88,41 @@ def _cached(X, key, fn):
         got = fn()
         X._predicate_cache[key] = got
     return got
+
+
+@dataclass(frozen=True)
+class AmbientView:
+    """X inside its ambient projective space P.
+
+    idx maps local points to ambient ones and xmask is their ambient mask.
+    tangents[x] holds the tangent lines at the local point x, the lines of
+    P through x that meet X nowhere else, in P.lines() order, and unions[x]
+    is their union.  X/x = P/x exactly when x has no tangent line, and X/x
+    is affino-projective in P/x exactly when a hyperplane through x holds
+    unions[x].
+    """
+
+    P: CoordGeometry
+    idx: tuple
+    xmask: int
+    tangents: tuple
+    unions: tuple
+
+
+def ambient_view(X: CoordGeometry) -> AmbientView:
+    """The ambient view of X, built once per geometry."""
+    return _cached(X, "ambient_view", lambda: _ambient_view(X))
+
+
+def _ambient_view(X) -> AmbientView:
+    P = pg_of(X)
+    idx = tuple(range(X.n_points)) if P is X else X.ambient_indices
+    xmask = mask_of(idx)
+    tangents = tuple(
+        tuple(line for line in P.lines_through(a) if line & xmask == 1 << a) for a in idx
+    )
+    unions = tuple(functools.reduce(operator.or_, ts, 0) for ts in tangents)
+    return AmbientView(P, idx, xmask, tangents, unions)
 
 
 def has_enough_points(X) -> Verdict:
@@ -138,20 +167,8 @@ def _has_enough_points(X) -> Verdict:
 def _local_dim_formula_at(X, x):
     """Dimension formula for all flat pairs through the point x."""
     through = [m for m in X.flats() if m >> x & 1]
-    dims = {m: X.flat_dim(m) for m in through}
-    coord = isinstance(X, CoordGeometry)
-    for i, m1 in enumerate(through):
-        for m2 in through[i:]:
-            inter = m1 & m2
-            d_meet = X.flat_dim(inter)
-            if coord:
-                d_join = (
-                    linalg.rank(X.field, X.flat_rows(m1)[0] + X.flat_rows(m2)[0]) - 1
-                )
-            else:
-                d_join = X.flat_dim(X.closure_mask(m1 | m2))
-            if dims[m1] + dims[m2] != d_join + d_meet:
-                return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
+    for m1, m2, _, _ in dim_formula_violations(X, through):
+        return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
     return None
 
 
@@ -183,13 +200,10 @@ def _is_locally_projective(X) -> Verdict:
 def check_line_condition(X: CoordGeometry) -> Verdict:
     """Every ambient line misses X or meets it at least twice.  A positive
     verdict forces local projectivity, which is asserted."""
-    P, idx = _ambient_of(X)
-    xmask = mask_of(idx)
-    witnesses = []
-    for line in P.lines():
-        hit = (line & xmask).bit_count()
-        if hit == 1:
-            witnesses.append({"line": sorted(bits_of(line))})
+    # a line meeting X once is a tangent line at exactly one point; sorted by
+    # (size, mask), the tangent lines come in P.lines() order
+    tangents = sorted(itertools.chain(*ambient_view(X).tangents), key=lambda m: (m.bit_count(), m))
+    witnesses = [{"line": sorted(bits_of(line))} for line in tangents]
     verdict = not witnesses
     if verdict and not is_locally_projective(X):
         raise InternalContradiction("line condition holds but X is not locally projective")
@@ -468,12 +482,11 @@ def certified_bundles(X, limit=200000):
 def is_affino_projective(X: CoordGeometry) -> Verdict:
     """Some ambient hyperplane H with X u H = P; hyperplanes scanned in
     canonical order, first certificate returned, count reported."""
-    P, idx = _ambient_of(X)
-    xmask = mask_of(idx)
+    view = ambient_view(X)
     first = None
     count = 0
-    for hm in P.hyperplanes():
-        if (xmask | hm) == P.full_mask:
+    for hm in view.P.hyperplanes():
+        if (view.xmask | hm) == view.P.full_mask:
             count += 1
             if first is None:
                 first = hm
@@ -485,31 +498,24 @@ def is_affino_projective(X: CoordGeometry) -> Verdict:
     return out
 
 
-def _lap_at_point(X, P, xmask, amb_x):
-    """Hyperplanes H through amb_x such that every ambient line through amb_x
-    meets X twice or lies inside H."""
-    must_cover = 0
-    for line in P.lines_through(amb_x):
-        if (line & xmask).bit_count() < 2:
-            must_cover |= line
-    certs = [
-        hm for hm in P.hyperplanes() if hm >> amb_x & 1 and must_cover & ~hm == 0
-    ]
-    return certs
+def lap_certificates(view: AmbientView, x) -> list:
+    """Hyperplanes of P through the local point x that hold every tangent
+    line at x, in P.hyperplanes() order."""
+    must_cover = view.unions[x] | 1 << view.idx[x]
+    return [hm for hm in view.P.hyperplanes() if must_cover & ~hm == 0]
 
 
 def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
     """For each point x a hyperplane H_x through x absorbing all tangent
     lines; cross-checked by testing X/x affino-projective inside P/x."""
-    P, idx = _ambient_of(X)
-    xmask = mask_of(idx)
+    view = ambient_view(X)
     witnesses = []
     tangent_hyperplanes = {}
     verdict = True
-    for local_x, amb_x in enumerate(idx):
-        certs = _lap_at_point(X, P, xmask, amb_x)
+    for local_x in range(X.n_points):
+        certs = lap_certificates(view, local_x)
         via_lines = bool(certs)
-        via_quotient = _quotient_affino(X, P, xmask, local_x, amb_x)
+        via_quotient = _quotient_affino(view, local_x)
         if via_lines != via_quotient:
             raise InternalContradiction(f"two affino routes disagree at point {local_x}")
         if via_lines:
@@ -523,13 +529,14 @@ def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
     return out
 
 
-def _quotient_affino(X, P, xmask, local_x, amb_x):
+def _quotient_affino(view: AmbientView, local_x):
     """X/x affino-projective inside P/x: some hyperplane class-set of P/x
     covers the classes without an X representative."""
+    P, amb_x = view.P, view.idx[local_x]
     Q = P.point_quotient(amb_x)
     covered = set()
     for c, cmask in enumerate(Q.classes):
-        if cmask & xmask:
+        if cmask & view.xmask:
             covered.add(c)
     missing = [c for c in range(Q.n_points) if c not in covered]
     if not missing:
@@ -546,21 +553,16 @@ def _quotient_affino(X, P, xmask, local_x, amb_x):
 def is_mobius(X: CoordGeometry) -> Verdict:
     """At each point the union of the ambient tangent lines is exactly a
     hyperplane."""
-    P, idx = _ambient_of(X)
-    if P.dim() < 3:
+    view = ambient_view(X)
+    if view.P.dim() < 3:
         raise DimensionTooLow("ambient dimension < 3")
     if X.n_points <= 2:
         return Verdict("mobius", "not applicable")
-    xmask = mask_of(idx)
-    hyper = set(P.hyperplanes())
+    hyper = set(view.P.hyperplanes())
     witnesses = []
     tangent_planes = {}
     verdict = True
-    for local_x, amb_x in enumerate(idx):
-        union = 0
-        for line in P.lines_through(amb_x):
-            if line & xmask == 1 << amb_x:
-                union |= line
+    for local_x, union in enumerate(view.unions):
         if union in hyper:
             tangent_planes[local_x] = sorted(bits_of(union))
         else:
@@ -574,17 +576,14 @@ def is_mobius(X: CoordGeometry) -> Verdict:
 
 def is_ovoid(X: CoordGeometry) -> Verdict:
     """Moebius, with every ambient line meeting X in at most two points."""
-    P, idx = _ambient_of(X)
-    if P.dim() < 3:
-        raise DimensionTooLow("ambient dimension < 3")
-    if X.n_points <= 2:
-        return Verdict("ovoid", "not applicable")
     mob = is_mobius(X)
-    xmask = mask_of(idx)
+    if mob.verdict == "not applicable":
+        return Verdict("ovoid", "not applicable")
+    view = ambient_view(X)
     witnesses = list(mob.witnesses)
     verdict = bool(mob)
-    for line in P.lines():
-        if (line & xmask).bit_count() > 2:
+    for line in view.P.lines():
+        if (line & view.xmask).bit_count() > 2:
             verdict = False
             witnesses.append({"long_secant": sorted(bits_of(line))})
             break
@@ -593,29 +592,18 @@ def is_ovoid(X: CoordGeometry) -> Verdict:
 
 def check_minimal_embedding(X: CoordGeometry) -> Verdict:
     """X/x = P/x for every x: each ambient line through x meets X again."""
-    P, idx = _ambient_of(X)
-    xmask = mask_of(idx)
-    witnesses = []
-    verdict = True
-    for local_x, amb_x in enumerate(idx):
-        for line in P.lines_through(amb_x):
-            if (line & xmask).bit_count() < 2:
-                verdict = False
-                witnesses.append({"point": local_x, "tangent_line": sorted(bits_of(line))})
-                break
-    return Verdict("minimal_embedding", verdict, witnesses)
+    witnesses = [
+        {"point": x, "tangent_line": sorted(bits_of(lines[0]))}
+        for x, lines in enumerate(ambient_view(X).tangents)
+        if lines
+    ]
+    return Verdict("minimal_embedding", not witnesses, witnesses)
 
 
 def full_quotient_points(X: CoordGeometry):
     """Local indices x with X/x = P/x (every ambient line through x is a
     secant); the admissible base points of the locally projective driver."""
-    P, idx = _ambient_of(X)
-    xmask = mask_of(idx)
-    out = []
-    for local_x, amb_x in enumerate(idx):
-        if all((line & xmask).bit_count() >= 2 for line in P.lines_through(amb_x)):
-            out.append(local_x)
-    return tuple(out)
+    return tuple(x for x, lines in enumerate(ambient_view(X).tangents) if not lines)
 
 
 # -- aggregate -----------------------------------------------------------------------

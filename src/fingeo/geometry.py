@@ -146,6 +146,10 @@ class FiniteGeometry:
             self._flat_dims[mask] = d
         return d
 
+    def join_dim(self, m1, m2):
+        """Dimension of the join of two flats."""
+        return self.flat_dim(self.closure_mask(m1 | m2))
+
     def _build_flats(self):
         closure = self.closure_mask
         empty = closure(0)
@@ -161,10 +165,18 @@ class FiniteGeometry:
                         seen.add(t)
                         nxt.append(t)
             frontier = nxt
-        flats = sorted(seen, key=lambda m: (m.bit_count(), m))
-        self._flats = tuple(flats)
-        self._flat_set = frozenset(flats)
-        self._flat_dims = {m: self._dim_of(m) for m in flats}
+        self._store_flats(seen, self._dim_of)
+
+    def _store_flats(self, masks, dim_of):
+        """Keep the flats sorted by (size, mask), as a set, with their
+        dimensions, and as one tuple per dimension in the same order."""
+        self._flats = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        self._flat_set = frozenset(self._flats)
+        self._flat_dims = {m: dim_of(m) for m in self._flats}
+        by_dim = {}
+        for m in self._flats:
+            by_dim.setdefault(self._flat_dims[m], []).append(m)
+        self._flats_by_dim = {d: tuple(ms) for d, ms in by_dim.items()}
 
     def _dim_of(self, mask):
         """Greedy basis cardinality minus one (canonical point order)."""
@@ -184,7 +196,7 @@ class FiniteGeometry:
     def rank_flats(self, d):
         """All flats of dimension d."""
         self.flats()
-        return tuple(m for m in self._flats if self._flat_dims[m] == d)
+        return self._flats_by_dim.get(d, ())
 
     def lines(self):
         return self.rank_flats(1)
@@ -296,6 +308,10 @@ class CoordGeometry(FiniteGeometry):
             got = self._flat_rows[mask] = self.span_rows(mask)
         return got
 
+    def join_dim(self, m1, m2):
+        # the span of the join is the sum of the two spans
+        return linalg.rank(self.field, self.flat_rows(m1)[0] + self.flat_rows(m2)[0]) - 1
+
     def _build_flats(self):
         """Covering sweep: extend each flat's basis by one outside point x.
         Every other point of the resulting flat gives the same span, so all
@@ -322,10 +338,7 @@ class CoordGeometry(FiniteGeometry):
                         nxt.append(t)
             frontier = nxt
         self._flat_rows.update(rows_of)
-        flats = sorted(rows_of, key=lambda m: (m.bit_count(), m))
-        self._flats = tuple(flats)
-        self._flat_set = frozenset(flats)
-        self._flat_dims = {m: len(rows_of[m][0]) - 1 for m in flats}
+        self._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
 
     def _dim_of(self, mask):
         # nested flats of a span-trace geometry have strictly nested spans,
@@ -500,6 +513,19 @@ def join(G: FiniteGeometry, S1: Flat, S2: Flat) -> Flat:
 
 def meet(G: FiniteGeometry, S1: Flat, S2: Flat) -> Flat:
     return Flat(G, S1.mask & S2.mask)
+
+
+def dim_formula_violations(G: FiniteGeometry, flats):
+    """(m1, m2, lhs, rhs) for each pair of the given flats, m1 listed no
+    later than m2, where lhs = dim m1 + dim m2 differs from
+    rhs = dim(m1 v m2) + dim(m1 n m2); pairs come in list order."""
+    dims = [G.flat_dim(m) for m in flats]
+    for i, m1 in enumerate(flats):
+        for j in range(i, len(flats)):
+            m2 = flats[j]
+            rhs = G.join_dim(m1, m2) + G.flat_dim(m1 & m2)
+            if dims[i] + dims[j] != rhs:
+                yield m1, m2, dims[i] + dims[j], rhs
 
 
 # -- axiom checking -----------------------------------------------------------

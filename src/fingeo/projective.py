@@ -21,6 +21,7 @@ from .geometry import (
     Flat,
     PartialMorphism,
     bits_of,
+    dim_formula_violations,
     mask_of,
     quotient,
 )
@@ -231,6 +232,9 @@ def check_projective_axioms(G: FiniteGeometry, pair_limit=2_000_000) -> Projecti
     the crossing point must themselves meet; that form is exhaustive and far
     cheaper on the larger spaces.
     """
+    flats = G.flats()
+    if len(flats) * (len(flats) + 1) // 2 > pair_limit:
+        raise SizeLimit("flat-pair sweep beyond limit")
     witnesses = {}
     lines = G.lines()
     n = G.n_points
@@ -262,43 +266,20 @@ def check_projective_axioms(G: FiniteGeometry, pair_limit=2_000_000) -> Projecti
     if not p3:
         witnesses["p3"] = w
 
-    # dimension formula over all flat pairs; on a coordinate backend the join
-    # dimension is the rank of the stacked span bases, the meet is a cached
-    # flat (intersections of flats are flats whenever G2 holds)
+    # dimension formula over all flat pairs
     dim_ok = True
     empty_meet_only = True
-    flats = G.flats()
-    dims = {m: G.flat_dim(m) for m in flats}
-    coord = isinstance(G, CoordGeometry)
-    if coord:
-        K = G.field
-        rows_of = {m: G.flat_rows(m)[0] for m in flats}
-    checked = 0
-    for i, m1 in enumerate(flats):
-        d1 = dims[m1]
-        for m2 in flats[i:]:
-            checked += 1
-            if checked > pair_limit:
-                raise SizeLimit("flat-pair sweep beyond limit")
-            inter = m1 & m2
-            d_meet = dims.get(inter)
-            if d_meet is None:
-                d_meet = G.flat_dim(inter)
-            if coord:
-                d_join = linalg.rank(K, rows_of[m1] + rows_of[m2]) - 1
-            else:
-                d_join = G.flat_dim(G.closure_mask(m1 | m2))
-            if d1 + dims[m2] != d_join + d_meet:
-                dim_ok = False
-                if inter:
-                    empty_meet_only = False
-                if "dim_formula" not in witnesses:
-                    witnesses["dim_formula"] = {
-                        "s1": sorted(bits_of(m1)),
-                        "s2": sorted(bits_of(m2)),
-                        "lhs": d1 + dims[m2],
-                        "rhs": d_join + d_meet,
-                    }
+    for m1, m2, lhs, rhs in dim_formula_violations(G, flats):
+        if dim_ok:
+            witnesses["dim_formula"] = {
+                "s1": sorted(bits_of(m1)),
+                "s2": sorted(bits_of(m2)),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        dim_ok = False
+        if m1 & m2:
+            empty_meet_only = False
     irreducible = all(line.bit_count() >= 3 for line in lines)
     note = ""
     if p1 and p2 and not dim_ok and empty_meet_only:

@@ -17,15 +17,18 @@ agrees everywhere or the reconstruction fails loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import linalg
 from .classify import (
-    _lap_at_point,
+    ambient_view,
     full_quotient_points,
     has_enough_points,
     is_affino_projective,
+    lap_certificates,
 )
 from .errors import (
     CapExceeded,
@@ -61,7 +64,6 @@ from .projective import (
     LinearSubspace,
     SemilinearMap,
     build_pg,
-    pg_of,
     quotient_coords,
 )
 
@@ -117,11 +119,10 @@ class MorphismInstance:
     @staticmethod
     def restrict_semilinear(phi: SemilinearMap, X: CoordGeometry, kind="locally-projective"):
         """The fixture builder: restrict the induced map of phi to X."""
-        P = pg_of(X)
-        idx = X.ambient_indices if X.ambient_indices is not None else range(X.n_points)
+        view = ambient_view(X)
         images = []
-        for i in idx:
-            w = linalg.normalize_vec(phi.target_field, phi.apply_vec(P.vectors[i]))
+        for i in view.idx:
+            w = linalg.normalize_vec(phi.target_field, phi.apply_vec(view.P.vectors[i]))
             if w is None:
                 raise ZeroMap("kernel of the generator meets X")
             images.append(w)
@@ -298,13 +299,6 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
 # -- quotient transport -------------------------------------------------------------
 
 
-def _ambient_data(inst: MorphismInstance):
-    X = inst.geometry
-    P = pg_of(X)
-    idx = X.ambient_indices if X.ambient_indices is not None else tuple(range(X.n_points))
-    return X, P, idx
-
-
 def _field_clause(K: GF, K2: GF):
     if not (K.q >= 4 or (K.q == 3 and K2.p == 3)):
         raise FieldClauseViolated(
@@ -327,7 +321,8 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
     """The leg V/<v_xi> -> V'/<v_xi'> when X/xi fills P/xi: the induced map
     X/xi -> P'/phi(xi), carried to PG(n-1, q) and run through the base
     engine."""
-    X, P, idx = _ambient_data(inst)
+    view = ambient_view(inst.geometry)
+    P, idx = view.P, view.idx
     K, K2 = P.field, inst.target_field
     qc = quotient_coords(LinearSubspace.from_vectors(K, P.ncoords, [P.vectors[idx[xi]]]))
     qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [inst.images[xi]]))
@@ -354,7 +349,7 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
 def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> PartialMorphism:
     """The geometry-level partial morphism X/x0 -> P'/phi(x0) with
     exceptional flat F/x0, F the fiber of phi(x0)."""
-    X, P, idx = _ambient_data(inst)
+    X = inst.geometry
     K2 = inst.target_field
     tgt = build_pg(inst.target_dim, K2.q)
     x0_img = inst.images[x0]
@@ -491,10 +486,10 @@ def _pick_pair(inst, admissible, pair_rank):
 
 
 def _verify_against_instance(phi: SemilinearMap, inst: MorphismInstance):
-    X, P, idx = _ambient_data(inst)
+    view = ambient_view(inst.geometry)
     K2 = inst.target_field
-    for x, amb in enumerate(idx):
-        got = linalg.normalize_vec(K2, phi.apply_vec(P.vectors[amb]))
+    for x, amb in enumerate(view.idx):
+        got = linalg.normalize_vec(K2, phi.apply_vec(view.P.vectors[amb]))
         if got is None:
             raise VerificationFailed(f"kernel of the reconstruction meets X at {x}")
         if got != inst.images[x]:
@@ -520,10 +515,10 @@ def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> Reconstruc
     """Pick a base pair among the admissible points, recover the leg at each
     base point, normalize the pair to a common scalar, glue along the fibred
     product, then verify against all of X."""
-    X, P, idx = _ambient_data(inst)
+    view = ambient_view(inst.geometry)
     pair = _pick_pair(inst, admissible, pair_rank)
     psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
-    v1, v2 = (P.vectors[idx[x]] for x in pair)
+    v1, v2 = (view.P.vectors[view.idx[x]] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
     psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
     return _finish(glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p), inst, pair)
@@ -543,7 +538,8 @@ def extend_affino(inst: MorphismInstance, hyperplane_mask=None) -> PartialPointM
     of the secant lines through the point (lines not inside the certifying
     hyperplane); points with empty intersection become the exceptional set,
     which must close up to a flat."""
-    X, P, idx = _ambient_data(inst)
+    X, view = inst.geometry, ambient_view(inst.geometry)
+    P, idx, xmask = view.P, view.idx, view.xmask
     K, K2 = P.field, inst.target_field
     _field_clause(K, K2)
     if linalg.rank(K2, inst.images) < 3:
@@ -554,7 +550,6 @@ def extend_affino(inst: MorphismInstance, hyperplane_mask=None) -> PartialPointM
             raise NotAffinoProjective(f"{X.label()} has no completing hyperplane")
         hyperplane_mask = ap.certificates["hyperplane_mask"]
     H = hyperplane_mask
-    xmask = mask_of(idx)
     local_of = {amb: x for x, amb in enumerate(idx)}
     amb_images = [None] * P.n_points
     for x, amb in enumerate(idx):
@@ -626,7 +621,8 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
     base image: quotient X by the fiber F, extend the induced
     affino-projective map on X/F over P/span(F), reconstruct, then
     precompose with V/<v_xi> -> V/span(F)."""
-    X, P, idx = _ambient_data(inst)
+    X, view = inst.geometry, ambient_view(inst.geometry)
+    P, idx = view.P, view.idx
     K, K2 = P.field, inst.target_field
     n1, m1 = P.ncoords, inst.target_dim + 1
     v_i = P.vectors[idx[xi]]
@@ -677,13 +673,8 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
 
 def affino_admissible_points(inst: MorphismInstance):
     """Points whose quotient X/x is affino-projective inside P/x."""
-    X, P, idx = _ambient_data(inst)
-    xmask = mask_of(idx)
-    out = []
-    for x, amb in enumerate(idx):
-        if _lap_at_point(X, P, xmask, amb):
-            out.append(x)
-    return tuple(out)
+    view = ambient_view(inst.geometry)
+    return tuple(x for x in range(len(view.idx)) if lap_certificates(view, x))
 
 
 def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:
@@ -705,22 +696,17 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
     reconstruction: injective input forces trivial kernel (for the
     affino family only once no ambient point is tangent to all of X), and an
     embedding input forces the induced map on P to embed."""
-    X, P, idx = _ambient_data(inst)
-    K2 = inst.target_field
+    X, view = inst.geometry, ambient_view(inst.geometry)
+    P, K2 = view.P, inst.target_field
     report = {"injective": len(set(inst.images)) == len(inst.images)}
 
     if inst.declared_kind in ("affino-projective", "locally-affino-projective"):
-        xmask = mask_of(idx)
-        tangent_point = None
-        for p in bits_of(P.full_mask & ~xmask):
-            if all(
-                (P.line_through_pair(p, amb) & xmask).bit_count() == 1 for amb in idx
-            ):
-                tangent_point = p
-                break
-        report["tangent_point_hypothesis"] = tangent_point is None
-        if tangent_point is not None:
-            report["tangent_point"] = tangent_point
+        # p off X is tangent to all of X when each line px is a tangent line
+        # at x, that is when p lies on every union of tangent lines
+        tangent_points = functools.reduce(operator.and_, view.unions, P.full_mask & ~view.xmask)
+        report["tangent_point_hypothesis"] = tangent_points == 0
+        if tangent_points:
+            report["tangent_point"] = (tangent_points & -tangent_points).bit_length() - 1
     else:
         report["tangent_point_hypothesis"] = True
 
@@ -729,15 +715,7 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
     elif report["injective"]:
         report["kernel_zero"] = "not applicable"
 
-    embedding = False
-    if report["injective"]:
-        image_vecs = sorted(set(inst.images))
-        im_geo = CoordGeometry(K2, image_vecs)
-        im_index = {v: i for i, v in enumerate(image_vecs)}
-        inverse = [0] * len(image_vecs)
-        for x, img in enumerate(inst.images):
-            inverse[im_index[img]] = x
-        embedding = flat_preimage_condition(GeometryMorphism(im_geo, X, tuple(inverse)))
+    embedding = report["injective"] and _inverse_is_morphism(K2, inst.images, X)
     report["embedding_input"] = embedding
 
     if embedding:
@@ -747,16 +725,18 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
                 linalg.normalize_vec(K2, result.phi.apply_vec(v)) for v in P.vectors
             ]
             ext_ok = None not in ext_images and len(set(ext_images)) == len(ext_images)
-            if ext_ok:
-                vecs = sorted(set(ext_images))
-                pim = CoordGeometry(K2, vecs)
-                vidx = {v: i for i, v in enumerate(vecs)}
-                inv = [0] * len(vecs)
-                for i, img in enumerate(ext_images):
-                    inv[vidx[img]] = i
-                ext_ok = flat_preimage_condition(GeometryMorphism(pim, P, tuple(inv)))
+            ext_ok = ext_ok and _inverse_is_morphism(K2, ext_images, P)
         report["extension_embedding"] = bool(ext_ok)
     return report
+
+
+def _inverse_is_morphism(K2, images, source) -> bool:
+    """For distinct coordinate images over K2 of the points of source: the
+    inverse map, from the geometry on the images back onto source, pulls
+    flats back to flats."""
+    pairs = sorted(zip(images, range(len(images))))
+    im_geo = CoordGeometry(K2, [v for v, _ in pairs])
+    return flat_preimage_condition(GeometryMorphism(im_geo, source, tuple(x for _, x in pairs)))
 
 
 # -- exhaustive oracle -------------------------------------------------------------
@@ -766,7 +746,8 @@ def brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
     """All semilinear maps (canonical forms, one per scalar class) whose
     induced map agrees with the instance on X and whose kernel misses X,
     found by enumerating every matrix for every field homomorphism."""
-    X, P, idx = _ambient_data(inst)
+    view = ambient_view(inst.geometry)
+    P, idx = view.P, view.idx
     K, K2 = P.field, inst.target_field
     n1, m1 = P.ncoords, inst.target_dim + 1
     homs = list_homomorphisms(K, K2)

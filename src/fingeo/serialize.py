@@ -81,14 +81,14 @@ def geometry_from_dict(data) -> object:
     if "field" in data:
         try:
             K = parse_field_name(data["field"])
-            n = int(data["ambient_dim"])
+            n = data["ambient_dim"]
             raw_points = data["points"]
         except (KeyError, ValueError, TypeError) as exc:
             _fail(f"bad embedded geometry: {exc}")
         if not isinstance(raw_points, list):
             _fail("'points' must be a list of coordinate rows")
-        if not 1 <= n <= 5:
-            _fail(f"ambient_dim {n} outside 1..5")
+        if type(n) is not int or not 1 <= n <= 5:
+            _fail(f"ambient_dim {n!r} is not an integer in 1..5")
         P = build_pg(n, K.q)
         indices = set()
         for row in raw_points:
@@ -106,12 +106,12 @@ def geometry_from_dict(data) -> object:
         return subgeometry(P, sorted(indices))
     if "flats" in data:
         try:
-            n = int(data["points"])
+            n = data["points"]
             flats = data["flats"]
-        except (KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
             _fail(f"bad abstract geometry: {exc}")
-        if n < 1:
-            _fail(f"abstract geometry needs at least one point, not {n}")
+        if type(n) is not int or n < 1:
+            _fail(f"abstract geometry needs a positive integer point count, not {n!r}")
         if not isinstance(flats, list):
             _fail("'flats' must be a list of index lists")
         for f in flats:

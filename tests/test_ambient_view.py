@@ -1,0 +1,165 @@
+"""The ambient view against the literal ambient scans it replaces.
+
+Each reference below is a direct scan of the ambient space: every line of
+P, the lines through each point, or the line through each pair of an
+outside point and a point of X.  The view computes the tangent lines of
+each point once; every predicate and driver that reads it must give what
+the scans give, on the GF(2) and GF(3) gallery and on seeded random
+subgeometries of PG(3,3).
+"""
+
+import itertools
+import random
+
+import pytest
+
+from fingeo import linalg
+from fingeo.classify import (
+    ambient_view,
+    check_line_condition,
+    check_minimal_embedding,
+    full_quotient_points,
+    lap_certificates,
+)
+from fingeo.gallery import EXAMPLE_NAMES, build_example
+from fingeo.geometry import FiniteGeometry, bits_of, mask_of, subgeometry
+from fingeo.gf import gf, identity_hom
+from fingeo.projective import LinearSubspace, SemilinearMap, build_pg, pg_of
+from fingeo.reconstruct import MorphismInstance, ReconstructionResult, certify_side_conditions
+
+# GF(2) and GF(3) have no proper subfield to take a complement of
+GALLERY = [(name, q) for q in (2, 3) for name in EXAMPLE_NAMES if name != "subfield-complement"]
+RANDOM_SEEDS = range(10)
+
+
+def ambient_of(X):
+    P = pg_of(X)
+    if P is X:
+        return P, tuple(range(X.n_points))
+    return P, X.ambient_indices
+
+
+def ref_line_condition_witnesses(X):
+    P, idx = ambient_of(X)
+    xmask = mask_of(idx)
+    witnesses = []
+    for line in P.lines():
+        hit = (line & xmask).bit_count()
+        if hit == 1:
+            witnesses.append({"line": sorted(bits_of(line))})
+    return witnesses
+
+
+def ref_minimal_embedding_witnesses(X):
+    P, idx = ambient_of(X)
+    xmask = mask_of(idx)
+    witnesses = []
+    for local_x, amb_x in enumerate(idx):
+        for line in P.lines_through(amb_x):
+            if (line & xmask).bit_count() < 2:
+                witnesses.append({"point": local_x, "tangent_line": sorted(bits_of(line))})
+                break
+    return witnesses
+
+
+def ref_full_quotient_points(X):
+    P, idx = ambient_of(X)
+    xmask = mask_of(idx)
+    out = []
+    for local_x, amb_x in enumerate(idx):
+        if all((line & xmask).bit_count() >= 2 for line in P.lines_through(amb_x)):
+            out.append(local_x)
+    return tuple(out)
+
+
+def ref_lap_certificates(P, xmask, amb_x):
+    must_cover = 0
+    for line in P.lines_through(amb_x):
+        if (line & xmask).bit_count() < 2:
+            must_cover |= line
+    return [hm for hm in P.hyperplanes() if hm >> amb_x & 1 and must_cover & ~hm == 0]
+
+
+def ref_mobius_union(P, xmask, amb_x):
+    union = 0
+    for line in P.lines_through(amb_x):
+        if line & xmask == 1 << amb_x:
+            union |= line
+    return union
+
+
+def ref_tangent_point(X):
+    P, idx = ambient_of(X)
+    xmask = mask_of(idx)
+    for p in bits_of(P.full_mask & ~xmask):
+        if all((P.line_through_pair(p, amb) & xmask).bit_count() == 1 for amb in idx):
+            return p
+    return None
+
+
+def random_subgeometry(seed):
+    P = build_pg(3, 3)
+    rng = random.Random(seed)
+    return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, 30)))
+
+
+@pytest.fixture(scope="module")
+def geometries():
+    out = {f"{name}-{q}": build_example(name, gf(q)) for name, q in GALLERY}
+    for seed in RANDOM_SEEDS:
+        out[f"random-{seed}"] = random_subgeometry(seed)
+    return out
+
+
+CASES = [f"{name}-{q}" for name, q in GALLERY] + [f"random-{seed}" for seed in RANDOM_SEEDS]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_view_matches_ambient_scans(geometries, case):
+    X = geometries[case]
+    P, idx = ambient_of(X)
+    xmask = mask_of(idx)
+    view = ambient_view(X)
+    assert (view.P, view.idx, view.xmask) == (P, idx, xmask)
+    assert check_line_condition(X).witnesses == ref_line_condition_witnesses(X)
+    assert check_minimal_embedding(X).witnesses == ref_minimal_embedding_witnesses(X)
+    assert full_quotient_points(X) == ref_full_quotient_points(X)
+    for x, amb in enumerate(idx):
+        assert lap_certificates(view, x) == ref_lap_certificates(P, xmask, amb)
+        assert view.unions[x] == ref_mobius_union(P, xmask, amb)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_side_condition_tangent_point_matches_pair_scan(geometries, case):
+    X = geometries[case]
+    K = X.field
+    n1 = pg_of(X).ncoords
+    identity = SemilinearMap(identity_hom(K), [linalg.unit_vec(n1, j) for j in range(n1)])
+    inst = MorphismInstance(X, K, n1 - 1, X.vectors, "affino-projective")
+    result = ReconstructionResult(identity, LinearSubspace.zero(K, n1), (0, 1))
+    report = certify_side_conditions(result, inst)
+    want = ref_tangent_point(X)
+    assert report["tangent_point_hypothesis"] is (want is None)
+    assert report.get("tangent_point") == want
+
+
+def test_random_cases_cover_both_tangent_point_outcomes():
+    found = {ref_tangent_point(random_subgeometry(seed)) is None for seed in RANDOM_SEEDS}
+    assert found == {True, False}
+
+
+@pytest.fixture(scope="module")
+def join_geometries(pg32, ag33, elliptic_33):
+    return {
+        "pg32": pg32,
+        "ag33": ag33,
+        "pg32/0": pg32.point_quotient(0),
+        "elliptic_33/0": elliptic_33.point_quotient(0),
+    }
+
+
+@pytest.mark.parametrize("name", ["pg32", "ag33", "pg32/0", "elliptic_33/0"])
+def test_coordinate_join_dim_matches_closure_route(join_geometries, name):
+    G = join_geometries[name]
+    for m1, m2 in itertools.combinations_with_replacement(G.flats(), 2):
+        assert G.join_dim(m1, m2) == FiniteGeometry.join_dim(G, m1, m2)

@@ -304,8 +304,20 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
         {"points": 3, "flats": [3]},
         {"field": "gf(2)", "ambient_dim": -1, "points": [[1]]},
         {"field": "gf(2)", "ambient_dim": 1, "points": [[True, 0], [0, 1]]},
+        {"field": "gf(2)", "ambient_dim": 2.9, "points": [[1, 0, 0], [0, 1, 0]]},
+        {"field": "gf(2)", "ambient_dim": "3", "points": [[1, 0, 0, 0]]},
+        {"points": True, "flats": [[0]]},
     ],
-    ids=["flats-not-list", "points-not-list", "flat-not-list", "ambient-dim-range", "bool-coordinate"],
+    ids=[
+        "flats-not-list",
+        "points-not-list",
+        "flat-not-list",
+        "ambient-dim-range",
+        "bool-coordinate",
+        "ambient-dim-float",
+        "ambient-dim-string",
+        "point-count-bool",
+    ],
 )
 def test_malformed_geometry_shape_exit_2(tmp_path, data):
     geo = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Static checks on the package source: every module uses what it imports,
-and every top-level function or class is referred to somewhere.
+imports no underscore name from another module of the package, and every
+top-level function or class is referred to somewhere.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -31,6 +32,19 @@ def unused_imports(source):
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [(line, name) for line, name in imported if name not in used]
+
+
+def private_imports(source):
+    """(line, name) for each underscore name imported from a module of the
+    package."""
+    return [
+        (node.lineno, a.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "fingeo")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
 
 
 def referenced_names(source):
@@ -78,6 +92,21 @@ def test_no_unused_imports(module):
 def test_unused_import_is_reported():
     source = "import os\nfrom .geometry import Flat, bits_of\n\nprint(bits_of)\n"
     assert unused_imports(source) == [(1, "os"), (2, "Flat")]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_private_imports(module):
+    assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_reported():
+    source = (
+        "from __future__ import annotations\n"
+        "from collections import _chain\n"
+        "from .classify import Verdict, _cached\n"
+        "from fingeo.geometry import _QuotientClasses\n"
+    )
+    assert private_imports(source) == [(3, "_cached"), (4, "_QuotientClasses")]
 
 
 @pytest.fixture(scope="module")
