@@ -124,6 +124,8 @@ def cmd_quotient(args, t0):
         points = [int(x) for x in args.flat.split(",")] if args.flat else []
     except ValueError:
         raise FileFormatError(f"bad flat point list {args.flat!r}")
+    if any(not 0 <= x < G.n_points for x in points):
+        raise FileFormatError(f"flat points {points} outside 0..{G.n_points - 1}")
     E = G.closure(points)
     if sorted(bits_of(E.mask)) != sorted(points):
         raise FileFormatError(f"points {points} are not a flat (closure adds points)")

@@ -42,6 +42,7 @@ from .errors import (
     LiftInconsistent,
     NoBasePair,
     NotAffinoProjective,
+    NotConstantOnClasses,
     NotProportional,
     ReductionsDisagree,
     SigmaNotHomomorphism,
@@ -337,7 +338,7 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
         img = linalg.normalize_vec(K2, qcp.project(inst.images[x]))
         if touched[t]:
             if images[t] != img:
-                raise InternalContradiction(f"quotient map ill-defined on class {t}")
+                raise NotConstantOnClasses(f"class {t} of X/{xi} maps to {images[t]} and to {img}")
         else:
             touched[t] = True
             images[t] = img
@@ -361,16 +362,16 @@ def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> Part
         member_images = {inst.images[x] for x in bits_of(rep_class)}
         if x0_img in member_images:
             if member_images != {x0_img}:
-                raise InternalContradiction(f"class {c} straddles the fiber of the base image")
+                other = min(member_images - {x0_img})
+                raise NotConstantOnClasses(f"class {c} maps to {x0_img} and to {other}")
             e_mask |= 1 << c
             mapping.append(None)
         else:
-            target_classes = {
-                Qt.class_of_parent_point(tgt.point_index(im)) for im in member_images
-            }
-            if len(target_classes) != 1:
-                raise InternalContradiction(f"class {c} maps into several target classes")
-            mapping.append(target_classes.pop())
+            by_class = {Qt.class_of_parent_point(tgt.point_index(im)): im for im in member_images}
+            if len(by_class) != 1:
+                a, b = sorted(by_class.values())[:2]
+                raise NotConstantOnClasses(f"class {c} maps to {a} and to {b}, in different classes")
+            mapping.extend(by_class)  # its one target class
     pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), tuple(mapping))
     if pm.exceptional.mask != e_mask:
         raise ExceptionalNotFlat("fiber classes do not form a flat of the quotient")
@@ -650,7 +651,7 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
             raise InternalContradiction("a point outside the fiber maps onto the base image")
         prev = images.setdefault(t, img)
         if prev != img:
-            raise InternalContradiction(f"fiber quotient map ill-defined on class {t}")
+            raise NotConstantOnClasses(f"class {t} of X/F maps to {prev} and to {img}")
 
     sub_points = sorted(images)
     Y = subgeometry(src_q, sub_points)

@@ -15,6 +15,7 @@ import pytest
 
 from fingeo import linalg
 from fingeo.classify import (
+    ambient_view,
     check_line_condition,
     is_locally_affino_projective,
     is_locally_projective,
@@ -41,6 +42,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_projective,
 )
 from fingeo.serialize import save_map_pairs
+from quotient_routes import ref_quotient_affino, ref_quotient_projective
 
 
 def _announce(k, detail, t0):
@@ -247,14 +249,18 @@ def test_criterion_6_classifier_coherence(
     ]
     checked = 0
     for X in gallery:
-        # the quotient-projectivity / local-dimension-formula equivalence is
-        # asserted inside the predicate (InternalContradiction on divergence)
+        # the local dimension formula fails at exactly the points whose
+        # quotient geometry fails the projective axioms
         lp = is_locally_projective(X)
+        bad = [x for x in range(X.n_points) if not ref_quotient_projective(X, x)]
+        assert [w["point"] for w in lp.witnesses] == bad, X.label()
         if check_line_condition(X):
             assert lp, X.label()
         checked += 1
     for X in (elliptic_33, elliptic_34, hyperbolic_32, hyperbolic_34, cone_33, cone_34):
         assert is_locally_affino_projective(X), X.label()
+        view = ambient_view(X)
+        assert all(ref_quotient_affino(view, x) for x in range(X.n_points)), X.label()
     for X in (elliptic_33, elliptic_34):
         assert is_mobius(X) and is_ovoid(X), X.label()
     for X in (hyperbolic_32, hyperbolic_34):

@@ -124,6 +124,21 @@ def test_quotient_command(tmp_path):
     assert rep["quotient_dim"] == 2
 
 
+@pytest.mark.parametrize("flat", ["999", "-1", "0,15"])
+@pytest.mark.parametrize("kind", ["coordinate", "table"])
+def test_quotient_flat_index_out_of_range_exit_2(tmp_path, kind, flat):
+    geo = tmp_path / "g.json"
+    if kind == "coordinate":
+        save_geometry(build_pg(3, 2), geo)  # points 0..14
+    else:
+        geo.write_text(dump_json({"points": 3, "flats": [[], [0], [1], [2], [0, 1, 2]]}))
+    proc = run_cli("quotient", "--geometry", str(geo), "--flat", flat)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "outside" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_reconstruct_round_trip_and_determinism(tmp_path):
     geo = tmp_path / "ag.json"
     run_cli("make-example", "--name", "affine", "--field", "gf(3)", "--dim", "3", "--out", str(geo))

@@ -1,0 +1,135 @@
+"""The local predicates against the quotient routes they replace.
+
+is_locally_projective, the quotient_line_form certificate of
+has_enough_points and is_locally_affino_projective read X/x off the flats
+of X through x.  The references in quotient_routes build X/x (or P/x) as a
+geometry and ask there; both must give the same answer at every point, on
+the gallery over GF(2) to GF(4), on seeded random subgeometries of PG(3,3),
+on two coordinate point quotients and on two table geometries.
+"""
+
+import functools
+import random
+
+import pytest
+
+from fingeo.classify import (
+    ambient_view,
+    has_enough_points,
+    is_locally_affino_projective,
+    is_locally_projective,
+)
+from fingeo.gallery import EXAMPLE_NAMES, build_example
+from fingeo.geometry import (
+    CoordGeometry,
+    TableGeometry,
+    check_geometry_axioms,
+    mask_of,
+    subgeometry,
+)
+from fingeo.gf import gf
+from fingeo.projective import build_pg
+from quotient_routes import ref_quotient_affino, ref_quotient_line_form, ref_quotient_projective
+
+# GF(2) and GF(3) have no proper subfield to take a complement of
+GALLERY = [
+    f"{name}-{q}"
+    for q in (2, 3, 4)
+    for name in EXAMPLE_NAMES
+    if not (name == "subfield-complement" and q < 4)
+]
+RANDOM = [f"random-{seed}" for seed in range(10)]
+QUOTIENTS = ["pg32/0", "elliptic_33/0"]
+# the triangle (one three-point plane) and the coproduct of two 3-point
+# lines, as in test_classify
+TABLES = {
+    "triangle": TableGeometry(3, [0, 1, 2, 4, 3, 5, 6, 7]),
+    "coproduct": TableGeometry(
+        6, [a | b for a in (0, 0b1, 0b10, 0b100, 0b111) for b in (0, 0b1000, 0b10000, 0b100000, 0b111000)]
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def geometry(case):
+    if case in TABLES:
+        return TABLES[case]
+    if case.startswith("random-"):
+        P = build_pg(3, 3)
+        rng = random.Random(int(case.split("-")[1]))
+        return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, 30)))
+    if "/" in case:
+        name, x = case.split("/")
+        parent = build_pg(3, 2) if name == "pg32" else build_example("elliptic-quadric", gf(3))
+        return parent.point_quotient(int(x))
+    name, q = case.rsplit("-", 1)
+    return build_example(name, gf(int(q)))
+
+
+def witness_points(verdict):
+    return [w["point"] for w in verdict.witnesses]
+
+
+CASES = GALLERY + RANDOM + QUOTIENTS + list(TABLES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_local_predicates_match_quotient_routes(case):
+    X = geometry(case)
+    points = range(X.n_points)
+    lp = is_locally_projective(X)
+    assert witness_points(lp) == [x for x in points if not ref_quotient_projective(X, x)]
+    assert lp.verdict is (not lp.witnesses)
+    if X.dim() >= 2:
+        certificate = has_enough_points(X).certificates["quotient_line_form"]
+        assert certificate is ref_quotient_line_form(X)
+    if isinstance(X, CoordGeometry):
+        view = ambient_view(X)
+        lap = is_locally_affino_projective(X)
+        assert witness_points(lap) == [x for x in points if not ref_quotient_affino(view, x)]
+
+
+def test_cases_cover_both_outcomes():
+    """Each route meets both answers somewhere in the cases."""
+    cases = [geometry(c) for c in CASES]
+    assert {bool(is_locally_projective(X)) for X in cases} == {True, False}
+    forms = {ref_quotient_line_form(X) for X in cases if X.dim() >= 2}
+    assert forms == {True, False}
+    coords = [X for X in cases if isinstance(X, CoordGeometry)]
+    assert {bool(is_locally_affino_projective(X)) for X in coords} == {True, False}
+
+
+def test_plane_removed_table_fails_at_every_point(pg32):
+    """PG(3,2)'s flat table without its first plane fails G3, so it is not
+    a geometry.  The dimension formula fails at all 15 points, while the
+    quotient geometries are projective at the 8 points off the plane; the
+    predicate reports the dimension formula."""
+    plane = pg32.planes()[0]
+    G = TableGeometry(15, [m for m in pg32.flats() if m != plane])
+    assert check_geometry_axioms(G).g3 is False
+    v = is_locally_projective(G)
+    assert v.verdict is False
+    assert witness_points(v) == list(range(15))
+    assert v.witnesses[0] == {
+        "point": 0,
+        "dim_formula_witness": {"s1": [0, 1, 2], "s2": [0, 3, 4, 7, 8, 11, 12]},
+    }
+    for w in v.witnesses:
+        pair = w["dim_formula_witness"]
+        m1, m2 = mask_of(pair["s1"]), mask_of(pair["s2"])
+        assert m1 & m2 & 1 << w["point"]
+        assert G.flat_dim(m1) + G.flat_dim(m2) != G.join_dim(m1, m2) + G.flat_dim(m1 & m2)
+    off_plane = [x for x in range(15) if not plane >> x & 1]
+    assert len(off_plane) == 8
+    assert [x for x in range(15) if ref_quotient_projective(G, x)] == off_plane
+
+
+@pytest.mark.parametrize("index", range(1, 15))
+def test_other_plane_removed_tables_keep_their_verdict(pg32, index):
+    """Removing any other plane: the two routes agree, at 7 points."""
+    plane = pg32.planes()[index]
+    G = TableGeometry(15, [m for m in pg32.flats() if m != plane])
+    v = is_locally_projective(G)
+    assert v.verdict is False
+    assert witness_points(v) == [x for x in range(15) if not ref_quotient_projective(G, x)]
+    assert len(v.witnesses) == 7

@@ -2,6 +2,7 @@
 drivers, certification, and the exhaustive oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,9 @@ from fingeo.errors import (
     FingeoError,
     ImageInLine,
     ImageInPlane,
+    InternalContradiction,
     NoBasePair,
+    NotConstantOnClasses,
     NotProportional,
     ReductionsDisagree,
     VerificationFailed,
@@ -203,6 +206,21 @@ def test_induced_quotient_map_fiber_exceptional(pg33):
     # center: its class is exceptional
     assert pm.exceptional.mask.bit_count() == 1
     pm.validate()
+
+
+def test_induced_quotient_map_rejects_a_non_morphism(pg32):
+    """A class of X/x0 sent both to the base image and elsewhere, or into
+    two classes of P'/phi(x0), is not constant on classes."""
+    K = gf(2)
+    identity = SemilinearMap(identity_hom(K), linalg.identity_matrix(4))
+    images = MorphismInstance.restrict_semilinear(identity, pg32).images
+    y, z = bits_of(pg32.line_through_pair(0, 1) & ~1)  # one class of X/0
+    w = next(i for i in range(15) if not pg32.line_through_pair(0, z) >> i & 1)
+    for moved in (images[0], images[w]):
+        bad = list(images)
+        bad[y] = moved
+        with pytest.raises(NotConstantOnClasses, match=f"class .* {re.escape(str(moved))}"):
+            induced_quotient_map(MorphismInstance(pg32, K, 3, tuple(bad)), 0)
 
 
 # -- normalization and gluing ----------------------------------------------------------
@@ -471,7 +489,8 @@ def test_leg_is_the_induced_quotient_map(fixture, leg, admissible, request):
 )
 def test_perturbed_input_never_returns_a_map(fixture, driver, request):
     """Moving one image of an induced map to another point is always
-    rejected, and always with a typed error."""
+    rejected, and always with a typed error that says the input is not a
+    morphism, never that the library contradicted itself."""
     X = request.getfixturevalue(fixture)
     K = gf(3)
     targets = linalg.all_proj_points(K, 4)
@@ -480,8 +499,9 @@ def test_perturbed_input_never_returns_a_map(fixture, driver, request):
         images = list(MorphismInstance.restrict_semilinear(random_semilinear(rng, K), X).images)
         x = rng.randrange(X.n_points)
         images[x] = rng.choice([v for v in targets if v != images[x]])
-        with pytest.raises(FingeoError):
+        with pytest.raises(FingeoError) as info:
             driver(MorphismInstance(X, K, 3, tuple(images)))
+        assert not isinstance(info.value, InternalContradiction), info.value
 
 
 # -- certification ------------------------------------------------------------------------------
