@@ -9,7 +9,9 @@ of X/x are the flats of X through x, one dimension lower, so no quotient
 geometry is built.  Every negative verdict carries a witness that can be
 re-checked in isolation; every certificate (hyperplane H, tangent
 hyperplanes H_x) is reported explicitly.  Predicates over the ambient space
-expect an embedded CoordGeometry (X.ambient is its projective space).
+take any CoordGeometry, quotients included: its ambient space is the
+PG(n, q) its coordinates live in, read off by X.ambient and
+X.ambient_indices.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionTooLow, InternalContradiction
 from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
-from .projective import pg_of
 
 BUNDLE_LIMIT = 10**8
 BUNDLE_SEED = 0xB1D
 BUNDLE_SAMPLES = 20000
+CERTIFY_LIMIT = 200000
 
 
 @dataclass
@@ -117,8 +119,7 @@ def ambient_view(X: CoordGeometry) -> AmbientView:
 
 
 def _ambient_view(X) -> AmbientView:
-    P = pg_of(X)
-    idx = tuple(range(X.n_points)) if P is X else X.ambient_indices
+    P, idx = X.ambient, X.ambient_indices
     xmask = mask_of(idx)
     tangents = tuple(
         tuple(line for line in P.lines_through(a) if line & xmask == 1 << a) for a in idx
@@ -437,14 +438,14 @@ def _one_gap_tuples(adj):
                     yield i, j, k, l
 
 
-def certified_bundles(X, limit=200000):
+def certified_bundles(X):
     """Concurrency data for complete bundles: 4-tuples of lines, pairwise
     coplanar, no three in a common plane; returns (count, all_concurrent).
     The tuples are the 4-cliques of the coplanarity graph, extended one
     line at a time and dropped at the first coplanar triple."""
     lines = X.lines()
     nl = len(lines)
-    if nl**4 > limit * 24:
+    if nl**4 > CERTIFY_LIMIT * 24:
         raise DimensionTooLow("too many lines for exhaustive bundle certification")
     _, adj, triple_coplanar = _coplanarity(X)
     count = 0

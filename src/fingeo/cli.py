@@ -4,13 +4,15 @@ quotient, reconstruct semilinear maps, and run the exhaustive oracle.
 Every command prints a single JSON report to stdout.  Reports are
 deterministic except for the elapsed_s field.  Exit codes: 0 success or
 positive verdict, 1 negative verdict (witnesses in the report), 2 malformed
-input or arguments, 3 constructor error, 4 cap exceeded.
+input or arguments, 3 constructor error, 4 cap exceeded.  A reader that
+closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 
@@ -19,7 +21,7 @@ from .classify import ALL_PREDICATES, BUNDLE_LIMIT, BUNDLE_SEED, classify
 from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
 from .gallery import EXAMPLE_NAMES, build_example
 from .geometry import CoordGeometry, bits_of, quotient
-from .projective import check_projective_axioms, pg_of
+from .projective import check_projective_axioms
 from .geometry import check_geometry_axioms
 from .reconstruct import (
     MorphismInstance,
@@ -43,13 +45,14 @@ def _digest(path):
 
 
 def _report(args, inputs, payload, t0):
+    """Keep the command's JSON report for main to write."""
     rep = {
         "command": args.echo,
         "inputs": {name: _digest(p) for name, p in inputs.items()},
     }
     rep.update(payload)
     rep["elapsed_s"] = round(time.time() - t0, 6)
-    print(serialize.dump_json(rep))
+    args.report = serialize.dump_json(rep)
 
 
 def _parse_ambient(text):
@@ -99,10 +102,9 @@ def cmd_classify(args, t0):
         raise FileFormatError("classification requires an embedded geometry")
     if args.ambient:
         n, q = _parse_ambient(args.ambient)
-        P = pg_of(G)
-        if (P.ncoords - 1, P.field.q) != (n, q):
+        if (G.ncoords - 1, G.field.q) != (n, q):
             raise FileFormatError(
-                f"ambient mismatch: file implies pg({P.ncoords - 1},{P.field.q})"
+                f"ambient mismatch: file implies pg({G.ncoords - 1},{G.field.q})"
             )
     preds = args.predicate.split(",") if args.predicate else None
     if preds:
@@ -191,7 +193,7 @@ def cmd_reconstruct(args, t0):
     # input errors exit 2: they are checked before the try below turns every
     # library error into a negative verdict
     if args.kind == "pg":
-        if G is not pg_of(G):
+        if not G.is_full_pg:
             raise FileFormatError("kind pg expects the full projective space")
     else:
         all_images = _all_images(G, images)
@@ -305,8 +307,9 @@ def main(argv=None) -> int:
     if getattr(args, "needs_out", False) and not args.out:
         parser.error("--out is required for make-example")
     t0 = time.time()
+    args.report = None
     try:
-        return args.fn(args, t0)
+        code = args.fn(args, t0)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,6 +319,15 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        if args.report is not None:
+            sys.stdout.write(args.report + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and keep the command's code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

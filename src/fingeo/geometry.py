@@ -17,6 +17,7 @@ first demand and only read afterwards.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -29,6 +30,15 @@ from .errors import (
     PreconditionLinesTooShort,
 )
 from .gf import GF
+
+# seeds and sample sizes recorded in, or deciding the method of, the reports
+CLOSURE_SEED = 101
+CLOSURE_SAMPLES = 200
+MORPHISM_SUBSET_LIMIT = 60000
+MORPHISM_SEED = 0xC0FFEE
+GENERATED_NODE_LIMIT = 120000
+GENERATED_SAMPLES = 300
+GENERATED_SEED = 0xB1D
 
 
 def mask_of(indices) -> int:
@@ -229,10 +239,6 @@ class FiniteGeometry:
 
     # -- identification -----------------------------------------------------
 
-    @property
-    def ambient(self):
-        return None
-
     def label(self):
         return f"geometry({self.n_points} points)"
 
@@ -250,27 +256,38 @@ class CoordGeometry(FiniteGeometry):
     normalised, and the bitmask of each form is computed once per geometry.
 
     Flats come from a covering sweep (see _build_flats) that skips every
-    point of a new flat, which is sound only for span traces.  A subgeometry
-    keeps a reference to its ambient projective space together with the
-    index injection; is_full_pg marks the full point set of PG(n, q).
+    point of a new flat, which is sound only for span traces.  The embedding
+    is read off the coordinates: the points are distinct points of
+    PG(ncoords - 1, q), so is_full_pg follows from the point count, ambient
+    is that projective space (the geometry itself when full, built on first
+    use otherwise) and ambient_indices places each point in it.  A quotient
+    with at most one class is full, so it never asks for PG(0, q).
     """
 
-    def __init__(self, K: GF, vectors, ambient=None, ambient_indices=None, is_full_pg=False, name=None):
+    def __init__(self, K: GF, vectors, name=None):
         super().__init__(len(vectors))
         self.field = K
         self.vectors = tuple(tuple(v) for v in vectors)
         self.ncoords = len(self.vectors[0]) if self.vectors else 0
-        self._ambient = ambient
-        self.ambient_indices = tuple(ambient_indices) if ambient_indices is not None else None
-        self.is_full_pg = is_full_pg
+        self.is_full_pg = self.n_points == (K.q**self.ncoords - 1) // (K.q - 1)
         self._name = name
         self._vec_index = {v: i for i, v in enumerate(self.vectors)}
         self._flat_rows = {}
         self._form_masks = {}
 
-    @property
+    @functools.cached_property
     def ambient(self):
-        return self._ambient
+        """The projective space PG(ncoords - 1, q) holding the points."""
+        if self.is_full_pg:
+            return self
+        from .projective import build_pg  # projective builds on this module
+
+        return build_pg(self.ncoords - 1, self.field.q)
+
+    @functools.cached_property
+    def ambient_indices(self):
+        """The ambient index of each point."""
+        return tuple(map(self.ambient.point_index, self.vectors))
 
     def point_index(self, coords):
         return self._vec_index.get(tuple(coords))
@@ -463,18 +480,7 @@ def subgeometry(G: FiniteGeometry, points) -> FiniteGeometry:
     """The geometry induced on a point subset: flats are traces S & A."""
     idx = sorted(set(points))
     if isinstance(G, CoordGeometry):
-        amb = G.ambient if G.ambient is not None else G
-        if G.ambient_indices is None:
-            amb_idx = idx
-        else:
-            amb_idx = [G.ambient_indices[i] for i in idx]
-        return CoordGeometry(
-            G.field,
-            [G.vectors[i] for i in idx],
-            ambient=amb,
-            ambient_indices=amb_idx,
-            is_full_pg=False,
-        )
+        return CoordGeometry(G.field, [G.vectors[i] for i in idx])
     table = {m & mask_of(idx) for m in G.flats()}
     remap = {old: new for new, old in enumerate(idx)}
     shrunk = []
@@ -556,15 +562,16 @@ class AxiomReport:
         }
 
 
-def check_geometry_axioms(G: FiniteGeometry, sample_seed=101, closure_samples=200) -> AxiomReport:
+def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
     """Verdict per axiom with a concrete witness on failure.
 
     The closure operator itself is checked (extensive, monotone, idempotent)
-    on singletons, cached flats and sampled subsets.  The exchange axiom is
-    checked for every (flat, outside point) pair; for span-trace geometries,
-    coordinate quotients included, strictly nested flats have strictly
-    nested spans, so the sweep verifies rank increments, while table
-    geometries and their quotients get the literal interval scan.
+    on singletons, cached flats and CLOSURE_SAMPLES seeded subsets.  The
+    exchange axiom is checked for every (flat, outside point) pair; for
+    span-trace geometries, coordinate quotients included, strictly nested
+    flats have strictly nested spans, so the sweep verifies rank
+    increments, while table geometries and their quotients get the literal
+    interval scan.
     """
     witnesses = {}
     flats = G.flats()
@@ -574,9 +581,9 @@ def check_geometry_axioms(G: FiniteGeometry, sample_seed=101, closure_samples=20
 
     # closure operator sanity
     closure_ok = True
-    rng = random.Random(sample_seed)
+    rng = random.Random(CLOSURE_SEED)
     samples = [0, full] + [1 << i for i in range(G.n_points)]
-    for _ in range(closure_samples):
+    for _ in range(CLOSURE_SAMPLES):
         samples.append(rng.getrandbits(G.n_points) & full)
     for m in samples:
         c = cl(m)
@@ -758,10 +765,11 @@ def flat_preimage_condition(f: GeometryMorphism) -> bool:
     return _flat_preimage_witness(f) is None
 
 
-def check_morphism(f: GeometryMorphism, subset_limit=60000, seed=0xC0FFEE) -> MorphismReport:
+def check_morphism(f: GeometryMorphism) -> MorphismReport:
     """Check the flat-preimage condition exactly, and the finite-closure
-    condition on subsets of size <= 4 (exhaustively up to subset_limit,
-    then seeded sampling).  The two verdicts must agree."""
+    condition on subsets of size <= 4 (exhaustively up to
+    MORPHISM_SUBSET_LIMIT of them, else as many seeded samples).  The two
+    verdicts must agree."""
     src, tgt = f.source, f.target
     witness = _flat_preimage_witness(f)
     cond_a = witness is None
@@ -769,16 +777,16 @@ def check_morphism(f: GeometryMorphism, subset_limit=60000, seed=0xC0FFEE) -> Mo
     n = src.n_points
     subsets = []
     total = sum(_comb(n, r) for r in (2, 3, 4))
-    if total <= subset_limit:
+    if total <= MORPHISM_SUBSET_LIMIT:
         method = "exhaustive"
         used_seed = None
         for r in (2, 3, 4):
             subsets.extend(itertools.combinations(range(n), r))
     else:
         method = "sampled"
-        used_seed = seed
-        rng = random.Random(seed)
-        for _ in range(subset_limit):
+        used_seed = MORPHISM_SEED
+        rng = random.Random(MORPHISM_SEED)
+        for _ in range(MORPHISM_SUBSET_LIMIT):
             r = rng.choice((2, 3, 4))
             subsets.append(tuple(rng.sample(range(n), min(r, n))))
     cond_c = True
@@ -844,7 +852,7 @@ def _rule_closure(G, mask, use_planes):
         cur = new
 
 
-def _generated_by(G, use_planes, node_limit, sample_count, seed):
+def _generated_by(G, use_planes):
     flats = G.flat_set()
     # every flat must be rule-closed
     for m in G.flats():
@@ -862,8 +870,8 @@ def _generated_by(G, use_planes, node_limit, sample_count, seed):
                 for x in bits_of(G.full_mask & ~fmask):
                     t = _rule_closure(G, fmask | (1 << x), use_planes)
                     if t not in seen:
-                        if len(seen) >= node_limit:
-                            return _generated_sampled(G, use_planes, sample_count, seed)
+                        if len(seen) >= GENERATED_NODE_LIMIT:
+                            return _generated_sampled(G, use_planes)
                         seen.add(t)
                         nxt.append(t)
             frontier = nxt
@@ -872,28 +880,28 @@ def _generated_by(G, use_planes, node_limit, sample_count, seed):
                 return GeneratedReport(False, "exhaustive", None, len(seen),
                                        witness={"rule_closed_not_flat": sorted(bits_of(m))})
         return GeneratedReport(len(seen) == len(flats), "exhaustive", None, len(seen))
-    return _generated_sampled(G, use_planes, sample_count, seed)
+    return _generated_sampled(G, use_planes)
 
 
-def _generated_sampled(G, use_planes, sample_count, seed):
-    rng = random.Random(seed)
+def _generated_sampled(G, use_planes):
+    rng = random.Random(GENERATED_SEED)
     flats = G.flat_set()
-    for _ in range(sample_count):
+    for _ in range(GENERATED_SAMPLES):
         m = rng.getrandbits(G.n_points) & G.full_mask
         t = _rule_closure(G, m, use_planes)
         if t not in flats:
-            return GeneratedReport(False, "sampled", seed, None,
+            return GeneratedReport(False, "sampled", GENERATED_SEED, None,
                                    witness={"rule_closed_not_flat": sorted(bits_of(t))})
-    return GeneratedReport(True, "sampled", seed, None)
+    return GeneratedReport(True, "sampled", GENERATED_SEED, None)
 
 
-def is_generated_by_lines(G, node_limit=120000, sample_count=300, seed=0xB1D) -> GeneratedReport:
+def is_generated_by_lines(G) -> GeneratedReport:
     """True when the line rule regenerates exactly the flat family."""
-    return _generated_by(G, False, node_limit, sample_count, seed)
+    return _generated_by(G, False)
 
 
-def is_generated_by_lines_planes(G, node_limit=120000, sample_count=300, seed=0xB1D) -> GeneratedReport:
-    return _generated_by(G, True, node_limit, sample_count, seed)
+def is_generated_by_lines_planes(G) -> GeneratedReport:
+    return _generated_by(G, True)
 
 
 # -- quotients -----------------------------------------------------------------

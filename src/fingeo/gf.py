@@ -59,25 +59,13 @@ def _poly_mod(p, a, m):
     return tuple(c % p for c in a[:dm])
 
 
-def _poly_divisible(p, a, b):
-    """True when the monic polynomial b divides a over GF(p)."""
-    rem = list(a)
-    da, db = len(a) - 1, len(b) - 1
-    for i in range(da, db - 1, -1):
-        c = rem[i] % p
-        if c:
-            for j in range(db + 1):
-                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % p
-    return all(c % p == 0 for c in rem[:db])
-
-
 def _is_irreducible(p, m):
     """Trial division by all monic polynomials of degree 1..deg(m)//2."""
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
         for low in range(p**d):
             b = _int_digits(low, p, d) + (1,)
-            if _poly_divisible(p, m, b):
+            if not any(_poly_mod(p, m, b)):
                 return False
     return True
 

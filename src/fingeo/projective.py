@@ -28,6 +28,7 @@ from .geometry import (
 from .gf import GF, FieldHom, gf
 
 PG_MAX_POINTS = 6000
+FLAT_PAIR_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,7 @@ def build_pg(n: int, q: int) -> CoordGeometry:
     if count > PG_MAX_POINTS:
         raise SizeLimit(f"PG({n},{q}) has {count} points; beyond desk scale")
     pts = linalg.all_proj_points(K, n + 1)
-    return CoordGeometry(K, pts, is_full_pg=True, name=f"pg({n},{q})")
-
-
-def pg_of(G: CoordGeometry) -> CoordGeometry:
-    """The ambient projective space of an embedded geometry."""
-    return G if G.ambient is None else G.ambient
+    return CoordGeometry(K, pts, name=f"pg({n},{q})")
 
 
 @dataclass
@@ -223,7 +219,7 @@ class ProjectiveReport:
         }
 
 
-def check_projective_axioms(G: FiniteGeometry, pair_limit=2_000_000) -> ProjectiveReport:
+def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
     """Point/line/triangle axioms plus the dimension formula on all flat pairs.
 
     The triangle (Veblen-Young) sweep runs literally on small universes.  When
@@ -233,7 +229,7 @@ def check_projective_axioms(G: FiniteGeometry, pair_limit=2_000_000) -> Projecti
     cheaper on the larger spaces.
     """
     flats = G.flats()
-    if len(flats) * (len(flats) + 1) // 2 > pair_limit:
+    if len(flats) * (len(flats) + 1) // 2 > FLAT_PAIR_LIMIT:
         raise SizeLimit("flat-pair sweep beyond limit")
     witnesses = {}
     lines = G.lines()
@@ -381,9 +377,10 @@ def apply_semilinear(phi: SemilinearMap, x) -> ProjPoint | None:
     return None if v is None else ProjPoint(phi.target_field, v)
 
 
-def induced_partial(phi: SemilinearMap, check=True):
+def induced_partial(phi: SemilinearMap):
     """The partial projective morphism of a nonzero semilinear map, as both a
-    coordinate-level map and a geometry PartialMorphism between PG spaces."""
+    coordinate-level map and a geometry PartialMorphism between PG spaces;
+    the PartialMorphism is validated."""
     if phi.is_zero():
         raise ZeroMap("the zero map induces no projective morphism")
     ker = phi.kernel()
@@ -400,8 +397,7 @@ def induced_partial(phi: SemilinearMap, check=True):
         else:
             mapping.append(tgt.point_index(img))
     pm = PartialMorphism(src, tgt, Flat(src, e_mask), tuple(mapping))
-    if check:
-        pm.validate()
+    pm.validate()
     return pmap, pm
 
 
@@ -478,12 +474,14 @@ class QuotientIso:
     projection: PartialMorphism
 
 
-def quotient_iso(P: CoordGeometry, W: LinearSubspace, verify=True) -> QuotientIso:
+def quotient_iso(P: CoordGeometry, W: LinearSubspace) -> QuotientIso:
     """The coordinate isomorphism  classes of PG(V) mod P(W)  <->  PG(V/W).
 
-    W = 0 degenerates to the identity re-indexing.  The geometry-level
-    bijection is checked to be an isomorphism (flats correspond both ways)
-    when verify is set.
+    W = 0 degenerates to the identity re-indexing.  The quotient's points
+    are the normalised projections of its classes onto the echelon
+    complement of W, which are the coordinates of PG(V/W), so each class is
+    looked up there.  The bijection is checked to be an isomorphism (flats
+    correspond both ways).
     """
     K = P.field
     qc = quotient_coords(W)
@@ -492,13 +490,9 @@ def quotient_iso(P: CoordGeometry, W: LinearSubspace, verify=True) -> QuotientIs
     if qc.dim_q < 1:
         raise SizeLimit("quotient collapses to a point or nothing")
     tgt = build_pg(qc.dim_q - 1, K.q)
-    cls_to_tgt = []
-    for rep in Q.reps:
-        u = linalg.normalize_vec(K, qc.project(P.vectors[rep]))
-        cls_to_tgt.append(tgt.point_index(u))
-    iso = QuotientIso(qc, P, Q, tgt, tuple(cls_to_tgt), pi)
-    if verify:
-        _verify_quotient_iso(iso)
+    cls_to_tgt = tuple(map(tgt.point_index, Q.vectors))
+    iso = QuotientIso(qc, P, Q, tgt, cls_to_tgt, pi)
+    _verify_quotient_iso(iso)
     return iso
 
 

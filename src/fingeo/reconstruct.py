@@ -55,7 +55,6 @@ from .geometry import (
     GeometryMorphism,
     PartialMorphism,
     bits_of,
-    check_morphism,
     flat_preimage_condition,
     mask_of,
     subgeometry,
@@ -106,16 +105,6 @@ class MorphismInstance:
 
     def image_rank(self):
         return linalg.rank(self.target_field, self.images)
-
-    def validate(self, target_geometry=None):
-        """Morphism check against an explicit target PG geometry (built on
-        demand when the target is small enough)."""
-        tgt = target_geometry
-        if tgt is None:
-            tgt = build_pg(self.target_dim, self.target_field.q)
-        mapping = tuple(tgt.point_index(v) for v in self.images)
-        rep = check_morphism(GeometryMorphism(self.geometry, tgt, mapping))
-        return rep
 
     @staticmethod
     def restrict_semilinear(phi: SemilinearMap, X: CoordGeometry, kind="locally-projective"):
@@ -347,9 +336,10 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
     return reconstruct_ftpg(PartialPointMap(src_q, K2, qcp.dim_q - 1, tuple(images)))
 
 
-def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> PartialMorphism:
+def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
     """The geometry-level partial morphism X/x0 -> P'/phi(x0) with
-    exceptional flat F/x0, F the fiber of phi(x0)."""
+    exceptional flat F/x0, F the fiber of phi(x0), validated as a partial
+    morphism."""
     X = inst.geometry
     K2 = inst.target_field
     tgt = build_pg(inst.target_dim, K2.q)
@@ -375,18 +365,15 @@ def induced_quotient_map(inst: MorphismInstance, x0: int, validate=True) -> Part
     pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), tuple(mapping))
     if pm.exceptional.mask != e_mask:
         raise ExceptionalNotFlat("fiber classes do not form a flat of the quotient")
-    if validate:
-        pm.validate()
-        # image of the quotient map spans at least a plane whenever the
-        # original image is not inside a plane
-        if inst.image_rank() >= 4:
-            reps = [inst.images[(m & -m).bit_length() - 1] for m in Qs.classes]
-            qcp = quotient_coords(
-                LinearSubspace.from_vectors(K2, inst.target_dim + 1, [x0_img])
-            )
-            proj = [qcp.project(r) for r in reps if any(qcp.project(r))]
-            if linalg.rank(K2, proj) < 3:
-                raise InternalContradiction("quotient image collapsed into a line")
+    pm.validate()
+    # image of the quotient map spans at least a plane whenever the original
+    # image is not inside a plane
+    if inst.image_rank() >= 4:
+        reps = [inst.images[(m & -m).bit_length() - 1] for m in Qs.classes]
+        qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [x0_img]))
+        proj = [qcp.project(r) for r in reps if any(qcp.project(r))]
+        if linalg.rank(K2, proj) < 3:
+            raise InternalContradiction("quotient image collapsed into a line")
     return pm
 
 
@@ -497,7 +484,7 @@ def _verify_against_instance(phi: SemilinearMap, inst: MorphismInstance):
             raise VerificationFailed(f"reconstruction disagrees with the input at point {x}")
 
 
-def _finish(phi_raw: SemilinearMap, inst, pair, extra_cert=None) -> ReconstructionResult:
+def _finish(phi_raw: SemilinearMap, inst, pair) -> ReconstructionResult:
     _verify_against_instance(phi_raw, inst)
     scale = next(c for row in phi_raw.matrix for c in row if c)
     phi = phi_raw.canonical()
@@ -507,8 +494,6 @@ def _finish(phi_raw: SemilinearMap, inst, pair, extra_cert=None) -> Reconstructi
         "sigma_power": phi.sigma.frobenius_power,
         "scalar_normalization": scale,
     }
-    if extra_cert:
-        cert.update(extra_cert)
     return ReconstructionResult(phi, phi.kernel(), pair, cert)
 
 
@@ -533,24 +518,23 @@ def reconstruct_locally_projective(inst: MorphismInstance, pair_rank=0) -> Recon
     return _two_point(inst, full_quotient_points(inst.geometry), _lp_leg, pair_rank)
 
 
-def extend_affino(inst: MorphismInstance, hyperplane_mask=None) -> PartialPointMap:
+def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     """Extend a morphism on an affino-projective X to a partial map on all
     of P: off X, the image is the common point of the closures of the images
-    of the secant lines through the point (lines not inside the certifying
-    hyperplane); points with empty intersection become the exceptional set,
-    which must close up to a flat."""
+    of the secant lines through the point (lines not inside the first
+    certifying hyperplane of is_affino_projective); points with empty
+    intersection become the exceptional set, which must close up to a
+    flat."""
     X, view = inst.geometry, ambient_view(inst.geometry)
     P, idx, xmask = view.P, view.idx, view.xmask
     K, K2 = P.field, inst.target_field
     _field_clause(K, K2)
     if linalg.rank(K2, inst.images) < 3:
         raise ImageInLine("image of the affino-projective geometry lies in a line")
-    if hyperplane_mask is None:
-        ap = is_affino_projective(X)
-        if not ap:
-            raise NotAffinoProjective(f"{X.label()} has no completing hyperplane")
-        hyperplane_mask = ap.certificates["hyperplane_mask"]
-    H = hyperplane_mask
+    ap = is_affino_projective(X)
+    if not ap:
+        raise NotAffinoProjective(f"{X.label()} has no completing hyperplane")
+    H = ap.certificates["hyperplane_mask"]
     local_of = {amb: x for x, amb in enumerate(idx)}
     amb_images = [None] * P.n_points
     for x, amb in enumerate(idx):
@@ -604,10 +588,10 @@ def _check_partial_point_map(pm: PartialPointMap):
             raise InconsistentExtension("images of a line are not collinear")
 
 
-def reconstruct_affino_projective(inst: MorphismInstance, hyperplane_mask=None) -> ReconstructionResult:
+def reconstruct_affino_projective(inst: MorphismInstance) -> ReconstructionResult:
     """Reconstruction for a total morphism on an affino-projective geometry:
     extend through the hyperplane, then run the base engine."""
-    ext = extend_affino(inst, hyperplane_mask)
+    ext = extend_affino(inst)
     phi = reconstruct_ftpg(ext)
     pair = (0, 1)
     for j in range(1, inst.geometry.n_points):

@@ -6,6 +6,10 @@ outside point and a point of X.  The view computes the tangent lines of
 each point once; every predicate and driver that reads it must give what
 the scans give, on the GF(2) and GF(3) gallery and on seeded random
 subgeometries of PG(3,3).
+
+A geometry's ambient space is the PG(n, q) of its coordinates, quotients
+included: the ambient predicates on X and on the same points embedded in
+that space by subgeometry must agree.
 """
 
 import itertools
@@ -18,13 +22,14 @@ from fingeo.classify import (
     ambient_view,
     check_line_condition,
     check_minimal_embedding,
+    classify,
     full_quotient_points,
     lap_certificates,
 )
 from fingeo.gallery import EXAMPLE_NAMES, build_example
 from fingeo.geometry import FiniteGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
-from fingeo.projective import LinearSubspace, SemilinearMap, build_pg, pg_of
+from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
 from fingeo.reconstruct import MorphismInstance, ReconstructionResult, certify_side_conditions
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
@@ -33,10 +38,9 @@ RANDOM_SEEDS = range(10)
 
 
 def ambient_of(X):
-    P = pg_of(X)
-    if P is X:
-        return P, tuple(range(X.n_points))
-    return P, X.ambient_indices
+    """The PG(n, q) of X's coordinates and the index of each point in it."""
+    P = build_pg(X.ncoords - 1, X.field.q)
+    return P, tuple(map(P.point_index, X.vectors))
 
 
 def ref_line_condition_witnesses(X):
@@ -129,11 +133,35 @@ def test_view_matches_ambient_scans(geometries, case):
         assert view.unions[x] == ref_mobius_union(P, xmask, amb)
 
 
+AMBIENT_PREDICATES = (
+    "line_condition",
+    "minimal_embedding",
+    "affino_projective",
+    "locally_affino_projective",
+    "mobius",
+    "ovoid",
+)
+
+
+@pytest.mark.parametrize("where", ["whole", "first", "last"])
+@pytest.mark.parametrize("case", [f"{name}-3" for name, q in GALLERY if q == 3])
+def test_ambient_predicates_read_the_coordinate_space(geometries, case, where):
+    X = geometries[case]
+    if where != "whole":
+        X = X.point_quotient(0 if where == "first" else X.n_points - 1)
+    P, idx = ambient_of(X)
+    got = classify(X, AMBIENT_PREDICATES).verdicts
+    want = classify(subgeometry(P, idx), AMBIENT_PREDICATES).verdicts
+    for pred in AMBIENT_PREDICATES:
+        assert got[pred].verdict == want[pred].verdict, pred
+        assert len(got[pred].witnesses) == len(want[pred].witnesses), pred
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_side_condition_tangent_point_matches_pair_scan(geometries, case):
     X = geometries[case]
     K = X.field
-    n1 = pg_of(X).ncoords
+    n1 = X.ncoords
     identity = SemilinearMap(identity_hom(K), [linalg.unit_vec(n1, j) for j in range(n1)])
     inst = MorphismInstance(X, K, n1 - 1, X.vectors, "affino-projective")
     result = ReconstructionResult(identity, LinearSubspace.zero(K, n1), (0, 1))

@@ -211,6 +211,17 @@ def test_cone_lap(cone_33):
     assert is_locally_affino_projective(cone_33)
 
 
+@pytest.mark.parametrize("x", [0, 11])
+def test_cone_quotient_lies_in_pg23(cone_33, pg23, x):
+    # X/x has 10 of the 13 points of PG(2,3), so some line of PG(2,3) meets
+    # it once; the quotient is not its own projective space
+    Q = cone_33.point_quotient(x)
+    assert (Q.n_points, Q.is_full_pg, Q.ambient) == (10, False, pg23)
+    verdicts = classify(Q, ("line_condition", "minimal_embedding")).verdicts
+    assert verdicts["line_condition"].verdict is False
+    assert verdicts["minimal_embedding"].verdict is False
+
+
 # -- Moebius and ovoid ------------------------------------------------------------------------
 
 

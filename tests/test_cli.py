@@ -1,6 +1,8 @@
 """End-to-end command-line runs: every exit code path and report determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -112,6 +114,45 @@ def test_classify_ambient_mismatch_exit_2(tmp_path):
     run_cli("make-example", "--name", "elliptic-quadric", "--field", "gf(3)", "--out", str(out))
     proc = run_cli("classify", "--geometry", str(out), "--ambient", "pg(3,4)")
     assert proc.returncode == 2
+
+
+def run_cli_on_closed_pipe(*args):
+    """Run the CLI with stdout on a pipe whose read end is closed before the
+    child starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "fingeo", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (("quotient", "--flat", "0"), 0),
+        (("check", "--axioms", "p", "--witnesses"), 1),
+        (("classify", "--witnesses"), 1),
+    ],
+    ids=["small-report", "negative-verdict", "report-beyond-buffer"],
+)
+def test_closed_stdout_keeps_exit_code(tmp_path, cone_33, command, code):
+    geo = tmp_path / "cone.json"
+    save_geometry(cone_33, geo)
+    args = (command[0], "--geometry", str(geo), *command[1:])
+    open_run = run_cli(*args)
+    assert open_run.returncode == code
+    if command[0] == "classify":
+        assert len(open_run.stdout) > io.DEFAULT_BUFFER_SIZE
+    closed_run = run_cli_on_closed_pipe(*args)
+    assert closed_run.returncode == code
+    assert "Traceback" not in closed_run.stderr
+    assert "Exception ignored" not in closed_run.stderr
 
 
 def test_quotient_command(tmp_path):

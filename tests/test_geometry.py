@@ -272,6 +272,25 @@ def test_complement_of_plane_pg32(pg32):
     assert all(line.bit_count() == 2 for line in A.lines())
 
 
+def test_embedding_read_off_coordinates(pg32):
+    sub = subgeometry(pg32, [9, 3, 5])
+    assert not sub.is_full_pg
+    assert (sub.ambient, sub.ambient_indices) == (pg32, (3, 5, 9))
+    subsub = subgeometry(sub, [0, 2])
+    assert (subsub.ambient, subsub.ambient_indices) == (pg32, (3, 9))
+    full = subgeometry(pg32, range(15))
+    assert full.is_full_pg and full.ambient is full
+
+
+def test_small_quotients_are_their_own_space(pg32):
+    # a plane leaves one class and the whole space none: both quotients are
+    # full, so neither needs a PG(0, 2)
+    for E in (pg32.planes()[0], pg32.full_mask):
+        Q, _ = quotient(pg32, Flat(pg32, E))
+        assert Q.is_full_pg and Q.ambient is Q
+        assert Q.ambient_indices == tuple(range(Q.n_points))
+
+
 def test_table_subgeometry():
     G = broken_exchange_table()
     sub = subgeometry(G, [0, 1, 2])

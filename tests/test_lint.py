@@ -1,12 +1,14 @@
 """Static checks on the package source: every module uses what it imports,
-imports no underscore name from another module of the package, and every
-top-level function or class is referred to somewhere.
+imports no underscore name from another module of the package, every
+top-level function or class is referred to somewhere, and every parameter
+with a default is passed by some call.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -80,6 +82,66 @@ def dead_definitions(source, referenced):
     ]
 
 
+def call_arguments(sources):
+    """Called name -> (positional count, keyword names) for each call in the
+    sources.  A starred argument passes every position; a double-starred one
+    shows up as the keyword name None and passes every keyword."""
+    out = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            npos = math.inf if starred else len(node.args)
+            out.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    return out
+
+
+def defaulted_parameters(source):
+    """(line, called name, parameter, position) for each parameter with a
+    default of a function or method, nested ones included.  The called name
+    of __init__ is its class; position is the index of the argument at a
+    call, without self or cls, and None for a keyword-only parameter."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                name = cls if node.name == "__init__" else node.name
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    out.append((node.lineno, name, positional[i].arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((node.lineno, name, arg.arg, None))
+                visit(node.body, None)
+
+    visit(ast.parse(source).body, None)
+    return out
+
+
+def unset_options(source, calls):
+    """(line, called name, parameter) for each parameter with a default that
+    no call in calls (as from call_arguments) passes."""
+    return [
+        (line, name, param)
+        for line, name, param, pos in defaulted_parameters(source)
+        if not any(
+            (pos is not None and pos < npos) or param in kws or None in kws
+            for npos, kws in calls.get(name, ())
+        )
+    ]
+
+
 def test_modules_found():
     assert "classify.py" in MODULES and "__init__.py" not in MODULES
 
@@ -128,3 +190,33 @@ def test_dead_definition_is_reported():
     other = "from .m import used\n\nhandler = getattr(m, 'ByName')\n"
     referenced = referenced_names(source) | referenced_names(other)
     assert dead_definitions(source, referenced) == [(5, "dead")]
+
+
+@pytest.fixture(scope="module")
+def corpus_calls():
+    return call_arguments(p.read_text(encoding="utf-8") for p in CORPUS)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_unset_options(module, corpus_calls):
+    assert unset_options((SRC / module).read_text(encoding="utf-8"), corpus_calls) == []
+
+
+def test_unset_option_is_reported():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    def inner(g=0):\n"
+        "        return g\n"
+        "    return inner()\n\n\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        self.x = x\n\n"
+        "    def m(self, z=None):\n"
+        "        return z\n\n"
+        "    @staticmethod\n"
+        "    def s(w=1):\n"
+        "        return w\n"
+    )
+    other = "f(1, 2, d=0)\nC(1).m(5)\nC.s(**{})\nf(*args)\n"
+    calls = call_arguments([source, other])
+    assert unset_options(source, calls) == [(1, "f", "e"), (2, "inner", "g"), (8, "C", "y")]
