@@ -1,5 +1,7 @@
 """Classification predicates over the gallery and ambient scans."""
 
+import random
+
 import pytest
 
 from fingeo.classify import (
@@ -144,6 +146,15 @@ def test_bundle_elliptic_exhaustive(elliptic_33):
 
 
 def test_bundle_sampled_on_pg34(pg34):
+    v = check_bundle_theorem(pg34)
+    assert v and v.method == "sampled" and v.seed == 0xB1D
+
+
+def test_bundle_without_violation_draws_nothing(pg34, monkeypatch):
+    def no_draws(self, *args, **kwargs):
+        raise AssertionError("a geometry without violations drew a sample")
+
+    monkeypatch.setattr(random.Random, "sample", no_draws)
     v = check_bundle_theorem(pg34)
     assert v and v.method == "sampled" and v.seed == 0xB1D
 

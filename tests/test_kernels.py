@@ -9,6 +9,7 @@ coplanarity by closing pairs and triples of lines, and the bundle check and
 bundle certification over every itertools.combinations 4-tuple.
 """
 
+import functools
 import itertools
 import random
 
@@ -16,15 +17,17 @@ import pytest
 
 from fingeo import linalg
 from fingeo.classify import (
+    BUNDLE_LIMIT,
     BUNDLE_SAMPLES,
     BUNDLE_SEED,
     _coplanarity,
+    _first_violation,
     _one_gap_tuples,
     certified_bundles,
     check_bundle_theorem,
 )
-from fingeo.errors import DimensionTooLow, ExceptionalNotFlat
-from fingeo.gallery import make_quadric
+from fingeo.errors import CapExceeded, DimensionTooLow, ExceptionalNotFlat
+from fingeo.gallery import EXAMPLE_NAMES, build_example, make_quadric
 from fingeo.gf import gf
 from fingeo.geometry import (
     CoordGeometry,
@@ -174,13 +177,13 @@ def test_table_failing_exchange_keeps_every_flat():
 # -- bundle sweep -------------------------------------------------------------
 
 
-def literal_bundle(X, limit, seed=BUNDLE_SEED):
-    """The bundle check over every 4-tuple (or the seeded draws)."""
-    if X.dim() < 3:
-        raise DimensionTooLow(f"dim {X.dim()} < 3")
+def literal_violation(X):
+    """The literal test of a 4-tuple of line indices for a violation of the
+    bundle condition: five of its pairs close to a plane, and no pairwise
+    coplanar triple does."""
     lines = X.lines()
-    nl = len(lines)
 
+    @functools.cache
     def coplanar(*idx):
         m = 0
         for i in idx:
@@ -195,6 +198,16 @@ def literal_bundle(X, limit, seed=BUNDLE_SEED):
                 return False
         return True
 
+    return hit
+
+
+def literal_bundle(X, limit, seed=BUNDLE_SEED):
+    """The bundle check over every 4-tuple (or the seeded draws)."""
+    if X.dim() < 3:
+        raise DimensionTooLow(f"dim {X.dim()} < 3")
+    lines = X.lines()
+    nl = len(lines)
+    hit = literal_violation(X)
     if nl**4 <= limit:
         method, used_seed = "exhaustive", None
         tuples = itertools.combinations(range(nl), 4)
@@ -231,16 +244,16 @@ def assert_bundle_agrees(X, limit):
     return got
 
 
-def pg32_minus_plane(pg32, k):
-    """PG(3,2)'s flat table with its k-th plane removed."""
-    plane = pg32.planes()[k]
-    return TableGeometry(15, [m for m in pg32.flats() if m != plane])
+def minus_plane(P, k):
+    """The flat table of P with its k-th plane removed."""
+    plane = P.planes()[k]
+    return TableGeometry(P.n_points, [m for m in P.flats() if m != plane])
 
 
 @pytest.mark.parametrize("limit", (10**8, 10))
 @pytest.mark.parametrize("k", range(15))
 def test_bundle_on_pg32_minus_a_plane(pg32, k, limit):
-    got = assert_bundle_agrees(pg32_minus_plane(pg32, k), limit)
+    got = assert_bundle_agrees(minus_plane(pg32, k), limit)
     if k == 0:
         # points 0, 1, 2 no longer close to a plane, so the greedy
         # dimension of the whole table drops to 2
@@ -255,6 +268,41 @@ def test_bundle_matches_literal_on_gallery(pg32, hyperbolic_32, elliptic_33, two
     cone_32 = make_quadric(pg32, "cone")
     for X in (pg32, hyperbolic_32, cone_32, elliptic_33, two_hyperplanes_33):
         assert_bundle_agrees(X, limit)
+
+
+@pytest.mark.parametrize("k, violations", ((1, 3), (7, 1)))
+def test_bundle_sampled_on_pg33_minus_a_plane(pg33, k, violations):
+    got = assert_bundle_agrees(minus_plane(pg33, k), BUNDLE_LIMIT)
+    assert got["method"] == "sampled" and got["seed"] == BUNDLE_SEED
+    assert got["certificates"]["violations"] == violations
+
+
+def test_bundle_reports_a_violation_every_draw_misses(pg33):
+    X = minus_plane(pg33, 3)
+    # the seeded draws alone would call the condition satisfied
+    assert literal_bundle(X, BUNDLE_LIMIT)["verdict"] is True
+    v = check_bundle_theorem(X)
+    assert v.verdict is False and v.method == "sampled" and v.seed == BUNDLE_SEED
+    assert v.certificates["violations"] == len(v.witnesses) == 1
+    lines = X.lines()
+    assert literal_violation(X)(tuple(lines.index(mask_of(w)) for w in v.witnesses[0]))
+
+
+def test_pair_sweep_matches_literal_search(pg32, elliptic_33, cone_33):
+    tables = [minus_plane(pg32, k) for k in range(1, 15)]
+    assert all(T.dim() == 3 for T in tables)
+    gallery = [build_example(name, gf(2)) for name in EXAMPLE_NAMES if name != "subfield-complement"]
+    outcomes = set()
+    for X in tables + gallery + [elliptic_33, cone_33]:
+        nl = len(X.lines())
+        assert nl <= 58
+        hit = literal_violation(X)
+        _, adj, co = _coplanarity(X)
+        first = _first_violation(adj, co)
+        assert (first is not None) == any(map(hit, itertools.combinations(range(nl), 4))), X.label()
+        assert first is None or hit(first), X.label()
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("density", (0.3, 0.6, 0.9))
@@ -305,7 +353,8 @@ def test_rank_matches_rref_length(q):
 
 
 def closure_coplanarity(X):
-    """Coplanarity by closing every pair of lines, and a closing triple test."""
+    """Coplanarity by closing every pair of lines, and a closing test for
+    any number of lines."""
     lines = X.lines()
 
     def coplanar(*idx):
@@ -322,38 +371,24 @@ def closure_coplanarity(X):
     return adj, coplanar
 
 
-def sample_triples(adj, rng, count=1500):
-    """Random triples of lines, and as many pairwise coplanar ones."""
-    nl = len(adj)
-    out = [tuple(rng.sample(range(nl), 3)) for _ in range(count)] if nl >= 3 else []
-    pairs = [(i, j) for i in range(nl) for j in bits_of(adj[i]) if i < j]
-    for _ in range(count if pairs else 0):
-        i, j = rng.choice(pairs)
-        common = list(bits_of(adj[i] & adj[j]))
-        if common:
-            out.append((i, j, rng.choice(common)))
-    return out
-
-
-def assert_coplanarity_agrees(X, rng):
-    lines, adj, triple = _coplanarity(X)
+def assert_coplanarity_agrees(X):
+    """The adjacency bitsets, and co(i, k) at every coplanar pair: the
+    common neighbours l of i and k whose union with i and k closes to a
+    plane."""
+    lines, adj, co = _coplanarity(X)
     assert lines == X.lines()
     ref_adj, coplanar = closure_coplanarity(X)
     assert adj == ref_adj, X.label()
-    nl = len(lines)
-    if nl <= 40:
-        triples = itertools.combinations(range(nl), 3)
-    else:
-        triples = sample_triples(adj, rng)
-    for tri in triples:
-        assert triple(*tri) == coplanar(*tri), (X.label(), tri)
+    for i, ai in enumerate(ref_adj):
+        for k in bits_of(ai):
+            want = mask_of(l for l in bits_of(ai & ref_adj[k]) if coplanar(i, k, l))
+            assert co(i, k) == want, (X.label(), i, k)
 
 
 def test_coplanarity_from_planes_on_gallery(pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
-    rng = random.Random("gallery coplanarity")
     for X in (pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
         assert isinstance(X, CoordGeometry)
-        assert_coplanarity_agrees(X, rng)
+        assert_coplanarity_agrees(X)
 
 
 def test_coplanarity_from_planes_on_quotients(pg33, elliptic_34):
@@ -367,14 +402,14 @@ def test_coplanarity_from_planes_on_quotients(pg33, elliptic_34):
     quotients.append(CoordQuotient(pg42, pg42.lines()[5]))
     assert any(Q.dim() == 3 for Q in quotients)
     for Q in quotients:
-        assert_coplanarity_agrees(Q, rng)
+        assert_coplanarity_agrees(Q)
 
 
 def test_coplanarity_from_planes_on_random_subgeometries(pg33):
     rng = random.Random("subgeometry coplanarity")
     for size in (12, 18, 24, 30, 36):
         X = subgeometry(pg33, rng.sample(range(pg33.n_points), size))
-        assert_coplanarity_agrees(X, rng)
+        assert_coplanarity_agrees(X)
 
 
 # -- bundle certification ----------------------------------------------------------
@@ -403,8 +438,14 @@ def literal_certified_bundles(X):
     return count, all_conc
 
 
+def test_certified_bundles_cap(elliptic_34):
+    assert len(elliptic_34.lines()) == 136
+    with pytest.raises(CapExceeded):
+        certified_bundles(elliptic_34)
+
+
 def test_certified_bundles_match_literal(pg32, elliptic_33):
-    for X in (pg32, elliptic_33, pg32_minus_plane(pg32, 3)):
+    for X in (pg32, elliptic_33, minus_plane(pg32, 3)):
         got = certified_bundles(X)
         assert got == literal_certified_bundles(X), X.label()
         assert got[0] > 0
