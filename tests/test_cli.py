@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from fingeo import linalg
+from fingeo.geometry import bits_of
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import SemilinearMap, build_pg
 from fingeo.serialize import dump_json, load_geometry, save_geometry, save_map_pairs
@@ -363,6 +364,11 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
         {"field": "gf(2)", "ambient_dim": 2.9, "points": [[1, 0, 0], [0, 1, 0]]},
         {"field": "gf(2)", "ambient_dim": "3", "points": [[1, 0, 0, 0]]},
         {"points": True, "flats": [[0]]},
+        {"field": 5, "ambient_dim": 2, "points": [[1, 0, 0]]},
+        {"field": None, "ambient_dim": 2, "points": [[1, 0, 0]]},
+        {"field": True, "ambient_dim": 2, "points": [[1, 0, 0]]},
+        {"field": [], "ambient_dim": 2, "points": [[1, 0, 0]]},
+        {"field": {}, "ambient_dim": 2, "points": [[1, 0, 0]]},
     ],
     ids=[
         "flats-not-list",
@@ -373,6 +379,11 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
         "ambient-dim-float",
         "ambient-dim-string",
         "point-count-bool",
+        "field-int",
+        "field-null",
+        "field-bool",
+        "field-list",
+        "field-object",
     ],
 )
 def test_malformed_geometry_shape_exit_2(tmp_path, data):
@@ -382,3 +393,61 @@ def test_malformed_geometry_shape_exit_2(tmp_path, data):
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- malformed-input corpus ------------------------------------------------------------
+
+WRONG_VALUES = [None, True, 0, -1, 2.5, "x", [], [1], {}]
+PG22 = [list(v) for v in build_pg(2, 2).vectors]
+EMBEDDED = {"field": "gf(2)", "ambient_dim": 2, "points": PG22}
+TABLE = {"points": 7, "flats": [list(bits_of(m)) for m in build_pg(2, 2).flats()]}
+MAP_FILE = {"pairs": [[v, v] for v in PG22], "target": "gf(2)"}
+# substitutions that leave a well-formed document, with their verdict code:
+# a table without flats closes every set to the whole point set
+WELL_FORMED = {("table", "flats", "[]"): 1}
+
+
+def corpus():
+    """(format, key, value, document): each wrong JSON value for each top-level
+    key of each format, and for the whole document (key None)."""
+    for fmt, base in (("embedded", EMBEDDED), ("table", TABLE), ("map", MAP_FILE)):
+        for value in WRONG_VALUES:
+            yield fmt, None, value, value
+            for key in base:
+                yield fmt, key, value, {**base, key: value}
+
+
+def run_main(tmp_path, fmt, doc):
+    """cli.main in-process on the document: the geometry of a check, or the
+    map file of a pg reconstruction on PG(2,2)."""
+    from fingeo import cli
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if fmt == "map":
+        geo = tmp_path / "geo.json"
+        geo.write_text(json.dumps(EMBEDDED))
+        return cli.main(["reconstruct", "--kind", "pg", "--geometry", str(geo), "--map", str(path)])
+    return cli.main(["check", "--axioms", "g", "--geometry", str(path)])
+
+
+def test_malformed_corpus_base_documents_run(tmp_path, capsys):
+    for fmt in ("embedded", "table", "map"):
+        doc = {"embedded": EMBEDDED, "table": TABLE, "map": MAP_FILE}[fmt]
+        assert run_main(tmp_path, fmt, doc) == 0, fmt
+        assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "fmt, key, value, doc",
+    list(corpus()),
+    ids=[f"{f}-{k or 'document'}-{json.dumps(v)}" for f, k, v, _ in corpus()],
+)
+def test_malformed_corpus_exit_codes(tmp_path, capsys, fmt, key, value, doc):
+    want = WELL_FORMED.get((fmt, key, json.dumps(value)), 2)
+    assert run_main(tmp_path, fmt, doc) == want
+    out, err = capsys.readouterr()
+    if want == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert json.loads(out)

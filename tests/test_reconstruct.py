@@ -504,6 +504,30 @@ def test_perturbed_input_never_returns_a_map(fixture, driver, request):
         assert not isinstance(info.value, InternalContradiction), info.value
 
 
+def test_fiber_that_is_not_a_flat_is_not_a_morphism(ag43):
+    """Two points of an affine line sent to one image and the third point
+    elsewhere: the fiber of the base image is not a flat of X, which the
+    affino leg reports as an input that is not a morphism."""
+    K = gf(3)
+    gen = random_semilinear(random.Random("fiber-ag43"), K, n1=5, m1=5, min_rank=5)
+    images = list(MorphismInstance.restrict_semilinear(gen, ag43).images)
+    images[1] = images[0]
+    with pytest.raises(ExceptionalNotFlat):
+        reconstruct_locally_affino(MorphismInstance(ag43, K, 4, tuple(images)))
+
+
+def test_unnormalised_image_in_a_class_is_not_a_morphism(elliptic_33):
+    """A point whose image is the base image with other coordinates falls
+    outside the fiber yet projects onto the base image: a typed rejection,
+    not a contradiction of the library."""
+    K = gf(3)
+    gen = random_semilinear(random.Random("unnormalised"), K)
+    images = list(MorphismInstance.restrict_semilinear(gen, elliptic_33).images)
+    images[2] = linalg.vec_scale(K, 2, images[0])
+    with pytest.raises(NotConstantOnClasses):
+        reconstruct_locally_affino(MorphismInstance(elliptic_33, K, 3, tuple(images)))
+
+
 # -- certification ------------------------------------------------------------------------------
 
 

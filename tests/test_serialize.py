@@ -94,6 +94,30 @@ def test_semilinear_bad_entries():
         )
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("source", 5),
+        ("source", None),
+        ("target", True),
+        ("target", []),
+        ("target", {}),
+        ("matrix", 5),
+        ("matrix", [5]),
+        ("matrix", "x"),
+        ("sigma", 5),
+        ("sigma", {"power": 2.9}),
+        ("sigma", {"power": True}),
+        ("sigma", {"power": "1"}),
+    ],
+)
+def test_semilinear_wrong_types(key, value):
+    d = {"sigma": {"power": 0}, "matrix": [[1, 0], [0, 1]], "source": "gf(4)", "target": "gf(4)"}
+    d[key] = value
+    with pytest.raises(FileFormatError):
+        semilinear_from_dict(d)
+
+
 def test_map_pairs_round_trip():
     pairs = [((1, 0, 0, 0), (1, 1, 0, 0)), ((0, 1, 0, 0), (0, 1, 0, 0))]
     d = map_pairs_to_dict(pairs, target=gf(4))
