@@ -100,14 +100,14 @@ def cmd_classify(args, t0):
     G = serialize.load_geometry(args.geometry)
     if not isinstance(G, CoordGeometry):
         raise FileFormatError("classification requires an embedded geometry")
-    if args.ambient:
+    if args.ambient is not None:
         n, q = _parse_ambient(args.ambient)
         if (G.ncoords - 1, G.field.q) != (n, q):
             raise FileFormatError(
                 f"ambient mismatch: file implies pg({G.ncoords - 1},{G.field.q})"
             )
-    preds = args.predicate.split(",") if args.predicate else None
-    if preds:
+    preds = None if args.predicate is None else args.predicate.split(",")
+    if preds is not None:
         unknown = [p for p in preds if p not in ALL_PREDICATES]
         if unknown:
             raise FileFormatError(f"unknown predicates: {unknown}")
@@ -154,7 +154,7 @@ def _instance_from_files(args):
     pairs, file_target = serialize.load_map_pairs(args.map)
     K = G.field
     K2 = file_target
-    if args.target:
+    if args.target is not None:
         K2 = serialize.field_from_name(args.target)
     if K2 is None:
         K2 = K

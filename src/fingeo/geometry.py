@@ -524,12 +524,17 @@ def meet(G: FiniteGeometry, S1: Flat, S2: Flat) -> Flat:
 def dim_formula_violations(G: FiniteGeometry, flats):
     """(m1, m2, lhs, rhs) for each pair of the given flats, m1 listed no
     later than m2, where lhs = dim m1 + dim m2 differs from
-    rhs = dim(m1 v m2) + dim(m1 n m2); pairs come in list order."""
+    rhs = dim(m1 v m2) + dim(m1 n m2); pairs come in list order.  A pair
+    of nested flats is skipped: its join is the larger flat and its meet the
+    smaller, so it cannot violate the formula."""
     dims = [G.flat_dim(m) for m in flats]
     for i, m1 in enumerate(flats):
         for j in range(i, len(flats)):
             m2 = flats[j]
-            rhs = G.join_dim(m1, m2) + G.flat_dim(m1 & m2)
+            meet = m1 & m2
+            if meet == m1 or meet == m2:
+                continue
+            rhs = G.join_dim(m1, m2) + G.flat_dim(meet)
             if dims[i] + dims[j] != rhs:
                 yield m1, m2, dims[i] + dims[j], rhs
 

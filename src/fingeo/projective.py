@@ -220,7 +220,8 @@ class ProjectiveReport:
 
 
 def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
-    """Point/line/triangle axioms plus the dimension formula on all flat pairs.
+    """Point/line/triangle axioms plus the dimension formula on all flat pairs
+    (nested pairs are skipped: they cannot violate it).
 
     The triangle (Veblen-Young) sweep runs literally on small universes.  When
     the two-points-one-line axiom holds, the sweep is equivalently organised

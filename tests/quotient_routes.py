@@ -4,13 +4,19 @@ The local predicates: the library reads X/x off the flats of X through x.
 Each ref_quotient_* function builds the quotient geometry instead and asks
 the same question there, so that the tests can compare the two routes.
 
+The dimension formula: the library decides each point of a coordinate
+geometry from its planes and hyperplanes and sweeps flat pairs only at failing
+points, skipping pairs that cannot violate the formula.
+ref_dim_formula_violations and ref_local_dim_formula_at sweep every pair
+at every point instead.
+
 The reconstruction legs: the library runs them on X's point quotient (or
 its quotient by a fiber).  ref_lp_leg and ref_affino_leg project every
 point of X by hand into a freshly built PG(V/W) instead.
 """
 
 from fingeo import linalg
-from fingeo.classify import ambient_view
+from fingeo.classify import Verdict, ambient_view
 from fingeo.errors import InternalContradiction, NoBasePair, NotConstantOnClasses
 from fingeo.geometry import bits_of, subgeometry
 from fingeo.projective import (
@@ -28,6 +34,36 @@ def ref_quotient_projective(X, x):
     quotient geometry."""
     Q = X.point_quotient(x)
     return Q.n_points == 0 or check_projective_axioms(Q).is_projective
+
+
+def ref_dim_formula_violations(G, flats):
+    """Every pair of the given flats, m1 listed no later than m2, that
+    violates the dimension formula, as (m1, m2, lhs, rhs) in list order."""
+    dims = [G.flat_dim(m) for m in flats]
+    for i, m1 in enumerate(flats):
+        for j in range(i, len(flats)):
+            m2 = flats[j]
+            rhs = G.join_dim(m1, m2) + G.flat_dim(m1 & m2)
+            if dims[i] + dims[j] != rhs:
+                yield m1, m2, dims[i] + dims[j], rhs
+
+
+def ref_local_dim_formula_at(X, x):
+    """The first violating pair of all flats through x, or None."""
+    through = [m for m in X.flats() if m >> x & 1]
+    for m1, m2, _, _ in ref_dim_formula_violations(X, through):
+        return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
+    return None
+
+
+def ref_locally_projective(X):
+    """The is_locally_projective verdict from the sweep at every point."""
+    witnesses = []
+    for x in range(X.n_points):
+        w = ref_local_dim_formula_at(X, x)
+        if w is not None:
+            witnesses.append({"point": x, "dim_formula_witness": w})
+    return Verdict("locally_projective", not witnesses, witnesses)
 
 
 def ref_quotient_line_form(X):

@@ -451,3 +451,49 @@ def test_malformed_corpus_exit_codes(tmp_path, capsys, fmt, key, value, doc):
         assert out == "" and err.startswith("error: ")
     else:
         assert json.loads(out)
+
+
+# -- malformed argument values ---------------------------------------------------------
+
+# (command, option) -> malformed values: empty, a bare comma, non-numeric,
+# out of range and a wrong name.  quotient's --flat keeps the empty flat as
+# its default, so "" is a valid value there.
+ARGUMENT_VALUES = {
+    ("quotient", "--flat"): [",", "x", "999", "0,,1"],
+    ("classify", "--ambient"): ["", ",", "pg(x,2)", "pg(9,2)", "gf(2)"],
+    ("classify", "--predicate"): ["", ",", "7", "mobius,", "lp_axiom"],
+    ("reconstruct", "--target"): ["", ",", "gf(x)", "gf(0)", "gf4"],
+    ("oracle", "--target"): ["", ",", "gf(x)", "gf(0)", "gf4"],
+}
+
+
+def argument_corpus():
+    for (command, option), values in ARGUMENT_VALUES.items():
+        for value in values:
+            yield command, option, value
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    list(argument_corpus()),
+    ids=[f"{c}{o}={json.dumps(v)}" for c, o, v in argument_corpus()],
+)
+def test_malformed_argument_values_exit_2(tmp_path, capsys, command, option, value):
+    """cli.main in-process on PG(2,2) and its identity map; the command
+    runs without the option (quotient with the empty flat)."""
+    from fingeo import cli
+
+    geo, mapfile = tmp_path / "geo.json", tmp_path / "map.json"
+    geo.write_text(json.dumps(EMBEDDED))
+    mapfile.write_text(json.dumps(MAP_FILE))
+    argv = [command, "--geometry", str(geo)]
+    if command in ("reconstruct", "oracle"):
+        argv += ["--map", str(mapfile)]
+    if command == "reconstruct":
+        argv += ["--kind", "pg"]
+    assert cli.main(argv + ([option, ""] if command == "quotient" else [])) in (0, 1)
+    capsys.readouterr()
+    assert cli.main(argv + [option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -6,6 +6,14 @@ of X through x.  The references in quotient_routes build X/x (or P/x) as a
 geometry and ask there; both must give the same answer at every point, on
 the gallery over GF(2) to GF(4), on seeded random subgeometries of PG(3,3),
 on two coordinate point quotients and on two table geometries.
+
+is_locally_projective decides each point of a coordinate geometry from its
+planes and hyperplanes and sweeps flat pairs only where it fails, skipping
+pairs that cannot violate the dimension formula; check_projective_axioms
+skips nested pairs.  Both must report exactly what the full sweep reports,
+witnesses included, also on random subgeometries of PG(4,2) and PG(5,2)
+(which have 3-flats other than X) and on the PG(3,2) tables with one plane
+removed.
 """
 
 import functools
@@ -13,6 +21,7 @@ import random
 
 import pytest
 
+from fingeo import projective
 from fingeo.classify import (
     ambient_view,
     has_enough_points,
@@ -29,7 +38,13 @@ from fingeo.geometry import (
 )
 from fingeo.gf import gf
 from fingeo.projective import build_pg
-from quotient_routes import ref_quotient_affino, ref_quotient_line_form, ref_quotient_projective
+from quotient_routes import (
+    ref_dim_formula_violations,
+    ref_locally_projective,
+    ref_quotient_affino,
+    ref_quotient_line_form,
+    ref_quotient_projective,
+)
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
 GALLERY = [
@@ -39,6 +54,10 @@ GALLERY = [
     if not (name == "subfield-complement" and q < 4)
 ]
 RANDOM = [f"random-{seed}" for seed in range(10)]
+# random subgeometries of PG(4,2) and PG(5,2), and PG(3,2)'s flat table
+# without one of its 15 planes
+HIGHER = [f"random{n}2-{seed}" for n in (4, 5) for seed in range(8)]
+PLANE_REMOVED = [f"pg32-minus-{index}" for index in range(15)]
 QUOTIENTS = ["pg32/0", "elliptic_33/0"]
 # the triangle (one three-point plane) and the coproduct of two 3-point
 # lines, as in test_classify
@@ -58,6 +77,14 @@ def geometry(case):
         P = build_pg(3, 3)
         rng = random.Random(int(case.split("-")[1]))
         return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, 30)))
+    if case.startswith("random"):
+        P = build_pg(int(case[6]), 2)
+        rng = random.Random(int(case.split("-")[1]))
+        return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(4, 17)))
+    if case.startswith("pg32-minus-"):
+        P = build_pg(3, 2)
+        plane = P.planes()[int(case.rsplit("-", 1)[1])]
+        return TableGeometry(15, [m for m in P.flats() if m != plane])
     if "/" in case:
         name, x = case.split("/")
         parent = build_pg(3, 2) if name == "pg32" else build_example("elliptic-quadric", gf(3))
@@ -133,3 +160,38 @@ def test_other_plane_removed_tables_keep_their_verdict(pg32, index):
     assert v.verdict is False
     assert witness_points(v) == [x for x in range(15) if not ref_quotient_projective(G, x)]
     assert len(v.witnesses) == 7
+
+
+@pytest.mark.parametrize("case", CASES + HIGHER + PLANE_REMOVED)
+def test_locally_projective_matches_full_sweep(case):
+    X = geometry(case)
+    assert is_locally_projective(X).as_dict() == ref_locally_projective(X).as_dict()
+
+
+def test_higher_rank_cases_cover_both_outcomes():
+    cases = [geometry(c) for c in HIGHER]
+    above_three = [X for X in cases if X.dim() > 3]
+    assert all(len(X.rank_flats(3)) > 1 for X in above_three)
+    assert {bool(is_locally_projective(X)) for X in above_three} == {True, False}
+
+
+def test_frame_of_pg42_fails_at_every_point():
+    """Six points of PG(4,2) in general position.  Each X/x is five points
+    in general position in a 3-space: any two of its lines in one plane
+    meet, but a line and a plane can miss, so every point fails."""
+    P = build_pg(4, 2)
+    basis = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    X = subgeometry(P, [P.point_index(v) for v in basis + [(1, 1, 1, 1, 1)]])
+    v = is_locally_projective(X)
+    assert witness_points(v) == list(range(6))
+    assert v.as_dict() == ref_locally_projective(X).as_dict()
+
+
+@pytest.mark.parametrize(
+    "case", PLANE_REMOVED + [c for c in GALLERY if c.endswith("-2")]
+)
+def test_projective_axioms_match_full_sweep(case, monkeypatch):
+    G = geometry(case)
+    got = projective.check_projective_axioms(G).as_dict()
+    monkeypatch.setattr(projective, "dim_formula_violations", ref_dim_formula_violations)
+    assert got == projective.check_projective_axioms(G).as_dict()
