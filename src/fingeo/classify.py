@@ -153,39 +153,20 @@ def _has_enough_points(X) -> Verdict:
     quotient_form = _quotient_line_form(X)
     if quotient_form and not verdict:
         raise InternalContradiction("quotient-line form passed but a plane lacks a quadrilateral")
-    out = Verdict("enough_points", verdict, witnesses)
-    out.certificates["quotient_line_form"] = quotient_form
-    return out
+    return Verdict("enough_points", verdict, witnesses, {"quotient_line_form": quotient_form})
 
 
 def _quotient_line_form(X) -> bool:
     """Every plane of X holds at least three lines of X through each of its
-    points x.
-
-    On a coordinate geometry two points lie on exactly one line, so the
-    lines through x inside a plane partition the plane minus x.  A walk
-    removes the line through x and the lowest remaining point until three
-    lines are found, reading each line off an index of X.lines_through(x).
-    Table geometries need not partition, so their lines are counted.
-    """
-    if not isinstance(X, CoordGeometry):
-        return all(
-            sum(line & ~pm == 0 for line in X.lines_through(x)) >= 3
-            for pm in X.planes()
-            for x in bits_of(pm)
-        )
-    line_at = {}
-    for pm in X.planes():
-        for x in bits_of(pm):
-            at = line_at.get(x)
-            if at is None:
-                at = line_at[x] = {y: line for line in X.lines_through(x) for y in bits_of(line)}
-            rest = pm & ~(1 << x)
-            for _ in range(3):
-                if not rest:
-                    return False
-                rest &= ~at[(rest & -rest).bit_length() - 1]
-    return True
+    points x: a count of the lines both inside the plane and through x,
+    read off the incidence index, whose containment is exact on every
+    backend."""
+    inc = X.incidence
+    return all(
+        (inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3
+        for p, pm in enumerate(inc.planes)
+        for x in bits_of(pm)
+    )
 
 
 # -- locally projective ------------------------------------------------------------
@@ -274,108 +255,102 @@ def check_line_condition(X: CoordGeometry) -> Verdict:
 
 def check_lp_axioms(X) -> Verdict:
     """Incidence axioms on X's points, lines and planes: unique joining
-    line/plane, lines inside planes, and the plane-intersection axiom; on
-    three-dimensional geometries also the two-plane form and the existence
-    of four non-coplanar points."""
-    lines = X.lines()
-    planes = X.planes()
-    n = X.n_points
-    results = {}
+    line (lp1) and plane (lp2), lines inside planes (lp3), and the
+    plane-intersection axiom (lp4); on three-dimensional geometries also
+    the two-plane form (lp4prime) and the existence of four non-coplanar
+    points (lp5).
+
+    On a coordinate geometry lp1 to lp3 hold with no sweep, as lp5 does: a
+    flat is the trace of its span, so two points span one line, a
+    non-collinear triple spans rank 3, whose trace is the one plane holding
+    it, and the line through two points of a plane lies in that plane.
+    Other geometries sweep them on the incidence index (_lp_sweeps)."""
+    inc = X.incidence
+    results = dict.fromkeys(("lp1", "lp2", "lp3", "lp4"), True)
     witnesses = []
 
-    line_of = {}
-    ok = True
-    for m in lines:
-        for a, b in itertools.combinations(bits_of(m), 2):
-            if (a, b) in line_of:
-                ok = False
-                witnesses.append({"axiom": "lp1", "points": [a, b]})
-            line_of[(a, b)] = m
-    for a, b in itertools.combinations(range(n), 2):
-        if (a, b) not in line_of:
-            ok = False
-            witnesses.append({"axiom": "lp1", "points": [a, b]})
-    results["lp1"] = ok  # every line has a two-point basis
+    def fail(axiom, **witness):
+        results[axiom] = False
+        witnesses.append({"axiom": axiom, **witness})
 
-    plane_of = {}
-    ok = True
-    for m in planes:
-        found3 = False
-        for tri in itertools.combinations(bits_of(m), 3):
-            la = line_of.get((tri[0], tri[1]))
-            if la is not None and not la >> tri[2] & 1:
-                found3 = True
-                key = tri
-                if key in plane_of and plane_of[key] != m:
-                    ok = False
-                    witnesses.append({"axiom": "lp2", "points": list(tri)})
-                plane_of[key] = m
-        if not found3:
-            ok = False
-            witnesses.append({"axiom": "lp2", "plane": sorted(bits_of(m))})
-    plane_set = set(planes)
-    for tri in itertools.combinations(range(n), 3):
-        la = line_of.get((tri[0], tri[1]))
-        if la is None or la >> tri[2] & 1:
-            continue
-        pm = X.closure_mask(mask_of(tri))
-        if pm not in plane_set:
-            ok = False
-            witnesses.append({"axiom": "lp2", "points": list(tri)})
-    results["lp2"] = ok
-
-    ok = True
-    for m in planes:
-        for a, b in itertools.combinations(bits_of(m), 2):
-            la = line_of.get((a, b))
-            if la is not None and la & ~m:
-                ok = False
-                witnesses.append({"axiom": "lp3", "plane": sorted(bits_of(m)), "points": [a, b]})
-    results["lp3"] = ok
-
-    # plane pairs through an outside point: (L1 v x) & (L2 v x) is a line
-    ok = True
-    for pm in planes:
-        plane_lines = [m for m in lines if m & ~pm == 0]
-        outside = list(bits_of(X.full_mask & ~pm))
-        for l1, l2 in itertools.combinations(plane_lines, 2):
-            for x in outside:
-                j1 = X.closure_mask(l1 | (1 << x))
-                j2 = X.closure_mask(l2 | (1 << x))
-                inter = j1 & j2
-                if X.flat_dim(inter) != 1:
-                    ok = False
-                    witnesses.append(
-                        {
-                            "axiom": "lp4",
-                            "lines": [sorted(bits_of(l1)), sorted(bits_of(l2))],
-                            "point": x,
-                        }
-                    )
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    results["lp4"] = ok
-
+    if not isinstance(X, CoordGeometry):
+        _lp_sweeps(X, inc, fail)
+    lp4 = _lp4_witness(X, inc)
+    if lp4 is not None:
+        fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])
     if X.dim() == 3:
-        ok = True
-        for m1, m2 in itertools.combinations(planes, 2):
+        results["lp4prime"] = True
+        for m1, m2 in itertools.combinations(inc.planes, 2):
             inter = m1 & m2
             if inter and X.flat_dim(inter) != 1:
-                ok = False
-                witnesses.append(
-                    {"axiom": "lp4prime", "planes": [sorted(bits_of(m1)), sorted(bits_of(m2))]}
-                )
-        results["lp4prime"] = ok
+                fail("lp4prime", planes=[sorted(bits_of(m1)), sorted(bits_of(m2))])
         # a greedy basis of X is four points whose closure, X, has dimension 3
         results["lp5"] = True
+    return Verdict("lp_axioms", all(results.values()), witnesses, results)
 
-    verdict = all(results.values())
-    out = Verdict("lp_axioms", verdict, witnesses)
-    out.certificates = results
-    return out
+
+def _lp_sweeps(X, inc, fail):
+    """lp1 to lp3, failures reported in sweep order: a pair of points is
+    read with the last line through it, a non-collinear triple of a plane
+    fails lp2 when an earlier plane holds it too, and every non-collinear
+    triple is closed."""
+    lines, planes, pl = inc.lines, inc.planes, inc.point_lines
+
+    def last_line(a, b):
+        return (pl[a] & pl[b]).bit_length() - 1  # -1 when no line holds both
+
+    def noncollinear(a, b, c):
+        return (la := last_line(a, b)) >= 0 and not lines[la] >> c & 1
+
+    for i, m in enumerate(lines):
+        for a, b in itertools.combinations(bits_of(m), 2):
+            if pl[a] & pl[b] & ((1 << i) - 1):  # an earlier line holds a and b
+                fail("lp1", points=[a, b])
+    for a, b in itertools.combinations(range(X.n_points), 2):
+        if not pl[a] & pl[b]:
+            fail("lp1", points=[a, b])
+    for p, m in enumerate(planes):
+        shared = [s for s in (m & q for q in planes[:p]) if s.bit_count() >= 3]
+        triples = [t for t in itertools.combinations(bits_of(m), 3) if noncollinear(*t)]
+        for t in triples:
+            if any(mask_of(t) & ~s == 0 for s in shared):
+                fail("lp2", points=list(t))
+        if not triples:
+            fail("lp2", plane=sorted(bits_of(m)))
+    for t in itertools.combinations(range(X.n_points), 3):
+        if noncollinear(*t) and X.flat_dim(X.closure_mask(mask_of(t))) != 2:
+            fail("lp2", points=list(t))
+    for p, m in enumerate(planes):
+        for a, b in itertools.combinations(bits_of(m), 2):
+            if (la := last_line(a, b)) >= 0 and not inc.line_planes[la] >> p & 1:
+                fail("lp3", plane=sorted(bits_of(m)), points=[a, b])
+
+
+def _lp4_witness(X, inc):
+    """The first plane, pair of its lines l1, l2 and point x off the plane,
+    in that order, with (l1 v x) & (l2 v x) not a line, as (l1, l2, x), or
+    None.  On a coordinate geometry l1 v x is the plane of l1 holding x, and
+    the other planes of l1 partition the points off the plane, as do those
+    of l2; so x fails exactly when its two planes meet in x alone, and lines
+    that meet pass at every x.  Other geometries close both joins."""
+    lines, planes, cl = inc.lines, inc.planes, X.closure_mask
+    for p, pm in enumerate(planes):
+        others = ~(1 << p)
+        for i, k in itertools.combinations(bits_of(inc.plane_lines[p]), 2):
+            l1, l2 = lines[i], lines[k]
+            if isinstance(X, CoordGeometry):
+                meets = () if l1 & l2 else (
+                    planes[a] & planes[b]
+                    for a in bits_of(inc.line_planes[i] & others)
+                    for b in bits_of(inc.line_planes[k] & others)
+                )
+                x = min((m.bit_length() - 1 for m in meets if m.bit_count() == 1), default=-1)
+            else:
+                outside = bits_of(X.full_mask & ~pm)
+                x = next((x for x in outside if X.flat_dim(cl(l1 | 1 << x) & cl(l2 | 1 << x)) != 1), -1)
+            if x >= 0:
+                return l1, l2, x
+    return None
 
 
 # -- bundle condition ----------------------------------------------------------------
@@ -386,9 +361,9 @@ def _coplanarity(X):
     coplanar lines i and k, the bitset of the lines l coplanar with both
     such that i, k and l lie in one plane, memoised per pair.
 
-    On a coordinate geometry all of it is read off the planes.  Two
-    distinct lines span rank 3 or 4, and rank 3 exactly when the trace of
-    their sum, a plane of X, holds both; so two lines (or three) close to
+    On a coordinate geometry all of it is read off the incidence index.
+    Two distinct lines span rank 3 or 4, and rank 3 exactly when the trace
+    of their sum, a plane of X, holds both; so two lines (or three) close to
     dim <= 2 exactly when some plane holds them, the lines of each plane
     form a clique, and co(i, k) is the union of the cliques of the planes
     holding both.  Table geometries have no such guarantee: they close
@@ -399,23 +374,15 @@ def _coplanarity(X):
     nl = len(lines)
     adj = [0] * nl
     if isinstance(X, CoordGeometry):
-        planes_of = [0] * nl
-        cliques = []
-        for p, pm in enumerate(X.planes()):
-            clique = 0
-            for i, m in enumerate(lines):
-                if m & ~pm == 0:
-                    clique |= 1 << i
-                    planes_of[i] |= 1 << p
-            cliques.append(clique)
+        inc = X.incidence
+        cliques, planes_of = inc.plane_lines, inc.line_planes
+        for clique in cliques:
             for i in bits_of(clique):
                 adj[i] |= clique & ~(1 << i)
 
         def in_common_plane(i, k):
-            m = 0
-            for p in bits_of(planes_of[i] & planes_of[k]):
-                m |= cliques[p]
-            return m
+            common = bits_of(planes_of[i] & planes_of[k])
+            return functools.reduce(operator.or_, (cliques[p] for p in common), 0)
 
     else:
 

@@ -11,8 +11,8 @@ coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
 so every coordinate backend shares one closure kernel; only quotients of
 table geometries close through their parent.
 
-Everything is immutable after construction; the flat cache is built once on
-first demand and only read afterwards.
+Everything is immutable after construction; the flat cache and the
+incidence index are built once on first demand and only read afterwards.
 """
 
 from __future__ import annotations
@@ -100,6 +100,51 @@ class Flat:
         return f"Flat{self.points}"
 
 
+class Incidence:
+    """Which points, lines and planes of a geometry meet, as bitsets over
+    indices into its lines() and planes(): point_lines[x] holds the lines
+    through the point x, plane_lines[p] the lines inside the plane p and
+    line_planes[l] the planes holding the line l, exactly on every backend.
+    lines_through[x] lists the lines through x as masks.  The plane parts
+    are built on first use."""
+
+    def __init__(self, G):
+        self.lines, self.planes = G.lines(), G.planes()
+        through = [[] for _ in range(G.n_points)]
+        for i, m in enumerate(self.lines):
+            for x in bits_of(m):
+                through[x].append(i)
+        self.point_lines = tuple(map(mask_of, through))
+        self.lines_through = tuple(tuple(self.lines[i] for i in ix) for ix in through)
+
+    @functools.cached_property
+    def plane_lines(self):
+        """A line inside a plane holds two of its points, so the lines met
+        twice are the candidates, with no scan of every line; on a
+        coordinate geometry, where two points span a line, all of them."""
+        out = []
+        for pm in self.planes:
+            once = twice = 0
+            for x in bits_of(pm):
+                twice |= once & self.point_lines[x]
+                once |= self.point_lines[x]
+            out.append(mask_of(i for i in bits_of(twice) if self.lines[i] & ~pm == 0))
+        return tuple(out)
+
+    @functools.cached_property
+    def line_planes(self):
+        out = [0] * len(self.lines)
+        for p, held in enumerate(self.plane_lines):
+            for i in bits_of(held):
+                out[i] |= 1 << p
+        return tuple(out)
+
+    def line_of(self, a, b):
+        """The first line through the points a and b, or None."""
+        common = self.point_lines[a] & self.point_lines[b]
+        return self.lines[(common & -common).bit_length() - 1] if common else None
+
+
 class FiniteGeometry:
     """Base class; subclasses provide _closure_mask."""
 
@@ -108,7 +153,6 @@ class FiniteGeometry:
         self.full_mask = (1 << n_points) - 1
         self._flats = None
         self._flat_dims = None
-        self._lines_through = None
         self._point_quotients = {}
         self._predicate_cache = {}
         self._closure_memo = {}
@@ -217,14 +261,13 @@ class FiniteGeometry:
     def hyperplanes(self):
         return self.rank_flats(self.dim() - 1)
 
+    @functools.cached_property
+    def incidence(self):
+        """The incidence index of points, lines and planes; built once."""
+        return Incidence(self)
+
     def lines_through(self, i):
-        if self._lines_through is None:
-            table = [[] for _ in range(self.n_points)]
-            for m in self.lines():
-                for x in bits_of(m):
-                    table[x].append(m)
-            self._lines_through = [tuple(v) for v in table]
-        return self._lines_through[i]
+        return self.incidence.lines_through[i]
 
     def line_through_pair(self, i, j):
         return self.closure_mask((1 << i) | (1 << j))

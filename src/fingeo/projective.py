@@ -238,13 +238,9 @@ def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
 
     # P1
     p1 = True
-    pair_count = {}
-    for line in lines:
-        pts = list(bits_of(line))
-        for a, b in itertools.combinations(pts, 2):
-            pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
+    point_lines = G.incidence.point_lines
     for a, b in itertools.combinations(range(n), 2):
-        c = pair_count.get((a, b), 0)
+        c = (point_lines[a] & point_lines[b]).bit_count()
         if c != 1:
             p1 = False
             witnesses["p1"] = {"points": [a, b], "lines_through": c}
@@ -257,9 +253,9 @@ def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
 
     # P3
     if p1 and n > 16:
-        p3, w = _veblen_young_fast(G, lines)
+        p3, w = _veblen_young_fast(G)
     else:
-        p3, w = _veblen_young_literal(G, lines)
+        p3, w = _veblen_young_literal(G)
     if not p3:
         witnesses["p3"] = w
 
@@ -285,24 +281,21 @@ def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
     return ProjectiveReport(p1, p2, p3, dim_ok, irreducible, witnesses, note)
 
 
-def _veblen_young_literal(G, lines):
+def _veblen_young_literal(G):
     """If a line meets two sides of a triangle off the common vertex, it
     meets the third side; checked over all triangles and lines."""
-    n = G.n_points
-    line_of = {}
-    for m in lines:
-        for a, b in itertools.combinations(bits_of(m), 2):
-            line_of.setdefault((a, b), m)
-    for tri in itertools.combinations(range(n), 3):
+    inc = G.incidence
+    line_of = inc.line_of
+    for tri in itertools.combinations(range(G.n_points), 3):
         a, b, c = tri
-        lab = line_of.get((a, b))
-        lbc = line_of.get((b, c))
-        lac = line_of.get((a, c))
+        lab = line_of(a, b)
+        lbc = line_of(b, c)
+        lac = line_of(a, c)
         if lab is None or lbc is None or lac is None:
             continue
         if lab >> c & 1:
             continue  # degenerate triangle
-        for m in lines:
+        for m in inc.lines:
             if m >> b & 1:
                 continue
             if m & lab and m & lbc and not m & lac:
@@ -310,17 +303,11 @@ def _veblen_young_literal(G, lines):
     return True, None
 
 
-def _veblen_young_fast(G, lines):
+def _veblen_young_fast(G):
     """Equivalent sweep when two points always span one line: for lines L1,
     L2 crossing at b, all the lines joining L1 - b to L2 - b pairwise meet."""
-    n = G.n_points
-    line_of = {}
-    for m in lines:
-        for a, c in itertools.combinations(bits_of(m), 2):
-            line_of[(a, c)] = m
-    lines_through = [G.lines_through(i) for i in range(n)]
-    for b in range(n):
-        through = lines_through[b]
+    inc = G.incidence
+    for b, through in enumerate(inc.lines_through):
         bbit = 1 << b
         for i, l1 in enumerate(through):
             pts1 = [x for x in bits_of(l1 & ~bbit)]
@@ -329,7 +316,7 @@ def _veblen_young_fast(G, lines):
                 cross = set()
                 for a in pts1:
                     for c in pts2:
-                        cross.add(line_of[(a, c) if a < c else (c, a)])
+                        cross.add(inc.line_of(a, c))
                 cross = sorted(cross)
                 for j, m1 in enumerate(cross):
                     for m2 in cross[j + 1 :]:

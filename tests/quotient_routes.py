@@ -13,14 +13,25 @@ at every point instead.
 The reconstruction legs: the library runs them on X's point quotient (or
 its quotient by a fiber).  ref_lp_leg and ref_affino_leg project every
 point of X by hand into a freshly built PG(V/W) instead.
+
+The incidence checks: the library reads the lp axioms, the P1 and
+Veblen-Young sweeps of the projective axioms and the coplanarity of lines
+off one incidence index per geometry.  ref_lp_axioms,
+ref_projective_axioms and ref_coplanarity are the routes that came before
+it, kept literally: each builds its own pair-to-line table or scans every
+line per plane.
 """
+
+import itertools
 
 from fingeo import linalg
 from fingeo.classify import Verdict, ambient_view
-from fingeo.errors import InternalContradiction, NoBasePair, NotConstantOnClasses
-from fingeo.geometry import bits_of, subgeometry
+from fingeo.errors import InternalContradiction, NoBasePair, NotConstantOnClasses, SizeLimit
+from fingeo.geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of, subgeometry
 from fingeo.projective import (
+    FLAT_PAIR_LIMIT,
     LinearSubspace,
+    ProjectiveReport,
     SemilinearMap,
     build_pg,
     check_projective_axioms,
@@ -169,3 +180,284 @@ def ref_affino_leg(inst, xi):
     C = linalg.mat_mul(K, qcF.proj_matrix, qc1.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
     return SemilinearMap(psiF.sigma, A)
+
+
+def ref_lp_axioms(X) -> Verdict:
+    """Incidence axioms on X's points, lines and planes: unique joining
+    line/plane, lines inside planes, and the plane-intersection axiom; on
+    three-dimensional geometries also the two-plane form and the existence
+    of four non-coplanar points."""
+    lines = X.lines()
+    planes = X.planes()
+    n = X.n_points
+    results = {}
+    witnesses = []
+
+    line_of = {}
+    ok = True
+    for m in lines:
+        for a, b in itertools.combinations(bits_of(m), 2):
+            if (a, b) in line_of:
+                ok = False
+                witnesses.append({"axiom": "lp1", "points": [a, b]})
+            line_of[(a, b)] = m
+    for a, b in itertools.combinations(range(n), 2):
+        if (a, b) not in line_of:
+            ok = False
+            witnesses.append({"axiom": "lp1", "points": [a, b]})
+    results["lp1"] = ok  # every line has a two-point basis
+
+    plane_of = {}
+    ok = True
+    for m in planes:
+        found3 = False
+        for tri in itertools.combinations(bits_of(m), 3):
+            la = line_of.get((tri[0], tri[1]))
+            if la is not None and not la >> tri[2] & 1:
+                found3 = True
+                key = tri
+                if key in plane_of and plane_of[key] != m:
+                    ok = False
+                    witnesses.append({"axiom": "lp2", "points": list(tri)})
+                plane_of[key] = m
+        if not found3:
+            ok = False
+            witnesses.append({"axiom": "lp2", "plane": sorted(bits_of(m))})
+    plane_set = set(planes)
+    for tri in itertools.combinations(range(n), 3):
+        la = line_of.get((tri[0], tri[1]))
+        if la is None or la >> tri[2] & 1:
+            continue
+        pm = X.closure_mask(mask_of(tri))
+        if pm not in plane_set:
+            ok = False
+            witnesses.append({"axiom": "lp2", "points": list(tri)})
+    results["lp2"] = ok
+
+    ok = True
+    for m in planes:
+        for a, b in itertools.combinations(bits_of(m), 2):
+            la = line_of.get((a, b))
+            if la is not None and la & ~m:
+                ok = False
+                witnesses.append({"axiom": "lp3", "plane": sorted(bits_of(m)), "points": [a, b]})
+    results["lp3"] = ok
+
+    # plane pairs through an outside point: (L1 v x) & (L2 v x) is a line
+    ok = True
+    for pm in planes:
+        plane_lines = [m for m in lines if m & ~pm == 0]
+        outside = list(bits_of(X.full_mask & ~pm))
+        for l1, l2 in itertools.combinations(plane_lines, 2):
+            for x in outside:
+                j1 = X.closure_mask(l1 | (1 << x))
+                j2 = X.closure_mask(l2 | (1 << x))
+                inter = j1 & j2
+                if X.flat_dim(inter) != 1:
+                    ok = False
+                    witnesses.append(
+                        {
+                            "axiom": "lp4",
+                            "lines": [sorted(bits_of(l1)), sorted(bits_of(l2))],
+                            "point": x,
+                        }
+                    )
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    results["lp4"] = ok
+
+    if X.dim() == 3:
+        ok = True
+        for m1, m2 in itertools.combinations(planes, 2):
+            inter = m1 & m2
+            if inter and X.flat_dim(inter) != 1:
+                ok = False
+                witnesses.append(
+                    {"axiom": "lp4prime", "planes": [sorted(bits_of(m1)), sorted(bits_of(m2))]}
+                )
+        results["lp4prime"] = ok
+        # a greedy basis of X is four points whose closure, X, has dimension 3
+        results["lp5"] = True
+
+    verdict = all(results.values())
+    out = Verdict("lp_axioms", verdict, witnesses)
+    out.certificates = results
+    return out
+
+
+def ref_projective_axioms(G) -> ProjectiveReport:
+    """Point/line/triangle axioms plus the dimension formula on all flat pairs
+    (nested pairs are skipped: they cannot violate it).
+
+    The triangle (Veblen-Young) sweep runs literally on small universes.  When
+    the two-points-one-line axiom holds, the sweep is equivalently organised
+    per pair of concurrent lines: every two lines that each meet both legs off
+    the crossing point must themselves meet; that form is exhaustive and far
+    cheaper on the larger spaces.
+    """
+    flats = G.flats()
+    if len(flats) * (len(flats) + 1) // 2 > FLAT_PAIR_LIMIT:
+        raise SizeLimit("flat-pair sweep beyond limit")
+    witnesses = {}
+    lines = G.lines()
+    n = G.n_points
+
+    # P1
+    p1 = True
+    pair_count = {}
+    for line in lines:
+        pts = list(bits_of(line))
+        for a, b in itertools.combinations(pts, 2):
+            pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
+    for a, b in itertools.combinations(range(n), 2):
+        c = pair_count.get((a, b), 0)
+        if c != 1:
+            p1 = False
+            witnesses["p1"] = {"points": [a, b], "lines_through": c}
+            break
+
+    # P2
+    p2 = all(line.bit_count() >= 2 for line in lines)
+    if not p2:
+        witnesses["p2"] = {"short_line": sorted(bits_of(min(lines, key=int.bit_count)))}
+
+    # P3
+    if p1 and n > 16:
+        p3, w = ref_veblen_young_fast(G, lines)
+    else:
+        p3, w = ref_veblen_young_literal(G, lines)
+    if not p3:
+        witnesses["p3"] = w
+
+    # dimension formula over all flat pairs
+    dim_ok = True
+    empty_meet_only = True
+    for m1, m2, lhs, rhs in dim_formula_violations(G, flats):
+        if dim_ok:
+            witnesses["dim_formula"] = {
+                "s1": sorted(bits_of(m1)),
+                "s2": sorted(bits_of(m2)),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        dim_ok = False
+        if m1 & m2:
+            empty_meet_only = False
+    irreducible = all(line.bit_count() >= 3 for line in lines)
+    note = ""
+    if p1 and p2 and not dim_ok and empty_meet_only:
+        # every violation involves a disjoint pair: parallel-type failures only
+        note = "not projective, locally projective candidate"
+    return ProjectiveReport(p1, p2, p3, dim_ok, irreducible, witnesses, note)
+
+
+def ref_veblen_young_literal(G, lines):
+    """If a line meets two sides of a triangle off the common vertex, it
+    meets the third side; checked over all triangles and lines."""
+    n = G.n_points
+    line_of = {}
+    for m in lines:
+        for a, b in itertools.combinations(bits_of(m), 2):
+            line_of.setdefault((a, b), m)
+    for tri in itertools.combinations(range(n), 3):
+        a, b, c = tri
+        lab = line_of.get((a, b))
+        lbc = line_of.get((b, c))
+        lac = line_of.get((a, c))
+        if lab is None or lbc is None or lac is None:
+            continue
+        if lab >> c & 1:
+            continue  # degenerate triangle
+        for m in lines:
+            if m >> b & 1:
+                continue
+            if m & lab and m & lbc and not m & lac:
+                return False, {"triangle": list(tri), "line": sorted(bits_of(m))}
+    return True, None
+
+
+def ref_veblen_young_fast(G, lines):
+    """Equivalent sweep when two points always span one line: for lines L1,
+    L2 crossing at b, all the lines joining L1 - b to L2 - b pairwise meet."""
+    n = G.n_points
+    line_of = {}
+    for m in lines:
+        for a, c in itertools.combinations(bits_of(m), 2):
+            line_of[(a, c)] = m
+    lines_through = [G.lines_through(i) for i in range(n)]
+    for b in range(n):
+        through = lines_through[b]
+        bbit = 1 << b
+        for i, l1 in enumerate(through):
+            pts1 = [x for x in bits_of(l1 & ~bbit)]
+            for l2 in through[i + 1 :]:
+                pts2 = [x for x in bits_of(l2 & ~bbit)]
+                cross = set()
+                for a in pts1:
+                    for c in pts2:
+                        cross.add(line_of[(a, c) if a < c else (c, a)])
+                cross = sorted(cross)
+                for j, m1 in enumerate(cross):
+                    for m2 in cross[j + 1 :]:
+                        if not m1 & m2:
+                            return False, {
+                                "vertex": b,
+                                "legs": [sorted(bits_of(l1)), sorted(bits_of(l2))],
+                                "lines": [sorted(bits_of(m1)), sorted(bits_of(m2))],
+                            }
+    return True, None
+
+
+def ref_coplanarity(X):
+    """The lines of X, one coplanarity bitset per line, and co(i, k) for
+    coplanar lines i and k; a coordinate geometry scans every line against
+    every plane, a table geometry closes every pair."""
+    lines = X.lines()
+    nl = len(lines)
+    adj = [0] * nl
+    if isinstance(X, CoordGeometry):
+        planes_of = [0] * nl
+        cliques = []
+        for p, pm in enumerate(X.planes()):
+            clique = 0
+            for i, m in enumerate(lines):
+                if m & ~pm == 0:
+                    clique |= 1 << i
+                    planes_of[i] |= 1 << p
+            cliques.append(clique)
+            for i in bits_of(clique):
+                adj[i] |= clique & ~(1 << i)
+
+        def in_common_plane(i, k):
+            m = 0
+            for p in bits_of(planes_of[i] & planes_of[k]):
+                m |= cliques[p]
+            return m
+
+    else:
+
+        def coplanar(m):
+            return X.flat_dim(X.closure_mask(m)) <= 2
+
+        for i, j in itertools.combinations(range(nl), 2):
+            if coplanar(lines[i] | lines[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+        def in_common_plane(i, k):
+            ik = X.closure_mask(lines[i] | lines[k])
+            return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
+
+    memo = {}
+
+    def co(i, k):
+        key = (i, k) if i < k else (k, i)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = in_common_plane(i, k) & adj[i] & adj[k]
+        return got
+
+    return lines, adj, co

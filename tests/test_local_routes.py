@@ -14,20 +14,29 @@ skips nested pairs.  Both must report exactly what the full sweep reports,
 witnesses included, also on random subgeometries of PG(4,2) and PG(5,2)
 (which have 3-flats other than X) and on the PG(3,2) tables with one plane
 removed.
+
+The lp axioms, the projective axioms and the bundle condition read one
+incidence index per geometry.  Their reports must be byte-identical to the
+literal routes that built their own partial indices, on all of the above
+and on three tables that are not geometries.
 """
 
 import functools
+import json
 import random
 
 import pytest
 
-from fingeo import projective
+from fingeo import classify, projective
 from fingeo.classify import (
     ambient_view,
+    check_bundle_theorem,
+    check_lp_axioms,
     has_enough_points,
     is_locally_affino_projective,
     is_locally_projective,
 )
+from fingeo.errors import DimensionTooLow
 from fingeo.gallery import EXAMPLE_NAMES, build_example
 from fingeo.geometry import (
     CoordGeometry,
@@ -39,8 +48,11 @@ from fingeo.geometry import (
 from fingeo.gf import gf
 from fingeo.projective import build_pg
 from quotient_routes import (
+    ref_coplanarity,
     ref_dim_formula_violations,
     ref_locally_projective,
+    ref_lp_axioms,
+    ref_projective_axioms,
     ref_quotient_affino,
     ref_quotient_line_form,
     ref_quotient_projective,
@@ -67,12 +79,22 @@ TABLES = {
         6, [a | b for a in (0, 0b1, 0b10, 0b100, 0b111) for b in (0, 0b1000, 0b10000, 0b100000, 0b111000)]
     ),
 }
+# tables that are not geometries: {0, 1} is the least flat through 0 and
+# both lines hold the pair 0, 1, also with a plane holding only the first
+# line; and test_classify's table with no line through 3
+ODD_TABLES = {
+    "shared-pair": TableGeometry(4, [0, 0b0011, 0b0111, 0b1011, 0b1111]),
+    "pair-off-plane": TableGeometry(5, [0, 0b00011, 0b00111, 0b01011, 0b10111, 0b11111]),
+    "broken": TableGeometry(4, [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0111, 0b1111]),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def geometry(case):
     if case in TABLES:
         return TABLES[case]
+    if case in ODD_TABLES:
+        return ODD_TABLES[case]
     if case.startswith("random-"):
         P = build_pg(3, 3)
         rng = random.Random(int(case.split("-")[1]))
@@ -195,3 +217,73 @@ def test_projective_axioms_match_full_sweep(case, monkeypatch):
     got = projective.check_projective_axioms(G).as_dict()
     monkeypatch.setattr(projective, "dim_formula_violations", ref_dim_formula_violations)
     assert got == projective.check_projective_axioms(G).as_dict()
+
+
+INCIDENCE_CASES = CASES + HIGHER + PLANE_REMOVED + list(ODD_TABLES)
+
+
+def dumps(report):
+    return json.dumps(report.as_dict())
+
+
+@pytest.mark.parametrize("case", INCIDENCE_CASES)
+def test_lp_axioms_match_literal_route(case):
+    X = geometry(case)
+    assert dumps(check_lp_axioms(X)) == dumps(ref_lp_axioms(X))
+
+
+@pytest.mark.parametrize("case", INCIDENCE_CASES)
+def test_projective_axioms_match_literal_route(case):
+    G = geometry(case)
+    assert dumps(projective.check_projective_axioms(G)) == dumps(ref_projective_axioms(G))
+
+
+def bundle_report(X):
+    try:
+        return dumps(check_bundle_theorem(X))
+    except DimensionTooLow as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", INCIDENCE_CASES)
+def test_bundle_theorem_matches_literal_route(case, monkeypatch):
+    X = geometry(case)
+    got = bundle_report(X)
+    monkeypatch.setattr(classify, "_coplanarity", ref_coplanarity)
+    assert got == bundle_report(X)
+
+
+def test_lp_cases_cover_every_axiom():
+    """Each lp axiom fails somewhere in the cases, lp4 also on a coordinate
+    geometry."""
+    failed = set()
+    for case in INCIDENCE_CASES:
+        X = geometry(case)
+        for w in check_lp_axioms(X).witnesses:
+            failed.add((w["axiom"], isinstance(X, CoordGeometry)))
+    assert {"lp1", "lp2", "lp3", "lp4", "lp4prime"} <= {axiom for axiom, _ in failed}
+    assert ("lp4", True) in failed
+
+
+def test_shared_pair_table_reports():
+    """lp1 reports the pair both lines hold, then the pair no line holds;
+    P1 reports the first."""
+    X = geometry("shared-pair")
+    lp1 = [w["points"] for w in check_lp_axioms(X).witnesses if w["axiom"] == "lp1"]
+    assert lp1 == [[0, 1], [2, 3]]
+    assert projective.check_projective_axioms(X).witnesses["p1"] == {"points": [0, 1], "lines_through": 2}
+
+
+@pytest.mark.parametrize("case", PLANE_REMOVED)
+def test_quotient_line_form_on_plane_removed_tables(case):
+    X = geometry(case)
+    assert has_enough_points(X).certificates["quotient_line_form"] is ref_quotient_line_form(X)
+
+
+def test_quotient_line_form_on_shared_pair_table():
+    """The routes part here.  The plane holds two lines through 0, so the
+    count fails; the quotient route divides by {0}, which is not a flat,
+    and passes."""
+    X = geometry("shared-pair")
+    assert has_enough_points(X).certificates["quotient_line_form"] is False
+    assert ref_quotient_line_form(X) is True
