@@ -8,8 +8,9 @@ coordinate geometries (points carry homogeneous coordinates, closure is
 linear-span trace), table geometries (an explicit closed-set family), and
 quotient geometries (classes of x v E over a parent).  A quotient of a
 coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
-so every coordinate backend shares one closure kernel; only quotients of
-table geometries close through their parent.
+so every coordinate backend shares one closure kernel and one flat
+enumeration: its flats are the traces of the subspaces of K^n, listed once
+each.  Only quotients of table geometries close through their parent.
 
 Everything is immutable after construction; the flat cache and the
 incidence index are built once on first demand and only read afterwards.
@@ -298,13 +299,13 @@ class CoordGeometry(FiniteGeometry):
     linalg.annihilator reads those forms off the span's RREF rows, already
     normalised, and the bitmask of each form is computed once per geometry.
 
-    Flats come from a covering sweep (see _build_flats) that skips every
-    point of a new flat, which is sound only for span traces.  The embedding
-    is read off the coordinates: the points are distinct points of
-    PG(ncoords - 1, q), so is_full_pg follows from the point count, ambient
-    is that projective space (the geometry itself when full, built on first
-    use otherwise) and ambient_indices places each point in it.  A quotient
-    with at most one class is full, so it never asks for PG(0, q).
+    The flats are the traces of the subspaces of K^n (see _build_flats).
+    The embedding is read off the coordinates: the points are distinct
+    points of PG(ncoords - 1, q), so is_full_pg follows from the point
+    count, ambient is that projective space (the geometry itself when full,
+    built on first use otherwise) and ambient_indices places each point in
+    it.  A quotient with at most one class is full, so it never asks for
+    PG(0, q).
     """
 
     def __init__(self, K: GF, vectors, name=None):
@@ -339,16 +340,33 @@ class CoordGeometry(FiniteGeometry):
         """RREF basis of the span of the points in mask."""
         return linalg.rref(self.field, [self.vectors[i] for i in bits_of(mask)])
 
+    @functools.cached_property
+    def _value_masks(self):
+        """masks[i][a]: the points whose coordinate i is a."""
+        masks = [[0] * self.field.q for _ in range(self.ncoords)]
+        for x, v in enumerate(self.vectors):
+            for i, a in enumerate(v):
+                masks[i][a] |= 1 << x
+        return masks
+
     def form_mask(self, form):
-        """Points on which the linear form vanishes; memoised per form."""
+        """Points on which the linear form vanishes; memoised per form.  The
+        points are split by partial dot product, one nonzero coefficient at
+        a time: parts[s] holds the points whose sum so far is s."""
         got = self._form_masks.get(form)
         if got is None:
             K = self.field
-            got = 0
-            for i, v in enumerate(self.vectors):
-                if not linalg.dot(K, form, v):
-                    got |= 1 << i
-            self._form_masks[form] = got
+            parts = [self.full_mask] + [0] * (K.q - 1)
+            for c, masks in zip(form, self._value_masks):
+                if c:
+                    nxt = [0] * K.q
+                    for s, pm in enumerate(parts):
+                        if pm:
+                            add_s = K._add[s]
+                            for ca, am in zip(K._mul[c], masks):
+                                nxt[add_s[ca]] |= pm & am
+                    parts = nxt
+            got = self._form_masks[form] = parts[0]
         return got
 
     def trace_mask(self, rows, pivots):
@@ -373,37 +391,15 @@ class CoordGeometry(FiniteGeometry):
         return linalg.rank(self.field, self.flat_rows(m1)[0] + self.flat_rows(m2)[0]) - 1
 
     def _build_flats(self):
-        """Covering sweep: extend each flat's basis by one outside point x.
-        Every other point of the resulting flat gives the same span, so all
-        of them leave the points still to visit.  That skip needs span
-        traces: a point y of the new flat outside the old one lies in the
-        span of flat + x but not in the flat's span, so flat + y spans the
-        same space.  Table geometries have no such guarantee, which is why
-        the generic sweep visits every point."""
-        K = self.field
-        rows_of = {0: ((), ())}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for fmask in frontier:
-                rows, pivots = rows_of[fmask]
-                rest = self.full_mask & ~fmask
-                while rest:
-                    x = (rest & -rest).bit_length() - 1
-                    basis = linalg.rref_extend(K, rows, pivots, self.vectors[x])
-                    t = self.trace_mask(*basis)
-                    rest &= ~t
-                    if t not in rows_of:
-                        rows_of[t] = basis
-                        nxt.append(t)
-            frontier = nxt
+        """A flat is the trace of its span, and that span is the least
+        subspace with that trace: so listing every subspace of K^n by rank
+        and keeping each trace at its first rank gives every flat with its
+        RREF basis."""
+        rows_of = {}
+        for basis in linalg.subspaces(self.field, self.ncoords):
+            rows_of.setdefault(self.trace_mask(*basis), basis)
         self._flat_rows.update(rows_of)
         self._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
-
-    def _dim_of(self, mask):
-        # nested flats of a span-trace geometry have strictly nested spans,
-        # so geometric dimension equals span rank - 1
-        return len(self.span_rows(mask)[0]) - 1
 
     def label(self):
         if self._name:
@@ -459,6 +455,8 @@ class QuotientGeometry(_QuotientClasses, FiniteGeometry):
     representative."""
 
     def __init__(self, parent, e_mask):
+        if parent.closure_mask(e_mask) != e_mask:
+            raise ExceptionalNotFlat("E is not a flat of the parent")
         class_map = {}
         for x in bits_of(parent.full_mask & ~e_mask):
             key = parent.closure_mask(e_mask | (1 << x))
@@ -615,11 +613,11 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
 
     The closure operator itself is checked (extensive, monotone, idempotent)
     on singletons, cached flats and CLOSURE_SAMPLES seeded subsets.  The
-    exchange axiom is checked for every (flat, outside point) pair; for
-    span-trace geometries, coordinate quotients included, strictly nested
-    flats have strictly nested spans, so the sweep verifies rank
-    increments, while table geometries and their quotients get the literal
-    interval scan.
+    exchange axiom holds on every span-trace geometry, coordinate quotients
+    included: a point outside a flat lies outside its span, and strictly
+    nested flats have strictly nested spans.  Table geometries and their
+    quotients get the literal interval scan of every (flat, outside point)
+    pair.
     """
     witnesses = {}
     flats = G.flats()
@@ -671,27 +669,15 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
             witnesses["g2"] = [sorted(bits_of(m1)), sorted(bits_of(m2))]
             break
 
-    # G3
+    # G3 holds on span traces (see above); other geometries scan intervals
     g3 = True
-    if isinstance(G, CoordGeometry):
-        for s in flats:
-            srows, spiv = G.flat_rows(s)
-            for x in bits_of(full & ~s):
-                rows2, _ = linalg.rref_extend(G.field, srows, spiv, G.vectors[x])
-                if len(rows2) != len(srows) + 1:
-                    g3 = False  # unreachable for span traces; kept as a guard
-                    witnesses["g3"] = {"flat": sorted(bits_of(s)), "point": x}
-                    break
-            if not g3:
-                break
-    else:
-        by_size = sorted(flats, key=lambda m: m.bit_count())
+    if not isinstance(G, CoordGeometry):
         for s in flats:
             if not g3:
                 break
             for x in bits_of(full & ~s):
                 t = cl(s | (1 << x))
-                for cand in by_size:
+                for cand in flats:
                     if cand != s and cand != t and s & ~cand == 0 and cand & ~t == 0:
                         g3 = False
                         witnesses["g3"] = {

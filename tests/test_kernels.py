@@ -1,10 +1,11 @@
-"""Differential tests for the coordinate closure kernel, the covering flat
-sweep, forward-elimination rank, the plane-derived coplanarity graph and
-the bitset bundle sweeps.
+"""Differential tests for the coordinate closure kernel, the value-mask
+form masks, the subspace flat enumeration, forward-elimination rank, the
+plane-derived coplanarity graph and the bitset bundle sweeps.
 
 The literal algorithms they replaced are kept here as references: a
-per-point in_span trace of the span, the generic quotient closure through
-the parent, the generic flat sweep, rank as the length of the RREF,
+per-point in_span trace of the span, a per-point dot product for each
+form, the generic quotient closure through the parent, the generic flat
+sweep and the coordinate covering sweep, rank as the length of the RREF,
 coplanarity by closing pairs and triples of lines, and the bundle check and
 bundle certification over every itertools.combinations 4-tuple.
 """
@@ -37,6 +38,7 @@ from fingeo.geometry import (
     TableGeometry,
     bits_of,
     mask_of,
+    quotient_geometry,
     subgeometry,
 )
 from fingeo.projective import build_pg
@@ -125,6 +127,35 @@ def test_coordinate_quotient_needs_a_flat(pg32):
         CoordQuotient(pg32, 0b11)
 
 
+def test_table_quotient_needs_a_flat():
+    # {0} closes to {0, 1}, so it is not a flat of the table
+    G = TableGeometry(4, [0, 0b0011, 0b0111, 0b1011, 0b1111])
+    with pytest.raises(ExceptionalNotFlat):
+        quotient_geometry(G, 0b0001)
+    with pytest.raises(ExceptionalNotFlat):
+        G.point_quotient(0)
+    assert quotient_geometry(G, 0b0011).n_points == 2
+
+
+def literal_form_mask(G, form):
+    """Points on which the form vanishes, one dot product per point."""
+    return mask_of(i for i, v in enumerate(G.vectors) if not linalg.dot(G.field, form, v))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_form_mask_matches_dot_loop(q):
+    rng = random.Random(f"form masks {q}")
+    P = build_pg(3, q) if q <= 4 else build_pg(2, q)
+    X = subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, min(P.n_points, 60))))
+    for G in (X, CoordQuotient(X, 1 << rng.randrange(X.n_points))):
+        forms = [(0,) * G.ncoords]
+        for _ in range(40):
+            density = rng.choice((0.4, 0.8, 1.0))
+            forms.append(tuple(rng.randrange(1, q) if rng.random() < density else 0 for _ in range(G.ncoords)))
+        for form in forms:
+            assert G.form_mask(form) == literal_form_mask(G, form), form
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_covering_sweep_matches_generic_sweep(kernel_geometries, name):
     G = fresh_copy(kernel_geometries[name])
@@ -143,6 +174,77 @@ def test_covering_sweep_on_quotients(pg33, elliptic_34):
         ref = QuotientGeometry(G, 1)
         assert Q.flats() == ref.flats()
         assert Q._flat_dims == ref._flat_dims
+
+
+def ref_covering_flats(G):
+    """The covering sweep that enumerated the flats of a coordinate geometry
+    before the subspace enumeration, kept verbatim: extend each flat's basis
+    by one outside point x.  Every other point of the resulting flat gives
+    the same span, so all of them leave the points still to visit."""
+    K = G.field
+    rows_of = {0: ((), ())}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for fmask in frontier:
+            rows, pivots = rows_of[fmask]
+            rest = G.full_mask & ~fmask
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                basis = linalg.rref_extend(K, rows, pivots, G.vectors[x])
+                t = G.trace_mask(*basis)
+                rest &= ~t
+                if t not in rows_of:
+                    rows_of[t] = basis
+                    nxt.append(t)
+        frontier = nxt
+    G._flat_rows.update(rows_of)
+    G._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
+
+
+def assert_flats_match_covering_sweep(make):
+    """Two fresh geometries from make: one enumerates its flats, the other
+    runs the covering sweep; the flats, their dimensions, the flats of
+    each dimension and the stored bases agree."""
+    G, ref = make(), make()
+    ref_covering_flats(ref)
+    assert G.flats() == ref.flats(), G.label()
+    assert G._flat_dims == ref._flat_dims, G.label()
+    for d in range(-1, ref.dim() + 2):
+        assert G.rank_flats(d) == ref.rank_flats(d), (G.label(), d)
+    assert G._flat_rows == ref._flat_rows, G.label()
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_flats_match_covering_sweep_on_gallery(q):
+    for name in EXAMPLE_NAMES:
+        if name == "subfield-complement" and q in (2, 3, 5):
+            continue  # no proper subfield to embed
+        X = build_example(name, gf(q))
+        assert_flats_match_covering_sweep(functools.partial(fresh_copy, X))
+
+
+@pytest.mark.parametrize("n, q", ((3, 3), (4, 2), (5, 2)))
+def test_flats_match_covering_sweep_on_random_subgeometries(n, q):
+    P = build_pg(n, q)
+    rng = random.Random(f"subgeometry flats {n} {q}")
+    for _ in range(6):
+        idx = rng.sample(range(P.n_points), rng.randrange(4, P.n_points))
+        assert_flats_match_covering_sweep(functools.partial(subgeometry, P, idx))
+
+
+@pytest.mark.parametrize("n, q", ((3, 2), (3, 3), (4, 2)))
+def test_flats_match_covering_sweep_on_quotients(n, q):
+    P = build_pg(n, q)
+    rng = random.Random(f"quotient flats {n} {q}")
+    x = rng.randrange(P.n_points)
+    for e_mask in (1 << x, rng.choice(P.lines_through(x))):
+        assert_flats_match_covering_sweep(functools.partial(CoordQuotient, P, e_mask))
+
+
+def test_flats_match_covering_sweep_on_quadric_quotients(elliptic_33, cone_34):
+    for X in (elliptic_33, cone_34):
+        assert_flats_match_covering_sweep(functools.partial(CoordQuotient, X, 1))
 
 
 def covering_sweep(G):

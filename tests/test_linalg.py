@@ -125,6 +125,28 @@ def test_rref_extend_matches_rref():
         assert (r2, p2) == expect
 
 
+def gaussian_binomial(n, r, q):
+    num = den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_subspaces_once_each_by_rank(q):
+    K = gf(q)
+    for n in range(5 if q <= 4 else 4):
+        listed = list(linalg.subspaces(K, n))
+        ranks = [len(rows) for rows, _ in listed]
+        assert ranks == sorted(ranks)
+        for r in range(n + 1):
+            assert ranks.count(r) == gaussian_binomial(n, r, q), (n, r)
+        for rows, pivots in listed:
+            assert linalg.rref(K, rows) == (rows, pivots)
+        assert len(set(listed)) == len(listed)
+
+
 def test_sigma_matrix_twist():
     K = gf(4)
     frob = hom_from_power(K, K, 1)

@@ -36,7 +36,7 @@ from fingeo.classify import (
     is_locally_affino_projective,
     is_locally_projective,
 )
-from fingeo.errors import DimensionTooLow
+from fingeo.errors import DimensionTooLow, ExceptionalNotFlat
 from fingeo.gallery import EXAMPLE_NAMES, build_example
 from fingeo.geometry import (
     CoordGeometry,
@@ -281,9 +281,9 @@ def test_quotient_line_form_on_plane_removed_tables(case):
 
 
 def test_quotient_line_form_on_shared_pair_table():
-    """The routes part here.  The plane holds two lines through 0, so the
-    count fails; the quotient route divides by {0}, which is not a flat,
-    and passes."""
+    """The plane holds two lines through 0, so the count fails; the
+    quotient route would divide by {0}, which is not a flat, and raises."""
     X = geometry("shared-pair")
     assert has_enough_points(X).certificates["quotient_line_form"] is False
-    assert ref_quotient_line_form(X) is True
+    with pytest.raises(ExceptionalNotFlat):
+        ref_quotient_line_form(X)
