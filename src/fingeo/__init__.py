@@ -53,7 +53,6 @@ from .projective import (
     decompose_irreducible,
     induced_partial,
     proportional,
-    quotient_iso,
 )
 from . import classify, gallery, reconstruct, serialize
 from .reconstruct import (

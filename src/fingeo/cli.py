@@ -250,36 +250,32 @@ def build_parser():
     p = argparse.ArgumentParser(prog="fingeo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--limit", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--witnesses", action="store_true")
-        sp.add_argument("--out", default=None)
-
     sp = sub.add_parser("make-example", help="construct a gallery geometry")
     sp.add_argument("--name", required=True, choices=EXAMPLE_NAMES)
     sp.add_argument("--field", required=True)
     sp.add_argument("--dim", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_make_example, needs_out=True)
+    sp.add_argument("--out", required=True)
+    sp.set_defaults(fn=cmd_make_example)
 
     sp = sub.add_parser("check", help="geometry or projective axioms")
     sp.add_argument("--axioms", choices=("g", "p"), required=True)
     sp.add_argument("--geometry", required=True)
-    common(sp)
+    sp.add_argument("--witnesses", action="store_true")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("classify", help="classification predicates")
     sp.add_argument("--geometry", required=True)
     sp.add_argument("--ambient", default=None)
     sp.add_argument("--predicate", default=None)
-    common(sp)
+    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--witnesses", action="store_true")
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("quotient", help="quotient by a flat")
     sp.add_argument("--geometry", required=True)
     sp.add_argument("--flat", default="")
-    common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_quotient)
 
     sp = sub.add_parser("reconstruct", help="recover the inducing semilinear map")
@@ -287,25 +283,22 @@ def build_parser():
     sp.add_argument("--map", required=True)
     sp.add_argument("--kind", choices=("pg", "lp", "ap", "lap"), required=True)
     sp.add_argument("--target", default=None)
-    common(sp)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("oracle", help="exhaustive semilinear map search")
     sp.add_argument("--geometry", required=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--target", default=None)
-    common(sp)
+    sp.add_argument("--limit", type=int, default=None)
     sp.set_defaults(fn=cmd_oracle)
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.echo = ["fingeo"] + argv
-    if getattr(args, "needs_out", False) and not args.out:
-        parser.error("--out is required for make-example")
     t0 = time.time()
     args.report = None
     try:

@@ -85,6 +85,10 @@ class NoBasePair(FingeoError):
     pass
 
 
+class NotEnoughPoints(FingeoError):
+    """A plane of the geometry has no quadrilateral."""
+
+
 class FieldClauseViolated(FingeoError):
     pass
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -527,10 +528,7 @@ def subgeometry(G: FiniteGeometry, points) -> FiniteGeometry:
     shrunk = []
     for m in table:
         shrunk.append(mask_of(remap[i] for i in bits_of(m)))
-    sub = TableGeometry(len(idx), shrunk, name=f"sub({G.label()})")
-    sub._parent = G
-    sub._parent_indices = tuple(idx)
-    return sub
+    return TableGeometry(len(idx), shrunk, name=f"sub({G.label()})")
 
 
 def basis_of(G: FiniteGeometry, S: Flat, generators) -> tuple:
@@ -738,28 +736,37 @@ class PartialMorphism:
         return self.source.full_mask & ~self.exceptional.mask
 
     def validate(self):
-        """Check the two defining conditions; raises on failure."""
+        """Check the defining conditions by definition: undefined exactly
+        on E, constant on each class x v E, and every target-flat preimage
+        under the restriction to source - E is a flat of that subgeometry.
+        Raises NotConstantOnClasses naming the first failure."""
         e = self.exceptional.mask
         for i, y in enumerate(self.map):
             if (y is None) != bool(e >> i & 1):
                 raise NotConstantOnClasses("definedness does not match the exceptional flat")
-        # constant on classes of x v E
-        seen = {}
-        for i, y in enumerate(self.map):
-            if y is None:
-                continue
-            key = self.source.closure_mask(e | (1 << i))
-            if key in seen and seen[key] != y:
-                raise NotConstantOnClasses(f"points {i} and class {sorted(bits_of(key))}")
-            seen[key] = y
-        # restriction to source - E is a morphism of the subgeometry
+        i = class_clash(self.source, e, self.map)
+        if i is not None:
+            key = self.source.closure_mask(e | 1 << i)
+            raise NotConstantOnClasses(f"points {i} and class {sorted(bits_of(key))}")
         dom = sorted(bits_of(self.defined_mask()))
         sub = subgeometry(self.source, dom)
-        restricted = GeometryMorphism(sub, self.target, tuple(self.map[i] for i in dom))
-        rep = check_morphism(restricted)
-        if not rep.is_morphism:
-            raise NotConstantOnClasses(f"restriction is not a morphism: {rep.witness}")
+        witness = _flat_preimage_witness(
+            GeometryMorphism(sub, self.target, tuple(self.map[i] for i in dom))
+        )
+        if witness is not None:
+            raise NotConstantOnClasses(f"restriction is not a morphism: {witness}")
         return True
+
+
+def class_clash(G: FiniteGeometry, e_mask: int, images):
+    """The first point whose image differs from that of an earlier point of
+    its class i v E in G, or None.  None images (points of E) are skipped;
+    images may be target indices or coordinate vectors."""
+    seen = {}
+    for i, y in enumerate(images):
+        if y is not None and seen.setdefault(G.closure_mask(e_mask | 1 << i), y) != y:
+            return i
+    return None
 
 
 @dataclass
@@ -810,7 +817,7 @@ def check_morphism(f: GeometryMorphism) -> MorphismReport:
 
     n = src.n_points
     subsets = []
-    total = sum(_comb(n, r) for r in (2, 3, 4))
+    total = sum(math.comb(n, r) for r in (2, 3, 4))
     if total <= MORPHISM_SUBSET_LIMIT:
         method = "exhaustive"
         used_seed = None
@@ -841,15 +848,6 @@ def check_morphism(f: GeometryMorphism) -> MorphismReport:
     # actual (c) witness against a passing (a) is a genuine disagreement
     agree = (cond_a == cond_c) or (method == "sampled" and not cond_a and cond_c)
     return MorphismReport(cond_a, witness, cond_c, method, used_seed, agree)
-
-
-def _comb(n, r):
-    if r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # -- generated by lines / planes ----------------------------------------------
@@ -994,7 +992,9 @@ class DimBoundsReport:
 
 def check_dim_bounds(f: GeometryMorphism) -> DimBoundsReport:
     """For a surjective morphism: dim source >= dim target, and equality of
-    finite dimensions forces an isomorphism (inverse map is a morphism)."""
+    finite dimensions forces an isomorphism.  A bijection of equal
+    dimension is an isomorphism when its inverse pulls every flat back to a
+    flat (the exact flat-preimage condition)."""
     surj = f.is_surjective()
     ds, dt = f.source.dim(), f.target.dim()
     ok = (not surj) or ds >= dt
@@ -1006,8 +1006,7 @@ def check_dim_bounds(f: GeometryMorphism) -> DimBoundsReport:
             inv = [0] * f.source.n_points
             for i, y in enumerate(f.map):
                 inv[y] = i
-            rep = check_morphism(GeometryMorphism(f.target, f.source, tuple(inv)))
-            iso = rep.is_morphism
+            iso = flat_preimage_condition(GeometryMorphism(f.target, f.source, tuple(inv)))
     elif bij:
         # bijective with a dimension drop: the bijective-non-isomorphism case
         iso = False

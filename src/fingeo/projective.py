@@ -1,6 +1,7 @@
 """Coordinatized projective spaces PG(n, q), semilinear maps and the partial
-projective morphisms they induce, plus the quotient-space coordinate
-isomorphism used throughout reconstruction.
+projective morphisms they induce, plus coordinates for a quotient space
+V/W.  The quotient geometry PG(V)/P(W) itself is geometry.CoordQuotient,
+whose points are already the coordinates of PG(V/W).
 
 Convention: a semilinear map acts as Phi(v) = M . v^sigma (apply the field
 homomorphism coordinatewise, then the matrix).  This keeps kernels
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import InternalContradiction, NotProjective, SizeLimit, ZeroMap
+from .errors import NotProjective, SizeLimit, ZeroMap
 from .geometry import (
     CoordGeometry,
     FiniteGeometry,
@@ -22,8 +23,6 @@ from .geometry import (
     PartialMorphism,
     bits_of,
     dim_formula_violations,
-    mask_of,
-    quotient,
 )
 from .gf import GF, FieldHom, gf
 
@@ -448,48 +447,3 @@ def quotient_coords(W: LinearSubspace) -> QuotientCoords:
     proj = linalg.quotient_projection(K, W.rows, pivots, n)  # (n-w) x n
     lift = tuple(tuple(1 if j == f else 0 for f in free) for j in range(n))
     return QuotientCoords(K, n, W, proj, lift)
-
-
-@dataclass
-class QuotientIso:
-    """Verified isomorphism between PG(V)/P(W) and PG(V/W)."""
-
-    coords: QuotientCoords
-    source_pg: CoordGeometry
-    quotient_geometry: object
-    target_pg: CoordGeometry
-    class_to_target: tuple
-    projection: PartialMorphism
-
-
-def quotient_iso(P: CoordGeometry, W: LinearSubspace) -> QuotientIso:
-    """The coordinate isomorphism  classes of PG(V) mod P(W)  <->  PG(V/W).
-
-    W = 0 degenerates to the identity re-indexing.  The quotient's points
-    are the normalised projections of its classes onto the echelon
-    complement of W, which are the coordinates of PG(V/W), so each class is
-    looked up there.  The bijection is checked to be an isomorphism (flats
-    correspond both ways).
-    """
-    K = P.field
-    qc = quotient_coords(W)
-    e_mask = mask_of(i for i, v in enumerate(P.vectors) if W.contains(v))
-    Q, pi = quotient(P, Flat(P, e_mask))
-    if qc.dim_q < 1:
-        raise SizeLimit("quotient collapses to a point or nothing")
-    tgt = build_pg(qc.dim_q - 1, K.q)
-    cls_to_tgt = tuple(map(tgt.point_index, Q.vectors))
-    iso = QuotientIso(qc, P, Q, tgt, cls_to_tgt, pi)
-    _verify_quotient_iso(iso)
-    return iso
-
-
-def _verify_quotient_iso(iso: QuotientIso):
-    Q, tgt = iso.quotient_geometry, iso.target_pg
-    mapping = iso.class_to_target
-    if len(set(mapping)) != len(mapping) or len(mapping) != tgt.n_points:
-        raise InternalContradiction("quotient identification is not bijective")
-    fwd = {c: t for c, t in enumerate(mapping)}
-    q_flats = {mask_of(fwd[c] for c in bits_of(m)) for m in Q.flats()}
-    if q_flats != set(tgt.flats()):
-        raise InternalContradiction("quotient flats do not correspond to target flats")

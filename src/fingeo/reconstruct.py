@@ -36,7 +36,6 @@ from .errors import (
     CapExceeded,
     ExceptionalNotFlat,
     FieldClauseViolated,
-    FingeoError,
     ImageInLine,
     ImageInPlane,
     InconsistentExtension,
@@ -45,6 +44,7 @@ from .errors import (
     NoBasePair,
     NotAffinoProjective,
     NotConstantOnClasses,
+    NotEnoughPoints,
     NotProportional,
     ReductionsDisagree,
     SigmaNotHomomorphism,
@@ -57,6 +57,7 @@ from .geometry import (
     GeometryMorphism,
     PartialMorphism,
     bits_of,
+    class_clash,
     flat_preimage_condition,
     mask_of,
     quotient_geometry,
@@ -68,10 +69,6 @@ from .projective import (
     build_pg,
     quotient_coords,
 )
-
-
-class NotEnoughPoints(FingeoError):
-    pass
 
 
 # -- instances ------------------------------------------------------------------
@@ -145,18 +142,6 @@ def _as_point_map(psi) -> PartialPointMap:
     raise TypeError(f"cannot interpret {type(psi).__name__} as a partial point map")
 
 
-def _class_clash(pm: PartialPointMap, undef):
-    """The first defined point where pm is not constant on its join class
-    with the undefined flat, or None."""
-    if not undef:
-        return None
-    seen = {}
-    for i, img in enumerate(pm.images):
-        if img is not None and seen.setdefault(pm.source.closure_mask(undef | 1 << i), img) != img:
-            return i
-    return None
-
-
 def reconstruct_ftpg(psi) -> SemilinearMap:
     """The semilinear map (canonically scaled) inducing a partial morphism
     between full projective spaces whose image is not contained in a line.
@@ -183,9 +168,10 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     if len(img_rows) < 3:
         raise ImageInLine(f"image spans a rank-{len(img_rows)} subspace")
 
-    clash = _class_clash(pm, undef)
-    if clash is not None:
-        raise VerificationFailed(f"map is not constant on the class of point {clash}")
+    if undef:
+        clash = class_clash(src, undef, pm.images)
+        if clash is not None:
+            raise VerificationFailed(f"map is not constant on the class of point {clash}")
 
     e_rows, e_piv = src.span_rows(undef)
     free = [j for j in range(n1) if j not in e_piv]
@@ -553,9 +539,11 @@ def _check_partial_point_map(pm: PartialPointMap):
     constant on exceptional join classes, and per line collinear images with
     an injective-or-constant restriction."""
     P, K2 = pm.source, pm.target_field
-    clash = _class_clash(pm, pm.undefined_mask())
-    if clash is not None:
-        raise InconsistentExtension(f"extension not constant on the class of {clash}")
+    undef = pm.undefined_mask()
+    if undef:
+        clash = class_clash(P, undef, pm.images)
+        if clash is not None:
+            raise InconsistentExtension(f"extension not constant on the class of {clash}")
     for line in P.lines():
         vals = [pm.images[i] for i in bits_of(line) if pm.images[i] is not None]
         if len(vals) < 2:

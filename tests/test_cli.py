@@ -64,6 +64,27 @@ def test_make_example_bad_args_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+# each command with one option it does not read; the last case leaves out
+# make-example's required --out
+IGNORED_OPTIONS = [
+    ("make-example", "--name", "affine", "--field", "gf(2)", "--out", "x.json", "--seed", "1"),
+    ("check", "--axioms", "g", "--geometry", "g.json", "--limit", "5"),
+    ("classify", "--geometry", "g.json", "--out", "x.json"),
+    ("quotient", "--geometry", "g.json", "--witnesses"),
+    ("reconstruct", "--geometry", "g.json", "--map", "m.json", "--kind", "lp", "--seed", "1"),
+    ("oracle", "--geometry", "g.json", "--map", "m.json", "--out", "x.json"),
+    ("make-example", "--name", "affine", "--field", "gf(2)"),
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=[" ".join(a) for a in IGNORED_OPTIONS])
+def test_option_a_command_does_not_read_exit_2(tmp_path, argv):
+    proc = run_cli(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_geometry_axioms_pass(tmp_path):
     out = tmp_path / "pg.json"
     run_cli("make-example", "--name", "projective", "--field", "gf(2)", "--dim", "3", "--out", str(out))

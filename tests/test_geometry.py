@@ -6,10 +6,13 @@ points are the nonzero 4-bit integers, the line through a and b is
 {a, b, a^b}, and planes are the XOR-closed 7-sets.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingeo import linalg
 from fingeo.errors import (
@@ -18,6 +21,7 @@ from fingeo.errors import (
     PreconditionLinesTooShort,
 )
 from fingeo.geometry import (
+    CoordGeometry,
     Flat,
     GeometryMorphism,
     PartialMorphism,
@@ -295,7 +299,6 @@ def test_table_subgeometry():
     G = broken_exchange_table()
     sub = subgeometry(G, [0, 1, 2])
     assert sub.n_points == 3
-    assert sub._parent is G
 
 
 # -- quotients --------------------------------------------------------------------
@@ -403,6 +406,183 @@ def test_factor_not_constant_raises(pg32):
     bad = PartialMorphism(pg32, pi.target, E, tuple(bad_map))
     with pytest.raises(NotConstantOnClasses):
         factor_through_quotient(bad)
+
+
+# -- partial morphisms: validate against its earlier route ----------------------------
+
+
+def ref_validate(self):
+    """PartialMorphism.validate as it was when the restriction went through
+    check_morphism and its finite-closure sweep, kept verbatim as the
+    reference for the verdicts, exception types and messages."""
+    e = self.exceptional.mask
+    for i, y in enumerate(self.map):
+        if (y is None) != bool(e >> i & 1):
+            raise NotConstantOnClasses("definedness does not match the exceptional flat")
+    # constant on classes of x v E
+    seen = {}
+    for i, y in enumerate(self.map):
+        if y is None:
+            continue
+        key = self.source.closure_mask(e | (1 << i))
+        if key in seen and seen[key] != y:
+            raise NotConstantOnClasses(f"points {i} and class {sorted(bits_of(key))}")
+        seen[key] = y
+    # restriction to source - E is a morphism of the subgeometry
+    dom = sorted(bits_of(self.defined_mask()))
+    sub = subgeometry(self.source, dom)
+    restricted = GeometryMorphism(sub, self.target, tuple(self.map[i] for i in dom))
+    rep = check_morphism(restricted)
+    if not rep.is_morphism:
+        raise NotConstantOnClasses(f"restriction is not a morphism: {rep.witness}")
+    return True
+
+
+def outcome(fn):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_validate_raises(pm, message):
+    for check in (pm.validate, lambda: ref_validate(pm)):
+        with pytest.raises(NotConstantOnClasses) as info:
+            check()
+        assert str(info.value) == message
+
+
+def test_validate_definedness_mismatch(pg32):
+    E = closure(pg32, [0])
+    _, pi = quotient(pg32, E)
+    bad = list(pi.map)
+    bad[1] = None
+    pm = PartialMorphism(pg32, pi.target, E, tuple(bad))
+    assert_validate_raises(pm, "definedness does not match the exceptional flat")
+
+
+def test_validate_not_constant_on_a_class(pg32):
+    E = closure(pg32, [0])
+    Q, pi = quotient(pg32, E)
+    assert sorted(bits_of(Q.classes[0])) == [1, 2]
+    bad = list(pi.map)
+    bad[2] = (bad[2] + 1) % Q.n_points
+    pm = PartialMorphism(pg32, Q, E, tuple(bad))
+    assert_validate_raises(pm, "points 2 and class [0, 1, 2]")
+
+
+def test_validate_restriction_not_a_morphism(pg22):
+    # swapping two points of PG(2,2) is constant on the (singleton) classes
+    # but sends the line {0, 3, 4} back onto the non-line {1, 3, 4}
+    swap = (1, 0, 2, 3, 4, 5, 6)
+    pm = PartialMorphism(pg22, pg22, Flat(pg22, 0), swap)
+    assert_validate_raises(
+        pm, "restriction is not a morphism: {'target_flat': [0, 3, 4], 'preimage': [1, 3, 4]}"
+    )
+
+
+def paired_table():
+    """Six points in three pairs that no closed set separates: a table
+    geometry whose singletons are not closed, so even E = 0 has classes
+    of two points."""
+    pairs = (0b000011, 0b001100, 0b110000)
+    return TableGeometry(6, [0, 0b111111] + [a | b for a in pairs for b in pairs])
+
+
+@functools.cache
+def property_geometries():
+    return (build_pg(2, 2), build_pg(3, 2), paired_table())
+
+
+def unitriangular_product(draw, n):
+    """An invertible n x n matrix over GF(2): lower times upper
+    unitriangular, with entries drawn."""
+    K = gf(2)
+    bit = st.integers(0, 1)
+    lower = [[1 if i == j else draw(bit) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(bit) if j > i else 0 for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(K, lower, upper)
+
+
+def induced_indices(src, tgt, M):
+    """The point map v -> M v between coordinate geometries over GF(2), with
+    None on the kernel."""
+    out = []
+    for v in src.vectors:
+        w = linalg.normalize_vec(src.field, linalg.matvec(src.field, M, v))
+        out.append(None if w is None else tgt.point_index(w))
+    return out
+
+
+@st.composite
+def partial_maps(draw):
+    """(source, target, E, map) with E a flat of the source.  The map is a
+    random index map off E, one image per class x v E, or (between
+    projective spaces) induced by a matrix; then one entry may be changed."""
+    geoms = property_geometries()
+    src, tgt = draw(st.sampled_from(geoms)), draw(st.sampled_from(geoms))
+    point = st.integers(0, tgt.n_points - 1)
+    kinds = ["random", "classwise"]
+    if isinstance(src, CoordGeometry) and isinstance(tgt, CoordGeometry):
+        kinds.append("linear")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "linear":
+        M = [[draw(st.integers(0, 1)) for _ in range(src.ncoords)] for _ in range(tgt.ncoords)]
+        images = induced_indices(src, tgt, M)
+        e = mask_of(i for i, y in enumerate(images) if y is None)
+    else:
+        e = draw(st.sampled_from(src.flats()))
+        pool = draw(st.lists(point, min_size=1, max_size=3))
+        images, by_class = [], {}
+        for i in range(src.n_points):
+            if e >> i & 1:
+                images.append(None)
+            elif kind == "random":
+                images.append(draw(point))
+            else:
+                key = src.closure_mask(e | 1 << i)
+                if key not in by_class:
+                    by_class[key] = draw(st.sampled_from(pool))
+                images.append(by_class[key])
+    change = draw(st.sampled_from([None, "value", "definedness"]))
+    if change is not None:
+        i = draw(st.integers(0, src.n_points - 1))
+        if change == "definedness" and images[i] is not None:
+            images[i] = None
+        else:
+            images[i] = draw(point)
+    return src, tgt, e, tuple(images)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(partial_maps())
+def test_validate_matches_reference(case):
+    src, tgt, e, images = case
+    pm = PartialMorphism(src, tgt, Flat(src, e), images)
+    assert outcome(pm.validate) == outcome(lambda: ref_validate(pm))
+
+
+@st.composite
+def bijections(draw):
+    """A geometry and a permutation of its points: random, or (on a
+    projective space) induced by an invertible matrix."""
+    G = draw(st.sampled_from(property_geometries()))
+    if isinstance(G, CoordGeometry) and draw(st.booleans()):
+        return G, tuple(induced_indices(G, G, unitriangular_product(draw, G.ncoords)))
+    return G, tuple(draw(st.permutations(range(G.n_points))))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(bijections())
+def test_dim_bounds_isomorphism_matches_check_morphism(case):
+    G, perm = case
+    inv = [0] * len(perm)
+    for i, y in enumerate(perm):
+        inv[y] = i
+    rep = check_dim_bounds(GeometryMorphism(G, G, perm))
+    assert rep.bijective and rep.equal_dims
+    assert rep.isomorphism == check_morphism(GeometryMorphism(G, G, tuple(inv))).is_morphism
 
 
 # -- dimension bounds ---------------------------------------------------------------

@@ -193,6 +193,8 @@ def ref_covering_flats(G):
                 x = (rest & -rest).bit_length() - 1
                 basis = linalg.rref_extend(K, rows, pivots, G.vectors[x])
                 t = G.trace_mask(*basis)
+                # a trace missing x would leave x in rest for good
+                assert t >> x & 1, (G.label(), x)
                 rest &= ~t
                 if t not in rows_of:
                     rows_of[t] = basis

@@ -8,6 +8,7 @@ are re-exports; for the definition check they count as references.
 """
 
 import ast
+import importlib.util
 import math
 import pathlib
 
@@ -220,3 +221,42 @@ def test_unset_option_is_reported():
     other = "f(1, 2, d=0)\nC(1).m(5)\nC.s(**{})\nf(*args)\n"
     calls = call_arguments([source, other])
     assert unset_options(source, calls) == [(1, "f", "e"), (2, "inner", "g"), (8, "C", "y")]
+
+
+def load_tracer():
+    """perfbench/tracer.py as a module, without installing it; it imports
+    only the standard library."""
+    spec = importlib.util.spec_from_file_location("tracer_names", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_exist():
+    """The tracer finds what it wraps by name (getattr, rebinding, a class's
+    own attributes), so a renamed or deleted library name must fail here
+    and not only in a traced benchmark run."""
+    # as modules: the package re-exports the function gf under the name of
+    # its module
+    classify, cli, gallery, geometry, gf, linalg, projective, reconstruct, serialize = (
+        importlib.import_module(f"fingeo.{m}")
+        for m in ("classify", "cli", "gallery", "geometry", "gf", "linalg", "projective",
+                  "reconstruct", "serialize")
+    )
+    tracer = load_tracer()
+    functions = [(linalg, a) for a in tracer.LINALG]
+    functions += [(projective, a) for a in tracer.PROJECTIVE]
+    functions += [(reconstruct, a) for a in tracer.RECONSTRUCT]
+    functions += [(serialize, a) for a in tracer.SERIALIZE]
+    functions += [(classify, a) for a in tracer.PREDICATES.values()]
+    functions += [(classify, "classify")]
+    functions += [(cli, f"cmd_{c}") for c in tracer.CLI_COMMANDS]
+    functions += [(gallery, "build_example"), (gf, "list_homomorphisms")]
+    functions += [(geometry, a) for a in ("check_geometry_axioms", "CoordGeometry", "QuotientGeometry")]
+    missing = [f"{m.__name__}.{a}" for m, a in functions if not callable(getattr(m, a, None))]
+    methods = [(geometry.FiniteGeometry, a) for a in ("closure_mask", "flats", "point_quotient")]
+    methods += [(gf.FieldHom, a) for a in ("map_vec", "map_matrix", "preserves_structure")]
+    missing += [f"{c.__name__}.{a}" for c, a in methods if not callable(vars(c).get(a))]
+    G = projective.build_pg(2, 2)
+    missing += [f"instance.{a}" for a in ("_flats", "_point_quotients") if not hasattr(G, a)]
+    assert missing == []

@@ -8,7 +8,7 @@ import pytest
 
 from fingeo import linalg
 from fingeo.errors import NotProjective, SizeLimit, ZeroMap
-from fingeo.geometry import TableGeometry, bits_of, subgeometry
+from fingeo.geometry import Flat, TableGeometry, bits_of, mask_of, quotient, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
 from fingeo.projective import (
     LinearSubspace,
@@ -21,7 +21,6 @@ from fingeo.projective import (
     induced_partial,
     proportional,
     quotient_coords,
-    quotient_iso,
 )
 
 PG_SIZES = [(1, 2, 3), (2, 2, 7), (2, 3, 13), (3, 2, 15), (3, 3, 40), (3, 4, 85), (4, 2, 31)]
@@ -225,15 +224,13 @@ def test_quotient_linear_map_matches_geometry_quotient(pg32):
     K = gf(2)
     M = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     phi = SemilinearMap(identity_hom(K), M)
-    W = phi.kernel()
-    iso = quotient_iso(pg32, W)
+    Q, pi, tgt = quotient_as_pg(pg32, phi.kernel())
     pmap, pm = induced_partial(phi)
     for i in range(15):
-        cls = iso.quotient_geometry.class_of_parent_point(i)
-        if cls is None:
+        if pi(i) is None:
             assert pm(i) is None
         else:
-            assert iso.class_to_target[cls] == pm(i)
+            assert pm(i) == tgt.point_index(Q.vectors[pi(i)])
 
 
 def test_composition_of_induced_maps():
@@ -272,25 +269,37 @@ def test_composition_with_sigma():
 # -- quotient coordinates ------------------------------------------------------------
 
 
+def quotient_as_pg(P, W):
+    """The quotient PG(V)/P(W) with its projection, and PG(V/W) built
+    directly: the quotient is a full space on the same points, and looking
+    its points up in PG(V/W) carries its flats onto that space's flats."""
+    E = Flat(P, mask_of(i for i, v in enumerate(P.vectors) if W.contains(v)))
+    Q, pi = quotient(P, E)
+    tgt = build_pg(P.ncoords - W.rank - 1, P.field.q)
+    assert Q.is_full_pg
+    assert sorted(Q.vectors) == sorted(tgt.vectors)
+    to_tgt = [tgt.point_index(v) for v in Q.vectors]
+    assert {mask_of(to_tgt[c] for c in bits_of(m)) for m in Q.flats()} == set(tgt.flats())
+    return Q, pi, tgt
+
+
 def test_quotient_iso_trivial(pg32):
-    W = LinearSubspace.zero(gf(2), 4)
-    iso = quotient_iso(pg32, W)
-    assert iso.target_pg is pg32
-    assert list(iso.class_to_target) == list(range(15))
+    Q, pi, tgt = quotient_as_pg(pg32, LinearSubspace.zero(gf(2), 4))
+    assert tgt is pg32
+    assert Q.vectors == pg32.vectors
+    assert [pi(i) for i in range(15)] == list(range(15))
 
 
 def test_quotient_iso_point(pg32):
     W = LinearSubspace.from_vectors(gf(2), 4, [(0, 0, 0, 1)])
-    iso = quotient_iso(pg32, W)
-    assert iso.target_pg.n_points == 7
-    assert sorted(iso.class_to_target) == list(range(7))
+    Q, _, tgt = quotient_as_pg(pg32, W)
+    assert Q.n_points == tgt.n_points == 7
 
 
 def test_quotient_iso_two_dim(pg33):
     W = LinearSubspace.from_vectors(gf(3), 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
-    iso = quotient_iso(pg33, W)
-    assert iso.target_pg.n_points == 4
-    assert iso.quotient_geometry.n_points == 4
+    Q, _, tgt = quotient_as_pg(pg33, W)
+    assert Q.n_points == tgt.n_points == 4
 
 
 def test_quotient_coords_projection_identities():

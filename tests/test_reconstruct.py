@@ -17,6 +17,7 @@ from fingeo.errors import (
     InternalContradiction,
     NoBasePair,
     NotConstantOnClasses,
+    NotEnoughPoints,
     NotProportional,
     ReductionsDisagree,
     VerificationFailed,
@@ -336,6 +337,16 @@ def test_lp_image_in_plane_rejected(ag33):
     inst = MorphismInstance.restrict_semilinear(gen, ag33)
     with pytest.raises(ImageInPlane):
         reconstruct_locally_projective(inst)
+
+
+@pytest.mark.parametrize("driver", [reconstruct_locally_projective, reconstruct_locally_affino])
+def test_driver_needs_a_quadrilateral_in_every_plane(pg33, driver):
+    # a frame of PG(3,3): every plane of X holds just three of its points
+    frame = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
+    X = subgeometry(pg33, [pg33.point_index(v) for v in frame])
+    inst = MorphismInstance(X, gf(3), 3, tuple(X.vectors))
+    with pytest.raises(NotEnoughPoints, match="^a plane of X has no quadrilateral$"):
+        driver(inst)
 
 
 def test_lp_no_base_pair_on_ovoid(elliptic_33):
