@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .projective import (
     LinearSubspace,
-    ProjPartialMap,
     ProjPoint,
     SemilinearMap,
     apply_semilinear,

@@ -201,26 +201,15 @@ def cmd_reconstruct(args, t0):
         if args.kind == "pg":
             point_map = tuple(images.get(i) for i in range(G.n_points))
             phi = reconstruct_ftpg(PartialPointMap(G, K2, target_dim, point_map))
-            cert = {
-                "base_points": [],
-                "verified_points": G.n_points,
-                "sigma_power": phi.sigma.frobenius_power,
-                "scalar_normalization": 1,
-            }
-            result = ReconstructionResult(phi, phi.kernel(), (), cert)
+            # the map is already canonical, so its scalar normalization is 1
+            result = ReconstructionResult.of(phi, G, ())
         else:
-            kind_name = {
-                "lp": "locally-projective",
-                "ap": "affino-projective",
-                "lap": "locally-affino-projective",
+            kind_name, driver = {
+                "lp": ("locally-projective", reconstruct_locally_projective),
+                "ap": ("affino-projective", reconstruct_affino_projective),
+                "lap": ("locally-affino-projective", reconstruct_locally_affino),
             }[args.kind]
-            inst = MorphismInstance(G, K2, target_dim, all_images, kind_name)
-            driver = {
-                "lp": reconstruct_locally_projective,
-                "ap": reconstruct_affino_projective,
-                "lap": reconstruct_locally_affino,
-            }[args.kind]
-            result = driver(inst)
+            result = driver(MorphismInstance(G, K2, target_dim, all_images, kind_name))
     except FingeoError as exc:
         if isinstance(exc, CapExceeded):
             raise

@@ -29,6 +29,11 @@ class NotConstantOnClasses(FingeoError):
     pass
 
 
+class NotAMorphism(FingeoError):
+    """A partial map is undefined off its exceptional flat, or its
+    restriction pulls a flat back to a non-flat."""
+
+
 class NotProjective(FingeoError):
     pass
 

@@ -26,9 +26,7 @@ def make_complement(P: CoordGeometry, flats) -> CoordGeometry:
     flats = list(flats)
     removed = 0
     for W in flats:
-        for i, v in enumerate(P.vectors):
-            if W.contains(v):
-                removed |= 1 << i
+        removed |= P.trace_mask(W.rows, W.pivots)
     keep = sorted(bits_of(P.full_mask & ~removed))
     X = subgeometry(P, keep)
     X._name = f"complement({P.label()}, {len(flats)} flats)"
@@ -51,12 +49,8 @@ def make_two_hyperplanes(P: CoordGeometry, H1: LinearSubspace, H2: LinearSubspac
     """(H1 u H2) - (H1 n H2); locally projective, which is checked."""
     if H1.rows == H2.rows:
         raise EqualHyperplanes("the two hyperplanes coincide")
-    keep = []
-    for i, v in enumerate(P.vectors):
-        in1, in2 = H1.contains(v), H2.contains(v)
-        if (in1 or in2) and not (in1 and in2):
-            keep.append(i)
-    X = subgeometry(P, keep)
+    keep = P.trace_mask(H1.rows, H1.pivots) ^ P.trace_mask(H2.rows, H2.pivots)
+    X = subgeometry(P, bits_of(keep))
     X._name = f"two-hyperplanes({P.label()})"
     if not is_locally_projective(X):
         raise InternalContradiction("two-hyperplane geometry must be locally projective")

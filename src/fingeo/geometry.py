@@ -10,7 +10,8 @@ quotient geometries (classes of x v E over a parent).  A quotient of a
 coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
 so every coordinate backend shares one closure kernel and one flat
 enumeration: its flats are the traces of the subspaces of K^n, listed once
-each.  Only quotients of table geometries close through their parent.
+each.  A quotient of any other geometry is a table geometry on the parent
+flats through E (QuotientGeometry).
 
 Everything is immutable after construction; the flat cache and the
 incidence index are built once on first demand and only read afterwards.
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     ExceptionalNotFlat,
+    NotAMorphism,
     NotConstantOnClasses,
     NotGenerating,
     PreconditionLinesTooShort,
@@ -147,6 +149,27 @@ class Incidence:
         return self.lines[(common & -common).bit_length() - 1] if common else None
 
 
+def _closed_sets(close, full_mask, limit=math.inf):
+    """Every set closed under close, found from close(0) by adding one point
+    at a time to each closed set, breadth first, as a set filled in that
+    order; None once more than limit sets are found."""
+    empty = close(0)
+    seen = {empty}
+    frontier = [empty]
+    while frontier:
+        nxt = []
+        for fmask in frontier:
+            for x in bits_of(full_mask & ~fmask):
+                t = close(fmask | (1 << x))
+                if t not in seen:
+                    if len(seen) >= limit:
+                        return None
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
 class FiniteGeometry:
     """Base class; subclasses provide _closure_mask."""
 
@@ -207,21 +230,7 @@ class FiniteGeometry:
         return self.flat_dim(self.closure_mask(m1 | m2))
 
     def _build_flats(self):
-        closure = self.closure_mask
-        empty = closure(0)
-        seen = {empty}
-        frontier = [empty]
-        while frontier:
-            nxt = []
-            for fmask in frontier:
-                rest = self.full_mask & ~fmask
-                for x in bits_of(rest):
-                    t = closure(fmask | (1 << x))
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        self._store_flats(seen, self._dim_of)
+        self._store_flats(_closed_sets(self.closure_mask, self.full_mask), self._dim_of)
 
     def _store_flats(self, masks, dim_of):
         """Keep the flats sorted by (size, mask), as a set, with their
@@ -450,10 +459,12 @@ class _QuotientClasses:
         return f"quotient({self.parent.label()} / {self.e_mask.bit_count()} pts)"
 
 
-class QuotientGeometry(_QuotientClasses, FiniteGeometry):
-    """The quotient of a geometry without coordinates: a class set is closed
-    when the parent closure of E and its representatives holds no other
-    representative."""
+class QuotientGeometry(_QuotientClasses, TableGeometry):
+    """The quotient of a geometry without coordinates, as a table geometry:
+    its table is the parent flats F through E, each read as the set of
+    classes whose representative lies in F.  Every such F is a union of
+    classes and the closure of E and its representatives, so the table
+    closure is the parent's."""
 
     def __init__(self, parent, e_mask):
         if parent.closure_mask(e_mask) != e_mask:
@@ -464,19 +475,13 @@ class QuotientGeometry(_QuotientClasses, FiniteGeometry):
             class_map[key] = class_map.get(key, 0) | 1 << x
         # points are scanned in ascending order, so classes come out ordered
         # by their smallest representative
-        super().__init__(len(class_map))
         self._set_classes(parent, e_mask, class_map.values())
-
-    def _closure_mask(self, mask):
-        pm = self.e_mask
-        for i in bits_of(mask):
-            pm |= 1 << self.reps[i]
-        s = self.parent.closure_mask(pm)
-        out = 0
-        for i, rep in enumerate(self.reps):
-            if s >> rep & 1:
-                out |= 1 << i
-        return out
+        table = [
+            mask_of(i for i, rep in enumerate(self.reps) if f >> rep & 1)
+            for f in parent.flats()
+            if e_mask & ~f == 0
+        ]
+        super().__init__(len(class_map), table)
 
 
 class CoordQuotient(_QuotientClasses, CoordGeometry):
@@ -613,9 +618,9 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
     on singletons, cached flats and CLOSURE_SAMPLES seeded subsets.  The
     exchange axiom holds on every span-trace geometry, coordinate quotients
     included: a point outside a flat lies outside its span, and strictly
-    nested flats have strictly nested spans.  Table geometries and their
-    quotients get the literal interval scan of every (flat, outside point)
-    pair.
+    nested flats have strictly nested spans.  Table geometries, their
+    quotients included, get the literal interval scan of every (flat,
+    outside point) pair.
     """
     witnesses = {}
     flats = G.flats()
@@ -739,11 +744,12 @@ class PartialMorphism:
         """Check the defining conditions by definition: undefined exactly
         on E, constant on each class x v E, and every target-flat preimage
         under the restriction to source - E is a flat of that subgeometry.
-        Raises NotConstantOnClasses naming the first failure."""
+        Raises NotAMorphism naming the first failure, or
+        NotConstantOnClasses for a class with two images."""
         e = self.exceptional.mask
         for i, y in enumerate(self.map):
             if (y is None) != bool(e >> i & 1):
-                raise NotConstantOnClasses("definedness does not match the exceptional flat")
+                raise NotAMorphism("definedness does not match the exceptional flat")
         i = class_clash(self.source, e, self.map)
         if i is not None:
             key = self.source.closure_mask(e | 1 << i)
@@ -754,7 +760,7 @@ class PartialMorphism:
             GeometryMorphism(sub, self.target, tuple(self.map[i] for i in dom))
         )
         if witness is not None:
-            raise NotConstantOnClasses(f"restriction is not a morphism: {witness}")
+            raise NotAMorphism(f"restriction is not a morphism: {witness}")
         return True
 
 
@@ -893,20 +899,9 @@ def _generated_by(G, use_planes):
                                    witness={"flat_not_rule_closed": sorted(bits_of(m))})
     if G.n_points <= 24:
         # enumerate the closure system generated by the rule
-        empty = _rule_closure(G, 0, use_planes)
-        seen = {empty}
-        frontier = [empty]
-        while frontier:
-            nxt = []
-            for fmask in frontier:
-                for x in bits_of(G.full_mask & ~fmask):
-                    t = _rule_closure(G, fmask | (1 << x), use_planes)
-                    if t not in seen:
-                        if len(seen) >= GENERATED_NODE_LIMIT:
-                            return _generated_sampled(G, use_planes)
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
+        seen = _closed_sets(lambda m: _rule_closure(G, m, use_planes), G.full_mask, GENERATED_NODE_LIMIT)
+        if seen is None:
+            return _generated_sampled(G, use_planes)
         for m in seen:
             if m not in flats:
                 return GeneratedReport(False, "exhaustive", None, len(seen),

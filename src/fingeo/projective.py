@@ -161,20 +161,6 @@ class SemilinearMap:
         return f"semilinear({self.sigma}, {self.n_out}x{self.n_in})"
 
 
-@dataclass(frozen=True)
-class ProjPartialMap:
-    """The projectivization of a semilinear map; undefined exactly on the
-    projectivized kernel."""
-
-    underlying: SemilinearMap
-    exceptional: LinearSubspace
-
-    def apply(self, x: ProjPoint):
-        w = self.underlying.apply_vec(x.coords)
-        v = linalg.normalize_vec(self.underlying.target_field, w)
-        return None if v is None else ProjPoint(self.underlying.target_field, v)
-
-
 # -- projective spaces ---------------------------------------------------------
 
 
@@ -364,14 +350,12 @@ def apply_semilinear(phi: SemilinearMap, x) -> ProjPoint | None:
     return None if v is None else ProjPoint(phi.target_field, v)
 
 
-def induced_partial(phi: SemilinearMap):
-    """The partial projective morphism of a nonzero semilinear map, as both a
-    coordinate-level map and a geometry PartialMorphism between PG spaces;
-    the PartialMorphism is validated."""
+def induced_partial(phi: SemilinearMap) -> PartialMorphism:
+    """The partial projective morphism of a nonzero semilinear map, as a
+    validated PartialMorphism between PG spaces, undefined exactly on the
+    projectivized kernel."""
     if phi.is_zero():
         raise ZeroMap("the zero map induces no projective morphism")
-    ker = phi.kernel()
-    pmap = ProjPartialMap(phi, ker)
     src = build_pg(phi.n_in - 1, phi.source_field.q)
     tgt = build_pg(phi.n_out - 1, phi.target_field.q)
     mapping = []
@@ -385,7 +369,7 @@ def induced_partial(phi: SemilinearMap):
             mapping.append(tgt.point_index(img))
     pm = PartialMorphism(src, tgt, Flat(src, e_mask), tuple(mapping))
     pm.validate()
-    return pmap, pm
+    return pm
 
 
 def proportional(phi1: SemilinearMap, phi2: SemilinearMap):
@@ -423,14 +407,9 @@ class QuotientCoords:
     """
 
     field: GF
-    dim_v: int
-    subspace: LinearSubspace
+    dim_q: int
     proj_matrix: tuple
     lift_matrix: tuple
-
-    @property
-    def dim_q(self):
-        return self.dim_v - self.subspace.rank
 
     def project(self, v):
         return linalg.matvec(self.field, self.proj_matrix, v)
@@ -446,4 +425,4 @@ def quotient_coords(W: LinearSubspace) -> QuotientCoords:
     free = [j for j in range(n) if j not in pivots]
     proj = linalg.quotient_projection(K, W.rows, pivots, n)  # (n-w) x n
     lift = tuple(tuple(1 if j == f else 0 for f in free) for j in range(n))
-    return QuotientCoords(K, n, W, proj, lift)
+    return QuotientCoords(K, len(free), proj, lift)

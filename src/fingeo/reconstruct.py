@@ -2,13 +2,13 @@
 
 The base engine turns a partial morphism between full projective spaces into
 the unique-up-to-scalar semilinear map inducing it: fix a frame on a
-complement of the exceptional flat, rescale the frame images through the
-unit point, read the field homomorphism off a coordinate line, extend
-semilinearly, and verify against every point.  Embedded geometries go
-through one two-point driver: pick a base pair, recover a leg (the
-semilinear map V/<v_x> -> V'/<v_x'>) at each base point, normalize the pair
-to a common scalar, and glue along the fibred product of the two quotients.
-Both legs run on X's own point quotient X/x, whose points are the
+complement of the exceptional flat, rescale the frame images to one common
+factor through the sums of frame pairs, read the field homomorphism off a
+coordinate line, extend semilinearly, and verify against every point.
+Embedded geometries go through one two-point driver: pick a base pair,
+recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>) at each base point,
+normalize the pair to a common scalar, and glue along the fibred product of
+the two quotients.  Both legs run on X's own point quotient X/x, whose points are the
 normalised coordinates of V/<v_x>.  The locally projective and locally
 affino-projective cases differ only in how a leg is recovered: directly from
 the quotient map, or through the fiber of the base image and an extension
@@ -124,6 +124,20 @@ class ReconstructionResult:
     base_points: tuple
     certificate: dict = field(default_factory=dict)
 
+    @staticmethod
+    def of(phi_raw: SemilinearMap, X: CoordGeometry, pair) -> "ReconstructionResult":
+        """The canonical form of a map verified on all of X, with its
+        kernel and certificate: the base points, the verified point count,
+        the power of sigma and the scalar that made phi_raw canonical."""
+        phi = phi_raw.canonical()
+        cert = {
+            "base_points": [list(X.vectors[x]) for x in pair],
+            "verified_points": X.n_points,
+            "sigma_power": phi.sigma.frobenius_power,
+            "scalar_normalization": next(c for row in phi_raw.matrix for c in row if c),
+        }
+        return ReconstructionResult(phi, phi.kernel(), pair, cert)
+
 
 # -- base engine ------------------------------------------------------------------
 
@@ -147,17 +161,16 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     between full projective spaces whose image is not contained in a line.
 
     Frame procedure: the undefined set must be a flat E and the map constant
-    on its join classes; the coordinate complement of E carries the canonical
-    frame (unit vectors plus their sum); frame images are rescaled through
-    the unit point; the homomorphism is read off the first frame line and
-    verified exhaustively; the semilinear extension is compared against
-    every point of the source.
+    on its join classes; the coordinate complement of E carries a frame of
+    unit vectors, whose images are rescaled to one common factor through
+    the sums of frame pairs; the homomorphism is read off the first frame
+    line and verified exhaustively; the semilinear extension is compared
+    against every point of the source.
     """
     pm = _as_point_map(psi)
     src = pm.source
     K, K2 = src.field, pm.target_field
     n1 = src.ncoords
-    m1 = pm.target_dim + 1
 
     undef = pm.undefined_mask()
     if src.closure_mask(undef) != undef:
@@ -183,7 +196,6 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     w = [pm.images[i] for i in frame_idx]
     if any(v is None for v in w):
         raise InternalContradiction("frame point maps into the exceptional flat")
-    wr, _ = linalg.rref(K2, w)
 
     def image_of_sum(i, j, lam=1):
         pvec = linalg.vec_add(K, frame_vecs[i], linalg.vec_scale(K, lam, frame_vecs[j]))
@@ -204,42 +216,31 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
         for j in range(i + 1, d1)
     }
 
-    if len(wr) == d1:
-        # independent frame images: rescale through the unit point
-        u_vec = frame_vecs[0]
-        for fv in frame_vecs[1:]:
-            u_vec = linalg.vec_add(K, u_vec, fv)
-        z = pm.images[src.point_index(u_vec)]
-        if z is None:
-            raise VerificationFailed("unit point maps into the exceptional flat")
-        alphas = linalg.solve(K2, linalg.transpose(w), z)
-        if alphas is None or any(a == 0 for a in alphas):
-            raise VerificationFailed("unit image is not in general position")
-        vpp = [linalg.vec_scale(K2, a, wi) for a, wi in zip(alphas, w)]
-    else:
-        # dependent frame images (possible only for a non-surjective sigma,
-        # when the full kernel has no rational point): chain relative scales
-        # through pairwise sum points; proportional images form classes and
-        # every cross-class pair is usable, so the chain connects
-        gamma = [None] * d1
-        gamma[0] = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in range(d1):
-                    if gamma[j] is not None:
-                        continue
-                    key = (i, j) if i < j else (j, i)
-                    if not independent[key]:
-                        continue
-                    a, b = pair_solve(i, j, image_of_sum(i, j))
-                    gamma[j] = K2.mul(gamma[i], K2.div(b, a))
-                    nxt.append(j)
-            frontier = nxt
-        if any(g is None for g in gamma):
-            raise ImageInLine("frame images are proportional; image lies in a line")
-        vpp = [linalg.vec_scale(K2, g, wi) for g, wi in zip(gamma, w)]
+    # rescale the frame images to one common factor by chaining relative
+    # scales through pairwise sum points: with true images u_i and normalised
+    # images w_i = lambda_i u_i, the chain gives gamma_j w_j = lambda_0 u_j,
+    # a factor canonical() removes.  Proportional images (possible only for a
+    # non-surjective sigma, when the full kernel has no rational point) form
+    # classes and every cross-class pair is usable, so the chain connects
+    gamma = [None] * d1
+    gamma[0] = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in range(d1):
+                if gamma[j] is not None:
+                    continue
+                key = (i, j) if i < j else (j, i)
+                if not independent[key]:
+                    continue
+                a, b = pair_solve(i, j, image_of_sum(i, j))
+                gamma[j] = K2.mul(gamma[i], K2.div(b, a))
+                nxt.append(j)
+        frontier = nxt
+    if any(g is None for g in gamma):
+        raise ImageInLine("frame images are proportional; image lies in a line")
+    vpp = [linalg.vec_scale(K2, g, wi) for g, wi in zip(gamma, w)]
 
     # sigma from the first frame line with independent endpoint images
     si, sj = next((i, j) for (i, j), ind in sorted(independent.items()) if ind)
@@ -424,14 +425,11 @@ def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v
 
 
 def _admissible_pairs(inst, admissible):
-    adm = set(admissible)
-    for i in range(inst.geometry.n_points):
-        if i not in adm:
-            continue
-        for j in range(inst.geometry.n_points):
-            if j == i or j not in adm:
-                continue
-            if inst.images[i] != inst.images[j]:
+    """Ordered pairs of admissible points with distinct images, in the
+    order of the admissible tuple (increasing at every caller)."""
+    for i in admissible:
+        for j in admissible:
+            if j != i and inst.images[i] != inst.images[j]:
                 yield (i, j)
 
 
@@ -454,15 +452,7 @@ def _verify_against_instance(phi: SemilinearMap, inst: MorphismInstance):
 
 def _finish(phi_raw: SemilinearMap, inst, pair) -> ReconstructionResult:
     _verify_against_instance(phi_raw, inst)
-    scale = next(c for row in phi_raw.matrix for c in row if c)
-    phi = phi_raw.canonical()
-    cert = {
-        "base_points": [list(inst.geometry.vectors[pair[0]]), list(inst.geometry.vectors[pair[1]])],
-        "verified_points": inst.geometry.n_points,
-        "sigma_power": phi.sigma.frobenius_power,
-        "scalar_normalization": scale,
-    }
-    return ReconstructionResult(phi, phi.kernel(), pair, cert)
+    return ReconstructionResult.of(phi_raw, inst.geometry, pair)
 
 
 def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
@@ -528,9 +518,6 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
         raise ExceptionalNotFlat("undefined points do not form a flat")
     out = PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
     _check_partial_point_map(out)
-    for x, amb in enumerate(idx):
-        if amb_images[amb] != inst.images[x]:
-            raise InconsistentExtension("extension altered a value on X")
     return out
 
 
@@ -560,14 +547,10 @@ def _check_partial_point_map(pm: PartialPointMap):
 def reconstruct_affino_projective(inst: MorphismInstance) -> ReconstructionResult:
     """Reconstruction for a total morphism on an affino-projective geometry:
     extend through the hyperplane, then run the base engine."""
-    ext = extend_affino(inst)
-    phi = reconstruct_ftpg(ext)
-    pair = (0, 1)
-    for j in range(1, inst.geometry.n_points):
-        if inst.images[j] != inst.images[0]:
-            pair = (0, j)
-            break
-    return _finish(phi, inst, pair)
+    phi = reconstruct_ftpg(extend_affino(inst))
+    # extend_affino rejects an image inside a line, so the pair is (0, j)
+    # for the first j whose image differs from that of 0
+    return _finish(phi, inst, _pick_pair(inst, range(inst.geometry.n_points), 0))
 
 
 def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:

@@ -14,6 +14,17 @@ The reconstruction legs: the library runs them on X's point quotient (or
 its quotient by a fiber).  ref_lp_leg and ref_affino_leg project every
 point of X by hand into a freshly built PG(V/W) instead.
 
+The base engine: the library rescales the frame images of reconstruct_ftpg
+through a chain of pairwise sum points for every input.
+ref_reconstruct_ftpg is the engine that came before it, kept verbatim: it
+rescales independent frame images through the unit point and keeps the
+chain for dependent ones.
+
+The quotient of a table: the library reads it as a table geometry on the
+parent flats through E.  RefQuotientGeometry is the class that came before
+it, kept verbatim: it closes a class set through the parent closure of E
+and its representatives.
+
 The incidence checks: the library reads the lp axioms, the P1 and
 Veblen-Young sweeps of the projective axioms and the coplanarity of lines
 off one incidence index per geometry.  ref_lp_axioms,
@@ -26,8 +37,27 @@ import itertools
 
 from fingeo import linalg
 from fingeo.classify import Verdict, ambient_view
-from fingeo.errors import InternalContradiction, NoBasePair, NotConstantOnClasses, SizeLimit
-from fingeo.geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of, subgeometry
+from fingeo.errors import (
+    ExceptionalNotFlat,
+    ImageInLine,
+    InternalContradiction,
+    NoBasePair,
+    NotConstantOnClasses,
+    SigmaNotHomomorphism,
+    SizeLimit,
+    VerificationFailed,
+)
+from fingeo.geometry import (
+    CoordGeometry,
+    FiniteGeometry,
+    _QuotientClasses,
+    bits_of,
+    class_clash,
+    dim_formula_violations,
+    mask_of,
+    subgeometry,
+)
+from fingeo.gf import FieldHom
 from fingeo.projective import (
     FLAT_PAIR_LIMIT,
     LinearSubspace,
@@ -37,7 +67,7 @@ from fingeo.projective import (
     check_projective_axioms,
     quotient_coords,
 )
-from fingeo.reconstruct import MorphismInstance, PartialPointMap, extend_affino, reconstruct_ftpg
+from fingeo.reconstruct import MorphismInstance, PartialPointMap, _as_point_map, extend_affino, reconstruct_ftpg
 
 
 def ref_quotient_projective(X, x):
@@ -461,3 +491,163 @@ def ref_coplanarity(X):
         return got
 
     return lines, adj, co
+
+
+def ref_reconstruct_ftpg(psi) -> SemilinearMap:
+    """The semilinear map (canonically scaled) inducing a partial morphism
+    between full projective spaces whose image is not contained in a line.
+
+    Frame procedure: the undefined set must be a flat E and the map constant
+    on its join classes; the coordinate complement of E carries the canonical
+    frame (unit vectors plus their sum); frame images are rescaled through
+    the unit point; the homomorphism is read off the first frame line and
+    verified exhaustively; the semilinear extension is compared against
+    every point of the source.
+    """
+    pm = _as_point_map(psi)
+    src = pm.source
+    K, K2 = src.field, pm.target_field
+    n1 = src.ncoords
+    m1 = pm.target_dim + 1
+
+    undef = pm.undefined_mask()
+    if src.closure_mask(undef) != undef:
+        raise ExceptionalNotFlat("the undefined set is not a flat")
+
+    defined_images = [v for v in pm.images if v is not None]
+    img_rows, _ = linalg.rref(K2, defined_images)
+    if len(img_rows) < 3:
+        raise ImageInLine(f"image spans a rank-{len(img_rows)} subspace")
+
+    if undef:
+        clash = class_clash(src, undef, pm.images)
+        if clash is not None:
+            raise VerificationFailed(f"map is not constant on the class of point {clash}")
+
+    e_rows, e_piv = src.span_rows(undef)
+    free = [j for j in range(n1) if j not in e_piv]
+    d1 = len(free)
+    if d1 < 3:
+        raise VerificationFailed("exceptional flat too large for the image span")
+    frame_vecs = [linalg.unit_vec(n1, j) for j in free]
+    frame_idx = [src.point_index(v) for v in frame_vecs]
+    w = [pm.images[i] for i in frame_idx]
+    if any(v is None for v in w):
+        raise InternalContradiction("frame point maps into the exceptional flat")
+    wr, _ = linalg.rref(K2, w)
+
+    def image_of_sum(i, j, lam=1):
+        pvec = linalg.vec_add(K, frame_vecs[i], linalg.vec_scale(K, lam, frame_vecs[j]))
+        y = pm.images[src.point_index(pvec)]
+        if y is None:
+            raise VerificationFailed("a frame line meets the exceptional flat")
+        return y
+
+    def pair_solve(i, j, y):
+        ab = linalg.solve(K2, linalg.transpose((w[i], w[j])), y)
+        if ab is None or ab[0] == 0 or ab[1] == 0:
+            raise VerificationFailed("image of a frame-line point left the frame plane")
+        return ab
+
+    independent = {
+        (i, j): linalg.rank(K2, (w[i], w[j])) == 2
+        for i in range(d1)
+        for j in range(i + 1, d1)
+    }
+
+    if len(wr) == d1:
+        # independent frame images: rescale through the unit point
+        u_vec = frame_vecs[0]
+        for fv in frame_vecs[1:]:
+            u_vec = linalg.vec_add(K, u_vec, fv)
+        z = pm.images[src.point_index(u_vec)]
+        if z is None:
+            raise VerificationFailed("unit point maps into the exceptional flat")
+        alphas = linalg.solve(K2, linalg.transpose(w), z)
+        if alphas is None or any(a == 0 for a in alphas):
+            raise VerificationFailed("unit image is not in general position")
+        vpp = [linalg.vec_scale(K2, a, wi) for a, wi in zip(alphas, w)]
+    else:
+        # dependent frame images (possible only for a non-surjective sigma,
+        # when the full kernel has no rational point): chain relative scales
+        # through pairwise sum points; proportional images form classes and
+        # every cross-class pair is usable, so the chain connects
+        gamma = [None] * d1
+        gamma[0] = 1
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in range(d1):
+                    if gamma[j] is not None:
+                        continue
+                    key = (i, j) if i < j else (j, i)
+                    if not independent[key]:
+                        continue
+                    a, b = pair_solve(i, j, image_of_sum(i, j))
+                    gamma[j] = K2.mul(gamma[i], K2.div(b, a))
+                    nxt.append(j)
+            frontier = nxt
+        if any(g is None for g in gamma):
+            raise ImageInLine("frame images are proportional; image lies in a line")
+        vpp = [linalg.vec_scale(K2, g, wi) for g, wi in zip(gamma, w)]
+
+    # sigma from the first frame line with independent endpoint images
+    si, sj = next((i, j) for (i, j), ind in sorted(independent.items()) if ind)
+    pair_cols = linalg.transpose((vpp[si], vpp[sj]))
+    table = [0] * K.q
+    for lam in range(1, K.q):
+        y = image_of_sum(si, sj, lam)
+        ab = linalg.solve(K2, pair_cols, y)
+        if ab is None or ab[0] == 0:
+            raise VerificationFailed("image of a frame-line point left the frame plane")
+        table[lam] = K2.div(ab[1], ab[0])
+    sigma = FieldHom(K, K2, tuple(table))
+    if not sigma.preserves_structure():
+        raise SigmaNotHomomorphism(f"extracted table {table} is not a ring homomorphism")
+
+    # matrix: frame coordinates (coefficients on the frame modulo E),
+    # sigma-twisted, then the rescaled frame images
+    basis_cols = frame_vecs + list(e_rows)
+    Binv = linalg.inverse(K, linalg.transpose(basis_cols))
+    if Binv is None:
+        raise InternalContradiction("frame plus exceptional basis is singular")
+    R = Binv[:d1]
+    M = linalg.mat_mul(K2, linalg.transpose(vpp), sigma.map_matrix(R))
+    phi = SemilinearMap(sigma, M)
+
+    for i, v in enumerate(src.vectors):
+        got = linalg.normalize_vec(K2, phi.apply_vec(v))
+        want = pm.images[i]
+        if got != want:
+            raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {want}")
+    return phi.canonical()
+
+
+class RefQuotientGeometry(_QuotientClasses, FiniteGeometry):
+    """The quotient of a geometry without coordinates: a class set is closed
+    when the parent closure of E and its representatives holds no other
+    representative."""
+
+    def __init__(self, parent, e_mask):
+        if parent.closure_mask(e_mask) != e_mask:
+            raise ExceptionalNotFlat("E is not a flat of the parent")
+        class_map = {}
+        for x in bits_of(parent.full_mask & ~e_mask):
+            key = parent.closure_mask(e_mask | (1 << x))
+            class_map[key] = class_map.get(key, 0) | 1 << x
+        # points are scanned in ascending order, so classes come out ordered
+        # by their smallest representative
+        super().__init__(len(class_map))
+        self._set_classes(parent, e_mask, class_map.values())
+
+    def _closure_mask(self, mask):
+        pm = self.e_mask
+        for i in bits_of(mask):
+            pm |= 1 << self.reps[i]
+        s = self.parent.closure_mask(pm)
+        out = 0
+        for i, rep in enumerate(self.reps):
+            if s >> rep & 1:
+                out |= 1 << i
+        return out

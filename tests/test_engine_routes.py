@@ -1,0 +1,157 @@
+"""The base engine and the table quotient against the routes they replace.
+
+reconstruct_ftpg rescales its frame images through one chain of pairwise
+sum points, where ref_reconstruct_ftpg in quotient_routes rescaled
+independent images through the unit point.  On seeded semilinear maps
+between projective spaces, surjective and not, both must return the same
+map, and on perturbed copies of them both must fail; neither may raise
+InternalContradiction.
+
+A quotient of a table geometry is a table geometry on the parent flats
+through E, where RefQuotientGeometry closes through the parent.  Over the
+quotients by each of the 1064 flats of at most three points of 28 tables,
+geometries and not, the flats, their dimensions, closures, both axiom
+reports, the label and the lines through each point must be the same.
+"""
+
+import json
+import random
+
+import pytest
+
+from fingeo import linalg
+from fingeo.errors import FingeoError, InternalContradiction
+from fingeo.geometry import QuotientGeometry, TableGeometry, check_geometry_axioms, subgeometry
+from fingeo.gf import gf, list_homomorphisms
+from fingeo.projective import SemilinearMap, build_pg, check_projective_axioms
+from fingeo.reconstruct import PartialPointMap, reconstruct_ftpg
+from quotient_routes import RefQuotientGeometry, ref_reconstruct_ftpg
+
+# (n, q, q'): maps PG(n, q) -> PG(n, q'), four settings with a non-surjective sigma
+FTPG_SETTINGS = (
+    (3, 2, 2),
+    (3, 3, 3),
+    (3, 4, 4),
+    (3, 2, 4),
+    (3, 3, 9),
+    (2, 4, 16),
+    (2, 5, 5),
+    (2, 2, 2),
+    (2, 3, 3),
+    (2, 2, 8),
+)
+MAPS_PER_SETTING = 40
+
+
+def outcome(fn, psi):
+    """The canonical map as (sigma table, matrix), or the error class."""
+    try:
+        phi = fn(psi)
+    except FingeoError as exc:
+        return type(exc)
+    return phi.sigma.table, phi.matrix
+
+
+def seeded_maps(n, q, q2):
+    """Point maps of seeded semilinear maps K^(n+1) -> K'^(n+1) of rank at
+    least 2, each followed by six perturbed copies: two with two images
+    swapped, two with one image replaced and two with one knocked out."""
+    K, K2 = gf(q), gf(q2)
+    P = build_pg(n, q)
+    homs = list_homomorphisms(K, K2)
+    rng = random.Random(f"ftpg {n} {q} {q2}")
+    for _ in range(MAPS_PER_SETTING):
+        while True:
+            M = [[rng.randrange(q2) for _ in range(n + 1)] for _ in range(n + 1)]
+            if linalg.rank(K2, M) >= 2:
+                break
+        phi = SemilinearMap(rng.choice(homs), M)
+        images = [linalg.normalize_vec(K2, phi.apply_vec(v)) for v in P.vectors]
+        yield False, PartialPointMap(P, K2, n, tuple(images))
+        for kind in ("swap", "swap", "replace", "replace", "knock", "knock"):
+            while True:
+                bad = list(images)
+                i, j = rng.sample(range(P.n_points), 2)
+                if kind == "swap":
+                    bad[i], bad[j] = bad[j], bad[i]
+                elif kind == "replace":
+                    bad[i] = linalg.normalize_vec(K2, [rng.randrange(q2) for _ in range(n + 1)])
+                else:
+                    bad[i] = None
+                if bad != images:
+                    break
+            yield True, PartialPointMap(P, K2, n, tuple(bad))
+
+
+@pytest.mark.parametrize("setting", FTPG_SETTINGS, ids=lambda s: "pg(%d,%d)->%d" % s)
+def test_frame_chain_matches_unit_point_route(setting):
+    maps = 0
+    for perturbed, psi in seeded_maps(*setting):
+        got, ref = outcome(reconstruct_ftpg, psi), outcome(ref_reconstruct_ftpg, psi)
+        assert InternalContradiction not in (got, ref)
+        assert isinstance(got, tuple) == isinstance(ref, tuple)
+        if isinstance(got, tuple):
+            assert not perturbed
+            assert got == ref
+            maps += 1
+    assert maps > 0
+
+
+def pg32_table():
+    return TableGeometry(15, build_pg(3, 2).flats())
+
+
+def quotient_tables():
+    """The 28 parent tables: seven small ones, PG(3,2) without each of its
+    15 planes, and six random 9-point subgeometries of PG(3,2)'s table."""
+    pg32 = build_pg(3, 2)
+    tables = {
+        "triangle": TableGeometry(3, [0, 1, 2, 4, 3, 5, 6, 7]),
+        "shared-pair": TableGeometry(4, [0, 0b0011, 0b0111, 0b1011, 0b1111]),
+        "pair-off-plane": TableGeometry(5, [0, 0b00011, 0b00111, 0b01011, 0b10111, 0b11111]),
+        "broken-exchange": TableGeometry(4, [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0111, 0b1111]),
+        "pg32": pg32_table(),
+        "pg23": TableGeometry(13, build_pg(2, 3).flats()),
+        "paired": TableGeometry(6, [0, 0b111111] + [a | b for a in (3, 12, 48) for b in (3, 12, 48)]),
+    }
+    for index, plane in enumerate(pg32.planes()):
+        tables[f"pg32-minus-{index}"] = TableGeometry(15, [m for m in pg32.flats() if m != plane])
+    rng = random.Random(9)
+    for seed in range(6):
+        tables[f"sub-{seed}"] = subgeometry(pg32_table(), rng.sample(range(15), 9))
+    return tables
+
+
+def report(G):
+    """Everything the two quotient routes must agree on."""
+    rng = random.Random(G.n_points)
+    masks = [0, G.full_mask] + [rng.getrandbits(G.n_points) for _ in range(40)]
+    try:
+        projective = check_projective_axioms(G).as_dict()
+    except FingeoError as exc:
+        projective = type(exc).__name__
+    return json.dumps(
+        {
+            "flats": G.flats(),
+            "dims": [G.flat_dim(m) for m in G.flats()],
+            "closures": [G.closure_mask(m) for m in masks],
+            "axioms": check_geometry_axioms(G).as_dict(),
+            "projective": projective,
+            "label": G.label(),
+            "lines_through": [G.lines_through(x) for x in range(G.n_points)],
+        }
+    )
+
+
+def test_table_quotients_match_parent_closure_route():
+    quotients = 0
+    for name, T in quotient_tables().items():
+        for e_mask in T.flats():
+            if e_mask.bit_count() > 3:
+                continue
+            Q, ref = QuotientGeometry(T, e_mask), RefQuotientGeometry(T, e_mask)
+            assert isinstance(Q, TableGeometry)
+            assert (Q.classes, Q.reps) == (ref.classes, ref.reps)
+            assert report(Q) == report(ref), (name, e_mask)
+            quotients += 1
+    assert quotients == 1064

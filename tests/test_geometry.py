@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from fingeo import linalg
 from fingeo.errors import (
+    NotAMorphism,
     NotConstantOnClasses,
     NotGenerating,
     PreconditionLinesTooShort,
 )
 from fingeo.geometry import (
     CoordGeometry,
+    FiniteGeometry,
     Flat,
     GeometryMorphism,
     PartialMorphism,
@@ -251,6 +253,24 @@ def test_single_line_generated_by_lines():
     assert is_generated_by_lines(G).verdict
 
 
+class PairClosesToLine(FiniteGeometry):
+    """Four points where {0, 1} closes to {0, 1, 2} and every other set is
+    closed: not monotone, since {0, 1, 3} is closed."""
+
+    def __init__(self):
+        super().__init__(4)
+
+    def _closure_mask(self, mask):
+        return 0b0111 if mask == 0b0011 else mask
+
+
+def test_flat_not_closed_under_the_line_rule():
+    # {0, 1, 3} is a flat holding 0 and 1 but not the rest of their line
+    rep = is_generated_by_lines(PairClosesToLine())
+    assert (rep.verdict, rep.method) == (False, "exhaustive")
+    assert rep.witness == {"flat_not_rule_closed": [0, 1, 3]}
+
+
 def test_sampled_fallback_for_large_geometry(pg34):
     rep = is_generated_by_lines(pg34)
     assert rep.verdict and rep.method == "sampled" and rep.seed is not None
@@ -446,11 +466,21 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-def assert_validate_raises(pm, message):
-    for check in (pm.validate, lambda: ref_validate(pm)):
-        with pytest.raises(NotConstantOnClasses) as info:
-            check()
-        assert str(info.value) == message
+# messages of the failures validate now raises as NotAMorphism; the
+# reference raises NotConstantOnClasses for every failure
+NOT_A_MORPHISM = ("definedness does not match the exceptional flat", "restriction is not a morphism: ")
+
+
+def ref_outcome(pm):
+    """ref_validate's outcome, with the type the library now raises."""
+    got = outcome(lambda: ref_validate(pm))
+    if isinstance(got, tuple) and got[0] is NotConstantOnClasses and got[1].startswith(NOT_A_MORPHISM):
+        return NotAMorphism, got[1]
+    return got
+
+
+def assert_validate_raises(pm, kind, message):
+    assert outcome(pm.validate) == ref_outcome(pm) == (kind, message)
 
 
 def test_validate_definedness_mismatch(pg32):
@@ -459,7 +489,7 @@ def test_validate_definedness_mismatch(pg32):
     bad = list(pi.map)
     bad[1] = None
     pm = PartialMorphism(pg32, pi.target, E, tuple(bad))
-    assert_validate_raises(pm, "definedness does not match the exceptional flat")
+    assert_validate_raises(pm, NotAMorphism, "definedness does not match the exceptional flat")
 
 
 def test_validate_not_constant_on_a_class(pg32):
@@ -469,7 +499,7 @@ def test_validate_not_constant_on_a_class(pg32):
     bad = list(pi.map)
     bad[2] = (bad[2] + 1) % Q.n_points
     pm = PartialMorphism(pg32, Q, E, tuple(bad))
-    assert_validate_raises(pm, "points 2 and class [0, 1, 2]")
+    assert_validate_raises(pm, NotConstantOnClasses, "points 2 and class [0, 1, 2]")
 
 
 def test_validate_restriction_not_a_morphism(pg22):
@@ -478,7 +508,7 @@ def test_validate_restriction_not_a_morphism(pg22):
     swap = (1, 0, 2, 3, 4, 5, 6)
     pm = PartialMorphism(pg22, pg22, Flat(pg22, 0), swap)
     assert_validate_raises(
-        pm, "restriction is not a morphism: {'target_flat': [0, 3, 4], 'preimage': [1, 3, 4]}"
+        pm, NotAMorphism, "restriction is not a morphism: {'target_flat': [0, 3, 4], 'preimage': [1, 3, 4]}"
     )
 
 
@@ -560,7 +590,7 @@ def partial_maps(draw):
 def test_validate_matches_reference(case):
     src, tgt, e, images = case
     pm = PartialMorphism(src, tgt, Flat(src, e), images)
-    assert outcome(pm.validate) == outcome(lambda: ref_validate(pm))
+    assert outcome(pm.validate) == ref_outcome(pm)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Static checks on the package source: every module uses what it imports,
 imports no underscore name from another module of the package, every
-top-level function or class is referred to somewhere, and every parameter
-with a default is passed by some call.
+top-level function or class and every method of a top-level class other
+than a dunder is referred to somewhere, and every parameter with a default
+is passed by some call.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -74,13 +75,24 @@ def referenced_names(source):
 
 
 def dead_definitions(source, referenced):
-    """(line, name) for each top-level function or class of the module that
-    is not among the referenced names."""
-    return [
-        (node.lineno, node.name)
-        for node in ast.parse(source).body
-        if isinstance(node, DEFINITIONS) and node.name not in referenced
-    ]
+    """(line, name) for each top-level function or class of the module, and
+    (line, "Class.method") for each method of a top-level class that is not
+    a dunder, that is not among the referenced names."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        if node.name not in referenced:
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (method.lineno, f"{node.name}.{method.name}")
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+                and method.name not in referenced
+            ]
+    return sorted(out)
 
 
 def call_arguments(sources):
@@ -191,6 +203,19 @@ def test_dead_definition_is_reported():
     other = "from .m import used\n\nhandler = getattr(m, 'ByName')\n"
     referenced = referenced_names(source) | referenced_names(other)
     assert dead_definitions(source, referenced) == [(5, "dead")]
+
+
+def test_dead_method_is_reported():
+    source = (
+        "class Used:\n"
+        "    def __init__(self):\n        self.x = self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def apply(self, v):\n        return v\n\n"
+        "    @property\n    def size(self):\n        return 2\n"
+    )
+    other = "from .m import Used\n\nprint(Used().size)\n"
+    referenced = referenced_names(source) | referenced_names(other)
+    assert dead_definitions(source, referenced) == [(8, "Used.apply")]
 
 
 @pytest.fixture(scope="module")

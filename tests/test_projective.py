@@ -198,7 +198,7 @@ def test_kernel_cross_field_rational_and_irrational():
 def test_induced_partial_invertible_collineation(pg32):
     K = gf(2)
     M = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-    pmap, pm = induced_partial(SemilinearMap(identity_hom(K), M))
+    pm = induced_partial(SemilinearMap(identity_hom(K), M))
     assert pm.exceptional.mask == 0
     assert sorted(pm.map) == list(range(15))
 
@@ -206,7 +206,7 @@ def test_induced_partial_invertible_collineation(pg32):
 def test_induced_partial_projection_kernel_point():
     K = gf(3)
     M = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))
-    pmap, pm = induced_partial(SemilinearMap(identity_hom(K), M))
+    pm = induced_partial(SemilinearMap(identity_hom(K), M))
     src = pm.source
     assert pm.exceptional.mask.bit_count() == 1
     assert src.vectors[next(bits_of(pm.exceptional.mask))] == (0, 0, 0, 1)
@@ -225,7 +225,7 @@ def test_quotient_linear_map_matches_geometry_quotient(pg32):
     M = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     phi = SemilinearMap(identity_hom(K), M)
     Q, pi, tgt = quotient_as_pg(pg32, phi.kernel())
-    pmap, pm = induced_partial(phi)
+    pm = induced_partial(phi)
     for i in range(15):
         if pi(i) is None:
             assert pm(i) is None

@@ -73,7 +73,7 @@ def induced_point_map(phi, src):
 
 def test_ftpg_identity(pg32):
     phi = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
-    _, pm = induced_partial(phi)
+    pm = induced_partial(phi)
     got = reconstruct_ftpg(pm)
     assert got.matrix == linalg.identity_matrix(4)
     assert got.sigma.is_identity

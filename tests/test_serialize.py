@@ -48,6 +48,18 @@ def test_abstract_geometry_round_trip(tmp_path):
     assert back.raw_table == G.raw_table
 
 
+def test_table_quotient_round_trip(tmp_path):
+    # a quotient of a table is a table on the parent flats through E
+    Q = TableGeometry(15, build_pg(3, 2).flats()).point_quotient(0)
+    path = tmp_path / "q.json"
+    save_geometry(Q, path)
+    back = load_geometry(path)
+    assert isinstance(back, TableGeometry)
+    assert back.n_points == Q.n_points == 7
+    assert back.raw_table == Q.raw_table
+    assert back.flats() == Q.flats()
+
+
 def test_bad_geometry_files():
     with pytest.raises(FileFormatError):
         geometry_from_dict({"points": 3})
