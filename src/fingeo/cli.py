@@ -20,9 +20,8 @@ from . import linalg, serialize
 from .classify import ALL_PREDICATES, BUNDLE_LIMIT, BUNDLE_SEED, classify
 from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
 from .gallery import EXAMPLE_NAMES, build_example
-from .geometry import CoordGeometry, bits_of, quotient
+from .geometry import CoordGeometry, TableGeometry, bits_of, check_geometry_axioms, quotient
 from .projective import check_projective_axioms
-from .geometry import check_geometry_axioms
 from .reconstruct import (
     MorphismInstance,
     PartialPointMap,
@@ -138,11 +137,7 @@ def cmd_quotient(args, t0):
         "quotient_dim": Q.dim(),
     }
     if args.out:
-        table = {
-            "points": Q.n_points,
-            "flats": [list(bits_of(m)) for m in Q.flats()],
-        }
-        serialize.dump_json(table, args.out)
+        serialize.save_geometry(TableGeometry(Q.n_points, Q.flats()), args.out)
     _report(args, {"geometry": args.geometry}, payload, t0)
     return 0
 

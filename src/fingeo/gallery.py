@@ -131,7 +131,7 @@ def make_quadric(P: CoordGeometry, form: str) -> CoordGeometry:
     cone        x0 x1 - x2^2 joined from the vertex (0,0,0,1), vertex
                 removed, q(q+1) points.
     """
-    if P.dim() != 3:
+    if P.ncoords != 4 or not P.is_full_pg:
         raise SizeLimit("quadric constructors require an ambient PG(3, q)")
     K = P.field
     q = K.q
@@ -199,7 +199,7 @@ def build_example(name: str, K: GF, dim=None) -> CoordGeometry:
     if name == "projective":
         return build_pg(dim if dim is not None else 3, K.q)
     if name in ("elliptic-quadric", "hyperbolic-quadric", "cone"):
-        P = build_pg(3, K.q)
+        P = build_pg(dim if dim is not None else 3, K.q)
         return make_quadric(P, name.split("-")[0])
     if name == "two-hyperplanes":
         P = build_pg(dim if dim is not None else 3, K.q)

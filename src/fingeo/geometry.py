@@ -151,8 +151,8 @@ class Incidence:
 
 def _closed_sets(close, full_mask, limit=math.inf):
     """Every set closed under close, found from close(0) by adding one point
-    at a time to each closed set, breadth first, as a set filled in that
-    order; None once more than limit sets are found."""
+    at a time to each closed set, breadth first; None once more than limit
+    sets are found."""
     empty = close(0)
     seen = {empty}
     frontier = [empty]
@@ -902,10 +902,11 @@ def _generated_by(G, use_planes):
         seen = _closed_sets(lambda m: _rule_closure(G, m, use_planes), G.full_mask, GENERATED_NODE_LIMIT)
         if seen is None:
             return _generated_sampled(G, use_planes)
-        for m in seen:
-            if m not in flats:
-                return GeneratedReport(False, "exhaustive", None, len(seen),
-                                       witness={"rule_closed_not_flat": sorted(bits_of(m))})
+        extra = [m for m in seen if m not in flats]
+        if extra:
+            least = min(extra, key=lambda m: (m.bit_count(), m))
+            return GeneratedReport(False, "exhaustive", None, len(seen),
+                                   witness={"rule_closed_not_flat": sorted(bits_of(least))})
         return GeneratedReport(len(seen) == len(flats), "exhaustive", None, len(seen))
     return _generated_sampled(G, use_planes)
 

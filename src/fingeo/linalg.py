@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import GF, FieldHom
+from .gf import GF
 
 
 def zero_vec(n):
@@ -63,10 +63,6 @@ def identity_matrix(n):
 
 def transpose(M):
     return tuple(zip(*M))
-
-
-def sigma_matrix(sigma: FieldHom, M):
-    return sigma.map_matrix(M)
 
 
 def normalize_vec(K: GF, v):
@@ -153,14 +149,7 @@ def reduce_against(K: GF, basis_rows, pivots, v):
 
 
 def in_span(K: GF, basis_rows, pivots, v):
-    add, neg, mul = K._add, K._neg, K._mul
-    v = list(v)
-    for row, piv in zip(basis_rows, pivots):
-        c = v[piv]
-        if c:
-            mrow = mul[neg[c]]
-            v = [add[a][mrow[b]] if b else a for a, b in zip(v, row)]
-    return not any(v)
+    return not any(reduce_against(K, basis_rows, pivots, v))
 
 
 def rref_extend(K: GF, basis_rows, pivots, v):

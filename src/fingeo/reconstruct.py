@@ -12,9 +12,9 @@ the two quotients.  Both legs run on X's own point quotient X/x, whose points ar
 normalised coordinates of V/<v_x>.  The locally projective and locally
 affino-projective cases differ only in how a leg is recovered: directly from
 the quotient map, or through the fiber of the base image and an extension
-over the completing hyperplane.  A final sweep over all of X replaces any
-case analysis: either the induced map agrees everywhere or the
-reconstruction fails loudly.
+over the completing hyperplane, which the base engine alone accepts or
+rejects.  One final sweep per map replaces any case analysis: either the
+induced map agrees at every point or the reconstruction fails loudly.
 """
 
 from __future__ import annotations
@@ -265,13 +265,18 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     R = Binv[:d1]
     M = linalg.mat_mul(K2, linalg.transpose(vpp), sigma.map_matrix(R))
     phi = SemilinearMap(sigma, M)
-
-    for i, v in enumerate(src.vectors):
-        got = linalg.normalize_vec(K2, phi.apply_vec(v))
-        want = pm.images[i]
-        if got != want:
-            raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {want}")
+    _verify(phi, src.vectors, pm.images)
     return phi.canonical()
+
+
+def _verify(phi: SemilinearMap, vectors, images):
+    """The final sweep: phi must induce images[i] (None inside its kernel)
+    at every point vectors[i]."""
+    K2 = phi.target_field
+    for i, v in enumerate(vectors):
+        got = linalg.normalize_vec(K2, phi.apply_vec(v))
+        if got != images[i]:
+            raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {images[i]}")
 
 
 # -- quotient transport -------------------------------------------------------------
@@ -440,21 +445,6 @@ def _pick_pair(inst, admissible, pair_rank):
     raise NoBasePair(f"no admissible base pair at rank {pair_rank}")
 
 
-def _verify_against_instance(phi: SemilinearMap, inst: MorphismInstance):
-    K2 = inst.target_field
-    for x, v in enumerate(inst.geometry.vectors):
-        got = linalg.normalize_vec(K2, phi.apply_vec(v))
-        if got is None:
-            raise VerificationFailed(f"kernel of the reconstruction meets X at {x}")
-        if got != inst.images[x]:
-            raise VerificationFailed(f"reconstruction disagrees with the input at point {x}")
-
-
-def _finish(phi_raw: SemilinearMap, inst, pair) -> ReconstructionResult:
-    _verify_against_instance(phi_raw, inst)
-    return ReconstructionResult.of(phi_raw, inst.geometry, pair)
-
-
 def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
     """Pick a base pair among the admissible points, recover the leg at each
     base point, normalize the pair to a common scalar, glue along the fibred
@@ -464,7 +454,9 @@ def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> Reconstruc
     v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
     psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
-    return _finish(glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p), inst, pair)
+    phi = glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p)
+    _verify(phi, inst.geometry.vectors, inst.images)
+    return ReconstructionResult.of(phi, inst.geometry, pair)
 
 
 def reconstruct_locally_projective(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:
@@ -480,8 +472,8 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     of P: off X, the image is the common point of the closures of the images
     of the secant lines through the point (lines not inside the first
     certifying hyperplane of is_affino_projective); points with empty
-    intersection become the exceptional set, which must close up to a
-    flat."""
+    intersection are left undefined.  The base engine then decides whether
+    the extension is a partial morphism."""
     X, view = inst.geometry, ambient_view(inst.geometry)
     P, idx, xmask = view.P, view.idx, view.xmask
     K, K2 = P.field, inst.target_field
@@ -513,44 +505,17 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
         if len(common) > 1:
             raise InconsistentExtension(f"ambient point {p} has a multi-dimensional image trace")
         amb_images[p] = linalg.normalize_vec(K2, common[0])
-    e_mask = mask_of(i for i, v in enumerate(amb_images) if v is None)
-    if P.closure_mask(e_mask) != e_mask:
-        raise ExceptionalNotFlat("undefined points do not form a flat")
-    out = PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
-    _check_partial_point_map(out)
-    return out
-
-
-def _check_partial_point_map(pm: PartialPointMap):
-    """Necessary partial-morphism conditions on a coordinate point map:
-    constant on exceptional join classes, and per line collinear images with
-    an injective-or-constant restriction."""
-    P, K2 = pm.source, pm.target_field
-    undef = pm.undefined_mask()
-    if undef:
-        clash = class_clash(P, undef, pm.images)
-        if clash is not None:
-            raise InconsistentExtension(f"extension not constant on the class of {clash}")
-    for line in P.lines():
-        vals = [pm.images[i] for i in bits_of(line) if pm.images[i] is not None]
-        if len(vals) < 2:
-            continue
-        distinct = set(vals)
-        if len(distinct) == 1:
-            continue
-        if len(distinct) != len(vals):
-            raise InconsistentExtension("a line maps neither injectively nor constantly")
-        if linalg.rank(K2, vals) > 2:
-            raise InconsistentExtension("images of a line are not collinear")
+    return PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
 
 
 def reconstruct_affino_projective(inst: MorphismInstance) -> ReconstructionResult:
     """Reconstruction for a total morphism on an affino-projective geometry:
     extend through the hyperplane, then run the base engine."""
     phi = reconstruct_ftpg(extend_affino(inst))
-    # extend_affino rejects an image inside a line, so the pair is (0, j)
-    # for the first j whose image differs from that of 0
-    return _finish(phi, inst, _pick_pair(inst, range(inst.geometry.n_points), 0))
+    # the base engine verified phi on all of P, X included; extend_affino
+    # rejects an image inside a line, so the pair is (0, j) for the first j
+    # whose image differs from that of 0
+    return ReconstructionResult.of(phi, inst.geometry, _pick_pair(inst, range(inst.geometry.n_points), 0))
 
 
 def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:

@@ -31,17 +31,26 @@ off one incidence index per geometry.  ref_lp_axioms,
 ref_projective_axioms and ref_coplanarity are the routes that came before
 it, kept literally: each builds its own pair-to-line table or scans every
 line per plane.
+
+The extension over the completing hyperplane: the library's extend_affino
+leaves every check to the base engine, whose class test and final sweep
+decide whether the extension is a partial morphism.  ref_extend_affino is
+the extension that came before it, kept verbatim: it also tests that the
+undefined points form a flat and runs ref_check_partial_point_map, a
+pre-check of necessary conditions, before the base engine sees the map.
 """
 
 import itertools
 
 from fingeo import linalg
-from fingeo.classify import Verdict, ambient_view
+from fingeo.classify import Verdict, ambient_view, is_affino_projective
 from fingeo.errors import (
     ExceptionalNotFlat,
     ImageInLine,
+    InconsistentExtension,
     InternalContradiction,
     NoBasePair,
+    NotAffinoProjective,
     NotConstantOnClasses,
     SigmaNotHomomorphism,
     SizeLimit,
@@ -67,7 +76,14 @@ from fingeo.projective import (
     check_projective_axioms,
     quotient_coords,
 )
-from fingeo.reconstruct import MorphismInstance, PartialPointMap, _as_point_map, extend_affino, reconstruct_ftpg
+from fingeo.reconstruct import (
+    MorphismInstance,
+    PartialPointMap,
+    _as_point_map,
+    _field_clause,
+    extend_affino,
+    reconstruct_ftpg,
+)
 
 
 def ref_quotient_projective(X, x):
@@ -651,3 +667,72 @@ class RefQuotientGeometry(_QuotientClasses, FiniteGeometry):
             if s >> rep & 1:
                 out |= 1 << i
         return out
+
+
+def ref_extend_affino(inst: MorphismInstance) -> PartialPointMap:
+    """Extend a morphism on an affino-projective X to a partial map on all
+    of P: off X, the image is the common point of the closures of the images
+    of the secant lines through the point (lines not inside the first
+    certifying hyperplane of is_affino_projective); points with empty
+    intersection become the exceptional set, which must close up to a
+    flat."""
+    X, view = inst.geometry, ambient_view(inst.geometry)
+    P, idx, xmask = view.P, view.idx, view.xmask
+    K, K2 = P.field, inst.target_field
+    _field_clause(K, K2)
+    if linalg.rank(K2, inst.images) < 3:
+        raise ImageInLine("image of the affino-projective geometry lies in a line")
+    ap = is_affino_projective(X)
+    if not ap:
+        raise NotAffinoProjective(f"{X.label()} has no completing hyperplane")
+    H = ap.certificates["hyperplane_mask"]
+    local_of = {amb: x for x, amb in enumerate(idx)}
+    amb_images = [None] * P.n_points
+    for x, amb in enumerate(idx):
+        amb_images[amb] = inst.images[x]
+    for p in bits_of(P.full_mask & ~xmask):
+        common = None
+        for line in P.lines_through(p):
+            if line & ~H == 0:
+                continue
+            locs = [local_of[a] for a in bits_of(line & xmask)]
+            if len(locs) < 2:
+                continue
+            rows, _ = linalg.rref(K2, [inst.images[a] for a in locs])
+            common = rows if common is None else linalg.intersect_spans(K2, common, rows)
+            if common == ():
+                break
+        if common is None or len(common) == 0:
+            continue  # exceptional candidate
+        if len(common) > 1:
+            raise InconsistentExtension(f"ambient point {p} has a multi-dimensional image trace")
+        amb_images[p] = linalg.normalize_vec(K2, common[0])
+    e_mask = mask_of(i for i, v in enumerate(amb_images) if v is None)
+    if P.closure_mask(e_mask) != e_mask:
+        raise ExceptionalNotFlat("undefined points do not form a flat")
+    out = PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
+    ref_check_partial_point_map(out)
+    return out
+
+
+def ref_check_partial_point_map(pm: PartialPointMap):
+    """Necessary partial-morphism conditions on a coordinate point map:
+    constant on exceptional join classes, and per line collinear images with
+    an injective-or-constant restriction."""
+    P, K2 = pm.source, pm.target_field
+    undef = pm.undefined_mask()
+    if undef:
+        clash = class_clash(P, undef, pm.images)
+        if clash is not None:
+            raise InconsistentExtension(f"extension not constant on the class of {clash}")
+    for line in P.lines():
+        vals = [pm.images[i] for i in bits_of(line) if pm.images[i] is not None]
+        if len(vals) < 2:
+            continue
+        distinct = set(vals)
+        if len(distinct) == 1:
+            continue
+        if len(distinct) != len(vals):
+            raise InconsistentExtension("a line maps neither injectively nor constantly")
+        if linalg.rank(K2, vals) > 2:
+            raise InconsistentExtension("images of a line are not collinear")

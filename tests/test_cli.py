@@ -187,6 +187,49 @@ def test_quotient_command(tmp_path):
     assert rep["quotient_dim"] == 2
 
 
+@pytest.mark.parametrize("kind", ["coordinate", "table"])
+def test_quotient_out_writes_the_table_format(tmp_path, capsys, kind):
+    """quotient --out writes the quotient's flats as a table geometry, the
+    same bytes as the {"points", "flats"} document built by hand."""
+    from fingeo import cli
+    from fingeo.geometry import TableGeometry, quotient
+
+    G = build_pg(3, 2)
+    if kind == "table":
+        G = TableGeometry(G.n_points, G.flats())
+    geo, out = tmp_path / "g.json", tmp_path / "q.json"
+    save_geometry(G, geo)
+    assert cli.main(["quotient", "--geometry", str(geo), "--flat", "0,1,2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    Q, _ = quotient(G, G.closure([0, 1, 2]))
+    table = {
+        "points": Q.n_points,
+        "flats": [list(bits_of(m)) for m in Q.flats()],
+    }
+    assert out.read_text() == dump_json(table) + "\n"
+    assert load_geometry(out).flats() == Q.flats()
+
+
+QUADRICS = ("elliptic-quadric", "hyperbolic-quadric", "cone")
+
+
+@pytest.mark.parametrize("name", QUADRICS)
+def test_quadric_off_dimension_3_exit_3(tmp_path, capsys, name):
+    """A quadric lives in PG(3, q): --dim 3 is the default and any other
+    dimension is refused with exit 3 and no file."""
+    from fingeo import cli
+
+    base = ["make-example", "--name", name, "--field", "gf(3)", "--out"]
+    assert cli.main(base + [str(tmp_path / "default.json")]) == 0
+    assert cli.main(base + [str(tmp_path / "dim3.json"), "--dim", "3"]) == 0
+    assert (tmp_path / "dim3.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+    for dim in ("2", "4"):
+        capsys.readouterr()
+        assert cli.main(base + [str(tmp_path / f"dim{dim}.json"), "--dim", dim]) == 3
+        assert "ambient PG(3, q)" in capsys.readouterr().err
+        assert not (tmp_path / f"dim{dim}.json").exists()
+
+
 @pytest.mark.parametrize("flat", ["999", "-1", "0,15"])
 @pytest.mark.parametrize("kind", ["coordinate", "table"])
 def test_quotient_flat_index_out_of_range_exit_2(tmp_path, kind, flat):

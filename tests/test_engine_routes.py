@@ -12,6 +12,13 @@ through E, where RefQuotientGeometry closes through the parent.  Over the
 quotients by each of the 1064 flats of at most three points of 28 tables,
 geometries and not, the flats, their dimensions, closures, both axiom
 reports, the label and the lines through each point must be the same.
+
+extend_affino leaves the acceptance of its extension to the base engine,
+where ref_extend_affino also tested the undefined set and ran a pre-check of
+necessary partial-morphism conditions.  On seeded semilinear maps restricted
+to affine spaces and quadrics, and on perturbed copies of them, the ap and
+lap drivers must return the same map and certificate on either extension
+and fail on the same inputs; neither may raise InternalContradiction.
 """
 
 import json
@@ -19,13 +26,19 @@ import random
 
 import pytest
 
-from fingeo import linalg
-from fingeo.errors import FingeoError, InternalContradiction
+from fingeo import linalg, reconstruct
+from fingeo.errors import FingeoError, InternalContradiction, ZeroMap
 from fingeo.geometry import QuotientGeometry, TableGeometry, check_geometry_axioms, subgeometry
 from fingeo.gf import gf, list_homomorphisms
 from fingeo.projective import SemilinearMap, build_pg, check_projective_axioms
-from fingeo.reconstruct import PartialPointMap, reconstruct_ftpg
-from quotient_routes import RefQuotientGeometry, ref_reconstruct_ftpg
+from fingeo.reconstruct import (
+    MorphismInstance,
+    PartialPointMap,
+    reconstruct_affino_projective,
+    reconstruct_ftpg,
+    reconstruct_locally_affino,
+)
+from quotient_routes import RefQuotientGeometry, ref_extend_affino, ref_reconstruct_ftpg
 
 # (n, q, q'): maps PG(n, q) -> PG(n, q'), four settings with a non-surjective sigma
 FTPG_SETTINGS = (
@@ -155,3 +168,74 @@ def test_table_quotients_match_parent_closure_route():
             assert report(Q) == report(ref), (name, e_mask)
             quotients += 1
     assert quotients == 1064
+
+
+# (fixture, target field order, driver, seeded maps)
+EXTENSION_SETTINGS = (
+    ("ag33", 3, reconstruct_affino_projective, 6),
+    ("ag33", 9, reconstruct_affino_projective, 4),
+    ("ag34", 4, reconstruct_affino_projective, 3),
+    ("elliptic_33", 3, reconstruct_locally_affino, 10),
+    ("cone_33", 3, reconstruct_locally_affino, 10),
+    ("elliptic_34", 4, reconstruct_locally_affino, 8),
+    ("hyperbolic_34", 4, reconstruct_locally_affino, 8),
+)
+
+
+def seeded_instances(X, q2, count):
+    """Restrictions to X of seeded semilinear maps K^4 -> K'^4 of rank 3
+    or 4 whose kernel misses X, each followed by six perturbed copies:
+    three with two images swapped and three with one image replaced."""
+    K2 = gf(q2)
+    homs = list_homomorphisms(X.field, K2)
+    targets = linalg.all_proj_points(K2, 4)
+    rng = random.Random(f"extension {X.label()} {q2}")
+    made = 0
+    while made < count:
+        M = [[rng.randrange(q2) for _ in range(4)] for _ in range(4)]
+        if linalg.rank(K2, M) < 3:
+            continue
+        try:
+            inst = MorphismInstance.restrict_semilinear(SemilinearMap(rng.choice(homs), M), X)
+        except ZeroMap:
+            continue
+        made += 1
+        yield inst
+        for kind in ("swap",) * 3 + ("replace",) * 3:
+            while True:
+                bad = list(inst.images)
+                i, j = rng.sample(range(X.n_points), 2)
+                if kind == "swap":
+                    bad[i], bad[j] = bad[j], bad[i]
+                else:
+                    bad[i] = rng.choice(targets)
+                if bad != list(inst.images):
+                    break
+            yield MorphismInstance(X, K2, 3, tuple(bad))
+
+
+def driver_outcome(driver, inst):
+    """The map, sigma and certificate of a reconstruction, or the error class."""
+    try:
+        result = driver(inst)
+    except FingeoError as exc:
+        return type(exc)
+    return result.phi.sigma.table, result.phi.matrix, json.dumps(result.certificate)
+
+
+@pytest.mark.parametrize("fixture, q2, driver, count", EXTENSION_SETTINGS,
+                         ids=lambda v: str(getattr(v, "__name__", v)))
+def test_extension_decided_by_the_base_engine(fixture, q2, driver, count, request, monkeypatch):
+    X = request.getfixturevalue(fixture)
+    maps = 0
+    for inst in seeded_instances(X, q2, count):
+        got = driver_outcome(driver, inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruct, "extend_affino", ref_extend_affino)
+            ref = driver_outcome(driver, inst)
+        assert InternalContradiction not in (got, ref)
+        assert isinstance(got, tuple) == isinstance(ref, tuple), (got, ref)
+        if isinstance(got, tuple):
+            assert got == ref
+            maps += 1
+    assert maps > 0

@@ -12,7 +12,7 @@ from fingeo.classify import (
     is_locally_affino_projective,
     is_locally_projective,
 )
-from fingeo.errors import EqualHyperplanes, InternalContradiction, NoEmbedding
+from fingeo.errors import EqualHyperplanes, InternalContradiction, NoEmbedding, SizeLimit
 from fingeo.gallery import (
     _anisotropic_binary_form,
     build_example,
@@ -56,6 +56,16 @@ def test_quadric_counts(pg32, pg33, pg34):
         assert make_quadric(P, "elliptic").n_points == q * q + 1
         assert make_quadric(P, "hyperbolic").n_points == (q + 1) ** 2
         assert make_quadric(P, "cone").n_points == q * (q + 1)
+
+
+@pytest.mark.parametrize("form", ["elliptic", "hyperbolic", "cone"])
+def test_quadric_off_pg3_refused_from_coordinates(form):
+    """The ambient is checked from its coordinates: PG(5,5) is refused
+    before its flat lattice is enumerated."""
+    P = build_pg(5, 5)
+    with pytest.raises(SizeLimit):
+        make_quadric(P, form)
+    assert P._flats is None
 
 
 def test_hyperbolic_32_contains_six_lines(hyperbolic_32, pg32):

@@ -271,6 +271,24 @@ def test_flat_not_closed_under_the_line_rule():
     assert rep.witness == {"flat_not_rule_closed": [0, 1, 3]}
 
 
+@pytest.mark.parametrize("backend", ["coordinate", "table"])
+def test_generated_by_witness_is_least_rule_closed_non_flat(pg32, backend):
+    """The witness is the least rule-closed set that is not a flat, in
+    (size, mask) order, whatever order the search meets such sets in."""
+    pts = [0, 4, 5, 6, 7, 8, 9, 11, 12, 13]
+    parent = pg32 if backend == "coordinate" else TableGeometry(15, pg32.flats())
+    G = subgeometry(parent, pts)
+    rep = is_generated_by_lines(G)
+    assert (rep.verdict, rep.method) == (False, "exhaustive")
+    assert rep.witness == {"rule_closed_not_flat": [0, 1, 6]}
+
+    def rule_closed(m):
+        return all(G.line_through_pair(a, b) & ~m == 0 for a, b in itertools.combinations(bits_of(m), 2))
+
+    extra = [m for m in range(1 << G.n_points) if rule_closed(m) and m not in G.flat_set()]
+    assert sorted(bits_of(min(extra, key=lambda m: (m.bit_count(), m)))) == [0, 1, 6]
+
+
 def test_sampled_fallback_for_large_geometry(pg34):
     rep = is_generated_by_lines(pg34)
     assert rep.verdict and rep.method == "sampled" and rep.seed is not None

@@ -151,7 +151,7 @@ def test_sigma_matrix_twist():
     K = gf(4)
     frob = hom_from_power(K, K, 1)
     M = ((1, 2), (3, 0))
-    assert linalg.sigma_matrix(frob, M) == ((1, 3), (2, 0))
+    assert frob.map_matrix(M) == ((1, 3), (2, 0))
 
 
 def test_all_proj_points_is_normalized_lex():

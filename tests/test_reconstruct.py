@@ -496,6 +496,7 @@ def test_leg_is_the_induced_quotient_map(fixture, leg, admissible, request):
         ("two_hyperplanes_33", reconstruct_locally_projective),
         ("elliptic_33", reconstruct_locally_affino),
         ("cone_33", reconstruct_locally_affino),
+        ("ag33", reconstruct_affino_projective),
     ],
 )
 def test_perturbed_input_never_returns_a_map(fixture, driver, request):
