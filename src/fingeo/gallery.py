@@ -10,7 +10,6 @@ InternalContradiction when it fails (the checks hold under python -O too).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .classify import check_line_condition, is_locally_projective
@@ -177,19 +176,6 @@ def make_quadric(P: CoordGeometry, form: str) -> CoordGeometry:
 
 
 # -- registry for the CLI ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    """A constructor identifier with its parameters; building twice from the
-    same spec yields identical point sets."""
-
-    name: str
-    field_order: int
-    dim: int | None = None
-
-    def build(self) -> CoordGeometry:
-        return build_example(self.name, gf(self.field_order), self.dim)
 
 
 def build_example(name: str, K: GF, dim=None) -> CoordGeometry:

@@ -2,7 +2,10 @@
 
 Vectors are tuples of field encodings, matrices are tuples of row tuples.
 Everything is pure and allocation-light; these routines sit under every
-enumeration kernel in the package.
+enumeration kernel in the package.  Every kernel runs on the field's
+tables, never on its arithmetic methods; two spans are intersected by
+residues, and the annihilator and the quotient projection are read off an
+RREF.
 """
 
 from __future__ import annotations
@@ -21,31 +24,39 @@ def unit_vec(n, j):
 
 
 def vec_add(K: GF, u, v):
-    add = K.add
-    return tuple(add(a, b) for a, b in zip(u, v))
+    add = K._add
+    return tuple(add[a][b] for a, b in zip(u, v))
 
 
 def vec_sub(K: GF, u, v):
-    sub = K.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
+    add, neg = K._add, K._neg
+    return tuple(add[a][neg[b]] for a, b in zip(u, v))
 
 
 def vec_scale(K: GF, c, v):
-    mul = K.mul
-    return tuple(mul(c, a) for a in v)
+    mrow = K._mul[c]
+    return tuple(mrow[a] for a in v)
 
 
 def dot(K: GF, u, v):
-    add, mul = K.add, K.mul
+    add, mul = K._add, K._mul
     acc = 0
     for a, b in zip(u, v):
         if a and b:
-            acc = add(acc, mul(a, b))
+            acc = add[acc][mul[a][b]]
     return acc
 
 
 def matvec(K: GF, M, v):
-    return tuple(dot(K, row, v) for row in M)
+    add, mul = K._add, K._mul
+    terms = [(j, mul[b]) for j, b in enumerate(v) if b]
+    out = []
+    for row in M:
+        acc = 0
+        for j, mcol in terms:
+            acc = add[acc][mcol[row[j]]]
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_mul(K: GF, A, B):
@@ -71,8 +82,8 @@ def normalize_vec(K: GF, v):
         if c:
             if c == 1:
                 return tuple(v)
-            inv = K.inv(c)
-            return tuple(K.mul(inv, a) for a in v)
+            mrow = K._mul[K._inv[c]]
+            return tuple(mrow[a] for a in v)
     return None
 
 
@@ -160,7 +171,7 @@ def rref_extend(K: GF, basis_rows, pivots, v):
     if lead is None:
         return basis_rows, pivots
     if red[lead] != 1:
-        red = vec_scale(K, K.inv(red[lead]), red)
+        red = vec_scale(K, K._inv[red[lead]], red)
     rows = []
     pivs = []
     placed = False
@@ -209,15 +220,17 @@ def kernel_basis(K: GF, M):
 
 
 def quotient_projection(K: GF, rows, pivots, ncols):
-    """Matrix of V -> V/W for W the span of an RREF basis: reduce against
-    the basis and read off the non-pivot coordinates.  It kills exactly W,
-    and is the identity on the free coordinates."""
-    free = [j for j in range(ncols) if j not in pivots]
-    cols = []
-    for j in range(ncols):
-        red = reduce_against(K, rows, pivots, unit_vec(ncols, j))
-        cols.append(tuple(red[f] for f in free))
-    return tuple(zip(*cols))
+    """Matrix of V -> V/W for W the span of an RREF basis, read off the rows
+    as the annihilator is: a free column maps to its unit vector among the
+    free columns, a pivot column to minus its row on them.  It kills exactly
+    W, and is the identity on the free coordinates."""
+    neg = K._neg
+    row_at = dict(zip(pivots, rows))
+    free = [j for j in range(ncols) if j not in row_at]
+    return tuple(
+        tuple(neg[row_at[j][f]] if j in row_at else int(j == f) for j in range(ncols))
+        for f in free
+    )
 
 
 def solve(K: GF, A, b):
@@ -243,22 +256,15 @@ def inverse(K: GF, M):
 
 
 def intersect_spans(K: GF, rows1, rows2):
-    """RREF basis of span(rows1) & span(rows2)."""
+    """RREF basis of span(rows1) & span(rows2): one RREF of the rows
+    [residue of r against span(rows2) | r] for r in rows1, whose rows with
+    their pivot right of the residue block are [0 | basis row]."""
     if not rows1 or not rows2:
         return ()
-    stacked = tuple(rows1) + tuple(rows2)
-    coeffs = kernel_basis(K, transpose(stacked))
-    r1 = len(rows1)
-    vecs = []
-    for c in coeffs:
-        v = zero_vec(len(rows1[0]))
-        for ci, row in zip(c[:r1], rows1):
-            if ci:
-                v = vec_add(K, v, vec_scale(K, ci, row))
-        if any(v):
-            vecs.append(v)
-    out, _ = rref(K, vecs)
-    return out
+    basis, pivots = rref(K, rows2)
+    n = len(rows1[0])
+    stacked, spivots = rref(K, [reduce_against(K, basis, pivots, r) + tuple(r) for r in rows1])
+    return tuple(row[n:] for row, piv in zip(stacked, spivots) if piv >= n)
 
 
 def span_points(K: GF, basis_rows):

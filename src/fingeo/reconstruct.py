@@ -472,8 +472,10 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     of P: off X, the image is the common point of the closures of the images
     of the secant lines through the point (lines not inside the first
     certifying hyperplane of is_affino_projective); points with empty
-    intersection are left undefined.  The base engine then decides whether
-    the extension is a partial morphism."""
+    intersection are left undefined.  The first line's images are taken in
+    RREF, and each further line's raw images go to intersect_spans against
+    the span so far.  The base engine then decides whether the extension is
+    a partial morphism."""
     X, view = inst.geometry, ambient_view(inst.geometry)
     P, idx, xmask = view.P, view.idx, view.xmask
     K, K2 = P.field, inst.target_field
@@ -496,8 +498,11 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
             locs = [local_of[a] for a in bits_of(line & xmask)]
             if len(locs) < 2:
                 continue
-            rows, _ = linalg.rref(K2, [inst.images[a] for a in locs])
-            common = rows if common is None else linalg.intersect_spans(K2, common, rows)
+            images = [inst.images[a] for a in locs]
+            if common is None:
+                common, _ = linalg.rref(K2, images)
+            else:
+                common = linalg.intersect_spans(K2, common, images)
             if common == ():
                 break
         if common is None or len(common) == 0:

@@ -38,6 +38,15 @@ decide whether the extension is a partial morphism.  ref_extend_affino is
 the extension that came before it, kept verbatim: it also tests that the
 undefined points form a flat and runs ref_check_partial_point_map, a
 pre-check of necessary conditions, before the base engine sees the map.
+Its extension loop is ref_extend_unchecked, which takes each secant line's
+images in RREF and intersects the spans by ref_intersect_spans.
+
+The span kernels: the library intersects two spans by one elimination of
+the residues of the first against the second, and reads the quotient
+projection off the RREF.  ref_intersect_spans and ref_quotient_projection
+are the kernels that came before, kept verbatim: the first solves for the
+coefficients of the stacked rows' kernel and combines them, the second
+reduces each unit vector against the basis.
 """
 
 import itertools
@@ -676,6 +685,18 @@ def ref_extend_affino(inst: MorphismInstance) -> PartialPointMap:
     certifying hyperplane of is_affino_projective); points with empty
     intersection become the exceptional set, which must close up to a
     flat."""
+    out = ref_extend_unchecked(inst)
+    P = out.source
+    e_mask = mask_of(i for i, v in enumerate(out.images) if v is None)
+    if P.closure_mask(e_mask) != e_mask:
+        raise ExceptionalNotFlat("undefined points do not form a flat")
+    ref_check_partial_point_map(out)
+    return out
+
+
+def ref_extend_unchecked(inst: MorphismInstance) -> PartialPointMap:
+    """The extension loop of ref_extend_affino, with the span kernel that
+    came before the residue intersection."""
     X, view = inst.geometry, ambient_view(inst.geometry)
     P, idx, xmask = view.P, view.idx, view.xmask
     K, K2 = P.field, inst.target_field
@@ -699,7 +720,7 @@ def ref_extend_affino(inst: MorphismInstance) -> PartialPointMap:
             if len(locs) < 2:
                 continue
             rows, _ = linalg.rref(K2, [inst.images[a] for a in locs])
-            common = rows if common is None else linalg.intersect_spans(K2, common, rows)
+            common = rows if common is None else ref_intersect_spans(K2, common, rows)
             if common == ():
                 break
         if common is None or len(common) == 0:
@@ -707,12 +728,7 @@ def ref_extend_affino(inst: MorphismInstance) -> PartialPointMap:
         if len(common) > 1:
             raise InconsistentExtension(f"ambient point {p} has a multi-dimensional image trace")
         amb_images[p] = linalg.normalize_vec(K2, common[0])
-    e_mask = mask_of(i for i, v in enumerate(amb_images) if v is None)
-    if P.closure_mask(e_mask) != e_mask:
-        raise ExceptionalNotFlat("undefined points do not form a flat")
-    out = PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
-    ref_check_partial_point_map(out)
-    return out
+    return PartialPointMap(P, K2, inst.target_dim, tuple(amb_images))
 
 
 def ref_check_partial_point_map(pm: PartialPointMap):
@@ -736,3 +752,34 @@ def ref_check_partial_point_map(pm: PartialPointMap):
             raise InconsistentExtension("a line maps neither injectively nor constantly")
         if linalg.rank(K2, vals) > 2:
             raise InconsistentExtension("images of a line are not collinear")
+
+
+def ref_intersect_spans(K, rows1, rows2):
+    """RREF basis of span(rows1) & span(rows2)."""
+    if not rows1 or not rows2:
+        return ()
+    stacked = tuple(rows1) + tuple(rows2)
+    coeffs = linalg.kernel_basis(K, linalg.transpose(stacked))
+    r1 = len(rows1)
+    vecs = []
+    for c in coeffs:
+        v = linalg.zero_vec(len(rows1[0]))
+        for ci, row in zip(c[:r1], rows1):
+            if ci:
+                v = linalg.vec_add(K, v, linalg.vec_scale(K, ci, row))
+        if any(v):
+            vecs.append(v)
+    out, _ = linalg.rref(K, vecs)
+    return out
+
+
+def ref_quotient_projection(K, rows, pivots, ncols):
+    """Matrix of V -> V/W for W the span of an RREF basis: reduce against
+    the basis and read off the non-pivot coordinates.  It kills exactly W,
+    and is the identity on the free coordinates."""
+    free = [j for j in range(ncols) if j not in pivots]
+    cols = []
+    for j in range(ncols):
+        red = linalg.reduce_against(K, rows, pivots, linalg.unit_vec(ncols, j))
+        cols.append(tuple(red[f] for f in free))
+    return tuple(zip(*cols))

@@ -19,15 +19,23 @@ necessary partial-morphism conditions.  On seeded semilinear maps restricted
 to affine spaces and quadrics, and on perturbed copies of them, the ap and
 lap drivers must return the same map and certificate on either extension
 and fail on the same inputs; neither may raise InternalContradiction.
+
+extend_affino intersects each secant line's raw images with the span so far
+by residues, where ref_extend_unchecked takes every line in RREF and
+intersects by the stacked kernel that came before.  On every extension the
+ap and lap drivers ask for on those inputs, both must return the same
+partial point map or raise the same class with the same message, which
+names the ambient point.
 """
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from fingeo import linalg, reconstruct
-from fingeo.errors import FingeoError, InternalContradiction, ZeroMap
+from fingeo.errors import FingeoError, InconsistentExtension, InternalContradiction, ZeroMap
 from fingeo.geometry import QuotientGeometry, TableGeometry, check_geometry_axioms, subgeometry
 from fingeo.gf import gf, list_homomorphisms
 from fingeo.projective import SemilinearMap, build_pg, check_projective_axioms
@@ -38,7 +46,12 @@ from fingeo.reconstruct import (
     reconstruct_ftpg,
     reconstruct_locally_affino,
 )
-from quotient_routes import RefQuotientGeometry, ref_extend_affino, ref_reconstruct_ftpg
+from quotient_routes import (
+    RefQuotientGeometry,
+    ref_extend_affino,
+    ref_extend_unchecked,
+    ref_reconstruct_ftpg,
+)
 
 # (n, q, q'): maps PG(n, q) -> PG(n, q'), four settings with a non-surjective sigma
 FTPG_SETTINGS = (
@@ -239,3 +252,43 @@ def test_extension_decided_by_the_base_engine(fixture, q2, driver, count, reques
             assert got == ref
             maps += 1
     assert maps > 0
+
+
+# (fixture, target field order, driver, seeded maps)
+RESIDUE_SETTINGS = (
+    ("ag33", 3, reconstruct_affino_projective, 6),
+    ("ag34", 4, reconstruct_affino_projective, 3),
+    ("elliptic_33", 3, reconstruct_locally_affino, 4),
+    ("cone_33", 3, reconstruct_locally_affino, 4),
+    ("elliptic_34", 4, reconstruct_locally_affino, 3),
+    ("cone_34", 4, reconstruct_locally_affino, 3),
+)
+
+
+def extension_outcome(extend, inst):
+    """The extended partial point map, or the error class and message."""
+    try:
+        return extend(inst)
+    except FingeoError as exc:
+        return type(exc), str(exc)
+
+
+def test_extension_matches_stacked_kernel_route(request, monkeypatch):
+    library = reconstruct.extend_affino
+    seen = Counter()
+
+    def compared(inst):
+        got = extension_outcome(library, inst)
+        assert got == extension_outcome(ref_extend_unchecked, inst)
+        seen[got[0] if isinstance(got, tuple) else PartialPointMap] += 1
+        return library(inst)
+
+    monkeypatch.setattr(reconstruct, "extend_affino", compared)
+    ranks = Counter()
+    for fixture, q2, driver, count in RESIDUE_SETTINGS:
+        X = request.getfixturevalue(fixture)
+        for inst in seeded_instances(X, q2, count):
+            ranks[linalg.rank(inst.target_field, inst.images)] += 1
+            driver_outcome(driver, inst)
+    assert ranks[3] and ranks[4]
+    assert seen[PartialPointMap] and seen[InconsistentExtension], seen

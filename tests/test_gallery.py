@@ -149,10 +149,7 @@ def test_constructions_deterministic(pg33):
 
 
 def test_example_spec_is_pure():
-    from fingeo.gallery import ExampleSpec
-
-    spec = ExampleSpec("hyperbolic-quadric", 3)
-    a, b = spec.build(), spec.build()
+    a, b = (build_example("hyperbolic-quadric", gf(3)) for _ in range(2))
     assert a.vectors == b.vectors
     assert a.n_points == 16
 

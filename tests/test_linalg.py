@@ -1,11 +1,18 @@
-"""Exact linear algebra over small Galois fields."""
+"""Exact linear algebra over small Galois fields.
 
+The span kernels are checked tuple for tuple against the routes they
+replaced (quotient_routes.ref_intersect_spans and ref_quotient_projection),
+and the table-driven vector kernels against FieldElement arithmetic.
+"""
+
+import itertools
 import random
 
 import pytest
 
 from fingeo import linalg
 from fingeo.gf import gf, hom_from_power
+from quotient_routes import ref_intersect_spans, ref_quotient_projection
 
 
 def random_matrix(rng, K, m, n):
@@ -190,3 +197,92 @@ def test_annihilator_and_quotient_projection(q):
             inside = linalg.in_span(K, rows, pivots, v)
             assert inside == all(linalg.dot(K, f, v) == 0 for f in forms)
             assert inside == (not any(linalg.matvec(K, proj, v)))
+
+
+SPAN_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
+SPAN_KINDS = ("empty", "zero", "full", "raw", "rref")
+
+
+def span_rows(rng, K, n, kind):
+    """Seeded rows in K^n: none, all zero, an invertible n x n matrix, raw
+    rows, or an RREF basis; the last three padded with duplicated,
+    dependent and zero rows in random order (the RREF basis is not)."""
+    if kind == "empty":
+        return ()
+    if kind == "zero":
+        return ((0,) * n,) * rng.randrange(1, 3)
+    if kind == "full":
+        rows = ()
+        while linalg.rank(K, rows) < n:
+            rows = random_matrix(rng, K, n, n)
+    else:
+        rows = random_matrix(rng, K, rng.randrange(1, n + 1), n)
+    if kind == "rref":
+        return linalg.rref(K, rows)[0]
+    rows = list(rows)
+    for _ in range(rng.randrange(4)):
+        extra = rng.choice(("duplicate", "dependent", "zero"))
+        if extra == "duplicate":
+            rows.append(rng.choice(rows))
+        elif extra == "dependent":
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(linalg.vec_add(K, linalg.vec_scale(K, rng.randrange(K.q), a),
+                                       linalg.vec_scale(K, rng.randrange(K.q), b)))
+        else:
+            rows.append((0,) * n)
+    rng.shuffle(rows)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q", SPAN_FIELDS)
+def test_intersect_spans_matches_reference(q):
+    K = gf(q)
+    rng = random.Random(f"intersect {q}")
+    for kinds in itertools.product(SPAN_KINDS, repeat=2):
+        for n in range(1, 7):
+            A, B = (span_rows(rng, K, n, kind) for kind in kinds)
+            assert linalg.intersect_spans(K, A, B) == ref_intersect_spans(K, A, B), (kinds, A, B)
+
+
+@pytest.mark.parametrize("q", SPAN_FIELDS)
+def test_quotient_projection_matches_reference(q):
+    K = gf(q)
+    rng = random.Random(f"projection {q}")
+    for kind in SPAN_KINDS:
+        for n in range(1, 7):
+            rows, pivots = linalg.rref(K, span_rows(rng, K, n, kind))
+            got = linalg.quotient_projection(K, rows, pivots, n)
+            assert got == ref_quotient_projection(K, rows, pivots, n), (kind, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_table_kernels_match_field_arithmetic(q):
+    K = gf(q)
+    rng = random.Random(f"tables {q}")
+
+    def elements(v):
+        return [K.element(a) for a in v]
+
+    def values(xs):
+        return tuple(int(x) for x in xs)
+
+    def fdot(u, v):
+        return int(sum((a * b for a, b in zip(elements(u), elements(v))), K.element(0)))
+
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        u, v = (random_matrix(rng, K, 1, n)[0] for _ in range(2))
+        if rng.random() < 0.2:
+            u = (0,) * n
+        c = rng.randrange(q)
+        M = random_matrix(rng, K, rng.randrange(1, 5), n)
+        N = random_matrix(rng, K, n, rng.randrange(1, 5))
+        assert linalg.vec_add(K, u, v) == values(a + b for a, b in zip(elements(u), elements(v)))
+        assert linalg.vec_sub(K, u, v) == values(a - b for a, b in zip(elements(u), elements(v)))
+        assert linalg.vec_scale(K, c, u) == values(K.element(c) * a for a in elements(u))
+        assert linalg.dot(K, u, v) == fdot(u, v)
+        assert linalg.matvec(K, M, u) == tuple(fdot(row, u) for row in M)
+        assert linalg.mat_mul(K, M, N) == tuple(tuple(fdot(row, col) for col in zip(*N)) for row in M)
+        lead = next((a for a in elements(u) if int(a)), None)
+        expect = None if lead is None else values(a / lead for a in elements(u))
+        assert linalg.normalize_vec(K, u) == expect

@@ -2,7 +2,8 @@
 imports no underscore name from another module of the package, every
 top-level function or class and every method of a top-level class other
 than a dunder is referred to somewhere, and every parameter with a default
-is passed by some call.
+is passed by some call.  linalg.py, under every enumeration kernel, runs
+on the field's tables and never touches a GF arithmetic method.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -246,6 +247,34 @@ def test_unset_option_is_reported():
     other = "f(1, 2, d=0)\nC(1).m(5)\nC.s(**{})\nf(*args)\n"
     calls = call_arguments([source, other])
     assert unset_options(source, calls) == [(1, "f", "e"), (2, "inner", "g"), (8, "C", "y")]
+
+
+FIELD_METHODS = ("add", "sub", "neg", "mul", "inv", "div")
+
+
+def field_method_uses(source):
+    """(line, name) for each attribute named after a GF arithmetic method,
+    called in place or bound to a local name first."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_METHODS
+    )
+
+
+def test_linalg_runs_on_field_tables():
+    assert field_method_uses((SRC / "linalg.py").read_text(encoding="utf-8")) == []
+
+
+def test_field_method_is_reported():
+    source = (
+        "def f(K, a, b):\n"
+        "    add, mul = K._add, K._mul\n"
+        "    c = K.mul(a, b)\n"
+        "    inv = K.inv\n"
+        "    return add[c][mul[a][b]], inv(a), K.q\n"
+    )
+    assert field_method_uses(source) == [(3, "mul"), (4, "inv")]
 
 
 def load_tracer():
