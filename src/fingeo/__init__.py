@@ -31,7 +31,6 @@ from .geometry import (
     basis_of,
     check_dim_bounds,
     check_geometry_axioms,
-    check_morphism,
     closure,
     dim,
     factor_through_quotient,

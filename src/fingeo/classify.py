@@ -22,13 +22,12 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, DimensionTooLow, InternalContradiction
+from .errors import DimensionTooLow, InternalContradiction
 from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
 
 BUNDLE_LIMIT = 10**8
 BUNDLE_SEED = 0xB1D
 BUNDLE_SAMPLES = 20000
-CERTIFY_LIMIT = 200000
 
 
 @dataclass
@@ -361,44 +360,29 @@ def _coplanarity(X):
     coplanar lines i and k, the bitset of the lines l coplanar with both
     such that i, k and l lie in one plane, memoised per pair.
 
-    On a coordinate geometry all of it is read off the incidence index.
-    Two distinct lines span rank 3 or 4, and rank 3 exactly when the trace
-    of their sum, a plane of X, holds both; so two lines (or three) close to
-    dim <= 2 exactly when some plane holds them, the lines of each plane
-    form a clique, and co(i, k) is the union of the cliques of the planes
-    holding both.  Table geometries have no such guarantee: they close
-    every pair, and for co(i, k) every i | k | l with l a common
-    neighbour of i and k, the same split _build_flats makes.
+    Lines are coplanar when their union closes to dimension <= 2, so every
+    pair is closed, and for co(i, k) every i | k | l with l a common
+    neighbour of i and k, the same split _build_flats makes.  The closure
+    route runs on any geometry; check_bundle_theorem needs it only on
+    tables.
     """
     lines = X.lines()
     nl = len(lines)
     adj = [0] * nl
-    if isinstance(X, CoordGeometry):
-        inc = X.incidence
-        cliques, planes_of = inc.plane_lines, inc.line_planes
-        for clique in cliques:
-            for i in bits_of(clique):
-                adj[i] |= clique & ~(1 << i)
 
-        def in_common_plane(i, k):
-            common = bits_of(planes_of[i] & planes_of[k])
-            return functools.reduce(operator.or_, (cliques[p] for p in common), 0)
+    def coplanar(m):
+        return X.flat_dim(X.closure_mask(m)) <= 2
 
-    else:
+    for i, j in itertools.combinations(range(nl), 2):
+        if coplanar(lines[i] | lines[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
 
-        def coplanar(m):
-            return X.flat_dim(X.closure_mask(m)) <= 2
-
-        for i, j in itertools.combinations(range(nl), 2):
-            if coplanar(lines[i] | lines[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-        def in_common_plane(i, k):
-            # the closure of cl(i | k) | l is the closure of i | k | l, and
-            # the pairs spanning one plane share it in the closure memo
-            ik = X.closure_mask(lines[i] | lines[k])
-            return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
+    def in_common_plane(i, k):
+        # the closure of cl(i | k) | l is the closure of i | k | l, and
+        # the pairs spanning one plane share it in the closure memo
+        ik = X.closure_mask(lines[i] | lines[k])
+        return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
 
     memo = {}
 
@@ -416,38 +400,58 @@ def check_bundle_theorem(X, limit=BUNDLE_LIMIT, seed=BUNDLE_SEED) -> Verdict:
     """Among four lines with no three in a common plane, five coplanar pairs
     force the sixth.
 
-    The violation check is exact.  A violation is four lines whose one
-    non-coplanar pair a, b lies in S(c, d) = adj[c] & adj[d] & ~co(c, d) of
-    the other two, so one sweep over the coplanar pairs (_first_violation)
-    decides the condition, and a verdict that holds is exact whatever its
-    method.  Only when a violation exists are witnesses searched for:
-    exhaustively when line_count^4 <= limit, over the 4-tuples with exactly
-    one non-coplanar pair in lexicographic order, else over BUNDLE_SAMPLES
-    seeded rng.sample draws (the seed is recorded).  Both stop at the fifth
-    violation.  So the seed decides only which witnesses a failing verdict
-    reports; if every draw misses, the pair sweep's violation is reported.
+    On a coordinate geometry, quotients included, the condition holds with
+    no sweep; it is the bundle theorem of the ambient space, inherited by
+    traces:
+    - Two lines are coplanar exactly when their spans meet.
+    - Take four lines where a and b are the only non-coplanar pair, and no
+      three lie in one plane.  The spans C and D of the other two meet in
+      one point p.
+    - A meets both C and D.  If it met them in two different points, a
+      would lie in the plane of c and d.  So A passes through p, and so
+      does B.
+    - So a and b are coplanar, and no violation exists.
+
+    Table geometries are swept, and the violation check is exact.  A
+    violation is four lines whose one non-coplanar pair a, b lies in
+    S(c, d) = adj[c] & adj[d] & ~co(c, d) of the other two, so one sweep
+    over the coplanar pairs (_first_violation) decides the condition, and a
+    verdict that holds is exact whatever its method.  Only when a violation
+    exists are witnesses searched for: exhaustively when line_count^4 <=
+    limit, over the 4-tuples with exactly one non-coplanar pair in
+    lexicographic order, else over BUNDLE_SAMPLES seeded rng.sample draws
+    (the seed is recorded).  Both stop at the fifth violation.  So the seed
+    decides only which witnesses a failing verdict reports; if every draw
+    misses, the pair sweep's violation is reported.  A coordinate geometry
+    reports the method and seed that search would use.
     """
     if X.dim() < 3:
         raise DimensionTooLow(f"dim {X.dim()} < 3")
-    lines, adj, co = _coplanarity(X)
-    nl = len(lines)
+    nl = len(X.lines())
     if nl**4 <= limit:
         method, used_seed = "exhaustive", None
     else:
         method, used_seed = "sampled", seed
-    first = _first_violation(adj, co)
-    found = []
-    if first is not None:
-        if method == "exhaustive":
-            tuples = _one_gap_tuples(adj)
-        else:
-            rng = random.Random(seed)
-            tuples = (tuple(sorted(rng.sample(range(nl), 4))) for _ in range(BUNDLE_SAMPLES))
-        found = list(itertools.islice((t for t in tuples if _violates(adj, co, t)), 5)) or [first]
-    witnesses = [[sorted(bits_of(lines[i])) for i in tup] for tup in found]
+    witnesses = [] if isinstance(X, CoordGeometry) else _bundle_witnesses(X, method, seed)
     out = Verdict("bundle_theorem", not witnesses, witnesses, method=method, seed=used_seed)
     out.certificates["violations"] = len(witnesses)
     return out
+
+
+def _bundle_witnesses(X, method, seed):
+    """Up to five violating 4-tuples of lines of X, as point lists, found by
+    the search check_bundle_theorem describes."""
+    lines, adj, co = _coplanarity(X)
+    first = _first_violation(adj, co)
+    if first is None:
+        return []
+    if method == "exhaustive":
+        tuples = _one_gap_tuples(adj)
+    else:
+        rng = random.Random(seed)
+        tuples = (tuple(sorted(rng.sample(range(len(lines)), 4))) for _ in range(BUNDLE_SAMPLES))
+    found = list(itertools.islice((t for t in tuples if _violates(adj, co, t)), 5)) or [first]
+    return [[sorted(bits_of(lines[i])) for i in tup] for tup in found]
 
 
 def _first_violation(adj, co):
@@ -505,29 +509,6 @@ def _one_gap_tuples(adj):
                     ls = ai & aj & ak
                 for l in bits_of(ls >> (k + 1) << (k + 1)):
                     yield i, j, k, l
-
-
-def certified_bundles(X):
-    """Concurrency data for complete bundles: 4-tuples of lines, pairwise
-    coplanar, no three in a common plane; returns (count, all_concurrent).
-    The tuples are the 4-cliques of the coplanarity graph with no triple in
-    co: the third line is read off co(i, j), the fourth off one mask."""
-    lines = X.lines()
-    nl = len(lines)
-    if nl**4 > CERTIFY_LIMIT * 24:
-        raise CapExceeded(f"{nl} lines exceed the bundle certification cap")
-    _, adj, co = _coplanarity(X)
-    count = 0
-    all_conc = True
-    for i, ai in enumerate(adj):
-        for j in bits_of(ai >> (i + 1) << (i + 1)):
-            off_ij = ai & adj[j] & ~co(i, j)
-            for k in bits_of(off_ij >> (j + 1) << (j + 1)):
-                for l in bits_of((off_ij & adj[k] & ~co(i, k) & ~co(j, k)) >> (k + 1) << (k + 1)):
-                    count += 1
-                    if not lines[i] & lines[j] & lines[k] & lines[l]:
-                        all_conc = False
-    return count, all_conc
 
 
 # -- affino-projective family ----------------------------------------------------------

@@ -38,8 +38,6 @@ from .gf import GF
 # seeds and sample sizes recorded in, or deciding the method of, the reports
 CLOSURE_SEED = 101
 CLOSURE_SAMPLES = 200
-MORPHISM_SUBSET_LIMIT = 60000
-MORPHISM_SEED = 0xC0FFEE
 GENERATED_NODE_LIMIT = 120000
 GENERATED_SAMPLES = 300
 GENERATED_SEED = 0xB1D
@@ -775,26 +773,6 @@ def class_clash(G: FiniteGeometry, e_mask: int, images):
     return None
 
 
-@dataclass
-class MorphismReport:
-    is_morphism: bool
-    witness: object
-    condition_c_ok: bool
-    c_method: str
-    c_seed: object
-    agree: bool
-
-    def as_dict(self):
-        return {
-            "is_morphism": self.is_morphism,
-            "witness": self.witness,
-            "condition_c": self.condition_c_ok,
-            "condition_c_method": self.c_method,
-            "seed": self.c_seed,
-            "conditions_agree": self.agree,
-        }
-
-
 def _flat_preimage_witness(f: GeometryMorphism):
     """The first target flat whose preimage is not a source flat, with that
     preimage, or None when every preimage is a flat."""
@@ -807,53 +785,9 @@ def _flat_preimage_witness(f: GeometryMorphism):
 
 
 def flat_preimage_condition(f: GeometryMorphism) -> bool:
-    """The defining morphism condition alone: every target-flat preimage is
-    a source flat.  Exact, and much cheaper than the finite-closure sweep."""
+    """The defining morphism condition: every target-flat preimage is a
+    source flat."""
     return _flat_preimage_witness(f) is None
-
-
-def check_morphism(f: GeometryMorphism) -> MorphismReport:
-    """Check the flat-preimage condition exactly, and the finite-closure
-    condition on subsets of size <= 4 (exhaustively up to
-    MORPHISM_SUBSET_LIMIT of them, else as many seeded samples).  The two
-    verdicts must agree."""
-    src, tgt = f.source, f.target
-    witness = _flat_preimage_witness(f)
-    cond_a = witness is None
-
-    n = src.n_points
-    subsets = []
-    total = sum(math.comb(n, r) for r in (2, 3, 4))
-    if total <= MORPHISM_SUBSET_LIMIT:
-        method = "exhaustive"
-        used_seed = None
-        for r in (2, 3, 4):
-            subsets.extend(itertools.combinations(range(n), r))
-    else:
-        method = "sampled"
-        used_seed = MORPHISM_SEED
-        rng = random.Random(MORPHISM_SEED)
-        for _ in range(MORPHISM_SUBSET_LIMIT):
-            r = rng.choice((2, 3, 4))
-            subsets.append(tuple(rng.sample(range(n), min(r, n))))
-    cond_c = True
-    c_witness = None
-    for a in subsets:
-        cl_a = src.closure_mask(mask_of(a))
-        img_cl = tgt.closure_mask(mask_of(f.map[i] for i in a))
-        for x in bits_of(cl_a):
-            if not img_cl >> f.map[x] & 1:
-                cond_c = False
-                c_witness = {"subset": list(a), "point": x}
-                break
-        if not cond_c:
-            break
-    if witness is None and c_witness is not None:
-        witness = c_witness
-    # a sampled pass of (c) cannot contradict an exact failure of (a); an
-    # actual (c) witness against a passing (a) is a genuine disagreement
-    agree = (cond_a == cond_c) or (method == "sampled" and not cond_a and cond_c)
-    return MorphismReport(cond_a, witness, cond_c, method, used_seed, agree)
 
 
 # -- generated by lines / planes ----------------------------------------------

@@ -25,12 +25,12 @@ parent flats through E.  RefQuotientGeometry is the class that came before
 it, kept verbatim: it closes a class set through the parent closure of E
 and its representatives.
 
-The incidence checks: the library reads the lp axioms, the P1 and
-Veblen-Young sweeps of the projective axioms and the coplanarity of lines
-off one incidence index per geometry.  ref_lp_axioms,
-ref_projective_axioms and ref_coplanarity are the routes that came before
-it, kept literally: each builds its own pair-to-line table or scans every
-line per plane.
+The incidence checks: the library reads the lp axioms and the P1 and
+Veblen-Young sweeps of the projective axioms off one incidence index per
+geometry, and computes the coplanarity of lines only on tables.
+ref_lp_axioms, ref_projective_axioms and ref_coplanarity are the routes
+that came before, kept literally: each builds its own pair-to-line table
+or scans every line per plane.
 
 The extension over the completing hyperplane: the library's extend_affino
 leaves every check to the base engine, whose class test and final sweep
@@ -47,13 +47,24 @@ projection off the RREF.  ref_intersect_spans and ref_quotient_projection
 are the kernels that came before, kept verbatim: the first solves for the
 coefficients of the stacked rows' kernel and combines them, the second
 reduces each unit vector against the basis.
+
+The bundle certification and the morphism sweep: no library path runs
+them.  certified_bundles counts the complete bundles of X (four pairwise
+coplanar lines, no three in a plane) and says whether each is concurrent;
+check_morphism decides the flat-preimage condition and also sweeps the
+finite-closure condition on subsets of size <= 4, kept verbatim as the
+reference for PartialMorphism.validate and check_dim_bounds.
 """
 
 import itertools
+import math
+import random
+from dataclasses import dataclass
 
 from fingeo import linalg
-from fingeo.classify import Verdict, ambient_view, is_affino_projective
+from fingeo.classify import Verdict, _coplanarity, ambient_view, is_affino_projective
 from fingeo.errors import (
+    CapExceeded,
     ExceptionalNotFlat,
     ImageInLine,
     InconsistentExtension,
@@ -68,7 +79,9 @@ from fingeo.errors import (
 from fingeo.geometry import (
     CoordGeometry,
     FiniteGeometry,
+    GeometryMorphism,
     _QuotientClasses,
+    _flat_preimage_witness,
     bits_of,
     class_clash,
     dim_formula_violations,
@@ -783,3 +796,97 @@ def ref_quotient_projection(K, rows, pivots, ncols):
         red = linalg.reduce_against(K, rows, pivots, linalg.unit_vec(ncols, j))
         cols.append(tuple(red[f] for f in free))
     return tuple(zip(*cols))
+
+
+CERTIFY_LIMIT = 200000
+
+
+def certified_bundles(X):
+    """Concurrency data for complete bundles: 4-tuples of lines, pairwise
+    coplanar, no three in a common plane; returns (count, all_concurrent).
+    The tuples are the 4-cliques of the coplanarity graph with no triple in
+    co: the third line is read off co(i, j), the fourth off one mask."""
+    lines = X.lines()
+    nl = len(lines)
+    if nl**4 > CERTIFY_LIMIT * 24:
+        raise CapExceeded(f"{nl} lines exceed the bundle certification cap")
+    _, adj, co = _coplanarity(X)
+    count = 0
+    all_conc = True
+    for i, ai in enumerate(adj):
+        for j in bits_of(ai >> (i + 1) << (i + 1)):
+            off_ij = ai & adj[j] & ~co(i, j)
+            for k in bits_of(off_ij >> (j + 1) << (j + 1)):
+                for l in bits_of((off_ij & adj[k] & ~co(i, k) & ~co(j, k)) >> (k + 1) << (k + 1)):
+                    count += 1
+                    if not lines[i] & lines[j] & lines[k] & lines[l]:
+                        all_conc = False
+    return count, all_conc
+
+
+MORPHISM_SUBSET_LIMIT = 60000
+MORPHISM_SEED = 0xC0FFEE
+
+
+@dataclass
+class MorphismReport:
+    is_morphism: bool
+    witness: object
+    condition_c_ok: bool
+    c_method: str
+    c_seed: object
+    agree: bool
+
+    def as_dict(self):
+        return {
+            "is_morphism": self.is_morphism,
+            "witness": self.witness,
+            "condition_c": self.condition_c_ok,
+            "condition_c_method": self.c_method,
+            "seed": self.c_seed,
+            "conditions_agree": self.agree,
+        }
+
+
+def check_morphism(f: GeometryMorphism) -> MorphismReport:
+    """Check the flat-preimage condition exactly, and the finite-closure
+    condition on subsets of size <= 4 (exhaustively up to
+    MORPHISM_SUBSET_LIMIT of them, else as many seeded samples).  The two
+    verdicts must agree."""
+    src, tgt = f.source, f.target
+    witness = _flat_preimage_witness(f)
+    cond_a = witness is None
+
+    n = src.n_points
+    subsets = []
+    total = sum(math.comb(n, r) for r in (2, 3, 4))
+    if total <= MORPHISM_SUBSET_LIMIT:
+        method = "exhaustive"
+        used_seed = None
+        for r in (2, 3, 4):
+            subsets.extend(itertools.combinations(range(n), r))
+    else:
+        method = "sampled"
+        used_seed = MORPHISM_SEED
+        rng = random.Random(MORPHISM_SEED)
+        for _ in range(MORPHISM_SUBSET_LIMIT):
+            r = rng.choice((2, 3, 4))
+            subsets.append(tuple(rng.sample(range(n), min(r, n))))
+    cond_c = True
+    c_witness = None
+    for a in subsets:
+        cl_a = src.closure_mask(mask_of(a))
+        img_cl = tgt.closure_mask(mask_of(f.map[i] for i in a))
+        for x in bits_of(cl_a):
+            if not img_cl >> f.map[x] & 1:
+                cond_c = False
+                c_witness = {"subset": list(a), "point": x}
+                break
+        if not cond_c:
+            break
+    if witness is None and c_witness is not None:
+        witness = c_witness
+    # a sampled pass of (c) cannot contradict an exact failure of (a); an
+    # actual (c) witness against a passing (a) is a genuine disagreement
+    agree = (cond_a == cond_c) or (method == "sampled" and not cond_a and cond_c)
+    return MorphismReport(cond_a, witness, cond_c, method, used_seed, agree)

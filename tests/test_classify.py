@@ -5,7 +5,6 @@ import random
 import pytest
 
 from fingeo.classify import (
-    certified_bundles,
     check_bundle_theorem,
     check_line_condition,
     check_lp_axioms,
@@ -25,6 +24,7 @@ from fingeo.geometry import is_generated_by_lines_planes
 from fingeo.gf import gf
 from fingeo.gallery import coordinate_hyperplanes, make_complement, make_hyperplane_union
 from fingeo.projective import build_pg, check_projective_axioms, decompose_irreducible
+from quotient_routes import certified_bundles
 
 
 # -- enough points -----------------------------------------------------------------

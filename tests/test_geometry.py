@@ -32,7 +32,6 @@ from fingeo.geometry import (
     bits_of,
     check_dim_bounds,
     check_geometry_axioms,
-    check_morphism,
     closure,
     dim,
     factor_through_quotient,
@@ -46,6 +45,7 @@ from fingeo.geometry import (
 )
 from fingeo.gf import gf, list_homomorphisms
 from fingeo.projective import build_pg
+from quotient_routes import check_morphism
 
 
 def xor_int(P, i):

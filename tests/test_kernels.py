@@ -1,13 +1,15 @@
 """Differential tests for the coordinate closure kernel, the value-mask
 form masks, the subspace flat enumeration, forward-elimination rank, the
-plane-derived coplanarity graph and the bitset bundle sweeps.
+bundle condition and the bitset bundle sweeps.
 
 The literal algorithms they replaced are kept here as references: a
 per-point in_span trace of the span, a per-point dot product for each
 form, the generic quotient closure through the parent, the generic flat
 sweep and the coordinate covering sweep, rank as the length of the RREF,
-coplanarity by closing pairs and triples of lines, and the bundle check and
-bundle certification over every itertools.combinations 4-tuple.
+and the bundle check and bundle certification over every
+itertools.combinations 4-tuple.  The bundle check is the reference both
+for the table sweep and for the theorem that decides every coordinate
+geometry, quotients included, with no sweep.
 """
 
 import functools
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from fingeo import linalg
+from fingeo import classify, linalg
 from fingeo.classify import (
     BUNDLE_LIMIT,
     BUNDLE_SAMPLES,
@@ -24,7 +26,6 @@ from fingeo.classify import (
     _coplanarity,
     _first_violation,
     _one_gap_tuples,
-    certified_bundles,
     check_bundle_theorem,
 )
 from fingeo.errors import CapExceeded, DimensionTooLow, ExceptionalNotFlat
@@ -42,6 +43,7 @@ from fingeo.geometry import (
     subgeometry,
 )
 from fingeo.projective import build_pg
+from quotient_routes import certified_bundles
 
 
 def literal_trace(G, mask):
@@ -374,6 +376,40 @@ def test_bundle_matches_literal_on_gallery(pg32, hyperbolic_32, elliptic_33, two
         assert_bundle_agrees(X, limit)
 
 
+@pytest.mark.parametrize("n, q, quotient", ((3, 2, False), (3, 3, False), (4, 2, False), (4, 2, True), (4, 3, True)))
+def test_bundle_theorem_matches_literal_on_random_coordinate_geometries(n, q, quotient):
+    """Three seeded subgeometries of PG(n, q), or point quotients of them,
+    of dimension >= 3 and with at most 50 lines: the literal search finds no
+    violation, although each has four lines with exactly five coplanar
+    pairs."""
+    P = build_pg(n, q)
+    rng = random.Random(f"bundle corpus {n} {q} {quotient}")
+    found = 0
+    while found < 3:
+        X = subgeometry(P, rng.sample(range(P.n_points), rng.randrange(6, min(P.n_points, 20))))
+        if quotient:
+            X = X.point_quotient(rng.randrange(X.n_points))
+        if X.dim() < 3 or len(X.lines()) > 50:
+            continue
+        got = assert_bundle_agrees(X, BUNDLE_LIMIT)
+        assert got["verdict"] is True and got["certificates"]["violations"] == 0
+        assert next(_one_gap_tuples(_coplanarity(X)[1]), None) is not None, X.label()
+        found += 1
+
+
+def test_bundle_theorem_runs_no_sweep_on_coordinate_geometries(pg32, pg33, elliptic_33, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(classify, "_coplanarity", sweep)
+    monkeypatch.setattr(classify, "_first_violation", sweep)
+    for X in (pg33, elliptic_33, CoordQuotient(build_pg(4, 2), 1)):
+        assert check_bundle_theorem(X).verdict is True
+    # a table still sweeps
+    with pytest.raises(AssertionError, match="swept"):
+        check_bundle_theorem(minus_plane(pg32, 3))
+
+
 @pytest.mark.parametrize("k, violations", ((1, 3), (7, 1)))
 def test_bundle_sampled_on_pg33_minus_a_plane(pg33, k, violations):
     got = assert_bundle_agrees(minus_plane(pg33, k), BUNDLE_LIMIT)
@@ -451,69 +487,6 @@ def test_rank_matches_rref_length(q):
         cases.append(tuple(rows))
     for rows in cases:
         assert linalg.rank(K, rows) == len(linalg.rref(K, rows)[0]), rows
-
-
-# -- coplanarity graph ------------------------------------------------------------
-
-
-def closure_coplanarity(X):
-    """Coplanarity by closing every pair of lines, and a closing test for
-    any number of lines."""
-    lines = X.lines()
-
-    def coplanar(*idx):
-        m = 0
-        for i in idx:
-            m |= lines[i]
-        return X.flat_dim(X.closure_mask(m)) <= 2
-
-    adj = [0] * len(lines)
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        if coplanar(i, j):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return adj, coplanar
-
-
-def assert_coplanarity_agrees(X):
-    """The adjacency bitsets, and co(i, k) at every coplanar pair: the
-    common neighbours l of i and k whose union with i and k closes to a
-    plane."""
-    lines, adj, co = _coplanarity(X)
-    assert lines == X.lines()
-    ref_adj, coplanar = closure_coplanarity(X)
-    assert adj == ref_adj, X.label()
-    for i, ai in enumerate(ref_adj):
-        for k in bits_of(ai):
-            want = mask_of(l for l in bits_of(ai & ref_adj[k]) if coplanar(i, k, l))
-            assert co(i, k) == want, (X.label(), i, k)
-
-
-def test_coplanarity_from_planes_on_gallery(pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
-    for X in (pg32, pg33, ag33, hyperbolic_32, elliptic_33, two_hyperplanes_33, cone_33):
-        assert isinstance(X, CoordGeometry)
-        assert_coplanarity_agrees(X)
-
-
-def test_coplanarity_from_planes_on_quotients(pg33, elliptic_34):
-    rng = random.Random("quotient coplanarity")
-    pg42 = build_pg(4, 2)
-    quotients = [CoordQuotient(pg42, 1), CoordQuotient(pg42, 1 << 17), CoordQuotient(pg33, 1)]
-    quotients.append(CoordQuotient(elliptic_34, 1))
-    # a three-dimensional quotient of a subgeometry, and a quotient by a line
-    sub = subgeometry(pg42, rng.sample(range(pg42.n_points), 24))
-    quotients.append(CoordQuotient(sub, 1))
-    quotients.append(CoordQuotient(pg42, pg42.lines()[5]))
-    assert any(Q.dim() == 3 for Q in quotients)
-    for Q in quotients:
-        assert_coplanarity_agrees(Q)
-
-
-def test_coplanarity_from_planes_on_random_subgeometries(pg33):
-    rng = random.Random("subgeometry coplanarity")
-    for size in (12, 18, 24, 30, 36):
-        X = subgeometry(pg33, rng.sample(range(pg33.n_points), size))
-        assert_coplanarity_agrees(X)
 
 
 # -- bundle certification ----------------------------------------------------------

@@ -15,10 +15,13 @@ witnesses included, also on random subgeometries of PG(4,2) and PG(5,2)
 (which have 3-flats other than X) and on the PG(3,2) tables with one plane
 removed.
 
-The lp axioms, the projective axioms and the bundle condition read one
-incidence index per geometry.  Their reports must be byte-identical to the
-literal routes that built their own partial indices, on all of the above
-and on three tables that are not geometries.
+The lp axioms and the projective axioms read one incidence index per
+geometry.  Their reports, and the bundle condition's, must be
+byte-identical to the literal routes that built their own partial indices,
+on all of the above and on three tables that are not geometries.  A
+coordinate geometry decides the bundle condition with no coplanarity at
+all, so there only the tables exercise ref_coplanarity; the literal
+4-tuple search in test_kernels is the reference on coordinate geometries.
 """
 
 import functools
