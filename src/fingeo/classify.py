@@ -6,8 +6,9 @@ minimal-embedding verification.
 
 The local predicates read each quotient X/x off X's own lattice: the flats
 of X/x are the flats of X through x, one dimension lower, so no quotient
-geometry is built.  Every negative verdict carries a witness that can be
-re-checked in isolation; every certificate (hyperplane H, tangent
+geometry is built.  On a coordinate geometry X/x = P/x off the tangent
+points (_tangent_points), so the local predicates sweep only those.  Every
+negative verdict carries a witness that can be re-checked in isolation; every certificate (hyperplane H, tangent
 hyperplanes H_x) is reported explicitly.  Predicates over the ambient space
 take any CoordGeometry, quotients included: its ambient space is the
 PG(n, q) its coordinates live in, read off by X.ambient and
@@ -102,7 +103,9 @@ class AmbientView:
     P through x that meet X nowhere else, in P.lines() order, and unions[x]
     is their union.  X/x = P/x exactly when x has no tangent line, and X/x
     is affino-projective in P/x exactly when a hyperplane through x holds
-    unions[x].
+    unions[x].  Each line of X through x is the trace of its own ambient
+    line, so x has no tangent line exactly when (q^n - 1)/(q - 1) lines of
+    X pass through it, n = ncoords - 1, which needs no ambient space.
     """
 
     P: CoordGeometry
@@ -127,15 +130,32 @@ def _ambient_view(X) -> AmbientView:
     return AmbientView(P, idx, xmask, tangents, unions)
 
 
+def _tangent_points(X: CoordGeometry) -> int:
+    """The points of X on a tangent line, as a bitmask, counted as in
+    AmbientView; built once."""
+    q, pl = X.field.q, X.incidence.point_lines
+    through = (q ** (X.ncoords - 1) - 1) // (q - 1)
+    return _cached(X, "tangent_points", lambda: mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through))
+
+
 def has_enough_points(X) -> Verdict:
     """Every plane of X contains a quadrilateral.
 
     The certificate quotient_line_form says whether every line of every
     X/x has at least three points.  A line of X/x is a plane of X through
-    x, and its points are the lines of X through x inside that plane.  The
-    form can be strictly stronger than the plane form on geometries with
-    two-point quotient lines (ruled quadrics), so only the implication
-    quotient form => plane form is asserted.
+    x, and its points are the lines of X through x inside that plane, so
+    one plane scan counts them on the incidence index and searches the
+    plane.  The form implies the plane form and can be strictly stronger
+    (ruled quadrics have two-point quotient lines).
+
+    On a coordinate geometry a point off the tangent points lies on q + 1
+    lines of each plane through it, so only tangent points are counted,
+    and only planes failing the count are searched: if each point of a
+    plane lies on three of its lines, a non-collinear a, b, c of it and no
+    quadrilateral put every point on ab, bc or ca; a third line through a
+    has a point d on bc, a third line through d a point e on ab, and
+    a, c, d, e is a quadrilateral after all.  Tables search every plane
+    and assert the implication.
     """
     if X.dim() < 2:
         raise DimensionTooLow(f"dim {X.dim()} < 2")
@@ -143,29 +163,19 @@ def has_enough_points(X) -> Verdict:
 
 
 def _has_enough_points(X) -> Verdict:
-    verdict = True
-    witnesses = []
-    for pm in X.planes():
-        if _has_quadrilateral(X, pm) is None:
-            verdict = False
-            witnesses.append({"plane": sorted(bits_of(pm))})
-    quotient_form = _quotient_line_form(X)
-    if quotient_form and not verdict:
-        raise InternalContradiction("quotient-line form passed but a plane lacks a quadrilateral")
-    return Verdict("enough_points", verdict, witnesses, {"quotient_line_form": quotient_form})
-
-
-def _quotient_line_form(X) -> bool:
-    """Every plane of X holds at least three lines of X through each of its
-    points x: a count of the lines both inside the plane and through x,
-    read off the incidence index, whose containment is exact on every
-    backend."""
     inc = X.incidence
-    return all(
-        (inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3
-        for p, pm in enumerate(inc.planes)
-        for x in bits_of(pm)
-    )
+    coord = isinstance(X, CoordGeometry)
+    counted = _tangent_points(X) if coord else X.full_mask
+    quotient_form = True
+    witnesses = []
+    for p, pm in enumerate(inc.planes):
+        full = all((inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3 for x in bits_of(pm & counted))
+        quotient_form &= full
+        if not (coord and full) and _has_quadrilateral(X, pm) is None:
+            witnesses.append({"plane": sorted(bits_of(pm))})
+    if quotient_form and witnesses:
+        raise InternalContradiction("quotient-line form passed but a plane lacks a quadrilateral")
+    return Verdict("enough_points", not witnesses, witnesses, {"quotient_line_form": quotient_form})
 
 
 # -- locally projective ------------------------------------------------------------
@@ -187,11 +197,13 @@ def _local_dim_formula_at(X, x):
 
 def _skew_points(X: CoordGeometry) -> int:
     """The points x in which a plane and a hyperplane of X meet alone, as a
-    bitmask."""
+    bitmask.  Their spans meet in a tangent line at x, so only planes
+    through tangent points are swept."""
+    tangent = _tangent_points(X)
     hyperplanes = X.hyperplanes()
     bad = 0
     for pm in X.planes():
-        for hm in hyperplanes:
+        for hm in hyperplanes if pm & tangent else ():
             meet = pm & hm
             if meet & (meet - 1) == 0:  # empty or one point
                 bad |= meet
@@ -225,28 +237,23 @@ def is_locally_projective(X) -> Verdict:
 
 
 def _is_locally_projective(X) -> Verdict:
-    coord = isinstance(X, CoordGeometry)
     witnesses = []
-    for x in bits_of(_skew_points(X)) if coord else range(X.n_points):
+    for x in bits_of(_skew_points(X)) if isinstance(X, CoordGeometry) else range(X.n_points):
         w = _local_dim_formula_at(X, x)
         if w is not None:
             witnesses.append({"point": x, "dim_formula_witness": w})
-        elif coord:
-            raise InternalContradiction(f"a plane and a hyperplane meet in {x} alone but no pair fails")
     return Verdict("locally_projective", not witnesses, witnesses)
 
 
 def check_line_condition(X: CoordGeometry) -> Verdict:
-    """Every ambient line misses X or meets it at least twice.  A positive
-    verdict forces local projectivity, which is asserted."""
+    """Every ambient line misses X or meets it at least twice: X has no
+    tangent point.  The tangent lines are listed only when some exist."""
+    if not _tangent_points(X):
+        return Verdict("line_condition", True)
     # a line meeting X once is a tangent line at exactly one point; sorted by
     # (size, mask), the tangent lines come in P.lines() order
     tangents = sorted(itertools.chain(*ambient_view(X).tangents), key=lambda m: (m.bit_count(), m))
-    witnesses = [{"line": sorted(bits_of(line))} for line in tangents]
-    verdict = not witnesses
-    if verdict and not is_locally_projective(X):
-        raise InternalContradiction("line condition holds but X is not locally projective")
-    return Verdict("line_condition", verdict, witnesses)
+    return Verdict("line_condition", False, [{"line": sorted(bits_of(line))} for line in tangents])
 
 
 # -- point/line/plane axioms --------------------------------------------------------
@@ -263,7 +270,12 @@ def check_lp_axioms(X) -> Verdict:
     flat is the trace of its span, so two points span one line, a
     non-collinear triple spans rank 3, whose trace is the one plane holding
     it, and the line through two points of a plane lies in that plane.
-    Other geometries sweep them on the incidence index (_lp_sweeps)."""
+    Other geometries sweep them on the incidence index (_lp_sweeps).
+
+    A locally projective coordinate geometry passes lp4 and lp4prime with
+    no sweep: each failure is two planes meeting in x alone inside a
+    3-flat (for lp4, l1 v x and l2 v x inside the plane's join with x),
+    which breaks the dimension formula at x, 2 + 2 against 3 + 0."""
     inc = X.incidence
     results = dict.fromkeys(("lp1", "lp2", "lp3", "lp4"), True)
     witnesses = []
@@ -272,14 +284,16 @@ def check_lp_axioms(X) -> Verdict:
         results[axiom] = False
         witnesses.append({"axiom": axiom, **witness})
 
-    if not isinstance(X, CoordGeometry):
+    coord = isinstance(X, CoordGeometry)
+    if not coord:
         _lp_sweeps(X, inc, fail)
-    lp4 = _lp4_witness(X, inc)
+    sweep = not (coord and is_locally_projective(X))
+    lp4 = _lp4_witness(X, inc) if sweep else None
     if lp4 is not None:
         fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])
     if X.dim() == 3:
         results["lp4prime"] = True
-        for m1, m2 in itertools.combinations(inc.planes, 2):
+        for m1, m2 in itertools.combinations(inc.planes, 2) if sweep else ():
             inter = m1 & m2
             if inter and X.flat_dim(inter) != 1:
                 fail("lp4prime", planes=[sorted(bits_of(m1)), sorted(bits_of(m2))])
@@ -613,7 +627,7 @@ def check_minimal_embedding(X: CoordGeometry) -> Verdict:
 def full_quotient_points(X: CoordGeometry):
     """Local indices x with X/x = P/x (every ambient line through x is a
     secant); the admissible base points of the locally projective driver."""
-    return tuple(x for x, lines in enumerate(ambient_view(X).tangents) if not lines)
+    return tuple(bits_of(X.full_mask & ~_tangent_points(X)))
 
 
 # -- aggregate -----------------------------------------------------------------------
@@ -633,7 +647,7 @@ ALL_PREDICATES = (
 )
 
 
-def classify(X: CoordGeometry, predicates=None, limit=BUNDLE_LIMIT, seed=BUNDLE_SEED) -> ClassificationReport:
+def classify(X: CoordGeometry, predicates=None) -> ClassificationReport:
     """Run the requested predicates (all by default) and assemble a report."""
     wanted = tuple(predicates) if predicates else ALL_PREDICATES
     fns = {
@@ -641,7 +655,7 @@ def classify(X: CoordGeometry, predicates=None, limit=BUNDLE_LIMIT, seed=BUNDLE_
         "locally_projective": lambda: is_locally_projective(X),
         "line_condition": lambda: check_line_condition(X),
         "lp_axioms": lambda: check_lp_axioms(X),
-        "bundle_theorem": lambda: check_bundle_theorem(X, limit=limit, seed=seed),
+        "bundle_theorem": lambda: check_bundle_theorem(X),
         "affino_projective": lambda: is_affino_projective(X),
         "locally_affino_projective": lambda: is_locally_affino_projective(X),
         "mobius": lambda: is_mobius(X),

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import linalg, serialize
-from .classify import ALL_PREDICATES, BUNDLE_LIMIT, BUNDLE_SEED, classify
+from .classify import ALL_PREDICATES, classify
 from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
 from .gallery import EXAMPLE_NAMES, build_example
 from .geometry import CoordGeometry, TableGeometry, bits_of, check_geometry_axioms, quotient
@@ -110,9 +110,7 @@ def cmd_classify(args, t0):
         unknown = [p for p in preds if p not in ALL_PREDICATES]
         if unknown:
             raise FileFormatError(f"unknown predicates: {unknown}")
-    limit = BUNDLE_LIMIT if args.limit is None else args.limit
-    seed = BUNDLE_SEED if args.seed is None else args.seed
-    report = classify(G, preds, limit=limit, seed=seed)
+    report = classify(G, preds)
     payload = {"classification": report.as_dict(include_witnesses=args.witnesses)}
     ok = all(v.verdict is not False for v in report.verdicts.values())
     _report(args, {"geometry": args.geometry}, payload, t0)
@@ -251,8 +249,6 @@ def build_parser():
     sp.add_argument("--geometry", required=True)
     sp.add_argument("--ambient", default=None)
     sp.add_argument("--predicate", default=None)
-    sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--witnesses", action="store_true")
     sp.set_defaults(fn=cmd_classify)
 

@@ -28,9 +28,17 @@ and its representatives.
 The incidence checks: the library reads the lp axioms and the P1 and
 Veblen-Young sweeps of the projective axioms off one incidence index per
 geometry, and computes the coplanarity of lines only on tables.
-ref_lp_axioms, ref_projective_axioms and ref_coplanarity are the routes
-that came before, kept literally: each builds its own pair-to-line table
-or scans every line per plane.
+ref_lp_axioms and ref_projective_axioms are the routes that came before,
+kept literally: each builds its own pair-to-line table.  ref_coplanarity
+is the closure route that tables run, kept as a fixed copy of it.
+
+The tangent points: on a coordinate geometry the library counts the
+quotient-line form, searches planes for a quadrilateral and sweeps plane
+and hyperplane meets only where a point lies on a tangent line.
+ref_has_enough_points, ref_count_line_form and ref_skew_points are the
+routes that came before, kept verbatim: they count, search and sweep
+everywhere, and ref_has_enough_points still raises when the quotient form
+holds but a plane lacks a quadrilateral.
 
 The extension over the completing hyperplane: the library's extend_affino
 leaves every check to the base engine, whose class test and final sweep
@@ -62,7 +70,7 @@ import random
 from dataclasses import dataclass
 
 from fingeo import linalg
-from fingeo.classify import Verdict, _coplanarity, ambient_view, is_affino_projective
+from fingeo.classify import Verdict, _coplanarity, _has_quadrilateral, ambient_view, is_affino_projective
 from fingeo.errors import (
     CapExceeded,
     ExceptionalNotFlat,
@@ -150,6 +158,45 @@ def ref_quotient_line_form(X):
     return all(
         line.bit_count() >= 3 for x in range(X.n_points) for line in X.point_quotient(x).lines()
     )
+
+
+def ref_has_enough_points(X) -> Verdict:
+    verdict = True
+    witnesses = []
+    for pm in X.planes():
+        if _has_quadrilateral(X, pm) is None:
+            verdict = False
+            witnesses.append({"plane": sorted(bits_of(pm))})
+    quotient_form = ref_count_line_form(X)
+    if quotient_form and not verdict:
+        raise InternalContradiction("quotient-line form passed but a plane lacks a quadrilateral")
+    return Verdict("enough_points", verdict, witnesses, {"quotient_line_form": quotient_form})
+
+
+def ref_count_line_form(X) -> bool:
+    """Every plane of X holds at least three lines of X through each of its
+    points x: a count of the lines both inside the plane and through x,
+    read off the incidence index, whose containment is exact on every
+    backend."""
+    inc = X.incidence
+    return all(
+        (inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3
+        for p, pm in enumerate(inc.planes)
+        for x in bits_of(pm)
+    )
+
+
+def ref_skew_points(X: CoordGeometry) -> int:
+    """The points x in which a plane and a hyperplane of X meet alone, as a
+    bitmask."""
+    hyperplanes = X.hyperplanes()
+    bad = 0
+    for pm in X.planes():
+        for hm in hyperplanes:
+            meet = pm & hm
+            if meet & (meet - 1) == 0:  # empty or one point
+                bad |= meet
+    return bad
 
 
 def ref_quotient_affino(view, local_x):
@@ -481,43 +528,22 @@ def ref_veblen_young_fast(G, lines):
 
 def ref_coplanarity(X):
     """The lines of X, one coplanarity bitset per line, and co(i, k) for
-    coplanar lines i and k; a coordinate geometry scans every line against
-    every plane, a table geometry closes every pair."""
+    coplanar lines i and k; every pair is closed."""
     lines = X.lines()
     nl = len(lines)
     adj = [0] * nl
-    if isinstance(X, CoordGeometry):
-        planes_of = [0] * nl
-        cliques = []
-        for p, pm in enumerate(X.planes()):
-            clique = 0
-            for i, m in enumerate(lines):
-                if m & ~pm == 0:
-                    clique |= 1 << i
-                    planes_of[i] |= 1 << p
-            cliques.append(clique)
-            for i in bits_of(clique):
-                adj[i] |= clique & ~(1 << i)
 
-        def in_common_plane(i, k):
-            m = 0
-            for p in bits_of(planes_of[i] & planes_of[k]):
-                m |= cliques[p]
-            return m
+    def coplanar(m):
+        return X.flat_dim(X.closure_mask(m)) <= 2
 
-    else:
+    for i, j in itertools.combinations(range(nl), 2):
+        if coplanar(lines[i] | lines[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
 
-        def coplanar(m):
-            return X.flat_dim(X.closure_mask(m)) <= 2
-
-        for i, j in itertools.combinations(range(nl), 2):
-            if coplanar(lines[i] | lines[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-        def in_common_plane(i, k):
-            ik = X.closure_mask(lines[i] | lines[k])
-            return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
+    def in_common_plane(i, k):
+        ik = X.closure_mask(lines[i] | lines[k])
+        return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
 
     memo = {}
 

@@ -64,8 +64,8 @@ def test_make_example_bad_args_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
-# each command with one option it does not read; the last case leaves out
-# make-example's required --out
+# each command with one option it does not read; the seventh case leaves
+# out make-example's required --out
 IGNORED_OPTIONS = [
     ("make-example", "--name", "affine", "--field", "gf(2)", "--out", "x.json", "--seed", "1"),
     ("check", "--axioms", "g", "--geometry", "g.json", "--limit", "5"),
@@ -74,6 +74,8 @@ IGNORED_OPTIONS = [
     ("reconstruct", "--geometry", "g.json", "--map", "m.json", "--kind", "lp", "--seed", "1"),
     ("oracle", "--geometry", "g.json", "--map", "m.json", "--out", "x.json"),
     ("make-example", "--name", "affine", "--field", "gf(2)"),
+    ("classify", "--geometry", "g.json", "--limit", "5"),
+    ("classify", "--geometry", "g.json", "--seed", "1"),
 ]
 
 
@@ -383,17 +385,9 @@ def test_reconstruct_kind_pg_on_subgeometry_exit_2(tmp_path):
     assert proc.stdout == ""
 
 
-def test_seed_and_limit_zero_are_used(tmp_path):
+def test_oracle_limit_zero_is_used(tmp_path):
     geo = tmp_path / "pg.json"
     save_geometry(build_pg(3, 2), geo)
-    proc = run_cli(
-        "classify", "--geometry", str(geo), "--predicate", "bundle_theorem", "--seed", "0", "--limit", "0"
-    )
-    assert proc.returncode == 0, proc.stderr
-    bundle = report_of(proc)["classification"]["predicates"]["bundle_theorem"]
-    # 35 lines: 35^4 exceeds a limit of 0, so the verdict is sampled with seed 0
-    assert bundle["method"] == "sampled"
-    assert bundle["seed"] == 0
     mapfile = tmp_path / "phi.json"
     save_map_pairs([(v, v) for v in build_pg(3, 2).vectors], mapfile)
     proc = run_cli("oracle", "--geometry", str(geo), "--map", str(mapfile), "--limit", "0")

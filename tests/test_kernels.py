@@ -336,16 +336,16 @@ def literal_bundle(X, limit, seed=BUNDLE_SEED):
     return d
 
 
-def assert_bundle_agrees(X, limit):
+def assert_bundle_agrees(X, limit, seed=BUNDLE_SEED):
     """Both sweeps give the same report, or both find the dimension too
     low; returns the report (None in the second case)."""
     try:
-        want = literal_bundle(X, limit)
+        want = literal_bundle(X, limit, seed)
     except DimensionTooLow:
         with pytest.raises(DimensionTooLow):
-            check_bundle_theorem(X, limit=limit)
+            check_bundle_theorem(X, limit=limit, seed=seed)
         return None
-    got = check_bundle_theorem(X, limit=limit).as_dict()
+    got = check_bundle_theorem(X, limit=limit, seed=seed).as_dict()
     assert got == want, X.label()
     return got
 
@@ -367,6 +367,13 @@ def test_bundle_on_pg32_minus_a_plane(pg32, k, limit):
     else:
         assert got["method"] == ("sampled" if limit == 10 else "exhaustive")
         assert got["certificates"]["violations"] == 5
+
+
+def test_bundle_seed_draws_the_witnesses_of_a_table(pg32):
+    """A table's sampled witnesses come from the given seed."""
+    got = assert_bundle_agrees(minus_plane(pg32, 3), 10, seed=7)
+    assert got["method"] == "sampled" and got["seed"] == 7
+    assert got["witnesses"] != check_bundle_theorem(minus_plane(pg32, 3), limit=10).as_dict()["witnesses"]
 
 
 @pytest.mark.parametrize("limit", (10**8, 10))

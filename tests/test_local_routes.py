@@ -20,7 +20,8 @@ geometry.  Their reports, and the bundle condition's, must be
 byte-identical to the literal routes that built their own partial indices,
 on all of the above and on three tables that are not geometries.  A
 coordinate geometry decides the bundle condition with no coplanarity at
-all, so there only the tables exercise ref_coplanarity; the literal
+all, so only the tables are compared with ref_coplanarity, and the
+coordinate cases check that no coplanarity is computed; the literal
 4-tuple search in test_kernels is the reference on coordinate geometries.
 """
 
@@ -248,11 +249,16 @@ def bundle_report(X):
         return str(exc)
 
 
+def no_coplanarity(X):
+    raise AssertionError(f"coplanarity computed on {X.label()}")
+
+
 @pytest.mark.parametrize("case", INCIDENCE_CASES)
 def test_bundle_theorem_matches_literal_route(case, monkeypatch):
     X = geometry(case)
     got = bundle_report(X)
-    monkeypatch.setattr(classify, "_coplanarity", ref_coplanarity)
+    reference = no_coplanarity if isinstance(X, CoordGeometry) else ref_coplanarity
+    monkeypatch.setattr(classify, "_coplanarity", reference)
     assert got == bundle_report(X)
 
 
