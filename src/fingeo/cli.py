@@ -217,6 +217,8 @@ def cmd_reconstruct(args, t0):
 
 
 def cmd_oracle(args, t0):
+    if args.limit is not None and args.limit < 0:
+        raise FileFormatError(f"bad candidate cap {args.limit} (must be >= 0)")
     G, K2, target_dim, images = _instance_from_files(args)
     inst = MorphismInstance(G, K2, target_dim, _all_images(G, images))
     maps = brute_force_oracle(inst, cap=1 << 24 if args.limit is None else args.limit)

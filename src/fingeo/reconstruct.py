@@ -20,7 +20,6 @@ induced map agrees at every point or the reconstruction fails loudly.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -622,7 +621,14 @@ def _inverse_is_morphism(K2, images, source) -> bool:
 def brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
     """All semilinear maps (canonical forms, one per scalar class) whose
     induced map agrees with the instance on X and whose kernel misses X,
-    found by enumerating every matrix for every field homomorphism."""
+    for every field homomorphism.  The cap counts every candidate matrix.
+
+    A depth-first search picks row j of the matrix after rows 0..j-1.  At
+    each point x_t with image y_t led by coordinate l_t, row j must give 0
+    when j < l_t or y_t[j] = 0, nonzero when j = l_t (that value is the
+    point's scalar lam_t) and lam_t * y_t[j] otherwise.  Rows are tried in
+    increasing order, so the matches come in the order of an enumeration
+    of every matrix."""
     X = inst.geometry
     K, K2 = X.field, inst.target_field
     n1, m1 = X.ncoords, inst.target_dim + 1
@@ -631,48 +637,34 @@ def brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
     if total > cap:
         raise CapExceeded(f"{total} candidate maps exceed the cap {cap}")
     found = {}
-    src_vecs = X.vectors
-    expected = list(inst.images)
+    expected = inst.images
     leads = [next(i for i, c in enumerate(y) if c) for y in expected]
     rows_list = list(linalg.all_vectors(K2, n1))
-    R = len(rows_list)
     mul = K2._mul
+    rows = range(len(rows_list))
     for sigma in homs:
-        twisted = [sigma.map_vec(v) for v in src_vecs]
-        tables = []
-        for tv in twisted:
-            tables.append([linalg.dot(K2, row, tv) for row in rows_list])
-        npts = len(src_vecs)
-        for mat in itertools.product(range(R), repeat=m1):
-            ok = True
-            for t in range(npts):
-                At = tables[t]
-                y = expected[t]
-                lead = leads[t]
-                lam = 0
-                good = True
-                for j in range(m1):
-                    wj = At[mat[j]]
-                    yj = y[j]
-                    if j < lead or (j > lead and yj == 0):
-                        if wj:
-                            good = False
-                            break
-                    elif j == lead:
-                        if wj == 0:
-                            good = False
-                            break
-                        lam = wj
-                    else:
-                        if wj != mul[lam][yj]:
-                            good = False
-                            break
-                if not good:
-                    ok = False
-                    break
-            if ok:
+        # At[r]: coordinate j of the image of x_t when row j is rows_list[r]
+        tables = [[linalg.dot(K2, row, tv) for row in rows_list] for tv in map(sigma.map_vec, X.vectors)]
+        per_point = list(zip(tables, expected, leads))
+        # the tests that need no scalar sift each row of the matrix once
+        allowed, scaled = [], []
+        for j in range(m1):
+            zero = [At for At, y, l in per_point if j < l or (j > l and not y[j])]
+            nonzero = [At for At, y, l in per_point if j == l]
+            allowed.append([r for r in rows if not any(At[r] for At in zero) and all(At[r] for At in nonzero)])
+            scaled.append([(At, l, y[j]) for At, y, l in per_point if j > l and y[j]])
+
+        def extend(mat):
+            if len(mat) == m1:
                 phi = SemilinearMap(sigma, tuple(rows_list[r] for r in mat)).canonical()
                 found[(sigma.table, phi.matrix)] = phi
+                return
+            want = [(At, mul[At[mat[lead]]][yj]) for At, lead, yj in scaled[len(mat)]]
+            for r in allowed[len(mat)]:
+                if all(At[r] == w for At, w in want):
+                    extend(mat + (r,))
+
+        extend(())
     return tuple(found.values())
 
 

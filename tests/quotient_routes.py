@@ -29,8 +29,7 @@ The incidence checks: the library reads the lp axioms and the P1 and
 Veblen-Young sweeps of the projective axioms off one incidence index per
 geometry, and computes the coplanarity of lines only on tables.
 ref_lp_axioms and ref_projective_axioms are the routes that came before,
-kept literally: each builds its own pair-to-line table.  ref_coplanarity
-is the closure route that tables run, kept as a fixed copy of it.
+kept literally: each builds its own pair-to-line table.
 
 The tangent points: on a coordinate geometry the library counts the
 quotient-line form, searches planes for a quadrilateral and sweeps plane
@@ -56,6 +55,16 @@ are the kernels that came before, kept verbatim: the first solves for the
 coefficients of the stacked rows' kernel and combines them, the second
 reduces each unit vector against the basis.
 
+The exhaustive oracle: the library searches the matrices row by row,
+keeping a row only when every point's image coordinate passes its test.
+ref_brute_force_oracle is the oracle that came before it, kept verbatim:
+it tries every matrix of itertools.product in turn.
+
+The bundle condition: the library decides it on a coordinate geometry by
+the theorem and sweeps coplanarity bitsets on a table.  literal_bundle
+checks every 4-tuple of lines (or the seeded draws) literally, with
+literal_violation as the test of one 4-tuple.
+
 The bundle certification and the morphism sweep: no library path runs
 them.  certified_bundles counts the complete bundles of X (four pairwise
 coplanar lines, no three in a plane) and says whether each is concurrent;
@@ -64,15 +73,25 @@ finite-closure condition on subsets of size <= 4, kept verbatim as the
 reference for PartialMorphism.validate and check_dim_bounds.
 """
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
 from fingeo import linalg
-from fingeo.classify import Verdict, _coplanarity, _has_quadrilateral, ambient_view, is_affino_projective
+from fingeo.classify import (
+    BUNDLE_SAMPLES,
+    BUNDLE_SEED,
+    Verdict,
+    _coplanarity,
+    _has_quadrilateral,
+    ambient_view,
+    is_affino_projective,
+)
 from fingeo.errors import (
     CapExceeded,
+    DimensionTooLow,
     ExceptionalNotFlat,
     ImageInLine,
     InconsistentExtension,
@@ -96,7 +115,7 @@ from fingeo.geometry import (
     mask_of,
     subgeometry,
 )
-from fingeo.gf import FieldHom
+from fingeo.gf import FieldHom, list_homomorphisms
 from fingeo.projective import (
     FLAT_PAIR_LIMIT,
     LinearSubspace,
@@ -526,37 +545,6 @@ def ref_veblen_young_fast(G, lines):
     return True, None
 
 
-def ref_coplanarity(X):
-    """The lines of X, one coplanarity bitset per line, and co(i, k) for
-    coplanar lines i and k; every pair is closed."""
-    lines = X.lines()
-    nl = len(lines)
-    adj = [0] * nl
-
-    def coplanar(m):
-        return X.flat_dim(X.closure_mask(m)) <= 2
-
-    for i, j in itertools.combinations(range(nl), 2):
-        if coplanar(lines[i] | lines[j]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-
-    def in_common_plane(i, k):
-        ik = X.closure_mask(lines[i] | lines[k])
-        return mask_of(l for l in bits_of(adj[i] & adj[k]) if coplanar(ik | lines[l]))
-
-    memo = {}
-
-    def co(i, k):
-        key = (i, k) if i < k else (k, i)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = in_common_plane(i, k) & adj[i] & adj[k]
-        return got
-
-    return lines, adj, co
-
-
 def ref_reconstruct_ftpg(psi) -> SemilinearMap:
     """The semilinear map (canonically scaled) inducing a partial morphism
     between full projective spaces whose image is not contained in a line.
@@ -822,6 +810,116 @@ def ref_quotient_projection(K, rows, pivots, ncols):
         red = linalg.reduce_against(K, rows, pivots, linalg.unit_vec(ncols, j))
         cols.append(tuple(red[f] for f in free))
     return tuple(zip(*cols))
+
+
+def ref_brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
+    """All semilinear maps (canonical forms, one per scalar class) whose
+    induced map agrees with the instance on X and whose kernel misses X,
+    found by enumerating every matrix for every field homomorphism."""
+    X = inst.geometry
+    K, K2 = X.field, inst.target_field
+    n1, m1 = X.ncoords, inst.target_dim + 1
+    homs = list_homomorphisms(K, K2)
+    total = (K2.q ** (n1 * m1)) * max(len(homs), 1)
+    if total > cap:
+        raise CapExceeded(f"{total} candidate maps exceed the cap {cap}")
+    found = {}
+    src_vecs = X.vectors
+    expected = list(inst.images)
+    leads = [next(i for i, c in enumerate(y) if c) for y in expected]
+    rows_list = list(linalg.all_vectors(K2, n1))
+    R = len(rows_list)
+    mul = K2._mul
+    for sigma in homs:
+        twisted = [sigma.map_vec(v) for v in src_vecs]
+        tables = []
+        for tv in twisted:
+            tables.append([linalg.dot(K2, row, tv) for row in rows_list])
+        npts = len(src_vecs)
+        for mat in itertools.product(range(R), repeat=m1):
+            ok = True
+            for t in range(npts):
+                At = tables[t]
+                y = expected[t]
+                lead = leads[t]
+                lam = 0
+                good = True
+                for j in range(m1):
+                    wj = At[mat[j]]
+                    yj = y[j]
+                    if j < lead or (j > lead and yj == 0):
+                        if wj:
+                            good = False
+                            break
+                    elif j == lead:
+                        if wj == 0:
+                            good = False
+                            break
+                        lam = wj
+                    else:
+                        if wj != mul[lam][yj]:
+                            good = False
+                            break
+                if not good:
+                    ok = False
+                    break
+            if ok:
+                phi = SemilinearMap(sigma, tuple(rows_list[r] for r in mat)).canonical()
+                found[(sigma.table, phi.matrix)] = phi
+    return tuple(found.values())
+
+
+def literal_violation(X):
+    """The literal test of a 4-tuple of line indices for a violation of the
+    bundle condition: five of its pairs close to a plane, and no pairwise
+    coplanar triple does."""
+    lines = X.lines()
+
+    @functools.cache
+    def coplanar(*idx):
+        m = 0
+        for i in idx:
+            m |= lines[i]
+        return X.flat_dim(X.closure_mask(m)) <= 2
+
+    def hit(tup):
+        if sum(coplanar(i, j) for i, j in itertools.combinations(tup, 2)) != 5:
+            return False
+        for tri in itertools.combinations(tup, 3):
+            if all(coplanar(a, b) for a, b in itertools.combinations(tri, 2)) and coplanar(*tri):
+                return False
+        return True
+
+    return hit
+
+
+def literal_bundle(X, limit, seed=BUNDLE_SEED):
+    """The bundle check over every 4-tuple (or the seeded draws)."""
+    if X.dim() < 3:
+        raise DimensionTooLow(f"dim {X.dim()} < 3")
+    lines = X.lines()
+    nl = len(lines)
+    hit = literal_violation(X)
+    if nl**4 <= limit:
+        method, used_seed = "exhaustive", None
+        tuples = itertools.combinations(range(nl), 4)
+    else:
+        method, used_seed = "sampled", seed
+        rng = random.Random(seed)
+        tuples = (tuple(sorted(rng.sample(range(nl), 4))) for _ in range(BUNDLE_SAMPLES))
+    witnesses = []
+    for tup in tuples:
+        if hit(tup):
+            witnesses.append([sorted(bits_of(lines[i])) for i in tup])
+            if len(witnesses) >= 5:
+                break
+    d = {"verdict": not witnesses, "method": method}
+    if used_seed is not None:
+        d["seed"] = used_seed
+    d["certificates"] = {"violations": len(witnesses)}
+    if witnesses:
+        d["witnesses"] = witnesses
+    return d
 
 
 CERTIFY_LIMIT = 200000

@@ -515,13 +515,15 @@ def test_malformed_corpus_exit_codes(tmp_path, capsys, fmt, key, value, doc):
 
 # (command, option) -> malformed values: empty, a bare comma, non-numeric,
 # out of range and a wrong name.  quotient's --flat keeps the empty flat as
-# its default, so "" is a valid value there.
+# its default, so "" is a valid value there.  argparse reads oracle's --limit
+# as an int, so only a negative cap is left to the command.
 ARGUMENT_VALUES = {
     ("quotient", "--flat"): [",", "x", "999", "0,,1"],
     ("classify", "--ambient"): ["", ",", "pg(x,2)", "pg(9,2)", "gf(2)"],
     ("classify", "--predicate"): ["", ",", "7", "mobius,", "lp_axiom"],
     ("reconstruct", "--target"): ["", ",", "gf(x)", "gf(0)", "gf4"],
     ("oracle", "--target"): ["", ",", "gf(x)", "gf(0)", "gf4"],
+    ("oracle", "--limit"): ["-1", "-5"],
 }
 
 

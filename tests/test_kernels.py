@@ -6,10 +6,10 @@ The literal algorithms they replaced are kept here as references: a
 per-point in_span trace of the span, a per-point dot product for each
 form, the generic quotient closure through the parent, the generic flat
 sweep and the coordinate covering sweep, rank as the length of the RREF,
-and the bundle check and bundle certification over every
-itertools.combinations 4-tuple.  The bundle check is the reference both
-for the table sweep and for the theorem that decides every coordinate
-geometry, quotients included, with no sweep.
+and the bundle certification over every itertools.combinations 4-tuple.
+The bundle check over every 4-tuple, literal_bundle in quotient_routes, is
+the reference both for the table sweep and for the theorem that decides
+every coordinate geometry, quotients included, with no sweep.
 """
 
 import functools
@@ -21,7 +21,6 @@ import pytest
 from fingeo import classify, linalg
 from fingeo.classify import (
     BUNDLE_LIMIT,
-    BUNDLE_SAMPLES,
     BUNDLE_SEED,
     _coplanarity,
     _first_violation,
@@ -43,7 +42,7 @@ from fingeo.geometry import (
     subgeometry,
 )
 from fingeo.projective import build_pg
-from quotient_routes import certified_bundles
+from quotient_routes import certified_bundles, literal_bundle, literal_violation
 
 
 def literal_trace(G, mask):
@@ -281,59 +280,6 @@ def test_table_failing_exchange_keeps_every_flat():
 
 
 # -- bundle sweep -------------------------------------------------------------
-
-
-def literal_violation(X):
-    """The literal test of a 4-tuple of line indices for a violation of the
-    bundle condition: five of its pairs close to a plane, and no pairwise
-    coplanar triple does."""
-    lines = X.lines()
-
-    @functools.cache
-    def coplanar(*idx):
-        m = 0
-        for i in idx:
-            m |= lines[i]
-        return X.flat_dim(X.closure_mask(m)) <= 2
-
-    def hit(tup):
-        if sum(coplanar(i, j) for i, j in itertools.combinations(tup, 2)) != 5:
-            return False
-        for tri in itertools.combinations(tup, 3):
-            if all(coplanar(a, b) for a, b in itertools.combinations(tri, 2)) and coplanar(*tri):
-                return False
-        return True
-
-    return hit
-
-
-def literal_bundle(X, limit, seed=BUNDLE_SEED):
-    """The bundle check over every 4-tuple (or the seeded draws)."""
-    if X.dim() < 3:
-        raise DimensionTooLow(f"dim {X.dim()} < 3")
-    lines = X.lines()
-    nl = len(lines)
-    hit = literal_violation(X)
-    if nl**4 <= limit:
-        method, used_seed = "exhaustive", None
-        tuples = itertools.combinations(range(nl), 4)
-    else:
-        method, used_seed = "sampled", seed
-        rng = random.Random(seed)
-        tuples = (tuple(sorted(rng.sample(range(nl), 4))) for _ in range(BUNDLE_SAMPLES))
-    witnesses = []
-    for tup in tuples:
-        if hit(tup):
-            witnesses.append([sorted(bits_of(lines[i])) for i in tup])
-            if len(witnesses) >= 5:
-                break
-    d = {"verdict": not witnesses, "method": method}
-    if used_seed is not None:
-        d["seed"] = used_seed
-    d["certificates"] = {"violations": len(witnesses)}
-    if witnesses:
-        d["witnesses"] = witnesses
-    return d
 
 
 def assert_bundle_agrees(X, limit, seed=BUNDLE_SEED):

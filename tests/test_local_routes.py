@@ -16,13 +16,14 @@ witnesses included, also on random subgeometries of PG(4,2) and PG(5,2)
 removed.
 
 The lp axioms and the projective axioms read one incidence index per
-geometry.  Their reports, and the bundle condition's, must be
-byte-identical to the literal routes that built their own partial indices,
-on all of the above and on three tables that are not geometries.  A
-coordinate geometry decides the bundle condition with no coplanarity at
-all, so only the tables are compared with ref_coplanarity, and the
-coordinate cases check that no coplanarity is computed; the literal
-4-tuple search in test_kernels is the reference on coordinate geometries.
+geometry.  Their reports must be byte-identical to the literal routes that
+built their own partial indices, on all of the above and on three tables
+that are not geometries.  A coordinate geometry decides the bundle
+condition with no coplanarity at all, so the coordinate cases check that
+no coplanarity is computed, and the bundle reports of the tables must be
+byte-identical to literal_bundle's search over every 4-tuple of lines (or
+its seeded draws); test_kernels compares the theorem with literal_bundle
+on coordinate geometries.
 """
 
 import functools
@@ -33,6 +34,7 @@ import pytest
 
 from fingeo import classify, projective
 from fingeo.classify import (
+    BUNDLE_LIMIT,
     ambient_view,
     check_bundle_theorem,
     check_lp_axioms,
@@ -52,7 +54,7 @@ from fingeo.geometry import (
 from fingeo.gf import gf
 from fingeo.projective import build_pg
 from quotient_routes import (
-    ref_coplanarity,
+    literal_bundle,
     ref_dim_formula_violations,
     ref_locally_projective,
     ref_lp_axioms,
@@ -242,11 +244,17 @@ def test_projective_axioms_match_literal_route(case):
     assert dumps(projective.check_projective_axioms(G)) == dumps(ref_projective_axioms(G))
 
 
-def bundle_report(X):
+def bundle_report(check, X):
+    """The JSON of the report dict check(X), or the message of its
+    DimensionTooLow."""
     try:
-        return dumps(check_bundle_theorem(X))
+        return json.dumps(check(X))
     except DimensionTooLow as exc:
         return str(exc)
+
+
+def theorem_report(X):
+    return check_bundle_theorem(X).as_dict()
 
 
 def no_coplanarity(X):
@@ -256,10 +264,12 @@ def no_coplanarity(X):
 @pytest.mark.parametrize("case", INCIDENCE_CASES)
 def test_bundle_theorem_matches_literal_route(case, monkeypatch):
     X = geometry(case)
-    got = bundle_report(X)
-    reference = no_coplanarity if isinstance(X, CoordGeometry) else ref_coplanarity
-    monkeypatch.setattr(classify, "_coplanarity", reference)
-    assert got == bundle_report(X)
+    if isinstance(X, CoordGeometry):
+        monkeypatch.setattr(classify, "_coplanarity", no_coplanarity)
+        bundle_report(theorem_report, X)
+    else:
+        want = bundle_report(functools.partial(literal_bundle, limit=BUNDLE_LIMIT), X)
+        assert bundle_report(theorem_report, X) == want
 
 
 def test_lp_cases_cover_every_axiom():
