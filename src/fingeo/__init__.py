@@ -52,20 +52,35 @@ from .projective import (
     induced_partial,
     proportional,
 )
-from . import classify, gallery, reconstruct, serialize
-from .reconstruct import (
-    MorphismInstance,
-    ReconstructionResult,
-    brute_force_oracle,
-    certify_side_conditions,
-    extend_affino,
-    glue_fibred_product,
-    induced_quotient_map,
-    normalize_pair,
-    reconstruct_affino_projective,
-    reconstruct_ftpg,
-    reconstruct_locally_affino,
-    reconstruct_locally_projective,
+
+# the upper layers load on first use (PEP 562), so that a command compiles
+# only the modules it runs; gf stays eager because loading the submodule
+# fingeo.gf binds the package attribute gf to the module
+_DEFERRED_MODULES = ("classify", "gallery", "reconstruct", "serialize")
+_RECONSTRUCT_NAMES = (
+    "MorphismInstance",
+    "ReconstructionResult",
+    "brute_force_oracle",
+    "certify_side_conditions",
+    "extend_affino",
+    "glue_fibred_product",
+    "induced_quotient_map",
+    "normalize_pair",
+    "reconstruct_affino_projective",
+    "reconstruct_ftpg",
+    "reconstruct_locally_affino",
+    "reconstruct_locally_projective",
 )
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _DEFERRED_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _RECONSTRUCT_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.reconstruct"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

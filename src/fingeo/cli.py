@@ -15,23 +15,16 @@ import hashlib
 import os
 import sys
 import time
+from collections import Counter
 
 from . import linalg, serialize
-from .classify import ALL_PREDICATES, classify
 from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
 from .gallery import EXAMPLE_NAMES, build_example
 from .geometry import CoordGeometry, TableGeometry, bits_of, check_geometry_axioms, quotient
 from .projective import check_projective_axioms
-from .reconstruct import (
-    MorphismInstance,
-    PartialPointMap,
-    ReconstructionResult,
-    brute_force_oracle,
-    reconstruct_affino_projective,
-    reconstruct_ftpg,
-    reconstruct_locally_affino,
-    reconstruct_locally_projective,
-)
+
+# classify and reconstruct are imported by the commands that run them, so
+# that the other commands never compile them
 
 CONSTRUCTOR_ERRORS = (SizeLimit, ValueError)
 
@@ -96,6 +89,8 @@ def cmd_check(args, t0):
 
 
 def cmd_classify(args, t0):
+    from .classify import ALL_PREDICATES, classify
+
     G = serialize.load_geometry(args.geometry)
     if not isinstance(G, CoordGeometry):
         raise FileFormatError("classification requires an embedded geometry")
@@ -125,6 +120,9 @@ def cmd_quotient(args, t0):
         raise FileFormatError(f"bad flat point list {args.flat!r}")
     if any(not 0 <= x < G.n_points for x in points):
         raise FileFormatError(f"flat points {points} outside 0..{G.n_points - 1}")
+    repeated = sorted(x for x, n in Counter(points).items() if n > 1)
+    if repeated:
+        raise FileFormatError(f"repeated flat points {repeated} in {points}")
     E = G.closure(points)
     if sorted(bits_of(E.mask)) != sorted(points):
         raise FileFormatError(f"points {points} are not a flat (closure adds points)")
@@ -182,6 +180,16 @@ def _all_images(G, images):
 
 
 def cmd_reconstruct(args, t0):
+    from .reconstruct import (
+        MorphismInstance,
+        PartialPointMap,
+        ReconstructionResult,
+        reconstruct_affino_projective,
+        reconstruct_ftpg,
+        reconstruct_locally_affino,
+        reconstruct_locally_projective,
+    )
+
     G, K2, target_dim, images = _instance_from_files(args)
     # input errors exit 2: they are checked before the try below turns every
     # library error into a negative verdict
@@ -217,6 +225,8 @@ def cmd_reconstruct(args, t0):
 
 
 def cmd_oracle(args, t0):
+    from .reconstruct import MorphismInstance, brute_force_oracle
+
     if args.limit is not None and args.limit < 0:
         raise FileFormatError(f"bad candidate cap {args.limit} (must be >= 0)")
     G, K2, target_dim, images = _instance_from_files(args)

@@ -5,6 +5,8 @@ quadric families (elliptic ovoid, hyperbolic ruled, cone minus vertex).
 Every constructor is a pure function of its parameters, and each one checks
 the classification property it is built to exhibit, raising
 InternalContradiction when it fails (the checks hold under python -O too).
+The checks import classify only when they run, so building a projective
+space or a quadric never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .classify import check_line_condition, is_locally_projective
 from .errors import EqualHyperplanes, InternalContradiction, NoEmbedding, NoIrreducibleForm, SizeLimit
 from .geometry import CoordGeometry, bits_of, subgeometry
 from .gf import GF, gf, list_homomorphisms
@@ -30,6 +31,8 @@ def make_complement(P: CoordGeometry, flats) -> CoordGeometry:
     X = subgeometry(P, keep)
     X._name = f"complement({P.label()}, {len(flats)} flats)"
     if len(flats) < P.field.q:
+        from .classify import check_line_condition
+
         if not check_line_condition(X):
             raise InternalContradiction("removed fewer flats than |K| yet a tangent line exists")
     return X
@@ -46,6 +49,8 @@ def make_affine(n: int, K: GF) -> CoordGeometry:
 
 def make_two_hyperplanes(P: CoordGeometry, H1: LinearSubspace, H2: LinearSubspace) -> CoordGeometry:
     """(H1 u H2) - (H1 n H2); locally projective, which is checked."""
+    from .classify import is_locally_projective
+
     if H1.rows == H2.rows:
         raise EqualHyperplanes("the two hyperplanes coincide")
     keep = P.trace_mask(H1.rows, H1.pivots) ^ P.trace_mask(H2.rows, H2.pivots)
@@ -76,6 +81,8 @@ def make_hyperplane_union(P: CoordGeometry) -> CoordGeometry:
 
 def make_subfield_complement(n: int, K: GF, L: GF) -> CoordGeometry:
     """PG(n, L) minus the canonical image of PG(n, K)."""
+    from .classify import check_line_condition
+
     if K.q == L.q:
         raise NoEmbedding("fields coincide; the complement would be empty")
     homs = list_homomorphisms(K, L)

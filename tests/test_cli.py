@@ -247,6 +247,32 @@ def test_quotient_flat_index_out_of_range_exit_2(tmp_path, kind, flat):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "example, field, flat, repeated",
+    [
+        ("projective", "gf(2)", "0,0", "[0]"),
+        ("elliptic-quadric", "gf(3)", "0,1,1", "[1]"),
+        ("elliptic-quadric", "gf(3)", "1,0,1,0", "[0, 1]"),
+    ],
+)
+def test_quotient_flat_repeated_index_exit_2(tmp_path, capsys, example, field, flat, repeated):
+    """A repeated index is named as such, not reported as a set whose
+    closure adds points: a point is a flat, and so is {0, 1}, a secant line
+    of the GF(3) ovoid."""
+    from fingeo import cli
+
+    geo = str(tmp_path / "g.json")
+    assert cli.main(["make-example", "--name", example, "--field", field, "--out", geo, "--dim", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["quotient", "--geometry", geo, "--flat", flat]) == 2
+    captured = capsys.readouterr()
+    assert f"repeated flat points {repeated}" in captured.err
+    assert "not a flat" not in captured.err
+    assert captured.out == ""
+    distinct = ",".join(sorted(set(flat.split(","))))
+    assert cli.main(["quotient", "--geometry", geo, "--flat", distinct]) == 0
+
+
 def test_reconstruct_round_trip_and_determinism(tmp_path):
     geo = tmp_path / "ag.json"
     run_cli("make-example", "--name", "affine", "--field", "gf(3)", "--dim", "3", "--out", str(geo))

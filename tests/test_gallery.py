@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from fingeo import gallery
+from fingeo import classify
 from fingeo.classify import (
     Verdict,
     check_line_condition,
@@ -163,7 +163,8 @@ def test_example_spec_is_pure():
     ],
 )
 def test_failed_property_check_is_a_typed_error(monkeypatch, build, check):
-    # the checks are real code, not asserts, so they survive python -O
-    monkeypatch.setattr(gallery, check, lambda X: Verdict(check, False))
+    # the checks are real code, not asserts, so they survive python -O; the
+    # constructors look the predicate up in classify when they run
+    monkeypatch.setattr(classify, check, lambda X: Verdict(check, False))
     with pytest.raises(InternalContradiction):
         build()
