@@ -53,10 +53,31 @@ from .projective import (
     proportional,
 )
 
-# the upper layers load on first use (PEP 562), so that a command compiles
-# only the modules it runs; gf stays eager because loading the submodule
-# fingeo.gf binds the package attribute gf to the module
-_DEFERRED_MODULES = ("classify", "gallery", "reconstruct", "serialize")
+# the upper layers are in sys.modules and bound here from the start, but
+# each is compiled and run only when first touched (importlib's
+# LazyLoader), so that a command compiles only the modules it runs; gf stays
+# eager because loading the submodule fingeo.gf binds the package attribute
+# gf to the module
+
+
+def _lazy(name):
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+classify = _lazy("classify")
+gallery = _lazy("gallery")
+reconstruct = _lazy("reconstruct")
+serialize = _lazy("serialize")
+
+# re-exported from reconstruct, looked up there on each use (PEP 562)
 _RECONSTRUCT_NAMES = (
     "MorphismInstance",
     "ReconstructionResult",
@@ -74,13 +95,13 @@ _RECONSTRUCT_NAMES = (
 
 
 def __getattr__(name):
-    import importlib
-
-    if name in _DEFERRED_MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
     if name in _RECONSTRUCT_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.reconstruct"), name)
+        return getattr(reconstruct, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_RECONSTRUCT_NAMES])
 
 
 __version__ = "0.1.0"
