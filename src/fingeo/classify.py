@@ -21,7 +21,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DimensionTooLow, InternalContradiction
 from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
@@ -31,16 +31,19 @@ BUNDLE_SEED = 0xB1D
 BUNDLE_SAMPLES = 20000
 
 
-@dataclass
 class Verdict:
     """One predicate outcome with witnesses / certificates."""
 
-    name: str
-    verdict: object  # True / False / "not applicable"
-    witnesses: list = field(default_factory=list)
-    certificates: dict = field(default_factory=dict)
-    method: str = "exhaustive"
-    seed: object = None
+    def __init__(self, name, verdict, witnesses=None, certificates=None, method="exhaustive", seed=None):
+        self.name = name
+        self.verdict = verdict  # True / False / "not applicable"
+        self.witnesses = [] if witnesses is None else witnesses
+        self.certificates = {} if certificates is None else certificates
+        self.method = method
+        self.seed = seed
+
+    def __eq__(self, other):
+        return type(other) is Verdict and vars(self) == vars(other)
 
     def __bool__(self):
         return self.verdict is True
@@ -56,10 +59,13 @@ class Verdict:
         return d
 
 
-@dataclass
 class ClassificationReport:
-    geometry: str
-    verdicts: dict
+    def __init__(self, geometry, verdicts):
+        self.geometry = geometry
+        self.verdicts = verdicts
+
+    def __eq__(self, other):
+        return type(other) is ClassificationReport and vars(self) == vars(other)
 
     def as_dict(self, include_witnesses=True):
         return {
@@ -94,8 +100,7 @@ def _cached(X, key, fn):
     return got
 
 
-@dataclass(frozen=True)
-class AmbientView:
+class AmbientView(namedtuple("AmbientView", "P idx xmask tangents unions")):
     """X inside its ambient projective space P.
 
     idx maps local points to ambient ones and xmask is their ambient mask.
@@ -108,11 +113,7 @@ class AmbientView:
     X pass through it, n = ncoords - 1, which needs no ambient space.
     """
 
-    P: CoordGeometry
-    idx: tuple
-    xmask: int
-    tangents: tuple
-    unions: tuple
+    __slots__ = ()
 
 
 def ambient_view(X: CoordGeometry) -> AmbientView:

@@ -19,14 +19,19 @@ from collections import Counter
 
 from . import linalg, serialize
 from .errors import CapExceeded, FileFormatError, FingeoError, SizeLimit
-from .gallery import EXAMPLE_NAMES, build_example
 from .geometry import CoordGeometry, TableGeometry, bits_of, check_geometry_axioms, quotient
 from .projective import check_projective_axioms
 
-# classify and reconstruct are imported by the commands that run them, so
-# that the other commands never compile them
+# classify, gallery and reconstruct are imported by the commands that run
+# them, so that the other commands never compile them
 
 CONSTRUCTOR_ERRORS = (SizeLimit, ValueError)
+# gallery.EXAMPLE_NAMES, the choices of make-example --name, copied here so
+# that parsing the arguments runs no gallery; a test pins the two equal
+EXAMPLE_NAMES = (
+    "affine", "projective", "elliptic-quadric", "hyperbolic-quadric", "cone", "two-hyperplanes",
+    "coordinate-hyperplanes", "two-plane-complement", "subfield-complement",
+)
 
 
 def _digest(path):
@@ -59,6 +64,8 @@ def _parse_ambient(text):
 
 
 def cmd_make_example(args, t0):
+    from .gallery import build_example
+
     K = serialize.field_from_name(args.field)
     try:
         X = build_example(args.name, K, args.dim)

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .errors import (
@@ -584,14 +584,17 @@ def dim_formula_violations(G: FiniteGeometry, flats):
 # -- axiom checking -----------------------------------------------------------
 
 
-@dataclass
 class AxiomReport:
-    g1: bool
-    g2: bool
-    g3: bool
-    g4: bool
-    closure_ok: bool
-    witnesses: dict
+    def __init__(self, g1, g2, g3, g4, closure_ok, witnesses):
+        self.g1 = g1
+        self.g2 = g2
+        self.g3 = g3
+        self.g4 = g4
+        self.closure_ok = closure_ok
+        self.witnesses = witnesses
+
+    def __eq__(self, other):
+        return type(other) is AxiomReport and vars(self) == vars(other)
 
     @property
     def all_pass(self):
@@ -698,13 +701,10 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
 # -- morphisms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometryMorphism:
+class GeometryMorphism(namedtuple("GeometryMorphism", "source target map")):
     """Total point map whose flat preimages are flats."""
 
-    source: FiniteGeometry
-    target: FiniteGeometry
-    map: tuple
+    __slots__ = ()
 
     def __call__(self, i):
         return self.map[i]
@@ -723,14 +723,11 @@ class GeometryMorphism:
         return m
 
 
-@dataclass(frozen=True)
-class PartialMorphism:
-    """Point map defined off an exceptional flat, constant on its join classes."""
+class PartialMorphism(namedtuple("PartialMorphism", "source target exceptional map")):
+    """Point map defined off an exceptional flat, constant on its join
+    classes; an entry of map is None exactly on the exceptional flat."""
 
-    source: FiniteGeometry
-    target: FiniteGeometry
-    exceptional: Flat
-    map: tuple  # entry None exactly on the exceptional flat
+    __slots__ = ()
 
     def __call__(self, i):
         return self.map[i]
@@ -793,13 +790,16 @@ def flat_preimage_condition(f: GeometryMorphism) -> bool:
 # -- generated by lines / planes ----------------------------------------------
 
 
-@dataclass
 class GeneratedReport:
-    verdict: bool
-    method: str
-    seed: object
-    family_size: object
-    witness: object = None
+    def __init__(self, verdict, method, seed, family_size, witness=None):
+        self.verdict = verdict
+        self.method = method
+        self.seed = seed
+        self.family_size = family_size
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is GeneratedReport and vars(self) == vars(other)
 
     def __bool__(self):
         return self.verdict
@@ -906,18 +906,29 @@ def factor_through_quotient(phi: PartialMorphism) -> GeometryMorphism:
 # -- dimension bounds -----------------------------------------------------------
 
 
-@dataclass
 class DimBoundsReport:
-    surjective: bool
-    dim_source: int
-    dim_target: int
-    dim_ok: bool
-    equal_dims: bool
-    bijective: bool
-    isomorphism: object  # None when dims differ
+    def __init__(self, surjective, dim_source, dim_target, dim_ok, equal_dims, bijective, isomorphism):
+        self.surjective = surjective
+        self.dim_source = dim_source
+        self.dim_target = dim_target
+        self.dim_ok = dim_ok
+        self.equal_dims = equal_dims
+        self.bijective = bijective
+        self.isomorphism = isomorphism  # None when dims differ
+
+    def __eq__(self, other):
+        return type(other) is DimBoundsReport and vars(self) == vars(other)
 
     def as_dict(self):
-        return self.__dict__.copy()
+        return {
+            "surjective": self.surjective,
+            "dim_source": self.dim_source,
+            "dim_target": self.dim_target,
+            "dim_ok": self.dim_ok,
+            "equal_dims": self.equal_dims,
+            "bijective": self.bijective,
+            "isomorphism": self.isomorphism,
+        }
 
 
 def check_dim_bounds(f: GeometryMorphism) -> DimBoundsReport:

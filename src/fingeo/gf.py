@@ -10,7 +10,7 @@ All arithmetic is table-driven and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, SizeLimit
@@ -226,12 +226,24 @@ def gf(q: int) -> GF:
     return GF(p, k)
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element of a GF instance with operator support."""
+    """An element of a GF instance with operator support; immutable, equal
+    and hashed by (field, val)."""
 
-    field: GF
-    val: int
+    def __init__(self, field: GF, val: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "val", val)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.field, self.val))
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -285,13 +297,10 @@ def frobenius(a: FieldElement, i: int) -> FieldElement:
     return FieldElement(a.field, a.field.frobenius(a.val, i))
 
 
-@dataclass(frozen=True)
-class FieldHom:
+class FieldHom(namedtuple("FieldHom", "source target table")):
     """A ring homomorphism between two GF instances as a full value table."""
 
-    source: GF
-    target: GF
-    table: tuple
+    __slots__ = ()
 
     def __call__(self, a: int) -> int:
         return self.table[a]

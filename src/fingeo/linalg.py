@@ -68,10 +68,6 @@ def mat_scale(K: GF, c, M):
     return tuple(vec_scale(K, c, row) for row in M)
 
 
-def identity_matrix(n):
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
 def transpose(M):
     return tuple(zip(*M))
 

@@ -11,7 +11,7 @@ K-subspaces and makes composition associative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import linalg
@@ -30,12 +30,10 @@ PG_MAX_POINTS = 6000
 FLAT_PAIR_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(namedtuple("ProjPoint", "field coords")):
     """A projective point as its normalized homogeneous coordinates."""
 
-    field: GF
-    coords: tuple
+    __slots__ = ()
 
     @staticmethod
     def make(field: GF, coords) -> "ProjPoint":
@@ -48,13 +46,10 @@ class ProjPoint:
         return f"P{self.coords}"
 
 
-@dataclass(frozen=True)
-class LinearSubspace:
+class LinearSubspace(namedtuple("LinearSubspace", "field ambient_dim rows")):
     """A vector subspace of K^(ambient_dim) as its reduced-echelon basis."""
 
-    field: GF
-    ambient_dim: int
-    rows: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_vectors(field: GF, ambient_dim: int, vectors) -> "LinearSubspace":
@@ -80,15 +75,13 @@ class LinearSubspace:
         return f"subspace(rank {self.rank} of K^{self.ambient_dim})"
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(namedtuple("SemilinearMap", "sigma matrix")):
     """sigma: K -> K' together with an (m+1) x (n+1) matrix over K'."""
 
-    sigma: FieldHom
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
+    def __new__(cls, sigma: FieldHom, matrix):
+        return super().__new__(cls, sigma, tuple(tuple(r) for r in matrix))
 
     @property
     def source_field(self):
@@ -177,15 +170,18 @@ def build_pg(n: int, q: int) -> CoordGeometry:
     return CoordGeometry(K, pts, name=f"pg({n},{q})")
 
 
-@dataclass
 class ProjectiveReport:
-    p1: bool
-    p2: bool
-    p3: bool
-    dim_formula: bool
-    irreducible: bool
-    witnesses: dict
-    note: str = ""
+    def __init__(self, p1, p2, p3, dim_formula, irreducible, witnesses, note=""):
+        self.p1 = p1
+        self.p2 = p2
+        self.p3 = p3
+        self.dim_formula = dim_formula
+        self.irreducible = irreducible
+        self.witnesses = witnesses
+        self.note = note
+
+    def __eq__(self, other):
+        return type(other) is ProjectiveReport and vars(self) == vars(other)
 
     @property
     def is_projective(self):
@@ -397,8 +393,7 @@ def proportional(phi1: SemilinearMap, phi2: SemilinearMap):
 # -- quotient coordinates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientCoords:
+class QuotientCoords(namedtuple("QuotientCoords", "field dim_q proj_matrix lift_matrix")):
     """Coordinates for V/W: the echelon complement of W.
 
     project: V -> K^(n-w) reduces a vector against W's echelon basis and
@@ -406,10 +401,7 @@ class QuotientCoords:
     coordinates.  project . lift = identity, and project kills exactly W.
     """
 
-    field: GF
-    dim_q: int
-    proj_matrix: tuple
-    lift_matrix: tuple
+    __slots__ = ()
 
     def project(self, v):
         return linalg.matvec(self.field, self.proj_matrix, v)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import linalg
 from .classify import (
@@ -73,29 +73,42 @@ from .projective import (
 # -- instances ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PartialPointMap:
     """A point map on a full projective space with coordinate images; None
-    marks the undefined (exceptional) locus."""
+    marks the undefined (exceptional) locus.  Immutable, equal and hashed by
+    its four fields; not a tuple, so that it never passes for one."""
 
-    source: CoordGeometry
-    target_field: GF
-    target_dim: int
-    images: tuple
+    def __init__(self, source: CoordGeometry, target_field: GF, target_dim: int, images: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target_field", target_field)
+        object.__setattr__(self, "target_dim", target_dim)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PartialPointMap:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.source, self.target_field, self.target_dim, self.images))
 
     def undefined_mask(self):
         return mask_of(i for i, v in enumerate(self.images) if v is None)
 
 
-@dataclass(frozen=True)
-class MorphismInstance:
+class MorphismInstance(
+    namedtuple(
+        "MorphismInstance",
+        "geometry target_field target_dim images declared_kind",
+        defaults=("locally-projective",),
+    )
+):
     """A total morphism from an embedded geometry X into PG(m, q')."""
 
-    geometry: CoordGeometry
-    target_field: GF
-    target_dim: int
-    images: tuple
-    declared_kind: str = "locally-projective"
+    __slots__ = ()
 
     @property
     def source_field(self):
@@ -116,12 +129,15 @@ class MorphismInstance:
         return MorphismInstance(X, phi.target_field, phi.n_out - 1, tuple(images), kind)
 
 
-@dataclass
 class ReconstructionResult:
-    phi: SemilinearMap
-    exceptional: LinearSubspace
-    base_points: tuple
-    certificate: dict = field(default_factory=dict)
+    def __init__(self, phi: SemilinearMap, exceptional: LinearSubspace, base_points: tuple, certificate=None):
+        self.phi = phi
+        self.exceptional = exceptional
+        self.base_points = base_points
+        self.certificate = {} if certificate is None else certificate
+
+    def __eq__(self, other):
+        return type(other) is ReconstructionResult and vars(self) == vars(other)
 
     @staticmethod
     def of(phi_raw: SemilinearMap, X: CoordGeometry, pair) -> "ReconstructionResult":

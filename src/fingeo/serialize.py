@@ -38,8 +38,11 @@ def load_json(path):
 def dump_json(obj, path=None):
     text = json.dumps(obj, sort_keys=True, indent=1)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _fail(f"{path}: {exc}")
     return text
 
 
@@ -159,14 +162,6 @@ def semilinear_from_dict(data) -> SemilinearMap:
         check_entries(r, K2, "matrix row")
     sigma = hom_from_power(K, K2, power)
     return SemilinearMap(sigma, tuple(tuple(r) for r in rows))
-
-
-def save_semilinear(phi, path):
-    dump_json(semilinear_to_dict(phi), path)
-
-
-def load_semilinear(path):
-    return semilinear_from_dict(load_json(path))
 
 
 # -- point-map files ----------------------------------------------------------------

@@ -800,6 +800,11 @@ def ref_intersect_spans(K, rows1, rows2):
     return out
 
 
+def identity_matrix(n):
+    """The n x n identity; only tests build one."""
+    return tuple(linalg.unit_vec(n, i) for i in range(n))
+
+
 def ref_quotient_projection(K, rows, pivots, ncols):
     """Matrix of V -> V/W for W the span of an RREF basis: reduce against
     the basis and read off the non-pivot coordinates.  It kills exactly W,

@@ -42,7 +42,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_projective,
 )
 from fingeo.serialize import save_map_pairs
-from quotient_routes import ref_quotient_affino, ref_quotient_projective
+from quotient_routes import identity_matrix, ref_quotient_affino, ref_quotient_projective
 
 
 def _announce(k, detail, t0):
@@ -205,7 +205,7 @@ def test_criterion_5_locally_affino_round_trip(
     refused = 0
     for form in ("elliptic", "hyperbolic", "cone"):
         X = make_quadric(pg32, form)
-        gen = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+        gen = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
         inst = MorphismInstance.restrict_semilinear(
             gen, X, kind="locally-affino-projective"
         )

@@ -62,6 +62,37 @@ def test_make_example_bad_args_exit_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("make-example", "--name", "affine", "--field", "whatever", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_example_names_are_the_gallery_names():
+    """The CLI keeps its own copy of the --name choices, so that the other
+    commands never run the gallery."""
+    from fingeo import cli, gallery
+
+    assert cli.EXAMPLE_NAMES == gallery.EXAMPLE_NAMES
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["make-example", "quotient", "reconstruct"])
+def test_unwritable_out_exit_2(tmp_path, command, where):
+    """An --out that cannot be written is malformed input: exit 2 with an
+    error line, no traceback, no report and no file."""
+    geo, idmap = tmp_path / "pg.json", tmp_path / "id.json"
+    P = build_pg(2, 2)
+    save_geometry(P, geo)
+    save_map_pairs([(v, v) for v in P.vectors], idmap)
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    argv = {
+        "make-example": ["make-example", "--name", "projective", "--field", "gf(2)"],
+        "quotient": ["quotient", "--geometry", str(geo), "--flat", "0"],
+        "reconstruct": ["reconstruct", "--geometry", str(geo), "--map", str(idmap), "--kind", "pg"],
+    }[command]
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {out}: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["id.json", "pg.json"]
 
 
 # each command with one option it does not read; the seventh case leaves

@@ -1,6 +1,7 @@
 """What each command loads: the package imports gf, geometry and projective
 eagerly and registers every other layer in sys.modules to be run on first
-use, so that a CLI command compiles only the modules it runs.  The
+use, so that a CLI command compiles only the modules it runs; only
+make-example runs the gallery, and no command imports dataclasses.  The
 package's names keep resolving as before.
 """
 
@@ -26,16 +27,17 @@ RECONSTRUCT_NAMES = (
 MODULES = ("classify", "gallery", "reconstruct", "serialize")
 
 # runs one command in a fresh interpreter; the last line of stdout lists
-# the fingeo modules in sys.modules when main returned and those of them
-# that have run (a registered module that nothing touched is still an
-# importlib LazyLoader stand-in, not a plain module)
+# the fingeo modules in sys.modules when main returned, those of them that
+# have run (a registered module that nothing touched is still an importlib
+# LazyLoader stand-in, not a plain module), and whether dataclasses was
+# imported
 CHILD = (
     "import json, sys, types\n"
     "from fingeo.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "mods = {m: v for m, v in sys.modules.items() if m.split('.')[0] == 'fingeo'}\n"
     "ran = [m for m, v in mods.items() if type(v) is types.ModuleType]\n"
-    "print(json.dumps([sorted(mods), sorted(ran)]))\n"
+    "print(json.dumps([sorted(mods), sorted(ran), 'dataclasses' in sys.modules]))\n"
     "sys.exit(code)\n"
 )
 LAYERS = {
@@ -43,7 +45,7 @@ LAYERS = {
     "fingeo.geometry", "fingeo.gf", "fingeo.linalg", "fingeo.projective", "fingeo.reconstruct",
     "fingeo.serialize",
 }
-BASE = LAYERS - {"fingeo.classify", "fingeo.reconstruct"}
+BASE = LAYERS - {"fingeo.classify", "fingeo.gallery", "fingeo.reconstruct"}
 
 
 @pytest.mark.parametrize("name", RECONSTRUCT_NAMES)
@@ -79,18 +81,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "quotient": (["quotient", "--geometry", geo, "--flat", "0"], BASE),
         "make-example": (
             ["make-example", "--name", "projective", "--field", "gf(2)", "--out", out],
-            BASE,
+            BASE | {"fingeo.gallery"},
         ),
         "make-example quadric": (
             ["make-example", "--name", "elliptic-quadric", "--field", "gf(2)", "--out", out + "q"],
-            BASE,
+            BASE | {"fingeo.gallery"},
         ),
         "classify": (["classify", "--geometry", geo], BASE | {"fingeo.classify"}),
         "reconstruct": (
             ["reconstruct", "--geometry", geo, "--map", idmap, "--kind", "pg"],
-            LAYERS,
+            LAYERS - {"fingeo.gallery"},
         ),
-        "oracle": (["oracle", "--geometry", geo, "--map", idmap], LAYERS),
+        "oracle": (["oracle", "--geometry", geo, "--map", idmap], LAYERS - {"fingeo.gallery"}),
     }
     # fresh interpreters, run side by side
     procs = {
@@ -102,12 +104,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         )
         for name, (argv, _) in commands.items()
     }
-    registered, ran = {}, {}
+    registered, ran, dataclasses = {}, {}, {}
     for name, proc in procs.items():
         stdout, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 0, (name, stderr)
-        registered[name], ran[name] = map(set, json.loads(stdout.splitlines()[-1]))
+        mods, done, dataclasses[name] = json.loads(stdout.splitlines()[-1])
+        registered[name], ran[name] = set(mods), set(done)
     # every layer is in sys.modules, for tools that wrap the layers from the
     # outside, but only the ones the command runs have been compiled
     assert registered == {name: LAYERS for name in commands}
     assert ran == {name: want for name, (_, want) in commands.items()}
+    assert dataclasses == {name: False for name in commands}

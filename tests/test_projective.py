@@ -22,6 +22,7 @@ from fingeo.projective import (
     proportional,
     quotient_coords,
 )
+from quotient_routes import identity_matrix
 
 PG_SIZES = [(1, 2, 3), (2, 2, 7), (2, 3, 13), (3, 2, 15), (3, 3, 40), (3, 4, 85), (4, 2, 31)]
 
@@ -156,7 +157,7 @@ def test_decompose_requires_projective(ag33):
 
 def test_apply_semilinear_identity():
     K = gf(3)
-    phi = SemilinearMap(identity_hom(K), linalg.identity_matrix(4))
+    phi = SemilinearMap(identity_hom(K), identity_matrix(4))
     P = build_pg(3, 3)
     for v in P.vectors[:10]:
         assert apply_semilinear(phi, v).coords == v
@@ -164,7 +165,7 @@ def test_apply_semilinear_identity():
 
 def test_apply_semilinear_frobenius_point():
     K = gf(4)
-    phi = SemilinearMap(hom_from_power(K, K, 1), linalg.identity_matrix(4))
+    phi = SemilinearMap(hom_from_power(K, K, 1), identity_matrix(4))
     img = apply_semilinear(phi, (1, 2, 0, 0))
     assert img.coords == (1, 3, 0, 0)  # x squares to x + 1
 
@@ -342,7 +343,7 @@ def test_proportional_scalar_two():
 
 def test_proportional_sigma_mismatch():
     K = gf(4)
-    M = linalg.identity_matrix(4)
+    M = identity_matrix(4)
     a = SemilinearMap(identity_hom(K), M)
     b = SemilinearMap(hom_from_power(K, K, 1), M)
     assert proportional(a, b) is None

@@ -50,6 +50,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
+from quotient_routes import identity_matrix
 
 
 def random_semilinear(rng, K, K2=None, n1=4, m1=4, min_rank=4, homs=None):
@@ -72,19 +73,19 @@ def induced_point_map(phi, src):
 
 
 def test_ftpg_identity(pg32):
-    phi = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+    phi = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
     pm = induced_partial(phi)
     got = reconstruct_ftpg(pm)
-    assert got.matrix == linalg.identity_matrix(4)
+    assert got.matrix == identity_matrix(4)
     assert got.sigma.is_identity
 
 
 def test_ftpg_coordinatewise_squaring_recovers_frobenius(pg34):
     K = gf(4)
-    gen = SemilinearMap(hom_from_power(K, K, 1), linalg.identity_matrix(4))
+    gen = SemilinearMap(hom_from_power(K, K, 1), identity_matrix(4))
     got = reconstruct_ftpg(induced_point_map(gen, pg34))
     assert got.sigma.frobenius_power == 1
-    assert got.matrix == linalg.identity_matrix(4)
+    assert got.matrix == identity_matrix(4)
 
 
 def test_ftpg_projection_from_point(pg33):
@@ -132,7 +133,7 @@ def test_ftpg_frame_conjugation_independence(pg33):
 
 
 def test_ftpg_exceptional_not_flat(pg32):
-    phi = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+    phi = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
     pm = induced_point_map(phi, pg32)
     images = list(pm.images)
     images[3] = None  # a single deleted value off any flat pattern
@@ -154,7 +155,7 @@ def test_ftpg_image_in_line(pg32):
 
 def test_ftpg_verification_failure_on_corrupted_map(pg33):
     K = gf(3)
-    gen = SemilinearMap(identity_hom(K), linalg.identity_matrix(4))
+    gen = SemilinearMap(identity_hom(K), identity_matrix(4))
     pm = induced_point_map(gen, pg33)
     images = list(pm.images)
     # swap two images not fixed by any semilinear map extension
@@ -168,7 +169,7 @@ def test_ftpg_verification_failure_on_corrupted_map(pg33):
 
 def test_induced_quotient_map_identity(pg32):
     inst = MorphismInstance.restrict_semilinear(
-        SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4)), pg32
+        SemilinearMap(identity_hom(gf(2)), identity_matrix(4)), pg32
     )
     pm = induced_quotient_map(inst, 0)
     assert pm.exceptional.mask == 0
@@ -177,7 +178,7 @@ def test_induced_quotient_map_identity(pg32):
 
 def test_induced_quotient_map_frobenius_fixed_point(pg34):
     K = gf(4)
-    gen = SemilinearMap(hom_from_power(K, K, 1), linalg.identity_matrix(4))
+    gen = SemilinearMap(hom_from_power(K, K, 1), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(gen, pg34)
     # the first point (0,0,0,1) is fixed by frobenius
     x0 = pg34.point_index((0, 0, 0, 1))
@@ -213,7 +214,7 @@ def test_induced_quotient_map_rejects_a_non_morphism(pg32):
     """A class of X/x0 sent both to the base image and elsewhere, or into
     two classes of P'/phi(x0), is not constant on classes."""
     K = gf(2)
-    identity = SemilinearMap(identity_hom(K), linalg.identity_matrix(4))
+    identity = SemilinearMap(identity_hom(K), identity_matrix(4))
     images = MorphismInstance.restrict_semilinear(identity, pg32).images
     y, z = bits_of(pg32.line_through_pair(0, 1) & ~1)  # one class of X/0
     w = next(i for i in range(15) if not pg32.line_through_pair(0, z) >> i & 1)
@@ -302,10 +303,10 @@ def test_glue_scaled_leg_detected():
 
 def test_lp_identity_on_full_space(pg32):
     inst = MorphismInstance.restrict_semilinear(
-        SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4)), pg32
+        SemilinearMap(identity_hom(gf(2)), identity_matrix(4)), pg32
     )
     res = reconstruct_locally_projective(inst)
-    assert res.phi.matrix == linalg.identity_matrix(4)
+    assert res.phi.matrix == identity_matrix(4)
 
 
 def test_lp_affine_round_trip(ag33):
@@ -375,7 +376,7 @@ def test_extend_affino_round_trip(ag34):
 
 
 def test_extend_affino_field_clause(ag32):
-    gen = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+    gen = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(gen, ag32, kind="affino-projective")
     with pytest.raises(FieldClauseViolated):
         extend_affino(inst)
@@ -445,7 +446,7 @@ def test_lap_gf3_to_gf9(elliptic_33):
 
 
 def test_lap_field_clause_gf2(hyperbolic_32):
-    gen = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+    gen = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(
         gen, hyperbolic_32, kind="locally-affino-projective"
     )
@@ -623,7 +624,7 @@ def test_certify_tangent_point_waives_kernel_claim(pg33):
     ]
     X = subgeometry(pg33, conic)
     assert X.n_points == 4  # conic of PG(2,3)
-    ident = SemilinearMap(identity_hom(K), linalg.identity_matrix(4))
+    ident = SemilinearMap(identity_hom(K), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(ident, X, kind="locally-affino-projective")
     result = ReconstructionResult(ident, ident.kernel(), (0, 1), {})
     rep = certify_side_conditions(result, inst)
@@ -636,11 +637,11 @@ def test_certify_tangent_point_waives_kernel_claim(pg33):
 
 def test_oracle_identity_unique(pg32):
     inst = MorphismInstance.restrict_semilinear(
-        SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4)), pg32
+        SemilinearMap(identity_hom(gf(2)), identity_matrix(4)), pg32
     )
     maps = brute_force_oracle(inst)
     assert len(maps) == 1
-    assert maps[0].matrix == linalg.identity_matrix(4)
+    assert maps[0].matrix == identity_matrix(4)
 
 
 def test_oracle_matches_reconstruction(pg32):
@@ -655,7 +656,7 @@ def test_oracle_matches_reconstruction(pg32):
 
 
 def test_oracle_non_morphism_empty(pg32):
-    gen = SemilinearMap(identity_hom(gf(2)), linalg.identity_matrix(4))
+    gen = SemilinearMap(identity_hom(gf(2)), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(gen, pg32)
     images = list(inst.images)
     images[0], images[1] = images[1], images[0]
@@ -668,7 +669,7 @@ def test_oracle_cap():
     from fingeo.errors import CapExceeded
 
     P = build_pg(3, 4)
-    gen = SemilinearMap(identity_hom(gf(4)), linalg.identity_matrix(4))
+    gen = SemilinearMap(identity_hom(gf(4)), identity_matrix(4))
     inst = MorphismInstance.restrict_semilinear(gen, P)
     with pytest.raises(CapExceeded):
         brute_force_oracle(inst, cap=1 << 20)

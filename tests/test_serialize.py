@@ -7,14 +7,14 @@ from fingeo.geometry import TableGeometry
 from fingeo.gf import gf, hom_from_power
 from fingeo.projective import SemilinearMap, build_pg
 from fingeo.serialize import (
+    dump_json,
     geometry_from_dict,
     geometry_to_dict,
     load_geometry,
-    load_semilinear,
+    load_json,
     map_pairs_from_dict,
     map_pairs_to_dict,
     save_geometry,
-    save_semilinear,
     semilinear_from_dict,
     semilinear_to_dict,
 )
@@ -77,8 +77,8 @@ def test_semilinear_round_trip(tmp_path):
     K = gf(4)
     phi = SemilinearMap(hom_from_power(K, K, 1), ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)))
     path = tmp_path / "phi.json"
-    save_semilinear(phi, path)
-    back = load_semilinear(path)
+    dump_json(semilinear_to_dict(phi), path)
+    back = semilinear_from_dict(load_json(path))
     assert back.matrix == phi.matrix
     assert back.sigma.table == phi.sigma.table
 
