@@ -198,13 +198,13 @@ def _local_dim_formula_at(X, x):
 
 def _skew_points(X: CoordGeometry) -> int:
     """The points x in which a plane and a hyperplane of X meet alone, as a
-    bitmask.  Their spans meet in a tangent line at x, so only planes
-    through tangent points are swept."""
+    bitmask.  Their spans meet in a tangent line at x, so only planes with
+    a tangent point not yet flagged are swept."""
     tangent = _tangent_points(X)
     hyperplanes = X.hyperplanes()
     bad = 0
     for pm in X.planes():
-        for hm in hyperplanes if pm & tangent else ():
+        for hm in hyperplanes if pm & tangent & ~bad else ():
             meet = pm & hm
             if meet & (meet - 1) == 0:  # empty or one point
                 bad |= meet
@@ -548,11 +548,17 @@ def is_affino_projective(X: CoordGeometry) -> Verdict:
     return out
 
 
-def lap_certificates(view: AmbientView, x) -> list:
-    """Hyperplanes of P through the local point x that hold every tangent
-    line at x, in P.hyperplanes() order."""
-    must_cover = view.unions[x] | 1 << view.idx[x]
-    return [hm for hm in view.P.hyperplanes() if must_cover & ~hm == 0]
+def lap_certificates(X: CoordGeometry) -> tuple:
+    """For each local point x, the first hyperplane of P through x, in
+    P.hyperplanes() order, that holds every tangent line at x, or None;
+    built once."""
+    return _cached(X, "lap_certificates", lambda: _lap_certificates(ambient_view(X)))
+
+
+def _lap_certificates(view) -> tuple:
+    hyperplanes = view.P.hyperplanes()
+    covers = (union | 1 << a for union, a in zip(view.unions, view.idx))
+    return tuple(next((hm for hm in hyperplanes if cover & ~hm == 0), None) for cover in covers)
 
 
 def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
@@ -560,18 +566,11 @@ def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
     tangent lines at x.  The tangent lines at x are the points of P/x that
     X/x misses, so H_x exists exactly when X/x is affino-projective inside
     P/x; the first H_x in P.hyperplanes() order is the certificate."""
-    view = ambient_view(X)
-    witnesses = []
-    tangent_hyperplanes = {}
-    for local_x in range(X.n_points):
-        certs = lap_certificates(view, local_x)
-        if certs:
-            tangent_hyperplanes[local_x] = sorted(bits_of(certs[0]))
-        else:
-            witnesses.append({"point": local_x})
+    certs = lap_certificates(X)
+    witnesses = [{"point": x} for x, hm in enumerate(certs) if hm is None]
     out = Verdict("locally_affino_projective", not witnesses, witnesses)
     if not witnesses:
-        out.certificates["tangent_hyperplanes"] = tangent_hyperplanes
+        out.certificates["tangent_hyperplanes"] = {x: sorted(bits_of(hm)) for x, hm in enumerate(certs)}
     return out
 
 
@@ -629,6 +628,13 @@ def full_quotient_points(X: CoordGeometry):
     """Local indices x with X/x = P/x (every ambient line through x is a
     secant); the admissible base points of the locally projective driver."""
     return tuple(bits_of(X.full_mask & ~_tangent_points(X)))
+
+
+def affino_admissible_points(X: CoordGeometry):
+    """Local indices x with X/x affino-projective inside P/x (x has a lap
+    certificate); the admissible base points of the locally
+    affino-projective driver."""
+    return tuple(x for x, hm in enumerate(lap_certificates(X)) if hm is not None)
 
 
 # -- aggregate -----------------------------------------------------------------------

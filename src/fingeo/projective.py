@@ -214,31 +214,7 @@ def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
     if len(flats) * (len(flats) + 1) // 2 > FLAT_PAIR_LIMIT:
         raise SizeLimit("flat-pair sweep beyond limit")
     witnesses = {}
-    lines = G.lines()
-    n = G.n_points
-
-    # P1
-    p1 = True
-    point_lines = G.incidence.point_lines
-    for a, b in itertools.combinations(range(n), 2):
-        c = (point_lines[a] & point_lines[b]).bit_count()
-        if c != 1:
-            p1 = False
-            witnesses["p1"] = {"points": [a, b], "lines_through": c}
-            break
-
-    # P2
-    p2 = all(line.bit_count() >= 2 for line in lines)
-    if not p2:
-        witnesses["p2"] = {"short_line": sorted(bits_of(min(lines, key=int.bit_count)))}
-
-    # P3
-    if p1 and n > 16:
-        p3, w = _veblen_young_fast(G)
-    else:
-        p3, w = _veblen_young_literal(G)
-    if not p3:
-        witnesses["p3"] = w
+    p1, p2, p3 = _point_line_axioms(G, witnesses)
 
     # dimension formula over all flat pairs
     dim_ok = True
@@ -254,12 +230,37 @@ def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
         dim_ok = False
         if m1 & m2:
             empty_meet_only = False
-    irreducible = all(line.bit_count() >= 3 for line in lines)
+    irreducible = all(line.bit_count() >= 3 for line in G.lines())
     note = ""
     if p1 and p2 and not dim_ok and empty_meet_only:
         # every violation involves a disjoint pair: parallel-type failures only
         note = "not projective, locally projective candidate"
     return ProjectiveReport(p1, p2, p3, dim_ok, irreducible, witnesses, note)
+
+
+def _point_line_axioms(G, witnesses):
+    """P1 (two points lie on one line), P2 (every line has two points) and
+    P3 (Veblen-Young), with the witness of each failure put in witnesses."""
+    lines = G.lines()
+    n = G.n_points
+    p1 = True
+    point_lines = G.incidence.point_lines
+    for a, b in itertools.combinations(range(n), 2):
+        c = (point_lines[a] & point_lines[b]).bit_count()
+        if c != 1:
+            p1 = False
+            witnesses["p1"] = {"points": [a, b], "lines_through": c}
+            break
+    p2 = all(line.bit_count() >= 2 for line in lines)
+    if not p2:
+        witnesses["p2"] = {"short_line": sorted(bits_of(min(lines, key=int.bit_count)))}
+    if p1 and n > 16:
+        p3, w = _veblen_young_fast(G)
+    else:
+        p3, w = _veblen_young_literal(G)
+    if not p3:
+        witnesses["p3"] = w
+    return p1, p2, p3
 
 
 def _veblen_young_literal(G):
@@ -313,8 +314,7 @@ def _veblen_young_fast(G):
 def decompose_irreducible(G: FiniteGeometry):
     """Partition into irreducible components: points are related when equal
     or joined by a line with at least three points."""
-    rep = check_projective_axioms(G)
-    if not (rep.p1 and rep.p2 and rep.p3):
+    if not all(_point_line_axioms(G, {})):
         raise NotProjective("geometry fails the projective point/line axioms")
     parent = list(range(G.n_points))
 

@@ -25,11 +25,11 @@ from collections import namedtuple
 
 from . import linalg
 from .classify import (
+    affino_admissible_points,
     ambient_view,
     full_quotient_points,
     has_enough_points,
     is_affino_projective,
-    lap_certificates,
 )
 from .errors import (
     CapExceeded,
@@ -506,21 +506,19 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     for x, amb in enumerate(idx):
         amb_images[amb] = inst.images[x]
     for p in bits_of(P.full_mask & ~xmask):
+        # p lies in H, as X u H = P, so a line through p off H meets X in its other q >= 3 points
         common = None
         for line in P.lines_through(p):
             if line & ~H == 0:
                 continue
-            locs = [local_of[a] for a in bits_of(line & xmask)]
-            if len(locs) < 2:
-                continue
-            images = [inst.images[a] for a in locs]
+            images = [inst.images[local_of[a]] for a in bits_of(line & xmask)]
             if common is None:
                 common, _ = linalg.rref(K2, images)
             else:
                 common = linalg.intersect_spans(K2, common, images)
             if common == ():
                 break
-        if common is None or len(common) == 0:
+        if not common:
             continue  # exceptional candidate
         if len(common) > 1:
             raise InconsistentExtension(f"ambient point {p} has a multi-dimensional image trace")
@@ -563,12 +561,6 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
     return SemilinearMap(psiF.sigma, A)
 
 
-def affino_admissible_points(inst: MorphismInstance):
-    """Points whose quotient X/x is affino-projective inside P/x."""
-    view = ambient_view(inst.geometry)
-    return tuple(x for x in range(len(view.idx)) if lap_certificates(view, x))
-
-
 def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:
     """Two-point reconstruction where the quotients at the base points are
     affino-projective: each leg factors through the fiber of the base image,
@@ -577,7 +569,7 @@ def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> Reconstru
     _field_clause(inst.source_field, inst.target_field)
     _require_enough_points(inst)
     _require_image_not_in_plane(inst)
-    return _two_point(inst, affino_admissible_points(inst), _affino_leg, pair_rank)
+    return _two_point(inst, affino_admissible_points(inst.geometry), _affino_leg, pair_rank)
 
 
 # -- certification -----------------------------------------------------------------

@@ -4,7 +4,7 @@ Each reference below is a direct scan of the ambient space: every line of
 P, the lines through each point, or the line through each pair of an
 outside point and a point of X.  The view computes the tangent lines of
 each point once; every predicate and driver that reads it must give what
-the scans give, on the GF(2) and GF(3) gallery and on seeded random
+the scans give, on the gallery over GF(2) to GF(4) and on seeded random
 subgeometries of PG(3,3).
 
 A geometry's ambient space is the PG(n, q) of its coordinates, quotients
@@ -19,6 +19,7 @@ import pytest
 
 from fingeo import linalg
 from fingeo.classify import (
+    affino_admissible_points,
     ambient_view,
     check_line_condition,
     check_minimal_embedding,
@@ -33,7 +34,7 @@ from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
 from fingeo.reconstruct import MorphismInstance, ReconstructionResult, certify_side_conditions
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
-GALLERY = [(name, q) for q in (2, 3) for name in EXAMPLE_NAMES if name != "subfield-complement"]
+GALLERY = [(name, q) for q in (2, 3, 4) for name in EXAMPLE_NAMES if q == 4 or name != "subfield-complement"]
 RANDOM_SEEDS = range(10)
 
 
@@ -128,8 +129,10 @@ def test_view_matches_ambient_scans(geometries, case):
     assert check_line_condition(X).witnesses == ref_line_condition_witnesses(X)
     assert check_minimal_embedding(X).witnesses == ref_minimal_embedding_witnesses(X)
     assert full_quotient_points(X) == ref_full_quotient_points(X)
+    refs = [ref_lap_certificates(P, xmask, amb) for amb in idx]
+    assert lap_certificates(X) == tuple(ref[0] if ref else None for ref in refs)
+    assert affino_admissible_points(X) == tuple(x for x, ref in enumerate(refs) if ref)
     for x, amb in enumerate(idx):
-        assert lap_certificates(view, x) == ref_lap_certificates(P, xmask, amb)
         assert view.unions[x] == ref_mobius_union(P, xmask, amb)
 
 

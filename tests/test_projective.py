@@ -136,6 +136,10 @@ def test_decompose_irreducible_components():
 
 def test_decompose_irreducible_pg(pg32):
     assert decompose_irreducible(pg32) == (tuple(range(15)),)
+    # beyond the flat-pair limit of check_projective_axioms
+    for n, q in ((4, 3), (5, 2)):
+        P = build_pg(n, q)
+        assert decompose_irreducible(P) == (tuple(range(P.n_points)),)
 
 
 def test_decompose_single_point():

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from fingeo import linalg
-from fingeo.classify import full_quotient_points
+from fingeo.classify import affino_admissible_points, full_quotient_points
 from fingeo.errors import (
     ExceptionalNotFlat,
     FieldClauseViolated,
@@ -37,7 +37,6 @@ from fingeo.reconstruct import (
     PartialPointMap,
     _affino_leg,
     _lp_leg,
-    affino_admissible_points,
     brute_force_oracle,
     certify_side_conditions,
     extend_affino,
@@ -473,7 +472,7 @@ def test_lap_frobenius_on_hyperbolic(hyperbolic_34):
     "fixture, leg, admissible",
     [
         ("ag33", _lp_leg, lambda inst: full_quotient_points(inst.geometry)),
-        ("elliptic_33", _affino_leg, affino_admissible_points),
+        ("elliptic_33", _affino_leg, lambda inst: affino_admissible_points(inst.geometry)),
     ],
     ids=["lp-ag33", "lap-elliptic33"],
 )
