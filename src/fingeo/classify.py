@@ -8,11 +8,13 @@ The local predicates read each quotient X/x off X's own lattice: the flats
 of X/x are the flats of X through x, one dimension lower, so no quotient
 geometry is built.  On a coordinate geometry X/x = P/x off the tangent
 points (_tangent_points), so the local predicates sweep only those.  Every
-negative verdict carries a witness that can be re-checked in isolation; every certificate (hyperplane H, tangent
-hyperplanes H_x) is reported explicitly.  Predicates over the ambient space
-take any CoordGeometry, quotients included: its ambient space is the
-PG(n, q) its coordinates live in, read off by X.ambient and
-X.ambient_indices.
+negative verdict carries a witness that can be re-checked in isolation;
+every certificate (hyperplane H, tangent hyperplanes H_x) is reported
+explicitly.  Predicates over the ambient space take any CoordGeometry,
+quotients included: its ambient space P is the PG(n, q) its coordinates
+live in, read off by X.ambient and X.ambient_indices.  They read the lines
+and hyperplanes of P, never its incidence index; the tangent lines at
+every point come from one pass over P's lines (tangent_lines).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import functools
 import itertools
 import operator
 import random
-from collections import namedtuple
 
 from .errors import DimensionTooLow, InternalContradiction
 from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
@@ -100,40 +101,36 @@ def _cached(X, key, fn):
     return got
 
 
-class AmbientView(namedtuple("AmbientView", "P idx xmask tangents unions")):
-    """X inside its ambient projective space P.
-
-    idx maps local points to ambient ones and xmask is their ambient mask.
-    tangents[x] holds the tangent lines at the local point x, the lines of
-    P through x that meet X nowhere else, in P.lines() order, and unions[x]
-    is their union.  X/x = P/x exactly when x has no tangent line, and X/x
+def tangent_lines(X: CoordGeometry) -> tuple:
+    """For each local point x, its tangent lines (the lines of P through x
+    that meet X nowhere else) in P.lines() order; built once, by one pass
+    over P's lines.  X/x = P/x exactly when x has no tangent line, and X/x
     is affino-projective in P/x exactly when a hyperplane through x holds
-    unions[x].  Each line of X through x is the trace of its own ambient
-    line, so x has no tangent line exactly when (q^n - 1)/(q - 1) lines of
-    X pass through it, n = ncoords - 1, which needs no ambient space.
-    """
-
-    __slots__ = ()
+    them all.  Each line of X through x is the trace of its own ambient line, so
+    x has no tangent line exactly when (q^n - 1)/(q - 1) lines of X pass
+    through it, n = ncoords - 1, which needs no ambient space."""
+    return _cached(X, "tangent_lines", lambda: _tangent_lines(X))
 
 
-def ambient_view(X: CoordGeometry) -> AmbientView:
-    """The ambient view of X, built once per geometry."""
-    return _cached(X, "ambient_view", lambda: _ambient_view(X))
+def _tangent_lines(X) -> tuple:
+    local_of = {a: x for x, a in enumerate(X.ambient_indices)}
+    xmask = mask_of(X.ambient_indices)
+    out = [[] for _ in range(X.n_points)]
+    for line in X.ambient.lines():
+        hit = line & xmask
+        if hit and hit & (hit - 1) == 0:
+            out[local_of[hit.bit_length() - 1]].append(line)
+    return tuple(map(tuple, out))
 
 
-def _ambient_view(X) -> AmbientView:
-    P, idx = X.ambient, X.ambient_indices
-    xmask = mask_of(idx)
-    tangents = tuple(
-        tuple(line for line in P.lines_through(a) if line & xmask == 1 << a) for a in idx
-    )
-    unions = tuple(functools.reduce(operator.or_, ts, 0) for ts in tangents)
-    return AmbientView(P, idx, xmask, tangents, unions)
+def tangent_unions(X: CoordGeometry) -> list:
+    """For each local point, the union of its tangent lines."""
+    return [functools.reduce(operator.or_, ts, 0) for ts in tangent_lines(X)]
 
 
 def _tangent_points(X: CoordGeometry) -> int:
     """The points of X on a tangent line, as a bitmask, counted as in
-    AmbientView; built once."""
+    tangent_lines; built once."""
     q, pl = X.field.q, X.incidence.point_lines
     through = (q ** (X.ncoords - 1) - 1) // (q - 1)
     return _cached(X, "tangent_points", lambda: mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through))
@@ -253,7 +250,7 @@ def check_line_condition(X: CoordGeometry) -> Verdict:
         return Verdict("line_condition", True)
     # a line meeting X once is a tangent line at exactly one point; sorted by
     # (size, mask), the tangent lines come in P.lines() order
-    tangents = sorted(itertools.chain(*ambient_view(X).tangents), key=lambda m: (m.bit_count(), m))
+    tangents = sorted(itertools.chain(*tangent_lines(X)), key=lambda m: (m.bit_count(), m))
     return Verdict("line_condition", False, [{"line": sorted(bits_of(line))} for line in tangents])
 
 
@@ -532,11 +529,11 @@ def _one_gap_tuples(adj):
 def is_affino_projective(X: CoordGeometry) -> Verdict:
     """Some ambient hyperplane H with X u H = P; hyperplanes scanned in
     canonical order, first certificate returned, count reported."""
-    view = ambient_view(X)
+    P, xmask = X.ambient, mask_of(X.ambient_indices)
     first = None
     count = 0
-    for hm in view.P.hyperplanes():
-        if (view.xmask | hm) == view.P.full_mask:
+    for hm in P.hyperplanes():
+        if xmask | hm == P.full_mask:
             count += 1
             if first is None:
                 first = hm
@@ -552,12 +549,12 @@ def lap_certificates(X: CoordGeometry) -> tuple:
     """For each local point x, the first hyperplane of P through x, in
     P.hyperplanes() order, that holds every tangent line at x, or None;
     built once."""
-    return _cached(X, "lap_certificates", lambda: _lap_certificates(ambient_view(X)))
+    return _cached(X, "lap_certificates", lambda: _lap_certificates(X))
 
 
-def _lap_certificates(view) -> tuple:
-    hyperplanes = view.P.hyperplanes()
-    covers = (union | 1 << a for union, a in zip(view.unions, view.idx))
+def _lap_certificates(X) -> tuple:
+    hyperplanes = X.ambient.hyperplanes()
+    covers = (union | 1 << a for union, a in zip(tangent_unions(X), X.ambient_indices))
     return tuple(next((hm for hm in hyperplanes if cover & ~hm == 0), None) for cover in covers)
 
 
@@ -577,16 +574,16 @@ def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
 def is_mobius(X: CoordGeometry) -> Verdict:
     """At each point the union of the ambient tangent lines is exactly a
     hyperplane."""
-    view = ambient_view(X)
-    if view.P.dim() < 3:
+    P = X.ambient
+    if P.dim() < 3:
         raise DimensionTooLow("ambient dimension < 3")
     if X.n_points <= 2:
         return Verdict("mobius", "not applicable")
-    hyper = set(view.P.hyperplanes())
+    hyper = set(P.hyperplanes())
     witnesses = []
     tangent_planes = {}
     verdict = True
-    for local_x, union in enumerate(view.unions):
+    for local_x, union in enumerate(tangent_unions(X)):
         if union in hyper:
             tangent_planes[local_x] = sorted(bits_of(union))
         else:
@@ -603,11 +600,11 @@ def is_ovoid(X: CoordGeometry) -> Verdict:
     mob = is_mobius(X)
     if mob.verdict == "not applicable":
         return Verdict("ovoid", "not applicable")
-    view = ambient_view(X)
+    xmask = mask_of(X.ambient_indices)
     witnesses = list(mob.witnesses)
     verdict = bool(mob)
-    for line in view.P.lines():
-        if (line & view.xmask).bit_count() > 2:
+    for line in X.ambient.lines():
+        if (line & xmask).bit_count() > 2:
             verdict = False
             witnesses.append({"long_secant": sorted(bits_of(line))})
             break
@@ -618,7 +615,7 @@ def check_minimal_embedding(X: CoordGeometry) -> Verdict:
     """X/x = P/x for every x: each ambient line through x meets X again."""
     witnesses = [
         {"point": x, "tangent_line": sorted(bits_of(lines[0]))}
-        for x, lines in enumerate(ambient_view(X).tangents)
+        for x, lines in enumerate(tangent_lines(X))
         if lines
     ]
     return Verdict("minimal_embedding", not witnesses, witnesses)

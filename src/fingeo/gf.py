@@ -426,7 +426,7 @@ def hom_from_power(K: GF, K2: GF, power: int) -> FieldHom:
 
 def parse_field_name(text: str) -> GF:
     """Parse the "gf(q)" designator used in files and on the CLI."""
-    s = text.strip().lower()
+    s = text.strip().lower() if isinstance(text, str) else ""
     if not (s.startswith("gf(") and s.endswith(")")):
         raise ValueError(f"bad field designator {text!r}")
     return gf(int(s[3:-1]))

@@ -26,10 +26,10 @@ from collections import namedtuple
 from . import linalg
 from .classify import (
     affino_admissible_points,
-    ambient_view,
     full_quotient_points,
     has_enough_points,
     is_affino_projective,
+    tangent_unions,
 )
 from .errors import (
     CapExceeded,
@@ -491,8 +491,8 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     RREF, and each further line's raw images go to intersect_spans against
     the span so far.  The base engine then decides whether the extension is
     a partial morphism."""
-    X, view = inst.geometry, ambient_view(inst.geometry)
-    P, idx, xmask = view.P, view.idx, view.xmask
+    X = inst.geometry
+    P, idx, xmask = X.ambient, X.ambient_indices, mask_of(X.ambient_indices)
     K, K2 = P.field, inst.target_field
     _field_clause(K, K2)
     if linalg.rank(K2, inst.images) < 3:
@@ -580,14 +580,15 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
     reconstruction: injective input forces trivial kernel (for the
     affino family only once no ambient point is tangent to all of X), and an
     embedding input forces the induced map on P to embed."""
-    X, view = inst.geometry, ambient_view(inst.geometry)
-    P, K2 = view.P, inst.target_field
+    X = inst.geometry
+    P, K2 = X.ambient, inst.target_field
     report = {"injective": len(set(inst.images)) == len(inst.images)}
 
     if inst.declared_kind in ("affino-projective", "locally-affino-projective"):
         # p off X is tangent to all of X when each line px is a tangent line
         # at x, that is when p lies on every union of tangent lines
-        tangent_points = functools.reduce(operator.and_, view.unions, P.full_mask & ~view.xmask)
+        outside = P.full_mask & ~mask_of(X.ambient_indices)
+        tangent_points = functools.reduce(operator.and_, tangent_unions(X), outside)
         report["tangent_point_hypothesis"] = tangent_points == 0
         if tangent_points:
             report["tangent_point"] = (tangent_points & -tangent_points).bit_length() - 1

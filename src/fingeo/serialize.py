@@ -50,7 +50,7 @@ def field_from_name(text):
     """parse_field_name with its errors reported as FileFormatError."""
     try:
         return parse_field_name(text)
-    except (ValueError, AttributeError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 

@@ -39,6 +39,11 @@ routes that came before, kept verbatim: they count, search and sweep
 everywhere, and ref_has_enough_points still raises when the quotient form
 holds but a plane lacks a quadrilateral.
 
+The tangent lines: the library lists them for every point of X in one
+pass over the lines of the ambient space P.  ref_tangent_lines is the scan
+that came before it, kept verbatim: it walks the lines of P through each
+point of X on P's incidence index.
+
 The extension over the completing hyperplane: the library's extend_affino
 leaves every check to the base engine, whose class test and final sweep
 decide whether the extension is a partial morphism.  ref_extend_affino is
@@ -86,7 +91,6 @@ from fingeo.classify import (
     Verdict,
     _coplanarity,
     _has_quadrilateral,
-    ambient_view,
     is_affino_projective,
 )
 from fingeo.errors import (
@@ -218,12 +222,21 @@ def ref_skew_points(X: CoordGeometry) -> int:
     return bad
 
 
-def ref_quotient_affino(view, local_x):
+def ref_tangent_lines(X: CoordGeometry) -> tuple:
+    """The tangent lines at each point of X, in P.lines() order: the lines
+    of P through the point, read off P's incidence index, that meet X
+    nowhere else."""
+    P, idx = X.ambient, X.ambient_indices
+    xmask = mask_of(idx)
+    return tuple(tuple(line for line in P.lines_through(a) if line & xmask == 1 << a) for a in idx)
+
+
+def ref_quotient_affino(X, x):
     """X/x affino-projective inside P/x: some hyperplane class-set of P/x
     covers the classes without an X representative."""
-    P, amb_x = view.P, view.idx[local_x]
+    P, amb_x, xmask = X.ambient, X.ambient_indices[x], mask_of(X.ambient_indices)
     Q = P.point_quotient(amb_x)
-    missing = [c for c, cmask in enumerate(Q.classes) if not cmask & view.xmask]
+    missing = [c for c, cmask in enumerate(Q.classes) if not cmask & xmask]
     if not missing:
         return True
     for hm in P.hyperplanes():
@@ -238,8 +251,7 @@ def ref_quotient_affino(view, local_x):
 def ref_lp_leg(inst, xi):
     """The locally projective leg by hand: project X into PG(V/<v_xi>),
     read each class image in V'/<v_xi'>, and run the base engine."""
-    view = ambient_view(inst.geometry)
-    P, idx = view.P, view.idx
+    P, idx = inst.geometry.ambient, inst.geometry.ambient_indices
     K, K2 = P.field, inst.target_field
     qc = quotient_coords(LinearSubspace.from_vectors(K, P.ncoords, [P.vectors[idx[xi]]]))
     qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [inst.images[xi]]))
@@ -267,8 +279,8 @@ def ref_affino_leg(inst, xi):
     """The locally affino-projective leg by hand: project X into
     PG(V/span(F)) for the fiber F of the base image, take the subgeometry of
     the projections, extend, reconstruct and precompose."""
-    X, view = inst.geometry, ambient_view(inst.geometry)
-    P, idx = view.P, view.idx
+    X = inst.geometry
+    P, idx = X.ambient, X.ambient_indices
     K, K2 = P.field, inst.target_field
     n1, m1 = P.ncoords, inst.target_dim + 1
     v_i = P.vectors[idx[xi]]
@@ -724,8 +736,9 @@ def ref_extend_affino(inst: MorphismInstance) -> PartialPointMap:
 def ref_extend_unchecked(inst: MorphismInstance) -> PartialPointMap:
     """The extension loop of ref_extend_affino, with the span kernel that
     came before the residue intersection."""
-    X, view = inst.geometry, ambient_view(inst.geometry)
-    P, idx, xmask = view.P, view.idx, view.xmask
+    X = inst.geometry
+    P, idx = X.ambient, X.ambient_indices
+    xmask = mask_of(idx)
     K, K2 = P.field, inst.target_field
     _field_clause(K, K2)
     if linalg.rank(K2, inst.images) < 3:

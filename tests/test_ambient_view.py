@@ -1,11 +1,13 @@
-"""The ambient view against the literal ambient scans it replaces.
+"""The ambient predicates against the literal ambient scans they replace.
 
 Each reference below is a direct scan of the ambient space: every line of
 P, the lines through each point, or the line through each pair of an
-outside point and a point of X.  The view computes the tangent lines of
-each point once; every predicate and driver that reads it must give what
-the scans give, on the gallery over GF(2) to GF(4) and on seeded random
-subgeometries of PG(3,3).
+outside point and a point of X.  The library lists the tangent lines of
+every point in one pass over P's lines (tangent_lines), and builds no
+incidence index of P; every predicate and driver that reads the ambient
+space must give what the scans give, on the gallery over GF(2) to GF(4),
+the point quotients at the first and last point of the GF(3) gallery, and
+seeded random subgeometries of PG(3,3).
 
 A geometry's ambient space is the PG(n, q) of its coordinates, quotients
 included: the ambient predicates on X and on the same points embedded in
@@ -20,18 +22,20 @@ import pytest
 from fingeo import linalg
 from fingeo.classify import (
     affino_admissible_points,
-    ambient_view,
     check_line_condition,
     check_minimal_embedding,
     classify,
     full_quotient_points,
     lap_certificates,
+    tangent_lines,
+    tangent_unions,
 )
 from fingeo.gallery import EXAMPLE_NAMES, build_example
 from fingeo.geometry import FiniteGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
 from fingeo.reconstruct import MorphismInstance, ReconstructionResult, certify_side_conditions
+from quotient_routes import ref_tangent_lines
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
 GALLERY = [(name, q) for q in (2, 3, 4) for name in EXAMPLE_NAMES if q == 4 or name != "subfield-complement"]
@@ -39,8 +43,10 @@ RANDOM_SEEDS = range(10)
 
 
 def ambient_of(X):
-    """The PG(n, q) of X's coordinates and the index of each point in it."""
-    P = build_pg(X.ncoords - 1, X.field.q)
+    """The PG(n, q) of X's coordinates and the index of each point in it;
+    X itself when it holds every point, as a full point quotient keeps its
+    own point order."""
+    P = X if X.is_full_pg else build_pg(X.ncoords - 1, X.field.q)
     return P, tuple(map(P.point_index, X.vectors))
 
 
@@ -113,27 +119,44 @@ def geometries():
     out = {f"{name}-{q}": build_example(name, gf(q)) for name, q in GALLERY}
     for seed in RANDOM_SEEDS:
         out[f"random-{seed}"] = random_subgeometry(seed)
+    for name, q in GALLERY:
+        if q == 3:
+            X = out[f"{name}-3"]
+            out[f"{name}-3-first"] = X.point_quotient(0)
+            out[f"{name}-3-last"] = X.point_quotient(X.n_points - 1)
     return out
 
 
 CASES = [f"{name}-{q}" for name, q in GALLERY] + [f"random-{seed}" for seed in RANDOM_SEEDS]
+QUOTIENT_CASES = [f"{name}-3-{where}" for name, q in GALLERY if q == 3 for where in ("first", "last")]
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CASES + QUOTIENT_CASES)
 def test_view_matches_ambient_scans(geometries, case):
     X = geometries[case]
     P, idx = ambient_of(X)
     xmask = mask_of(idx)
-    view = ambient_view(X)
-    assert (view.P, view.idx, view.xmask) == (P, idx, xmask)
+    assert (X.ambient, X.ambient_indices) == (P, idx)
+    assert tangent_lines(X) == ref_tangent_lines(X)
     assert check_line_condition(X).witnesses == ref_line_condition_witnesses(X)
     assert check_minimal_embedding(X).witnesses == ref_minimal_embedding_witnesses(X)
     assert full_quotient_points(X) == ref_full_quotient_points(X)
     refs = [ref_lap_certificates(P, xmask, amb) for amb in idx]
     assert lap_certificates(X) == tuple(ref[0] if ref else None for ref in refs)
     assert affino_admissible_points(X) == tuple(x for x, ref in enumerate(refs) if ref)
-    for x, amb in enumerate(idx):
-        assert view.unions[x] == ref_mobius_union(P, xmask, amb)
+    assert tangent_unions(X) == [ref_mobius_union(P, xmask, amb) for amb in idx]
+
+
+@pytest.mark.parametrize("name", ["affine", "elliptic-quadric"])
+def test_classify_builds_no_ambient_incidence_index(name):
+    """Every predicate reads the lines and hyperplanes of P, never its
+    incidence index.  A fresh PG(3,3), not the interned one that other
+    tests index, is set as X's ambient space."""
+    X = build_example(name, gf(3))
+    X.ambient = P = build_pg.__wrapped__(3, 3)
+    classify(X)
+    assert P._flats is not None  # the predicates did read this P
+    assert "incidence" not in vars(P)
 
 
 AMBIENT_PREDICATES = (

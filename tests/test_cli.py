@@ -484,6 +484,7 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
         {"field": True, "ambient_dim": 2, "points": [[1, 0, 0]]},
         {"field": [], "ambient_dim": 2, "points": [[1, 0, 0]]},
         {"field": {}, "ambient_dim": 2, "points": [[1, 0, 0]]},
+        {"pairs": [[[1, 0, 0], [1, 0, 0]]], "target": 4},
     ],
     ids=[
         "flats-not-list",
@@ -499,15 +500,25 @@ def test_zero_point_geometry_exit_2(tmp_path, command, data):
         "field-bool",
         "field-list",
         "field-object",
+        "map-target-int",
     ],
 )
 def test_malformed_geometry_shape_exit_2(tmp_path, data):
-    geo = tmp_path / "bad.json"
-    geo.write_text(dump_json(data))
-    proc = run_cli("check", "--axioms", "g", "--geometry", str(geo))
+    """A geometry file for check, or a map file for a pg reconstruction on
+    PG(2,2); a field designator that is not a string is named as such."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(data))
+    if "pairs" in data:
+        geo = tmp_path / "geo.json"
+        geo.write_text(dump_json(EMBEDDED))
+        proc = run_cli("reconstruct", "--kind", "pg", "--geometry", str(geo), "--map", str(bad))
+    else:
+        proc = run_cli("check", "--axioms", "g", "--geometry", str(bad))
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    if not isinstance(data.get("field", data.get("target", "")), str):
+        assert "bad field designator" in proc.stderr
 
 
 # -- malformed-input corpus ------------------------------------------------------------

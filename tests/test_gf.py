@@ -1,6 +1,7 @@
 """Field arithmetic, Frobenius maps, and homomorphism enumeration."""
 
 import itertools
+import re
 
 import pytest
 
@@ -176,6 +177,9 @@ def test_parse_field_name():
     assert parse_field_name(" GF(9) ") is gf(9)
     with pytest.raises(ValueError):
         parse_field_name("pg(3)")
+    for value in (5, None, True, [], {}):
+        with pytest.raises(ValueError, match=re.escape(f"bad field designator {value!r}")):
+            parse_field_name(value)
 
 
 def test_identity_hom():

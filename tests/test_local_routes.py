@@ -35,7 +35,6 @@ import pytest
 from fingeo import classify, projective
 from fingeo.classify import (
     BUNDLE_LIMIT,
-    ambient_view,
     check_bundle_theorem,
     check_lp_axioms,
     has_enough_points,
@@ -139,9 +138,8 @@ def test_local_predicates_match_quotient_routes(case):
         certificate = has_enough_points(X).certificates["quotient_line_form"]
         assert certificate is ref_quotient_line_form(X)
     if isinstance(X, CoordGeometry):
-        view = ambient_view(X)
         lap = is_locally_affino_projective(X)
-        assert witness_points(lap) == [x for x in points if not ref_quotient_affino(view, x)]
+        assert witness_points(lap) == [x for x in points if not ref_quotient_affino(X, x)]
 
 
 def test_cases_cover_both_outcomes():

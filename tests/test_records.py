@@ -4,7 +4,7 @@ every repr that a report or an error message prints."""
 
 import pytest
 
-from fingeo.classify import ClassificationReport, Verdict, ambient_view
+from fingeo.classify import ClassificationReport, Verdict
 from fingeo.geometry import (
     AxiomReport,
     GeneratedReport,
@@ -82,9 +82,6 @@ CASES = {
         ClassificationReport("x", {"ovoid": Verdict("ovoid", True)}),
         ClassificationReport("x", {"ovoid": Verdict("ovoid", False)}),
     ),
-    "AmbientView": lambda: (
-        ambient_view(X), ambient_view(subgeometry(P, range(1, 7))), ambient_view(subgeometry(P, range(6)))
-    ),
     "PartialPointMap": lambda: (
         PartialPointMap(P, K, 2, IMAGES),
         PartialPointMap(P, K, 2, IMAGES),
@@ -105,7 +102,7 @@ CASES = {
 FROZEN = {
     "FieldElement": "val", "FieldHom": "table", "ProjPoint": "coords", "LinearSubspace": "rows",
     "SemilinearMap": "matrix", "QuotientCoords": "dim_q", "GeometryMorphism": "map",
-    "PartialMorphism": "exceptional", "AmbientView": "tangents", "PartialPointMap": "images",
+    "PartialMorphism": "exceptional", "PartialPointMap": "images",
     "MorphismInstance": "declared_kind",
 }
 

@@ -23,12 +23,12 @@ import pytest
 from fingeo import classify
 from fingeo.classify import (
     Verdict,
-    ambient_view,
     check_line_condition,
     check_lp_axioms,
     full_quotient_points,
     has_enough_points,
     is_locally_projective,
+    tangent_lines,
 )
 from fingeo.gallery import build_example, make_affine
 from fingeo.geometry import bits_of, mask_of, subgeometry
@@ -69,10 +69,10 @@ def dumps(verdict):
 @pytest.mark.parametrize("case", CASES)
 def test_tangent_point_routes_match_full_routes(case, monkeypatch):
     X = geometry(case)
-    view = ambient_view(X)
-    assert classify._tangent_points(X) == mask_of(x for x, ts in enumerate(view.tangents) if ts)
-    assert full_quotient_points(X) == tuple(x for x, ts in enumerate(view.tangents) if not ts)
-    tangents = sorted(itertools.chain(*view.tangents), key=lambda m: (m.bit_count(), m))
+    lines_at = tangent_lines(X)
+    assert classify._tangent_points(X) == mask_of(x for x, ts in enumerate(lines_at) if ts)
+    assert full_quotient_points(X) == tuple(x for x, ts in enumerate(lines_at) if not ts)
+    tangents = sorted(itertools.chain(*lines_at), key=lambda m: (m.bit_count(), m))
     lines = [{"line": sorted(bits_of(m))} for m in tangents]
     assert dumps(check_line_condition(X)) == dumps(Verdict("line_condition", not lines, lines))
     # the full search raises when the quotient form holds and a plane lacks
@@ -121,7 +121,7 @@ def test_affine_space_searches_no_plane(q, monkeypatch):
 
 
 def test_lp_reconstruction_builds_no_ambient_view(monkeypatch):
-    monkeypatch.setattr(classify, "_ambient_view", reached)
+    monkeypatch.setattr(classify, "_tangent_lines", reached)
     K = gf(3)
     X = make_affine(3, K)
     gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
