@@ -14,7 +14,8 @@ explicitly.  Predicates over the ambient space take any CoordGeometry,
 quotients included: its ambient space P is the PG(n, q) its coordinates
 live in, read off by X.ambient and X.ambient_indices.  They read the lines
 and hyperplanes of P, never its incidence index; the tangent lines at
-every point come from one pass over P's lines (tangent_lines).
+every point come from one pass over P's lines (tangent_lines).  Facts read
+more than once are kept on the geometry by one memo (_memo).
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ class ClassificationReport:
         }
 
 
+def _memo(fn):
+    """fn(X) computed once per geometry and kept on X, keyed by fn.  An
+    exception is not kept, so it is raised again on every call."""
+
+    @functools.wraps(fn)
+    def memoised(X):
+        got = X._predicate_cache.get(fn)
+        if got is None:
+            got = X._predicate_cache[fn] = fn(X)
+        return got
+
+    return memoised
+
+
 # -- enough points ---------------------------------------------------------------
 
 
@@ -93,14 +108,7 @@ def _has_quadrilateral(G, plane_mask):
     return None
 
 
-def _cached(X, key, fn):
-    got = X._predicate_cache.get(key)
-    if got is None:
-        got = fn()
-        X._predicate_cache[key] = got
-    return got
-
-
+@_memo
 def tangent_lines(X: CoordGeometry) -> tuple:
     """For each local point x, its tangent lines (the lines of P through x
     that meet X nowhere else) in P.lines() order; built once, by one pass
@@ -109,10 +117,6 @@ def tangent_lines(X: CoordGeometry) -> tuple:
     them all.  Each line of X through x is the trace of its own ambient line, so
     x has no tangent line exactly when (q^n - 1)/(q - 1) lines of X pass
     through it, n = ncoords - 1, which needs no ambient space."""
-    return _cached(X, "tangent_lines", lambda: _tangent_lines(X))
-
-
-def _tangent_lines(X) -> tuple:
     local_of = {a: x for x, a in enumerate(X.ambient_indices)}
     xmask = mask_of(X.ambient_indices)
     out = [[] for _ in range(X.n_points)]
@@ -128,14 +132,16 @@ def tangent_unions(X: CoordGeometry) -> list:
     return [functools.reduce(operator.or_, ts, 0) for ts in tangent_lines(X)]
 
 
+@_memo
 def _tangent_points(X: CoordGeometry) -> int:
     """The points of X on a tangent line, as a bitmask, counted as in
     tangent_lines; built once."""
     q, pl = X.field.q, X.incidence.point_lines
     through = (q ** (X.ncoords - 1) - 1) // (q - 1)
-    return _cached(X, "tangent_points", lambda: mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through))
+    return mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through)
 
 
+@_memo
 def has_enough_points(X) -> Verdict:
     """Every plane of X contains a quadrilateral.
 
@@ -157,10 +163,6 @@ def has_enough_points(X) -> Verdict:
     """
     if X.dim() < 2:
         raise DimensionTooLow(f"dim {X.dim()} < 2")
-    return _cached(X, "enough_points", lambda: _has_enough_points(X))
-
-
-def _has_enough_points(X) -> Verdict:
     inc = X.incidence
     coord = isinstance(X, CoordGeometry)
     counted = _tangent_points(X) if coord else X.full_mask
@@ -179,20 +181,6 @@ def _has_enough_points(X) -> Verdict:
 # -- locally projective ------------------------------------------------------------
 
 
-def _local_dim_formula_at(X, x):
-    """The first pair of flats through the point x, in flat order, that
-    violates the dimension formula, or None.  On a coordinate geometry {x}
-    and the lines through x are left out: a line through x whose span met
-    another flat's span beyond <x> would lie inside that flat, so with any
-    flat through x it is comparable or adds exactly one to the rank."""
-    through = [m for m in X.flats() if m >> x & 1]
-    if isinstance(X, CoordGeometry):
-        through = [m for m in through if X.flat_dim(m) >= 2]
-    for m1, m2, _, _ in dim_formula_violations(X, through):
-        return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
-    return None
-
-
 def _skew_points(X: CoordGeometry) -> int:
     """The points x in which a plane and a hyperplane of X meet alone, as a
     bitmask.  Their spans meet in a tangent line at x, so only planes with
@@ -208,6 +196,7 @@ def _skew_points(X: CoordGeometry) -> int:
     return bad
 
 
+@_memo
 def is_locally_projective(X) -> Verdict:
     """X/x is a projective space for every x.  The flats of X/x are the
     flats of X through x, so X/x is projective exactly when the dimension
@@ -228,18 +217,27 @@ def is_locally_projective(X) -> Verdict:
     hyperplanes of X through x, so x passes exactly when no plane and
     hyperplane of X meet in x alone.  That is read off the flats with bit
     operations, and the pair sweep runs only at the failing points, to name
-    the witness.  Table geometries carry no such guarantee and sweep at
-    every point.
+    the witness: the first violating pair, in flat order, of the flats of
+    dimension >= 2 through it, gathered for all failing points in one pass
+    over X.flats().  (A line through x whose span met a flat's span beyond
+    <x> would lie in that flat.)  A failing point with no such pair raises
+    InternalContradiction.  Tables sweep every flat at every point.
     """
-    return _cached(X, "locally_projective", lambda: _is_locally_projective(X))
-
-
-def _is_locally_projective(X) -> Verdict:
+    coord = isinstance(X, CoordGeometry)
+    swept = _skew_points(X) if coord else X.full_mask
+    through = {x: [] for x in bits_of(swept)}
+    for m in X.flats() if swept else ():
+        if m & swept and not (coord and X.flat_dim(m) < 2):
+            for x in bits_of(m & swept):
+                through[x].append(m)
     witnesses = []
-    for x in bits_of(_skew_points(X)) if isinstance(X, CoordGeometry) else range(X.n_points):
-        w = _local_dim_formula_at(X, x)
-        if w is not None:
+    for x, flats in through.items():
+        pair = next(dim_formula_violations(X, flats), None)
+        if pair is not None:
+            w = {"s1": sorted(bits_of(pair[0])), "s2": sorted(bits_of(pair[1]))}
             witnesses.append({"point": x, "dim_formula_witness": w})
+        elif coord:
+            raise InternalContradiction(f"point {x} is flagged, yet its flats satisfy the dimension formula")
     return Verdict("locally_projective", not witnesses, witnesses)
 
 
@@ -526,6 +524,7 @@ def _one_gap_tuples(adj):
 # -- affino-projective family ----------------------------------------------------------
 
 
+@_memo
 def is_affino_projective(X: CoordGeometry) -> Verdict:
     """Some ambient hyperplane H with X u H = P; hyperplanes scanned in
     canonical order, first certificate returned, count reported."""
@@ -545,14 +544,11 @@ def is_affino_projective(X: CoordGeometry) -> Verdict:
     return out
 
 
+@_memo
 def lap_certificates(X: CoordGeometry) -> tuple:
     """For each local point x, the first hyperplane of P through x, in
     P.hyperplanes() order, that holds every tangent line at x, or None;
     built once."""
-    return _cached(X, "lap_certificates", lambda: _lap_certificates(X))
-
-
-def _lap_certificates(X) -> tuple:
     hyperplanes = X.ambient.hyperplanes()
     covers = (union | 1 << a for union, a in zip(tangent_unions(X), X.ambient_indices))
     return tuple(next((hm for hm in hyperplanes if cover & ~hm == 0), None) for cover in covers)
@@ -571,6 +567,7 @@ def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
     return out
 
 
+@_memo
 def is_mobius(X: CoordGeometry) -> Verdict:
     """At each point the union of the ambient tangent lines is exactly a
     hyperplane."""

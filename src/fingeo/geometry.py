@@ -72,10 +72,6 @@ class Flat:
         return tuple(bits_of(self.mask))
 
     @property
-    def members(self):
-        return frozenset(bits_of(self.mask))
-
-    @property
     def dim(self):
         return self.geometry.flat_dim(self.mask)
 

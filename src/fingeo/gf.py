@@ -376,7 +376,8 @@ def identity_hom(K: GF) -> FieldHom:
 def list_homomorphisms(K: GF, K2: GF) -> tuple:
     """All ring homomorphisms GF(p^k) -> GF(p'^k'), in canonical order.
 
-    Candidates send the generator to a root of K's modulus in K2; every
+    Candidates send the generator to a root of K's modulus in K2 (a prime
+    field's modulus is x, whose one root 0 gives the table range(p)); every
     candidate is verified by the exhaustive preservation check, so the empty
     answer for p != p' or k not dividing k' falls out rather than being
     assumed.  Returned homs are sorted by the image of the generator.
@@ -384,33 +385,28 @@ def list_homomorphisms(K: GF, K2: GF) -> tuple:
     if K.p != K2.p:
         return ()
     found = []
-    if K.k == 1:
-        cand = FieldHom(K, K2, tuple(range(K.q)))
+    for t in K2.elements:
+        # evaluate K's modulus at t inside K2
+        acc = 0
+        tp = 1
+        for c in K.modulus:
+            if c:
+                acc = K2.add(acc, K2.mul(c % K2.p, tp))
+            tp = K2.mul(tp, t)
+        if acc != 0:
+            continue
+        table = []
+        for a in K.elements:
+            v = 0
+            tp = 1
+            for c in K.coeffs(a):
+                if c:
+                    v = K2.add(v, K2.mul(c, tp))
+                tp = K2.mul(tp, t)
+            table.append(v)
+        cand = FieldHom(K, K2, tuple(table))
         if cand.preserves_structure():
             found.append(cand)
-    else:
-        for t in K2.elements:
-            # evaluate K's modulus at t inside K2
-            acc = 0
-            tp = 1
-            for c in K.modulus:
-                if c:
-                    acc = K2.add(acc, K2.mul(c % K2.p, tp))
-                tp = K2.mul(tp, t)
-            if acc != 0:
-                continue
-            table = []
-            for a in K.elements:
-                v = 0
-                tp = 1
-                for c in K.coeffs(a):
-                    if c:
-                        v = K2.add(v, K2.mul(c, tp))
-                    tp = K2.mul(tp, t)
-                table.append(v)
-            cand = FieldHom(K, K2, tuple(table))
-            if cand.preserves_structure():
-                found.append(cand)
     found.sort(key=lambda h: h.image_of_generator)
     return tuple(found)
 

@@ -486,11 +486,12 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     """Extend a morphism on an affino-projective X to a partial map on all
     of P: off X, the image is the common point of the closures of the images
     of the secant lines through the point (lines not inside the first
-    certifying hyperplane of is_affino_projective); points with empty
-    intersection are left undefined.  The first line's images are taken in
-    RREF, and each further line's raw images go to intersect_spans against
-    the span so far.  The base engine then decides whether the extension is
-    a partial morphism."""
+    certifying hyperplane H of is_affino_projective); points with empty
+    intersection are left undefined.  Such a line meets H in one point, so
+    one pass over P.lines() groups them by point, in P.lines() order.  The
+    first line's images are taken in RREF, and each further line's raw
+    images go to intersect_spans against the span so far.  The base engine
+    then decides whether the extension is a partial morphism."""
     X = inst.geometry
     P, idx, xmask = X.ambient, X.ambient_indices, mask_of(X.ambient_indices)
     K, K2 = P.field, inst.target_field
@@ -505,12 +506,15 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     amb_images = [None] * P.n_points
     for x, amb in enumerate(idx):
         amb_images[amb] = inst.images[x]
-    for p in bits_of(P.full_mask & ~xmask):
-        # p lies in H, as X u H = P, so a line through p off H meets X in its other q >= 3 points
+    # p off X lies in H, as X u H = P, so a line through p off H meets X in its other q >= 3 points
+    secants = {p: [] for p in bits_of(P.full_mask & ~xmask)}
+    for line in P.lines():
+        meet = line & H
+        if meet != line and meet & ~xmask:  # one point of H, off X
+            secants[meet.bit_length() - 1].append(line)
+    for p, lines in secants.items():
         common = None
-        for line in P.lines_through(p):
-            if line & ~H == 0:
-                continue
+        for line in lines:
             images = [inst.images[local_of[a]] for a in bits_of(line & xmask)]
             if common is None:
                 common, _ = linalg.rref(K2, images)

@@ -7,8 +7,11 @@ the same question there, so that the tests can compare the two routes.
 The dimension formula: the library decides each point of a coordinate
 geometry from its planes and hyperplanes and sweeps flat pairs only at failing
 points, skipping pairs that cannot violate the formula.
-ref_dim_formula_violations and ref_local_dim_formula_at sweep every pair
-at every point instead.
+ref_dim_formula_violations and ref_full_dim_formula_at sweep every pair
+at every point instead.  The library gathers the flats through every
+failing point in one pass over the flats; ref_local_dim_formula_at is the
+per-point filter that came before it, kept verbatim: it filters all flats
+of X once for each point it is asked about.
 
 The reconstruction legs: the library runs them on X's point quotient (or
 its quotient by a fiber).  ref_lp_leg and ref_affino_leg project every
@@ -158,10 +161,24 @@ def ref_dim_formula_violations(G, flats):
                 yield m1, m2, dims[i] + dims[j], rhs
 
 
-def ref_local_dim_formula_at(X, x):
+def ref_full_dim_formula_at(X, x):
     """The first violating pair of all flats through x, or None."""
     through = [m for m in X.flats() if m >> x & 1]
     for m1, m2, _, _ in ref_dim_formula_violations(X, through):
+        return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
+    return None
+
+
+def ref_local_dim_formula_at(X, x):
+    """The first pair of flats through the point x, in flat order, that
+    violates the dimension formula, or None.  On a coordinate geometry {x}
+    and the lines through x are left out: a line through x whose span met
+    another flat's span beyond <x> would lie inside that flat, so with any
+    flat through x it is comparable or adds exactly one to the rank."""
+    through = [m for m in X.flats() if m >> x & 1]
+    if isinstance(X, CoordGeometry):
+        through = [m for m in through if X.flat_dim(m) >= 2]
+    for m1, m2, _, _ in dim_formula_violations(X, through):
         return {"s1": sorted(bits_of(m1)), "s2": sorted(bits_of(m2))}
     return None
 
@@ -170,7 +187,7 @@ def ref_locally_projective(X):
     """The is_locally_projective verdict from the sweep at every point."""
     witnesses = []
     for x in range(X.n_points):
-        w = ref_local_dim_formula_at(X, x)
+        w = ref_full_dim_formula_at(X, x)
         if w is not None:
             witnesses.append({"point": x, "dim_formula_witness": w})
     return Verdict("locally_projective", not witnesses, witnesses)

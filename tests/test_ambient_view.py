@@ -19,22 +19,29 @@ import random
 
 import pytest
 
-from fingeo import linalg
+from fingeo import classify as classify_module, linalg
 from fingeo.classify import (
     affino_admissible_points,
     check_line_condition,
     check_minimal_embedding,
     classify,
     full_quotient_points,
+    is_affino_projective,
+    is_mobius,
     lap_certificates,
     tangent_lines,
     tangent_unions,
 )
-from fingeo.gallery import EXAMPLE_NAMES, build_example
+from fingeo.gallery import EXAMPLE_NAMES, build_example, make_affine, make_quadric
 from fingeo.geometry import FiniteGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
-from fingeo.reconstruct import MorphismInstance, ReconstructionResult, certify_side_conditions
+from fingeo.reconstruct import (
+    MorphismInstance,
+    ReconstructionResult,
+    certify_side_conditions,
+    reconstruct_affino_projective,
+)
 from quotient_routes import ref_tangent_lines
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
@@ -157,6 +164,37 @@ def test_classify_builds_no_ambient_incidence_index(name):
     classify(X)
     assert P._flats is not None  # the predicates did read this P
     assert "incidence" not in vars(P)
+
+
+def test_affino_driver_builds_no_ambient_incidence_index():
+    """extend_affino groups the secant lines by their point on the
+    completing hyperplane in one pass over P's lines."""
+    K = gf(3)
+    X = make_affine(3, K)
+    X.ambient = P = build_pg.__wrapped__(3, 3)
+    gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    res = reconstruct_affino_projective(MorphismInstance.restrict_semilinear(gen, X, kind="affino-projective"))
+    assert res.phi == gen.canonical()
+    assert P._flats is not None  # the driver did read this P
+    assert "incidence" not in vars(P)
+
+
+def test_ovoid_reads_the_mobius_verdict(monkeypatch):
+    """Each verdict is kept on the geometry, so classify runs Moebius once
+    although ovoid asks for it again."""
+    X = make_quadric(build_pg(3, 3), "elliptic")
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return tangent_unions(G)
+
+    monkeypatch.setattr(classify_module, "tangent_unions", counted)
+    report = classify(X, ["mobius", "ovoid"])
+    assert report.verdicts["ovoid"].verdict is True
+    assert calls == [X]
+    assert is_mobius(X) is is_mobius(X)
+    assert is_affino_projective(X) is is_affino_projective(X)
 
 
 AMBIENT_PREDICATES = (

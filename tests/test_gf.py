@@ -138,6 +138,14 @@ def test_hom_enumeration_matches_definition():
     assert len(got) == 2
 
 
+@pytest.mark.parametrize(
+    "p, L", [(p, L) for p in (2, 3, 5, 7, 11, 13) for L in SUPPORTED if gf(L).p == p]
+)
+def test_prime_field_has_one_hom(p, L):
+    # the modulus of GF(p) is x, whose one root 0 gives the table range(p)
+    assert [h.table for h in list_homomorphisms(gf(p), gf(L))] == [tuple(range(p))]
+
+
 def test_homs_are_injective():
     for qa, qb in [(2, 2), (2, 4), (2, 16), (4, 4), (4, 16), (3, 3), (3, 9), (9, 9)]:
         for h in list_homomorphisms(gf(qa), gf(qb)):

@@ -1,13 +1,17 @@
 """The incidence index against its definitions, on every backend: a full
 PG, a subgeometry, a coordinate quotient, the quotient of a table, and
-tables, among them two that are not geometries."""
+tables, among them two that are not geometries.  On the tables, which
+sweep every point, the locally projective witnesses are compared with the
+per-point filter of all flats that came before the one-pass grouping."""
 
 import random
 
 import pytest
 
+from fingeo.classify import is_locally_projective
 from fingeo.geometry import CoordGeometry, CoordQuotient, QuotientGeometry, TableGeometry, mask_of, subgeometry
 from fingeo.projective import build_pg
+from quotient_routes import ref_local_dim_formula_at
 
 
 def pg32_table():
@@ -69,3 +73,16 @@ def test_table_planes_drop_lines_met_twice():
 def test_index_is_built_once(pg32):
     assert pg32.incidence is pg32.incidence
     assert pg32.lines_through(0) is pg32.lines_through(0)
+
+
+@pytest.mark.parametrize("case", [c for c, (_, backend) in CASES.items() if not issubclass(backend, CoordGeometry)])
+def test_locally_projective_matches_per_point_filter(case):
+    """A table sweeps every point: the flats through each, gathered in one
+    pass, name the pair that filtering all flats at that point names."""
+    G = CASES[case][0]()
+    want = [
+        {"point": x, "dim_formula_witness": w}
+        for x in range(G.n_points)
+        if (w := ref_local_dim_formula_at(G, x)) is not None
+    ]
+    assert is_locally_projective(G).witnesses == want

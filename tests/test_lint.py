@@ -1,8 +1,9 @@
 """Static checks on the package source: every module uses what it imports,
 imports no underscore name from another module of the package, every
-top-level function or class and every method of a top-level class other
-than a dunder is referred to somewhere, and every parameter with a default
-is passed by some call.  linalg.py, under every enumeration kernel, runs
+top-level function or class is referred to somewhere, every method of a
+top-level class other than a dunder is reached by an attribute or a string
+somewhere (a local variable of the same name does not count), and every
+parameter with a default is passed by some call.  linalg.py, under every enumeration kernel, runs
 on the field's tables and never touches a GF arithmetic method.
 
 The package's __init__.py is skipped by the import check, since its imports
@@ -53,9 +54,10 @@ def private_imports(source):
 
 
 def referenced_names(source):
-    """Names a module refers to: plain and attribute names, imported names,
-    and string constants spelling a name (lookups by name).  A top-level
-    definition's references to itself do not count."""
+    """Names a module refers to: plain names and imported names as they
+    are, attribute names and string constants spelling a name (lookups by
+    name) with a leading dot, since only those can reach a method.  A
+    top-level definition's references to itself do not count."""
     out = set()
     for top in ast.parse(source).body:
         own = top.name if isinstance(top, DEFINITIONS) else None
@@ -63,27 +65,28 @@ def referenced_names(source):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                name = "." + node.attr
             elif isinstance(node, ast.alias):
                 name = node.name.split(".")[-1]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
+                name = "." + node.value
             else:
                 continue
-            if name != own:
+            if name.lstrip(".") != own:
                 out.add(name)
     return out
 
 
 def dead_definitions(source, referenced):
-    """(line, name) for each top-level function or class of the module, and
-    (line, "Class.method") for each method of a top-level class that is not
-    a dunder, that is not among the referenced names."""
+    """(line, name) for each top-level function or class of the module that
+    is not among the referenced names, and (line, "Class.method") for each
+    method of a top-level class, other than a dunder, that no attribute or
+    string refers to."""
     out = []
     for node in ast.parse(source).body:
         if not isinstance(node, DEFINITIONS):
             continue
-        if node.name not in referenced:
+        if not {node.name, "." + node.name} & referenced:
             out.append((node.lineno, node.name))
         if isinstance(node, ast.ClassDef):
             out += [
@@ -91,7 +94,7 @@ def dead_definitions(source, referenced):
                 for method in node.body
                 if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (method.name.startswith("__") and method.name.endswith("__"))
-                and method.name not in referenced
+                and "." + method.name not in referenced
             ]
     return sorted(out)
 
@@ -212,11 +215,13 @@ def test_dead_method_is_reported():
         "    def __init__(self):\n        self.x = self.helper()\n\n"
         "    def helper(self):\n        return 1\n\n"
         "    def apply(self, v):\n        return v\n\n"
-        "    @property\n    def size(self):\n        return 2\n"
+        "    @property\n    def size(self):\n        return 2\n\n"
+        "    @property\n    def members(self):\n        return 3\n"
     )
-    other = "from .m import Used\n\nprint(Used().size)\n"
+    # members appears elsewhere only as a local variable
+    other = "from .m import Used\n\nprint(Used().size)\nfor members in ([],):\n    print(members)\n"
     referenced = referenced_names(source) | referenced_names(other)
-    assert dead_definitions(source, referenced) == [(8, "Used.apply")]
+    assert dead_definitions(source, referenced) == [(8, "Used.apply"), (16, "Used.members")]
 
 
 @pytest.fixture(scope="module")

@@ -30,12 +30,13 @@ from fingeo.classify import (
     is_locally_projective,
     tangent_lines,
 )
+from fingeo.errors import InternalContradiction
 from fingeo.gallery import build_example, make_affine
 from fingeo.geometry import bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import SemilinearMap, build_pg
 from fingeo.reconstruct import MorphismInstance, reconstruct_locally_projective
-from quotient_routes import ref_has_enough_points, ref_skew_points
+from quotient_routes import ref_has_enough_points, ref_local_dim_formula_at, ref_skew_points
 
 GALLERY = [f"{name}-{q}" for q in (2, 3) for name in ("affine", "elliptic-quadric", "cone", "two-hyperplanes")]
 # sparse and dense seeded subgeometries (a dense one misses one to three
@@ -81,7 +82,7 @@ def test_tangent_point_routes_match_full_routes(case, monkeypatch):
     lp = is_locally_projective(X)
     lp_axioms = check_lp_axioms(X)
     monkeypatch.setattr(classify, "_skew_points", ref_skew_points)
-    assert dumps(lp) == dumps(classify._is_locally_projective(X))
+    assert dumps(lp) == dumps(classify.is_locally_projective.__wrapped__(X))
     # every point where a plane and a hyperplane meet alone fails the
     # dimension formula, and none is left when the line condition holds
     assert [w["point"] for w in lp.witnesses] == list(bits_of(ref_skew_points(X)))
@@ -89,6 +90,24 @@ def test_tangent_point_routes_match_full_routes(case, monkeypatch):
     # the lp axioms with the lp4 and lp4prime sweeps run
     monkeypatch.setattr(classify, "is_locally_projective", lambda X: Verdict("locally_projective", False))
     assert dumps(lp_axioms) == dumps(check_lp_axioms(X))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_witnesses_match_per_point_filter(case):
+    """The flats through every flagged point, gathered in one pass, name the
+    pair that filtering all flats at that point names."""
+    X = geometry(case)
+    flagged = bits_of(classify._skew_points(X))
+    want = [{"point": x, "dim_formula_witness": ref_local_dim_formula_at(X, x)} for x in flagged]
+    assert is_locally_projective(X).witnesses == want
+
+
+def test_flagged_point_without_violation_is_a_contradiction(monkeypatch):
+    """AG(3,3) is locally projective, so point 0, flagged by hand, has no
+    violating pair: the theorem is contradicted, not the verdict True."""
+    monkeypatch.setattr(classify, "_skew_points", lambda X: 1)
+    with pytest.raises(InternalContradiction, match="point 0"):
+        is_locally_projective(make_affine(3, gf(3)))
 
 
 def test_cases_cover_both_outcomes():
@@ -121,7 +140,7 @@ def test_affine_space_searches_no_plane(q, monkeypatch):
 
 
 def test_lp_reconstruction_builds_no_ambient_view(monkeypatch):
-    monkeypatch.setattr(classify, "_tangent_lines", reached)
+    monkeypatch.setattr(classify, "tangent_lines", reached)
     K = gf(3)
     X = make_affine(3, K)
     gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
