@@ -7,13 +7,14 @@ factor through the sums of frame pairs, read the field homomorphism off a
 coordinate line, extend semilinearly, and verify against every point.
 Embedded geometries go through one two-point driver: pick a base pair,
 recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>) at each base point,
-normalize the pair to a common scalar, and glue along the fibred product of
-the two quotients.  Both legs run on X's own point quotient X/x, whose points are the
-normalised coordinates of V/<v_x>.  The locally projective and locally
-affino-projective cases differ only in how a leg is recovered: directly from
-the quotient map, or through the fiber of the base image and an extension
-over the completing hyperplane, which the base engine alone accepts or
-rejects.  One final sweep per map replaces any case analysis: either the
+build the legs' global matrices once, read the common scalar off their
+reductions modulo the base pair, and lift along the fibred product of the
+two quotients.  Both legs run on X's own point quotient X/x, whose points
+are the normalised coordinates of V/<v_x>.  The locally projective and
+locally affino-projective cases differ only in how a leg is recovered:
+directly from the quotient map, or through the fiber of the base image and
+an extension over the completing hyperplane, which the base engine alone
+accepts or rejects.  One final sweep per map replaces any case analysis: either the
 induced map agrees at every point or the reconstruction fails loudly.
 """
 
@@ -191,10 +192,9 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     if src.closure_mask(undef) != undef:
         raise ExceptionalNotFlat("the undefined set is not a flat")
 
-    defined_images = [v for v in pm.images if v is not None]
-    img_rows, _ = linalg.rref(K2, defined_images)
-    if len(img_rows) < 3:
-        raise ImageInLine(f"image spans a rank-{len(img_rows)} subspace")
+    img_rank = linalg.rank(K2, [v for v in pm.images if v is not None])
+    if img_rank < 3:
+        raise ImageInLine(f"image spans a rank-{img_rank} subspace")
 
     if undef:
         clash = class_clash(src, undef, pm.images)
@@ -389,56 +389,63 @@ def _pair_matrices(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
     return out
 
 
-def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
-    """Scale phi1 so the two reductions modulo the base pair coincide.
-
-    The scalar comes from the first matrix entry where phi1's reduction is
-    nonzero; full equality of the reductions is then verified.
-    """
+def _normalized_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
+    """(lam, G1, G2): the legs' global matrices and the scalar with
+    lam . B1 = B2, read at the first nonzero entry of B1, then verified."""
     if phi1.sigma != phi2.sigma:
         raise NotProportional("the two legs carry different field homomorphisms")
     K2 = phi1.target_field
-    (_, B1), (_, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
+    (G1, B1), (G2, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
     if all(not any(r) for r in B1) or all(not any(r) for r in B2):
         raise NotProportional("a reduction modulo the base pair vanished")
     lam = next(K2.div(b, a) for r1, r2 in zip(B1, B2) for a, b in zip(r1, r2) if a)
     if lam == 0 or linalg.mat_scale(K2, lam, B1) != B2:
         raise NotProportional("reductions are not proportional")
+    return lam, G1, G2
+
+
+def _require_independent(K: GF, K2: GF, v1, v2, v1p, v2p):
+    if linalg.rank(K, (v1, v2)) != 2 or linalg.rank(K2, (v1p, v2p)) != 2:
+        raise LiftInconsistent("base vectors must be independent on both sides")
+
+
+def _lift(sigma, G1, G2, v1, v2, v1p, v2p) -> SemilinearMap:
+    """The V -> V' map reducing to both legs, from global matrices with equal
+    reductions, lifted column by column: the two representatives of the
+    image of a basis vector differ by an element of <v1'> + <v2'>."""
+    K2 = sigma.target
+    pair_cols = linalg.transpose((v1p, v2p))
+    cols = []
+    for j, (w1, w2) in enumerate(zip(linalg.transpose(G1), linalg.transpose(G2))):
+        c = linalg.solve(K2, pair_cols, linalg.vec_sub(K2, w1, w2))
+        if c is None:
+            raise LiftInconsistent(f"column {j} lift leaves <v1'> + <v2'>")
+        cols.append(linalg.vec_sub(K2, w1, linalg.vec_scale(K2, c[0], v1p)))
+    phi = SemilinearMap(sigma, linalg.transpose(cols))
+    # kernel correspondence: the base directions map into each other's spans
+    if linalg.rank(K2, (phi.apply_vec(v1), v1p)) > 1 or linalg.rank(K2, (phi.apply_vec(v2), v2p)) > 1:
+        raise LiftInconsistent("base directions do not map into the base image lines")
+    return phi
+
+
+def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
+    """Scale phi1 so the two reductions modulo the base pair coincide: the
+    public form of the two-point driver's first step."""
+    lam, _, _ = _normalized_pair(phi1, phi2, v1, v2, v1p, v2p)
     return phi1.scaled(lam)
 
 
 def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
     """The unique V -> V' map reducing to phi_i on both single-point
-    quotients, lifted column by column: the two representatives of the image
-    of a basis vector differ by an element of <v1'> + <v2'>."""
+    quotients: the public form of the two-point driver's lift, for legs
+    whose reductions modulo the base pair already coincide."""
     if phi1.sigma != phi2.sigma:
         raise ReductionsDisagree("the two legs carry different field homomorphisms")
-    K, K2 = phi1.source_field, phi1.target_field
-    n1 = len(v1)
-    if linalg.rank(K, (v1, v2)) != 2 or linalg.rank(K2, (v1p, v2p)) != 2:
-        raise LiftInconsistent("base vectors must be independent on both sides")
+    _require_independent(phi1.source_field, phi1.target_field, v1, v2, v1p, v2p)
     (G1, B1), (G2, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
     if B1 != B2:
         raise ReductionsDisagree("reductions modulo the base pair differ; normalize first")
-
-    pair_cols = linalg.transpose((v1p, v2p))
-    cols = []
-    for j in range(n1):
-        w1 = tuple(row[j] for row in G1)
-        w2 = tuple(row[j] for row in G2)
-        diff = linalg.vec_sub(K2, w1, w2)
-        c = linalg.solve(K2, pair_cols, diff)
-        if c is None:
-            raise LiftInconsistent(f"column {j} lift leaves <v1'> + <v2'>")
-        cols.append(linalg.vec_sub(K2, w1, linalg.vec_scale(K2, c[0], v1p)))
-    M = linalg.transpose(cols)
-    phi = SemilinearMap(phi1.sigma, M)
-    # kernel correspondence: the base directions map into each other's spans
-    img1 = phi.apply_vec(v1)
-    img2 = phi.apply_vec(v2)
-    if linalg.rank(K2, (img1, v1p)) > 1 or linalg.rank(K2, (img2, v2p)) > 1:
-        raise LiftInconsistent("base directions do not map into the base image lines")
-    return phi
+    return _lift(phi1.sigma, G1, G2, v1, v2, v1p, v2p)
 
 
 # -- drivers -----------------------------------------------------------------------
@@ -462,14 +469,16 @@ def _pick_pair(inst, admissible, pair_rank):
 
 def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
     """Pick a base pair among the admissible points, recover the leg at each
-    base point, normalize the pair to a common scalar, glue along the fibred
-    product, then verify against all of X."""
+    base point, normalize the pair to a common scalar and glue along the
+    fibred product, then verify against all of X.  The global matrices are
+    built once, as G(lam . psi1) = lam . G(psi1)."""
     pair = _pick_pair(inst, admissible, pair_rank)
     psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
     v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
-    psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
-    phi = glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p)
+    lam, G1, G2 = _normalized_pair(psi1, psi2, v1, v2, v1p, v2p)
+    _require_independent(inst.source_field, inst.target_field, v1, v2, v1p, v2p)
+    phi = _lift(psi1.sigma, linalg.mat_scale(inst.target_field, lam, G1), G2, v1, v2, v1p, v2p)
     _verify(phi, inst.geometry.vectors, inst.images)
     return ReconstructionResult.of(phi, inst.geometry, pair)
 
@@ -489,9 +498,11 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     certifying hyperplane H of is_affino_projective); points with empty
     intersection are left undefined.  Such a line meets H in one point, so
     one pass over P.lines() groups them by point, in P.lines() order.  The
-    first line's images are taken in RREF, and each further line's raw
-    images go to intersect_spans against the span so far.  The base engine
-    then decides whether the extension is a partial morphism."""
+    first line's images are taken in RREF; while the span so far has two
+    rows or more, each further line's raw images go to intersect_spans
+    against it, and once it is one point, that point must lie in the span of
+    each further line's images.  The base engine then decides whether the
+    extension is a partial morphism."""
     X = inst.geometry
     P, idx, xmask = X.ambient, X.ambient_indices, mask_of(X.ambient_indices)
     K, K2 = P.field, inst.target_field
@@ -518,8 +529,10 @@ def extend_affino(inst: MorphismInstance) -> PartialPointMap:
             images = [inst.images[local_of[a]] for a in bits_of(line & xmask)]
             if common is None:
                 common, _ = linalg.rref(K2, images)
-            else:
+            elif len(common) > 1:
                 common = linalg.intersect_spans(K2, common, images)
+            elif not linalg.in_span(K2, *linalg.rref(K2, images), common[0]):
+                common = ()
             if common == ():
                 break
         if not common:
@@ -679,28 +692,3 @@ def brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:
 
         extend(())
     return tuple(found.values())
-
-
-# -- fibred product identity --------------------------------------------------------
-
-
-def fibred_product_identity(K: GF, v1, v2) -> bool:
-    """Full-enumeration check that v -> ([v], [v]) is a bijection of K^n onto
-    the fibred product of the two single-direction quotients over the joint
-    quotient."""
-    n = len(v1)
-    if linalg.rank(K, (v1, v2)) != 2:
-        raise ValueError("directions must be independent")
-    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n, [v1]))
-    qc2 = quotient_coords(LinearSubspace.from_vectors(K, n, [v2]))
-    qc12 = quotient_coords(LinearSubspace.from_vectors(K, n, [v1, v2]))
-    lift_pairs = [(qc1.project(v), qc2.project(v)) for v in linalg.all_vectors(K, n)]
-    if len(set(lift_pairs)) != K.q**n:
-        return False
-    fibred = set()
-    for a in linalg.all_vectors(K, n - 1):
-        ra = qc12.project(qc1.lift(a))
-        for b in linalg.all_vectors(K, n - 1):
-            if ra == qc12.project(qc2.lift(b)):
-                fibred.add((a, b))
-    return fibred == set(lift_pairs)

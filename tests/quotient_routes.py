@@ -63,6 +63,16 @@ are the kernels that came before, kept verbatim: the first solves for the
 coefficients of the stacked rows' kernel and combines them, the second
 reduces each unit vector against the basis.
 
+The two-point glue: the library's driver builds the global matrices of its
+two legs once, reads the common scalar off their reductions and lifts the
+scaled first matrix.  ref_two_point is the driver that came before it, kept
+verbatim: it runs the public normalize_pair and then glue_fibred_product,
+each of which builds the matrices again.
+
+The fibred product identity: no library path runs it.
+fibred_product_identity checks by full enumeration that V is the fibred
+product of two single-direction quotients over the joint quotient.
+
 The exhaustive oracle: the library searches the matrices row by row,
 keeping a row only when every point's image coordinate passes its test.
 ref_brute_force_oracle is the oracle that came before it, kept verbatim:
@@ -135,9 +145,14 @@ from fingeo.projective import (
 from fingeo.reconstruct import (
     MorphismInstance,
     PartialPointMap,
+    ReconstructionResult,
     _as_point_map,
     _field_clause,
+    _pick_pair,
+    _verify,
     extend_affino,
+    glue_fibred_product,
+    normalize_pair,
     reconstruct_ftpg,
 )
 
@@ -343,6 +358,20 @@ def ref_affino_leg(inst, xi):
     C = linalg.mat_mul(K, qcF.proj_matrix, qc1.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
     return SemilinearMap(psiF.sigma, A)
+
+
+def ref_two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
+    """Pick a base pair among the admissible points, recover the leg at each
+    base point, normalize the pair to a common scalar, glue along the fibred
+    product, then verify against all of X."""
+    pair = _pick_pair(inst, admissible, pair_rank)
+    psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
+    v1, v2 = (inst.geometry.vectors[x] for x in pair)
+    v1p, v2p = (inst.images[x] for x in pair)
+    psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)
+    phi = glue_fibred_product(psi1, psi2, v1, v2, v1p, v2p)
+    _verify(phi, inst.geometry.vectors, inst.images)
+    return ReconstructionResult.of(phi, inst.geometry, pair)
 
 
 def ref_lp_axioms(X) -> Verdict:
@@ -833,6 +862,28 @@ def ref_intersect_spans(K, rows1, rows2):
 def identity_matrix(n):
     """The n x n identity; only tests build one."""
     return tuple(linalg.unit_vec(n, i) for i in range(n))
+
+
+def fibred_product_identity(K, v1, v2) -> bool:
+    """Full-enumeration check that v -> ([v], [v]) is a bijection of K^n onto
+    the fibred product of the two single-direction quotients over the joint
+    quotient; the library never calls it."""
+    n = len(v1)
+    if linalg.rank(K, (v1, v2)) != 2:
+        raise ValueError("directions must be independent")
+    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n, [v1]))
+    qc2 = quotient_coords(LinearSubspace.from_vectors(K, n, [v2]))
+    qc12 = quotient_coords(LinearSubspace.from_vectors(K, n, [v1, v2]))
+    lift_pairs = [(qc1.project(v), qc2.project(v)) for v in linalg.all_vectors(K, n)]
+    if len(set(lift_pairs)) != K.q**n:
+        return False
+    fibred = set()
+    for a in linalg.all_vectors(K, n - 1):
+        ra = qc12.project(qc1.lift(a))
+        for b in linalg.all_vectors(K, n - 1):
+            if ra == qc12.project(qc2.lift(b)):
+                fibred.add((a, b))
+    return fibred == set(lift_pairs)
 
 
 def ref_quotient_projection(K, rows, pivots, ncols):

@@ -35,13 +35,17 @@ from fingeo.reconstruct import (
     PartialPointMap,
     brute_force_oracle,
     certify_side_conditions,
-    fibred_product_identity,
     reconstruct_ftpg,
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
 from fingeo.serialize import save_map_pairs
-from quotient_routes import identity_matrix, ref_quotient_affino, ref_quotient_projective
+from quotient_routes import (
+    fibred_product_identity,
+    identity_matrix,
+    ref_quotient_affino,
+    ref_quotient_projective,
+)
 
 
 def _announce(k, detail, t0):

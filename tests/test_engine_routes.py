@@ -26,6 +26,15 @@ intersects by the stacked kernel that came before.  On every extension the
 ap and lap drivers ask for on those inputs, both must return the same
 partial point map or raise the same class with the same message, which
 names the ambient point.
+
+The two-point drivers build the global matrices of their legs once, read
+the common scalar off the reductions and lift the scaled first matrix,
+where ref_two_point runs the public normalize_pair and glue_fibred_product,
+each building the matrices.  On seeded maps restricted to the lp and lap
+settings, and on perturbed copies of them, both must return an equal
+ReconstructionResult or raise the same class with the same message.  On the
+lp settings, a returned map must induce the input image at every point of
+X, and a failure must not be an InternalContradiction.
 """
 
 import json
@@ -42,15 +51,18 @@ from fingeo.projective import SemilinearMap, build_pg, check_projective_axioms
 from fingeo.reconstruct import (
     MorphismInstance,
     PartialPointMap,
+    ReconstructionResult,
     reconstruct_affino_projective,
     reconstruct_ftpg,
     reconstruct_locally_affino,
+    reconstruct_locally_projective,
 )
 from quotient_routes import (
     RefQuotientGeometry,
     ref_extend_affino,
     ref_extend_unchecked,
     ref_reconstruct_ftpg,
+    ref_two_point,
 )
 
 # (n, q, q'): maps PG(n, q) -> PG(n, q'), four settings with a non-surjective sigma
@@ -292,3 +304,91 @@ def test_extension_matches_stacked_kernel_route(request, monkeypatch):
             driver_outcome(driver, inst)
     assert ranks[3] and ranks[4]
     assert seen[PartialPointMap] and seen[InconsistentExtension], seen
+
+
+@pytest.mark.parametrize("fixture", ["ag33", "ag34"])
+def test_one_point_membership_matches_stacked_kernel_route(fixture, request, monkeypatch):
+    """Full-rank maps with one to eight images replaced: once a point's span
+    is one point, a further line whose images span two or three dimensions
+    must reject it exactly where the stacked kernel route's intersection
+    comes out empty."""
+    X = request.getfixturevalue(fixture)
+    K = X.field
+    homs = list_homomorphisms(K, K)
+    targets = linalg.all_proj_points(K, 4)
+    rng = random.Random(f"membership {X.label()}")
+    rejected = Counter()
+    library_in_span = linalg.in_span
+
+    def in_span(field, rows, pivots, v):
+        found = library_in_span(field, rows, pivots, v)
+        rejected[len(rows)] += not found
+        return found
+
+    monkeypatch.setattr(linalg, "in_span", in_span)
+    for t in range(48):
+        M = [[rng.randrange(K.q) for _ in range(4)] for _ in range(4)]
+        if linalg.rank(K, M) < 4:
+            continue
+        images = list(MorphismInstance.restrict_semilinear(SemilinearMap(rng.choice(homs), M), X).images)
+        for _ in range(1 + t % 8):
+            images[rng.randrange(X.n_points)] = rng.choice(targets)
+        inst = MorphismInstance(X, K, 3, tuple(images))
+        assert extension_outcome(reconstruct.extend_affino, inst) == extension_outcome(ref_extend_unchecked, inst)
+    assert rejected[2] + rejected[3], rejected
+
+
+# (fixture, target field order, driver, seeded maps)
+TWO_POINT_SETTINGS = (
+    ("ag33", 3, reconstruct_locally_projective, 4),
+    ("two_hyperplanes_33", 3, reconstruct_locally_projective, 4),
+    ("ag32", 4, reconstruct_locally_projective, 4),
+    ("elliptic_33", 3, reconstruct_locally_affino, 4),
+    ("elliptic_34", 4, reconstruct_locally_affino, 3),
+    ("cone_34", 4, reconstruct_locally_affino, 3),
+)
+
+
+def reconstruction_outcome(driver, inst):
+    """The ReconstructionResult, or the error class and message."""
+    try:
+        return driver(inst)
+    except FingeoError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fixture, q2, driver, count", TWO_POINT_SETTINGS,
+                         ids=lambda v: str(getattr(v, "__name__", v)))
+def test_two_point_glue_matches_normalize_then_glue(fixture, q2, driver, count, request, monkeypatch):
+    X = request.getfixturevalue(fixture)
+    seen = Counter()
+    for inst in seeded_instances(X, q2, count):
+        got = reconstruction_outcome(driver, inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruct, "_two_point", ref_two_point)
+            ref = reconstruction_outcome(driver, inst)
+        assert got == ref
+        seen[got[0] if isinstance(got, tuple) else ReconstructionResult] += 1
+    assert seen[ReconstructionResult] and len(seen) > 1, seen
+
+
+LP_SETTINGS = [s for s in TWO_POINT_SETTINGS if s[2] is reconstruct_locally_projective]
+
+
+@pytest.mark.parametrize("fixture, q2, driver, count", LP_SETTINGS,
+                         ids=lambda v: str(getattr(v, "__name__", v)))
+def test_lp_driver_on_perturbed_inputs(fixture, q2, driver, count, request):
+    X = request.getfixturevalue(fixture)
+    K2 = gf(q2)
+    outcomes = Counter()
+    for inst in seeded_instances(X, q2, 2 * count):
+        try:
+            result = driver(inst)
+        except FingeoError as exc:
+            assert not isinstance(exc, InternalContradiction), exc
+            outcomes[type(exc)] += 1
+            continue
+        induced = tuple(linalg.normalize_vec(K2, result.phi.apply_vec(v)) for v in X.vectors)
+        assert induced == inst.images
+        outcomes[ReconstructionResult] += 1
+    assert outcomes[ReconstructionResult] and len(outcomes) > 1, outcomes

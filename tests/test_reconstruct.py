@@ -3,10 +3,11 @@ drivers, certification, and the exhaustive oracle."""
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from fingeo import linalg
+from fingeo import linalg, reconstruct
 from fingeo.classify import affino_admissible_points, full_quotient_points
 from fingeo.errors import (
     ExceptionalNotFlat,
@@ -40,7 +41,6 @@ from fingeo.reconstruct import (
     brute_force_oracle,
     certify_side_conditions,
     extend_affino,
-    fibred_product_identity,
     glue_fibred_product,
     induced_quotient_map,
     normalize_pair,
@@ -49,7 +49,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
-from quotient_routes import identity_matrix
+from quotient_routes import fibred_product_identity, identity_matrix
 
 
 def random_semilinear(rng, K, K2=None, n1=4, m1=4, min_rank=4, homs=None):
@@ -295,6 +295,46 @@ def test_glue_scaled_leg_detected():
     phi1, phi2, v1, v2, v1p, v2p = leg_maps(gen, P, 0, 2)
     with pytest.raises(ReductionsDisagree):
         glue_fibred_product(phi1.scaled(2), phi2, v1, v2, v1p, v2p)
+
+
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("fixture, driver", [
+    ("ag33", reconstruct_locally_projective),
+    ("elliptic_34", reconstruct_locally_affino),
+])
+def test_two_point_builds_pair_matrices_once(fixture, driver, request, monkeypatch):
+    X = request.getfixturevalue(fixture)
+    gen = SemilinearMap(identity_hom(X.field), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, X)
+    calls = Counter()
+    for name in ("_pair_matrices", "_two_point"):
+        monkeypatch.setattr(reconstruct, name, counting(calls, name, getattr(reconstruct, name)))
+    assert driver(inst).phi == gen
+    assert calls["_pair_matrices"] == calls["_two_point"] == 1
+
+
+def test_extension_intersects_once_per_point(ag34, monkeypatch):
+    """Once a point's span of candidate images is one point, each further
+    secant line is a membership test, not an intersection."""
+    K = ag34.field
+    gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, ag34, kind="affino-projective")
+    extend_affino(inst)  # warms the memoised verdicts of ag34
+    calls = Counter()
+    monkeypatch.setattr(linalg, "intersect_spans", counting(calls, "intersect", linalg.intersect_spans))
+    pm = extend_affino(inst)
+    P = ag34.ambient
+    assert pm.images == tuple(linalg.normalize_vec(K, gen.apply_vec(v)) for v in P.vectors)
+    assert 0 < calls["intersect"] <= P.n_points - ag34.n_points
 
 
 # -- locally projective driver -----------------------------------------------------------
