@@ -14,8 +14,9 @@ explicitly.  Predicates over the ambient space take any CoordGeometry,
 quotients included: its ambient space P is the PG(n, q) its coordinates
 live in, read off by X.ambient and X.ambient_indices.  They read the lines
 and hyperplanes of P, never its incidence index; the tangent lines at
-every point come from one pass over P's lines (tangent_lines).  Facts read
-more than once are kept on the geometry by one memo (_memo).
+every point come from one pass over P's lines (tangent_lines), as do the
+secant lines (secant_lines).  Facts read more than once, the secant lines
+among them, are kept on the geometry by one memo (_memo).
 """
 
 from __future__ import annotations
@@ -542,6 +543,20 @@ def is_affino_projective(X: CoordGeometry) -> Verdict:
         out.certificates["hyperplane"] = sorted(bits_of(first))
         out.certificates["hyperplane_mask"] = first
     return out
+
+
+@_memo
+def secant_lines(X: CoordGeometry) -> tuple:
+    """(p, lines) for each point p of P off an affino-projective X: each line
+    through p not inside X's first certifying hyperplane H (p lies in H, as
+    X u H = P) as the q local points it holds, in P.lines() order."""
+    H = is_affino_projective(X).certificates["hyperplane_mask"]
+    local_of = {a: x for x, a in enumerate(X.ambient_indices)}
+    out = {p: [] for p in range(X.ambient.n_points) if p not in local_of}
+    for line in X.ambient.lines():
+        if line & ~H and (p := (line & H).bit_length() - 1) in out:
+            out[p].append(tuple(local_of[a] for a in bits_of(line & ~H)))
+    return tuple((p, tuple(lines)) for p, lines in out.items())
 
 
 @_memo

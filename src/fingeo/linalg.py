@@ -3,9 +3,9 @@
 Vectors are tuples of field encodings, matrices are tuples of row tuples.
 Everything is pure and allocation-light; these routines sit under every
 enumeration kernel in the package.  Every kernel runs on the field's
-tables, never on its arithmetic methods; two spans are intersected by
-residues, and the annihilator and the quotient projection are read off an
-RREF.
+tables, never on its arithmetic methods.  Rank, echelon bases and the meet
+of two spans share one forward elimination, with no back-substitution; the
+annihilator and the quotient projection are read off an RREF.
 """
 
 from __future__ import annotations
@@ -118,11 +118,10 @@ def rref(K: GF, rows):
     return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
 
 
-def rank(K: GF, rows):
-    """Rank by forward elimination: each row is reduced against the rows
-    kept so far and kept, normalised at its leading entry, when something
-    is left.  A kept row is zero at every earlier pivot, so one pass in
-    keeping order clears them all; no back-substitution is needed."""
+def _kept_rows(K: GF, rows):
+    """Forward elimination up to full rank: each row, reduced against the
+    rows kept so far (each zero at the earlier leads), is kept when nonzero,
+    normalised at its lead, and yielded as (lead, row)."""
     add, neg, mul, invt = K._add, K._neg, K._mul, K._inv
     kept = []
     for v in rows:
@@ -137,10 +136,38 @@ def rank(K: GF, rows):
                     mrow = mul[invt[c]]
                     v = [mrow[a] for a in v]
                 kept.append((lead, v))
+                yield lead, v
                 break
         if len(kept) == len(v):
-            break  # full rank: every further row is in the span
-    return len(kept)
+            return
+
+
+def echelon(K: GF, rows):
+    """A basis of span(rows): the rows forward elimination keeps."""
+    return tuple([tuple(v) for _, v in _kept_rows(K, rows)])
+
+
+def rank(K: GF, rows):
+    return len(echelon(K, rows))
+
+
+def span_meet(K: GF, rows, basis):
+    """A basis of span(rows) & span(basis), for independent basis rows: the
+    basis residues are reduced against each row kept by forward elimination
+    of rows, and basis comes back once all vanish (for one row, a membership
+    test); else the meet is read off one echelon of [residue | basis row]."""
+    add, neg, mul = K._add, K._neg, K._mul
+    residues = list(basis)
+    for piv, row in _kept_rows(K, rows):
+        for i, r in enumerate(residues):
+            c = r[piv]
+            if c:
+                mrow = mul[neg[c]]
+                residues[i] = [add[a][mrow[b]] if b else a for a, b in zip(r, row)]
+        if not any(map(any, residues)):
+            return basis
+    stacked = echelon(K, [tuple(r) + tuple(b) for r, b in zip(residues, basis)])
+    return tuple(row[len(row) // 2 :] for row in stacked if not any(row[: len(row) // 2]))
 
 
 def reduce_against(K: GF, basis_rows, pivots, v):
@@ -252,15 +279,9 @@ def inverse(K: GF, M):
 
 
 def intersect_spans(K: GF, rows1, rows2):
-    """RREF basis of span(rows1) & span(rows2): one RREF of the rows
-    [residue of r against span(rows2) | r] for r in rows1, whose rows with
-    their pivot right of the residue block are [0 | basis row]."""
-    if not rows1 or not rows2:
-        return ()
-    basis, pivots = rref(K, rows2)
-    n = len(rows1[0])
-    stacked, spivots = rref(K, [reduce_against(K, basis, pivots, r) + tuple(r) for r in rows1])
-    return tuple(row[n:] for row, piv in zip(stacked, spivots) if piv >= n)
+    """RREF basis of span(rows1) & span(rows2): the RREF of their
+    span_meet against an echelon basis of rows2."""
+    return rref(K, span_meet(K, rows1, echelon(K, rows2)))[0]
 
 
 def span_points(K: GF, basis_rows):

@@ -6,16 +6,16 @@ complement of the exceptional flat, rescale the frame images to one common
 factor through the sums of frame pairs, read the field homomorphism off a
 coordinate line, extend semilinearly, and verify against every point.
 Embedded geometries go through one two-point driver: pick a base pair,
-recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>) at each base point,
-build the legs' global matrices once, read the common scalar off their
-reductions modulo the base pair, and lift along the fibred product of the
-two quotients.  Both legs run on X's own point quotient X/x, whose points
-are the normalised coordinates of V/<v_x>.  The locally projective and
-locally affino-projective cases differ only in how a leg is recovered:
-directly from the quotient map, or through the fiber of the base image and
-an extension over the completing hyperplane, which the base engine alone
-accepts or rejects.  One final sweep per map replaces any case analysis: either the
-induced map agrees at every point or the reconstruction fails loudly.
+recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>, with the coordinates
+of both quotients) at each base point, build the legs' global matrices once,
+read the common scalar off their reductions modulo the base pair, and lift
+along the fibred product.  Both legs run on X's own point quotient X/x.  The
+locally projective and locally affino-projective cases differ only in how a
+leg is recovered: directly from the quotient map, or through the fiber of
+the base image and an extension over the completing hyperplane, which meets
+the image spans of each point's secant lines by forward elimination and which
+the base engine alone accepts or rejects.  One final sweep per map replaces
+any case analysis: the induced map agrees at every point or it fails loudly.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .classify import (
     full_quotient_points,
     has_enough_points,
     is_affino_projective,
+    secant_lines,
     tangent_unions,
 )
 from .errors import (
@@ -315,12 +316,15 @@ def _require_enough_points(inst: MorphismInstance):
         raise NotEnoughPoints("a plane of X has no quadrilateral")
 
 
-def _class_images(inst: MorphismInstance, Q, xi: int) -> tuple:
-    """The image in V'/<v_xi'> of each class of a quotient Q of X, in class
-    order, as a normalised vector or None for a class sent onto the base
-    image.  A class whose points have two images is rejected."""
+def _point_quotient(K: GF, v):
+    return quotient_coords(LinearSubspace.from_vectors(K, len(v), [v]))
+
+
+def _class_images(inst: MorphismInstance, Q, xi: int, qcp) -> tuple:
+    """The image in V'/<v_xi'> (coordinates qcp) of each class of a quotient
+    Q of X, in class order, as a normalised vector or None for a class sent
+    onto the base image.  A class whose points have two images is rejected."""
     K2 = inst.target_field
-    qcp = quotient_coords(LinearSubspace.from_vectors(K2, inst.target_dim + 1, [inst.images[xi]]))
     out = []
     for c, members in enumerate(Q.classes):
         xs = list(bits_of(members))
@@ -333,15 +337,17 @@ def _class_images(inst: MorphismInstance, Q, xi: int) -> tuple:
     return tuple(out)
 
 
-def _lp_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
-    """The leg V/<v_xi> -> V'/<v_xi'> when X/xi fills P/xi: X's point
-    quotient X/xi is then PG(n-1, q) on the coordinates of V/<v_xi>, and the
-    base engine runs on the induced map X/xi -> P'/phi(xi)."""
+def _lp_leg(inst: MorphismInstance, xi: int) -> tuple:
+    """The leg V/<v_xi> -> V'/<v_xi'>, with both quotients' coordinates, when
+    X/xi fills P/xi: X/xi is then PG(n-1, q) on the coordinates of V/<v_xi>,
+    and the base engine runs on the induced map X/xi -> P'/phi(xi)."""
     Q = inst.geometry.point_quotient(xi)
     if not Q.is_full_pg:
         raise NoBasePair(f"X/{xi} does not fill the ambient quotient")
-    images = _class_images(inst, Q, xi)
-    return reconstruct_ftpg(PartialPointMap(Q, inst.target_field, inst.target_dim - 1, images))
+    qcp = _point_quotient(inst.target_field, inst.images[xi])
+    images = _class_images(inst, Q, xi, qcp)
+    psi = reconstruct_ftpg(PartialPointMap(Q, inst.target_field, inst.target_dim - 1, images))
+    return psi, _point_quotient(inst.source_field, inst.geometry.vectors[xi]), qcp
 
 
 def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
@@ -353,7 +359,7 @@ def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
     Qs = inst.geometry.point_quotient(x0)
     Qt = tgt.point_quotient(tgt.point_index(inst.images[x0]))
     # Qt's points are normalised projections modulo phi(x0), as the class images are
-    images = _class_images(inst, Qs, x0)
+    images = _class_images(inst, Qs, x0, _point_quotient(K2, inst.images[x0]))
     e_mask = mask_of(c for c, u in enumerate(images) if u is None)
     mapping = tuple(None if u is None else Qt.point_index(u) for u in images)
     pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), mapping)
@@ -370,32 +376,36 @@ def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
 # -- pair normalization and gluing ----------------------------------------------------
 
 
-def _pair_matrices(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
-    """For each leg phi_i: V/<v_i> -> V'/<v_i'>, the pair (G_i, B_i) of its
-    global matrix G_i = L'_i . A_i . sigma(Q_i), a V -> V' map computing a
+def _pair_matrices(legs, v1, v2, v1p, v2p):
+    """For each leg (phi_i, qc_i, qc'_i), phi_i: V/<v_i> -> V'/<v_i'> with
+    the coordinates of both quotients, the pair (G_i, B_i) of its global
+    matrix G_i = L'_i . A_i . sigma(Q_i), a V -> V' map computing a
     representative of the quotient-level image, and its reduction
     B_i = Q'_12 . G_i . L_12 modulo the base pair."""
-    K, K2 = phi1.source_field, phi1.target_field
-    n1, m1 = len(v1), len(v1p)
-    q12 = quotient_coords(LinearSubspace.from_vectors(K, n1, [v1, v2]))
-    q12p = quotient_coords(LinearSubspace.from_vectors(K2, m1, [v1p, v2p]))
+    K, K2 = legs[0][0].source_field, legs[0][0].target_field
+    q12 = quotient_coords(LinearSubspace.from_vectors(K, len(v1), [v1, v2]))
+    q12p = quotient_coords(LinearSubspace.from_vectors(K2, len(v1p), [v1p, v2p]))
     out = []
-    for phi, v, vp in ((phi1, v1, v1p), (phi2, v2, v2p)):
-        qc = quotient_coords(LinearSubspace.from_vectors(K, n1, [v]))
-        qcp = quotient_coords(LinearSubspace.from_vectors(K2, m1, [vp]))
+    for phi, qc, qcp in legs:
         inner = linalg.mat_mul(K2, phi.matrix, phi.sigma.map_matrix(qc.proj_matrix))
         G = linalg.mat_mul(K2, qcp.lift_matrix, inner)
         out.append((G, linalg.mat_mul(K2, q12p.proj_matrix, linalg.mat_mul(K2, G, q12.lift_matrix))))
     return out
 
 
-def _normalized_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
+def _public_legs(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
+    """The legs of the public pair steps, with their quotient coordinates."""
+    K, K2 = phi1.source_field, phi1.target_field
+    return [(phi, _point_quotient(K, v), _point_quotient(K2, vp)) for phi, v, vp in ((phi1, v1, v1p), (phi2, v2, v2p))]
+
+
+def _normalized_pair(legs, v1, v2, v1p, v2p):
     """(lam, G1, G2): the legs' global matrices and the scalar with
     lam . B1 = B2, read at the first nonzero entry of B1, then verified."""
-    if phi1.sigma != phi2.sigma:
+    if legs[0][0].sigma != legs[1][0].sigma:
         raise NotProportional("the two legs carry different field homomorphisms")
-    K2 = phi1.target_field
-    (G1, B1), (G2, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
+    K2 = legs[0][0].target_field
+    (G1, B1), (G2, B2) = _pair_matrices(legs, v1, v2, v1p, v2p)
     if all(not any(r) for r in B1) or all(not any(r) for r in B2):
         raise NotProportional("a reduction modulo the base pair vanished")
     lam = next(K2.div(b, a) for r1, r2 in zip(B1, B2) for a, b in zip(r1, r2) if a)
@@ -431,7 +441,7 @@ def _lift(sigma, G1, G2, v1, v2, v1p, v2p) -> SemilinearMap:
 def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
     """Scale phi1 so the two reductions modulo the base pair coincide: the
     public form of the two-point driver's first step."""
-    lam, _, _ = _normalized_pair(phi1, phi2, v1, v2, v1p, v2p)
+    lam, _, _ = _normalized_pair(_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1, v2, v1p, v2p)
     return phi1.scaled(lam)
 
 
@@ -442,7 +452,7 @@ def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v
     if phi1.sigma != phi2.sigma:
         raise ReductionsDisagree("the two legs carry different field homomorphisms")
     _require_independent(phi1.source_field, phi1.target_field, v1, v2, v1p, v2p)
-    (G1, B1), (G2, B2) = _pair_matrices(phi1, phi2, v1, v2, v1p, v2p)
+    (G1, B1), (G2, B2) = _pair_matrices(_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1, v2, v1p, v2p)
     if B1 != B2:
         raise ReductionsDisagree("reductions modulo the base pair differ; normalize first")
     return _lift(phi1.sigma, G1, G2, v1, v2, v1p, v2p)
@@ -471,14 +481,15 @@ def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> Reconstruc
     """Pick a base pair among the admissible points, recover the leg at each
     base point, normalize the pair to a common scalar and glue along the
     fibred product, then verify against all of X.  The global matrices are
-    built once, as G(lam . psi1) = lam . G(psi1)."""
+    built once, from the quotients each leg hands over, as
+    G(lam . psi1) = lam . G(psi1)."""
     pair = _pick_pair(inst, admissible, pair_rank)
-    psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
+    legs = [leg(inst, x) for x in pair]
     v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
-    lam, G1, G2 = _normalized_pair(psi1, psi2, v1, v2, v1p, v2p)
+    lam, G1, G2 = _normalized_pair(legs, v1, v2, v1p, v2p)
     _require_independent(inst.source_field, inst.target_field, v1, v2, v1p, v2p)
-    phi = _lift(psi1.sigma, linalg.mat_scale(inst.target_field, lam, G1), G2, v1, v2, v1p, v2p)
+    phi = _lift(legs[0][0].sigma, linalg.mat_scale(inst.target_field, lam, G1), G2, v1, v2, v1p, v2p)
     _verify(phi, inst.geometry.vectors, inst.images)
     return ReconstructionResult.of(phi, inst.geometry, pair)
 
@@ -494,46 +505,28 @@ def reconstruct_locally_projective(inst: MorphismInstance, pair_rank=0) -> Recon
 def extend_affino(inst: MorphismInstance) -> PartialPointMap:
     """Extend a morphism on an affino-projective X to a partial map on all
     of P: off X, the image is the common point of the closures of the images
-    of the secant lines through the point (lines not inside the first
-    certifying hyperplane H of is_affino_projective); points with empty
-    intersection are left undefined.  Such a line meets H in one point, so
-    one pass over P.lines() groups them by point, in P.lines() order.  The
-    first line's images are taken in RREF; while the span so far has two
-    rows or more, each further line's raw images go to intersect_spans
-    against it, and once it is one point, that point must lie in the span of
-    each further line's images.  The base engine then decides whether the
-    extension is a partial morphism."""
+    of the secant lines through the point (classify.secant_lines); points
+    with empty intersection are left undefined.  The first line's images
+    are eliminated forward (linalg.echelon), and each further line's images
+    meet the span so far (linalg.span_meet): a membership test once it is
+    one point.  The base engine then decides whether the extension is a
+    partial morphism."""
     X = inst.geometry
-    P, idx, xmask = X.ambient, X.ambient_indices, mask_of(X.ambient_indices)
-    K, K2 = P.field, inst.target_field
+    P, K, K2 = X.ambient, X.field, inst.target_field
     _field_clause(K, K2)
     if linalg.rank(K2, inst.images) < 3:
         raise ImageInLine("image of the affino-projective geometry lies in a line")
-    ap = is_affino_projective(X)
-    if not ap:
+    if not is_affino_projective(X):
         raise NotAffinoProjective(f"{X.label()} has no completing hyperplane")
-    H = ap.certificates["hyperplane_mask"]
-    local_of = {amb: x for x, amb in enumerate(idx)}
     amb_images = [None] * P.n_points
-    for x, amb in enumerate(idx):
+    for x, amb in enumerate(X.ambient_indices):
         amb_images[amb] = inst.images[x]
-    # p off X lies in H, as X u H = P, so a line through p off H meets X in its other q >= 3 points
-    secants = {p: [] for p in bits_of(P.full_mask & ~xmask)}
-    for line in P.lines():
-        meet = line & H
-        if meet != line and meet & ~xmask:  # one point of H, off X
-            secants[meet.bit_length() - 1].append(line)
-    for p, lines in secants.items():
+    for p, lines in secant_lines(X):
         common = None
         for line in lines:
-            images = [inst.images[local_of[a]] for a in bits_of(line & xmask)]
-            if common is None:
-                common, _ = linalg.rref(K2, images)
-            elif len(common) > 1:
-                common = linalg.intersect_spans(K2, common, images)
-            elif not linalg.in_span(K2, *linalg.rref(K2, images), common[0]):
-                common = ()
-            if common == ():
+            images = [inst.images[x] for x in line]
+            common = linalg.echelon(K2, images) if common is None else linalg.span_meet(K2, images, common)
+            if not common:
                 break
         if not common:
             continue  # exceptional candidate
@@ -553,11 +546,11 @@ def reconstruct_affino_projective(inst: MorphismInstance) -> ReconstructionResul
     return ReconstructionResult.of(phi, inst.geometry, _pick_pair(inst, range(inst.geometry.n_points), 0))
 
 
-def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
-    """The leg V/<v_xi> -> V'/<v_xi'> factoring through the fiber F of the
-    base image: X/F (X's point quotient when F = {xi}) is affino-projective,
-    so the induced map on it extends over P/span(F) and is reconstructed,
-    then precomposed with V/<v_xi> -> V/span(F)."""
+def _affino_leg(inst: MorphismInstance, xi: int) -> tuple:
+    """The leg V/<v_xi> -> V'/<v_xi'>, with both quotients' coordinates,
+    factoring through the fiber F of the base image: X/F (X/xi when F = {xi})
+    is affino-projective, so the induced map on it extends over P/span(F) and
+    is reconstructed, then precomposed with V/<v_xi> -> V/span(F)."""
     X, K2 = inst.geometry, inst.target_field
     K, n1 = X.field, X.ncoords
     fiber = mask_of(x for x in range(X.n_points) if inst.images[x] == inst.images[xi])
@@ -565,17 +558,18 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> SemilinearMap:
     if n1 - len(rows) < 3:
         raise NoBasePair("fiber quotient too small to carry the reconstruction")
     Q = X.point_quotient(xi) if fiber == 1 << xi else quotient_geometry(X, fiber)
-    images = _class_images(inst, Q, xi)
+    qcp = _point_quotient(K2, inst.images[xi])
+    images = _class_images(inst, Q, xi, qcp)
     if None in images:
         raise NotConstantOnClasses(f"a point outside the fiber of {xi} maps onto its image")
     inner = MorphismInstance(Q, K2, inst.target_dim - 1, images, "affino-projective")
     psiF = reconstruct_ftpg(extend_affino(inner))
 
     # precompose with the projection V/<v_xi> -> V/span(F)
-    qc1 = quotient_coords(LinearSubspace.from_vectors(K, n1, [X.vectors[xi]]))
-    C = linalg.mat_mul(K, linalg.quotient_projection(K, rows, pivots, n1), qc1.lift_matrix)
+    qc = _point_quotient(K, X.vectors[xi])
+    C = linalg.mat_mul(K, linalg.quotient_projection(K, rows, pivots, n1), qc.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
-    return SemilinearMap(psiF.sigma, A)
+    return SemilinearMap(psiF.sigma, A), qc, qcp
 
 
 def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:

@@ -362,10 +362,11 @@ def ref_affino_leg(inst, xi):
 
 def ref_two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> ReconstructionResult:
     """Pick a base pair among the admissible points, recover the leg at each
-    base point, normalize the pair to a common scalar, glue along the fibred
-    product, then verify against all of X."""
+    base point (its map; the quotient coordinates a library leg hands over
+    are left unused), normalize the pair to a common scalar, glue along the
+    fibred product, then verify against all of X."""
     pair = _pick_pair(inst, admissible, pair_rank)
-    psi1, psi2 = leg(inst, pair[0]), leg(inst, pair[1])
+    psi1, psi2 = (leg(inst, x)[0] for x in pair)
     v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
     psi1 = normalize_pair(psi1, psi2, v1, v2, v1p, v2p)

@@ -29,6 +29,7 @@ from fingeo.classify import (
     is_affino_projective,
     is_mobius,
     lap_certificates,
+    secant_lines,
     tangent_lines,
     tangent_unions,
 )
@@ -40,6 +41,7 @@ from fingeo.reconstruct import (
     MorphismInstance,
     ReconstructionResult,
     certify_side_conditions,
+    extend_affino,
     reconstruct_affino_projective,
 )
 from quotient_routes import ref_tangent_lines
@@ -115,6 +117,24 @@ def ref_tangent_point(X):
     return None
 
 
+def ref_secant_lines(X):
+    """For each point p of P off X, ascending, the lines of P through p not
+    inside X's first certifying hyperplane, each as the local points of X
+    on it."""
+    P, idx = ambient_of(X)
+    H = is_affino_projective(X).certificates["hyperplane_mask"]
+    local_of = {a: x for x, a in enumerate(idx)}
+    return tuple(
+        (p, tuple(
+            tuple(local_of[a] for a in bits_of(line) if a in local_of)
+            for line in P.lines()
+            if line >> p & 1 and line & ~H
+        ))
+        for p in range(P.n_points)
+        if p not in local_of
+    )
+
+
 def random_subgeometry(seed):
     P = build_pg(3, 3)
     rng = random.Random(seed)
@@ -177,6 +197,40 @@ def test_affino_driver_builds_no_ambient_incidence_index():
     assert res.phi == gen.canonical()
     assert P._flats is not None  # the driver did read this P
     assert "incidence" not in vars(P)
+
+
+def test_secant_lines_match_ambient_scan(geometries):
+    checked = []
+    for case in CASES + QUOTIENT_CASES:
+        X = geometries[case]
+        if is_affino_projective(X):
+            assert secant_lines(X) == ref_secant_lines(X), case
+            checked.append(case)
+    assert {"affine-2", "affine-3", "affine-4"} <= set(checked), checked
+
+
+def test_secant_lines_are_grouped_once(monkeypatch):
+    """The secant lines are kept on X by its memo: a second extension on
+    the same geometry reads no line of P."""
+    K = gf(3)
+    X = make_affine(3, K)
+    X.ambient = P = build_pg.__wrapped__(3, 3)
+    gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, X, kind="affino-projective")
+    calls = []
+    library_lines = P.lines
+
+    def lines():
+        calls.append(P)
+        return library_lines()
+
+    monkeypatch.setattr(P, "lines", lines)
+    first = extend_affino(inst)
+    assert calls
+    calls.clear()
+    assert extend_affino(inst) == first
+    assert calls == []
+    assert secant_lines(X) is secant_lines(X)
 
 
 def test_ovoid_reads_the_mobius_verdict(monkeypatch):

@@ -20,9 +20,10 @@ to affine spaces and quadrics, and on perturbed copies of them, the ap and
 lap drivers must return the same map and certificate on either extension
 and fail on the same inputs; neither may raise InternalContradiction.
 
-extend_affino intersects each secant line's raw images with the span so far
-by residues, where ref_extend_unchecked takes every line in RREF and
-intersects by the stacked kernel that came before.  On every extension the
+extend_affino meets each secant line's raw images with the span so far by
+one forward elimination (linalg.span_meet), where ref_extend_unchecked
+takes every line in RREF and intersects by the stacked kernel that came
+before.  On every extension the
 ap and lap drivers ask for on those inputs, both must return the same
 partial point map or raise the same class with the same message, which
 names the ambient point.
@@ -311,21 +312,23 @@ def test_one_point_membership_matches_stacked_kernel_route(fixture, request, mon
     """Full-rank maps with one to eight images replaced: once a point's span
     is one point, a further line whose images span two or three dimensions
     must reject it exactly where the stacked kernel route's intersection
-    comes out empty."""
+    comes out empty.  The rejections are counted at span_meet on a one-row
+    basis, by the rank of the line's images."""
     X = request.getfixturevalue(fixture)
     K = X.field
     homs = list_homomorphisms(K, K)
     targets = linalg.all_proj_points(K, 4)
     rng = random.Random(f"membership {X.label()}")
     rejected = Counter()
-    library_in_span = linalg.in_span
+    library_span_meet = linalg.span_meet
 
-    def in_span(field, rows, pivots, v):
-        found = library_in_span(field, rows, pivots, v)
-        rejected[len(rows)] += not found
+    def span_meet(field, rows, basis):
+        found = library_span_meet(field, rows, basis)
+        if len(basis) == 1 and not found:
+            rejected[linalg.rank(field, rows)] += 1
         return found
 
-    monkeypatch.setattr(linalg, "in_span", in_span)
+    monkeypatch.setattr(linalg, "span_meet", span_meet)
     for t in range(48):
         M = [[rng.randrange(K.q) for _ in range(4)] for _ in range(4)]
         if linalg.rank(K, M) < 4:

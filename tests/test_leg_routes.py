@@ -20,7 +20,15 @@ from fingeo.projective import SemilinearMap
 from fingeo.reconstruct import MorphismInstance, _affino_leg, _lp_leg
 from quotient_routes import ref_affino_leg, ref_lp_leg
 
-LEGS = {"lp": (_lp_leg, ref_lp_leg), "lap": (_affino_leg, ref_affino_leg)}
+
+
+def leg_map(leg):
+    """The map of a library leg, which also hands over the coordinates of
+    its two quotients."""
+    return lambda inst, x: leg(inst, x)[0]
+
+
+LEGS = {"lp": (leg_map(_lp_leg), ref_lp_leg), "lap": (leg_map(_affino_leg), ref_affino_leg)}
 
 
 def outcome(leg, inst, x):

@@ -2,9 +2,11 @@
 
 The span kernels are checked tuple for tuple against the routes they
 replaced (quotient_routes.ref_intersect_spans and ref_quotient_projection),
-and the table-driven vector kernels against FieldElement arithmetic.
+span_meet by the RREF of its basis against ref_intersect_spans, and the
+table-driven vector kernels against FieldElement arithmetic.
 """
 
+import functools
 import itertools
 import random
 
@@ -39,6 +41,25 @@ def test_rref_properties(q):
         # idempotent
         again, p2 = linalg.rref(K, rows)
         assert again == rows and p2 == pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_echelon_properties(q):
+    """The same random matrices as test_rref_properties: the kept rows are
+    nonzero, normalised at distinct leads, each zero at the earlier leads,
+    and span the rows; the rank counts them."""
+    K = gf(q)
+    rng = random.Random(q * 101)
+    for _ in range(80):
+        M = random_matrix(rng, K, rng.randrange(1, 6), rng.randrange(1, 6))
+        kept = linalg.echelon(K, M)
+        leads = [next(j for j, c in enumerate(row) if c) for row in kept]
+        assert len(set(leads)) == len(leads)
+        for i, (row, lead) in enumerate(zip(kept, leads)):
+            assert row[lead] == 1
+            assert all(row[earlier] == 0 for earlier in leads[:i])
+        assert linalg.rref(K, kept) == linalg.rref(K, M)
+        assert linalg.rank(K, M) == len(kept) == len(linalg.rref(K, M)[0])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -242,6 +263,32 @@ def test_intersect_spans_matches_reference(q):
         for n in range(1, 7):
             A, B = (span_rows(rng, K, n, kind) for kind in kinds)
             assert linalg.intersect_spans(K, A, B) == ref_intersect_spans(K, A, B), (kinds, A, B)
+
+
+@pytest.mark.parametrize("q", SPAN_FIELDS)
+def test_span_meet_matches_reference(q):
+    """span_meet against an echelon basis gives an independent basis of the
+    reference intersection, and returns a basis inside span(rows) as it is."""
+    K = gf(q)
+    rng = random.Random(f"span meet {q}")
+    inside_seen = 0
+    for kinds in itertools.product(SPAN_KINDS, repeat=2):
+        for n in range(1, 7):
+            A, B = (span_rows(rng, K, n, kind) for kind in kinds)
+            basis = linalg.echelon(K, B)
+            got = linalg.span_meet(K, A, basis)
+            assert linalg.rank(K, got) == len(got)
+            assert linalg.rref(K, got)[0] == ref_intersect_spans(K, A, basis), (kinds, A, B)
+            combos = [
+                functools.reduce(lambda u, v: linalg.vec_add(K, u, v),
+                                 (linalg.vec_scale(K, rng.randrange(q), r) for r in A), (0,) * n)
+                for _ in range(rng.randrange(1, 3))
+            ]
+            inside = linalg.echelon(K, combos)
+            if inside:
+                assert linalg.span_meet(K, A, inside) is inside, (A, inside)
+                inside_seen += 1
+    assert inside_seen
 
 
 @pytest.mark.parametrize("q", SPAN_FIELDS)

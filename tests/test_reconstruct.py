@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from fingeo import linalg, reconstruct
-from fingeo.classify import affino_admissible_points, full_quotient_points
+from fingeo.classify import affino_admissible_points, full_quotient_points, secant_lines
 from fingeo.errors import (
     ExceptionalNotFlat,
     FieldClauseViolated,
@@ -323,18 +323,21 @@ def test_two_point_builds_pair_matrices_once(fixture, driver, request, monkeypat
 
 
 def test_extension_intersects_once_per_point(ag34, monkeypatch):
-    """Once a point's span of candidate images is one point, each further
-    secant line is a membership test, not an intersection."""
+    """The first secant line through a point is eliminated forward and each
+    further line is one span_meet with the span so far: no line is taken
+    in RREF, and neither intersect_spans nor in_span is called."""
     K = ag34.field
     gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
     inst = MorphismInstance.restrict_semilinear(gen, ag34, kind="affino-projective")
     extend_affino(inst)  # warms the memoised verdicts of ag34
     calls = Counter()
-    monkeypatch.setattr(linalg, "intersect_spans", counting(calls, "intersect", linalg.intersect_spans))
+    for name in ("span_meet", "rref", "intersect_spans", "in_span"):
+        monkeypatch.setattr(linalg, name, counting(calls, name, getattr(linalg, name)))
     pm = extend_affino(inst)
     P = ag34.ambient
     assert pm.images == tuple(linalg.normalize_vec(K, gen.apply_vec(v)) for v in P.vectors)
-    assert 0 < calls["intersect"] <= P.n_points - ag34.n_points
+    assert calls["span_meet"] == sum(len(lines) - 1 for _, lines in secant_lines(ag34)) > 0
+    assert calls["rref"] == calls["intersect_spans"] == calls["in_span"] == 0
 
 
 # -- locally projective driver -----------------------------------------------------------
@@ -526,7 +529,7 @@ def test_leg_is_the_induced_quotient_map(fixture, leg, admissible, request):
         for x in admissible(inst)[:6]:
             amb = X.ambient_indices[x]
             want = leg_maps(gen, P, amb, amb)[0]
-            assert proportional(leg(inst, x), want) is not None
+            assert proportional(leg(inst, x)[0], want) is not None
 
 
 @pytest.mark.parametrize(
