@@ -343,12 +343,11 @@ class FieldHom(namedtuple("FieldHom", "source target table")):
         K, L, t = self.source, self.target, self.table
         if t[0] != 0 or t[1] != 1:
             return False
-        for a in K.elements:
-            for b in K.elements:
-                if t[K.add(a, b)] != L.add(t[a], t[b]):
-                    return False
-                if t[K.mul(a, b)] != L.mul(t[a], t[b]):
-                    return False
+        for add_a, mul_a, ta in zip(K._add, K._mul, t):
+            if [t[c] for c in add_a] != [L._add[ta][tb] for tb in t]:
+                return False
+            if [t[c] for c in mul_a] != [L._mul[ta][tb] for tb in t]:
+                return False
         return True
 
     @property

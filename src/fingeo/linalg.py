@@ -5,7 +5,9 @@ Everything is pure and allocation-light; these routines sit under every
 enumeration kernel in the package.  Every kernel runs on the field's
 tables, never on its arithmetic methods.  Rank, echelon bases and the meet
 of two spans share one forward elimination, with no back-substitution; the
-annihilator and the quotient projection are read off an RREF.
+annihilator and the quotient projection are read off an RREF.  Two-unknown
+systems are solved in closed form, and a semilinear map's images on many
+points are computed one output row at a time.
 """
 
 from __future__ import annotations
@@ -254,6 +256,55 @@ def quotient_projection(K: GF, rows, pivots, ncols):
         tuple(neg[row_at[j][f]] if j in row_at else int(j == f) for j in range(ncols))
         for f in free
     )
+
+
+def pair_solver(K: GF, u, v):
+    """None when the columns u and v are dependent; else the solver of
+    a.u + b.v = y, returning (a, b), or None for y outside span(u, v).  It
+    uses Cramer's rule on the first nonzero 2x2 minor, at the first nonzero
+    row, then checks every row."""
+    add, neg, mul = K._add, K._neg, K._mul
+    for r, (ur, vr) in enumerate(zip(u, v)):
+        if ur or vr:
+            break
+    else:
+        return None
+    s = next((k for k in range(r + 1, len(u)) if mul[ur][v[k]] != mul[u[k]][vr]), None)
+    if s is None:
+        return None
+    us, vs = u[s], v[s]
+    dinv = mul[K._inv[add[mul[ur][vs]][neg[mul[us][vr]]]]]
+
+    def solve_pair(y):
+        a = dinv[add[mul[y[r]][vs]][neg[mul[y[s]][vr]]]]
+        b = dinv[add[mul[ur][y[s]]][neg[mul[us][y[r]]]]]
+        return (a, b) if all(add[mul[a][c]][mul[b][d]] == e for c, d, e in zip(u, v, y)) else None
+
+    return solve_pair
+
+
+def twisted_images(K: GF, M, table, vectors):
+    """normalize_vec(M . sigma(v)) for each v, None in the kernel, with sigma
+    given by its table into K.  It is computed output row by output row:
+    each matrix entry m becomes the table c -> m . sigma(c), read once per
+    vector in one comprehension per column."""
+    add, mul, invt = K._add, K._mul, K._inv
+    cols = list(zip(*vectors))
+    rows = []
+    for row in M:
+        acc = [0] * len(vectors)
+        for m, col in zip(row, cols):
+            if m:
+                t = [mul[m][c] for c in table]
+                acc = [add[a][t[c]] for a, c in zip(acc, col)]
+        rows.append(acc)
+    out = []
+    for img in zip(*rows):
+        lead = next(filter(None, img), 0)
+        if lead != 1:
+            img = tuple([mul[invt[lead]][a] for a in img]) if lead else None
+        out.append(img)
+    return out
 
 
 def solve(K: GF, A, b):

@@ -23,6 +23,7 @@ from .geometry import (
     PartialMorphism,
     bits_of,
     dim_formula_violations,
+    mask_of,
 )
 from .gf import GF, FieldHom, gf
 
@@ -354,16 +355,10 @@ def induced_partial(phi: SemilinearMap) -> PartialMorphism:
         raise ZeroMap("the zero map induces no projective morphism")
     src = build_pg(phi.n_in - 1, phi.source_field.q)
     tgt = build_pg(phi.n_out - 1, phi.target_field.q)
-    mapping = []
-    e_mask = 0
-    for i, v in enumerate(src.vectors):
-        img = linalg.normalize_vec(phi.target_field, phi.apply_vec(v))
-        if img is None:
-            e_mask |= 1 << i
-            mapping.append(None)
-        else:
-            mapping.append(tgt.point_index(img))
-    pm = PartialMorphism(src, tgt, Flat(src, e_mask), tuple(mapping))
+    images = linalg.twisted_images(phi.target_field, phi.matrix, phi.sigma.table, src.vectors)
+    mapping = tuple(None if img is None else tgt.point_index(img) for img in images)
+    e_mask = mask_of(i for i, img in enumerate(images) if img is None)
+    pm = PartialMorphism(src, tgt, Flat(src, e_mask), mapping)
     pm.validate()
     return pm
 

@@ -4,7 +4,8 @@ The base engine turns a partial morphism between full projective spaces into
 the unique-up-to-scalar semilinear map inducing it: fix a frame on a
 complement of the exceptional flat, rescale the frame images to one common
 factor through the sums of frame pairs, read the field homomorphism off a
-coordinate line, extend semilinearly, and verify against every point.
+coordinate line, extend semilinearly, and verify against every point (each
+frame equation solved in closed form, every point's image in one sweep).
 Embedded geometries go through one two-point driver: pick a base pair,
 recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>, with the coordinates
 of both quotients) at each base point, build the legs' global matrices once,
@@ -122,12 +123,9 @@ class MorphismInstance(
     @staticmethod
     def restrict_semilinear(phi: SemilinearMap, X: CoordGeometry, kind="locally-projective"):
         """The fixture builder: restrict the induced map of phi to X."""
-        images = []
-        for v in X.vectors:
-            w = linalg.normalize_vec(phi.target_field, phi.apply_vec(v))
-            if w is None:
-                raise ZeroMap("kernel of the generator meets X")
-            images.append(w)
+        images = linalg.twisted_images(phi.target_field, phi.matrix, phi.sigma.table, X.vectors)
+        if None in images:
+            raise ZeroMap("kernel of the generator meets X")
         return MorphismInstance(X, phi.target_field, phi.n_out - 1, tuple(images), kind)
 
 
@@ -182,7 +180,8 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     unit vectors, whose images are rescaled to one common factor through
     the sums of frame pairs; the homomorphism is read off the first frame
     line and verified exhaustively; the semilinear extension is compared
-    against every point of the source.
+    against every point of the source.  Each frame pair gets one closed-form
+    solver (None for proportional images), the sigma table one more.
     """
     pm = _as_point_map(psi)
     src = pm.source
@@ -220,17 +219,7 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
             raise VerificationFailed("a frame line meets the exceptional flat")
         return y
 
-    def pair_solve(i, j, y):
-        ab = linalg.solve(K2, linalg.transpose((w[i], w[j])), y)
-        if ab is None or ab[0] == 0 or ab[1] == 0:
-            raise VerificationFailed("image of a frame-line point left the frame plane")
-        return ab
-
-    independent = {
-        (i, j): linalg.rank(K2, (w[i], w[j])) == 2
-        for i in range(d1)
-        for j in range(i + 1, d1)
-    }
+    solvers = {(i, j): linalg.pair_solver(K2, w[i], w[j]) for i in range(d1) for j in range(i + 1, d1)}
 
     # rescale the frame images to one common factor by chaining relative
     # scales through pairwise sum points: with true images u_i and normalised
@@ -247,10 +236,13 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
             for j in range(d1):
                 if gamma[j] is not None:
                     continue
-                key = (i, j) if i < j else (j, i)
-                if not independent[key]:
+                solver = solvers[(i, j) if i < j else (j, i)]
+                if solver is None:
                     continue
-                a, b = pair_solve(i, j, image_of_sum(i, j))
+                ab = solver(image_of_sum(i, j))
+                if ab is None or 0 in ab:
+                    raise VerificationFailed("image of a frame-line point left the frame plane")
+                a, b = ab if i < j else ab[::-1]
                 gamma[j] = K2.mul(gamma[i], K2.div(b, a))
                 nxt.append(j)
         frontier = nxt
@@ -259,12 +251,11 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     vpp = [linalg.vec_scale(K2, g, wi) for g, wi in zip(gamma, w)]
 
     # sigma from the first frame line with independent endpoint images
-    si, sj = next((i, j) for (i, j), ind in sorted(independent.items()) if ind)
-    pair_cols = linalg.transpose((vpp[si], vpp[sj]))
+    si, sj = next(pair for pair, solver in solvers.items() if solver)
+    solver = linalg.pair_solver(K2, vpp[si], vpp[sj])
     table = [0] * K.q
     for lam in range(1, K.q):
-        y = image_of_sum(si, sj, lam)
-        ab = linalg.solve(K2, pair_cols, y)
+        ab = solver(image_of_sum(si, sj, lam))
         if ab is None or ab[0] == 0:
             raise VerificationFailed("image of a frame-line point left the frame plane")
         table[lam] = K2.div(ab[1], ab[0])
@@ -287,12 +278,11 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
 
 def _verify(phi: SemilinearMap, vectors, images):
     """The final sweep: phi must induce images[i] (None inside its kernel)
-    at every point vectors[i]."""
-    K2 = phi.target_field
-    for i, v in enumerate(vectors):
-        got = linalg.normalize_vec(K2, phi.apply_vec(v))
-        if got != images[i]:
-            raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {images[i]}")
+    at every point vectors[i], all computed at once; the first miss is reported."""
+    got = linalg.twisted_images(phi.target_field, phi.matrix, phi.sigma.table, vectors)
+    for i, (g, want) in enumerate(zip(got, images)):
+        if g != want:
+            raise VerificationFailed(f"reconstruction disagrees at point {i}: {g} vs {want}")
 
 
 # -- quotient transport -------------------------------------------------------------
@@ -424,10 +414,10 @@ def _lift(sigma, G1, G2, v1, v2, v1p, v2p) -> SemilinearMap:
     reductions, lifted column by column: the two representatives of the
     image of a basis vector differ by an element of <v1'> + <v2'>."""
     K2 = sigma.target
-    pair_cols = linalg.transpose((v1p, v2p))
+    solver = linalg.pair_solver(K2, v1p, v2p)
     cols = []
     for j, (w1, w2) in enumerate(zip(linalg.transpose(G1), linalg.transpose(G2))):
-        c = linalg.solve(K2, pair_cols, linalg.vec_sub(K2, w1, w2))
+        c = solver(linalg.vec_sub(K2, w1, w2))
         if c is None:
             raise LiftInconsistent(f"column {j} lift leaves <v1'> + <v2'>")
         cols.append(linalg.vec_sub(K2, w1, linalg.vec_scale(K2, c[0], v1p)))
@@ -617,9 +607,8 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
     if embedding:
         ext_ok = result.exceptional.rank == 0
         if ext_ok:
-            ext_images = [
-                linalg.normalize_vec(K2, result.phi.apply_vec(v)) for v in P.vectors
-            ]
+            phi = result.phi
+            ext_images = linalg.twisted_images(K2, phi.matrix, phi.sigma.table, P.vectors)
             ext_ok = None not in ext_images and len(set(ext_images)) == len(ext_images)
             ext_ok = ext_ok and _inverse_is_morphism(K2, ext_images, P)
         report["extension_embedding"] = bool(ext_ok)

@@ -23,6 +23,12 @@ ref_reconstruct_ftpg is the engine that came before it, kept verbatim: it
 rescales independent frame images through the unit point and keeps the
 chain for dependent ones.
 
+The final sweep: the library computes the images of every point at once,
+one output row at a time (linalg.twisted_images).  ref_verify is the sweep
+that came before it, kept verbatim: each point goes through sigma.map_vec
+and a row-by-row matvec.  ref_preserves_structure is FieldHom's structure
+check as it was, on the fields' arithmetic methods rather than their tables.
+
 The quotient of a table: the library reads it as a table geometry on the
 parent flats through E.  RefQuotientGeometry is the class that came before
 it, kept verbatim: it closes a class set through the parent closure of E
@@ -733,6 +739,29 @@ def ref_reconstruct_ftpg(psi) -> SemilinearMap:
         if got != want:
             raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {want}")
     return phi.canonical()
+
+
+def ref_verify(phi: SemilinearMap, vectors, images):
+    """The final sweep: phi must induce images[i] (None inside its kernel)
+    at every point vectors[i]."""
+    K2 = phi.target_field
+    for i, v in enumerate(vectors):
+        got = linalg.normalize_vec(K2, phi.apply_vec(v))
+        if got != images[i]:
+            raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {images[i]}")
+
+
+def ref_preserves_structure(hom: FieldHom) -> bool:
+    K, L, t = hom.source, hom.target, hom.table
+    if t[0] != 0 or t[1] != 1:
+        return False
+    for a in K.elements:
+        for b in K.elements:
+            if t[K.add(a, b)] != L.add(t[a], t[b]):
+                return False
+            if t[K.mul(a, b)] != L.mul(t[a], t[b]):
+                return False
+    return True
 
 
 class RefQuotientGeometry(_QuotientClasses, FiniteGeometry):

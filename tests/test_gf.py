@@ -1,6 +1,7 @@
 """Field arithmetic, Frobenius maps, and homomorphism enumeration."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from fingeo.gf import (
     list_homomorphisms,
     parse_field_name,
 )
+from quotient_routes import ref_preserves_structure
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -151,6 +153,21 @@ def test_homs_are_injective():
         for h in list_homomorphisms(gf(qa), gf(qb)):
             assert len(set(h.table)) == gf(qa).q
             assert h.preserves_structure()
+
+
+@pytest.mark.parametrize("qa, qb", [(2, 2), (2, 4), (4, 4), (3, 3), (3, 9), (4, 16), (5, 5), (8, 8)])
+def test_structure_check_on_tables_keeps_its_verdict(qa, qb):
+    """Every homomorphism and seeded tables that fix 0 and 1 (most of them
+    no homomorphism): the check on the field tables gives the verdict of
+    the check on the fields' arithmetic methods."""
+    K, L = gf(qa), gf(qb)
+    rng = random.Random(f"structure {qa} {qb}")
+    tables = [h.table for h in list_homomorphisms(K, L)]
+    tables += [(0, 1) + tuple(rng.randrange(L.q) for _ in range(K.q - 2)) for _ in range(40)]
+    tables += [(1,) + t[1:] for t in tables[:2]]
+    verdicts = [FieldHom(K, L, t).preserves_structure() for t in tables]
+    assert verdicts == [ref_preserves_structure(FieldHom(K, L, t)) for t in tables]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_hom_power_encoding():

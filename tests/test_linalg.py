@@ -3,17 +3,21 @@
 The span kernels are checked tuple for tuple against the routes they
 replaced (quotient_routes.ref_intersect_spans and ref_quotient_projection),
 span_meet by the RREF of its basis against ref_intersect_spans, and the
-table-driven vector kernels against FieldElement arithmetic.
+table-driven vector kernels against FieldElement arithmetic.  pair_solver is
+checked against solve, and twisted_images against the per-point route
+normalize_vec(apply_vec(v)).
 """
 
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from fingeo import linalg
-from fingeo.gf import gf, hom_from_power
+from fingeo.gf import gf, hom_from_power, list_homomorphisms
+from fingeo.projective import SemilinearMap
 from quotient_routes import identity_matrix, ref_intersect_spans, ref_quotient_projection
 
 
@@ -333,3 +337,65 @@ def test_table_kernels_match_field_arithmetic(q):
         lead = next((a for a in elements(u) if int(a)), None)
         expect = None if lead is None else values(a / lead for a in elements(u))
         assert linalg.normalize_vec(K, u) == expect
+
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_pair_solver_matches_solve(q):
+    """Seeded column pairs of length 3 to 5, zero and proportional columns
+    among them: no solver exactly when the rank is below 2; otherwise the
+    solver gives solve's (a, b) on the span, and None off it, also when y
+    leaves the span in one row only."""
+    K = gf(q)
+    rng = random.Random(f"pair solver {q}")
+    seen = Counter()
+    for _ in range(150):
+        m = rng.randrange(3, 6)
+        u = random_matrix(rng, K, 1, m)[0]
+        v = rng.choice([(0,) * m, linalg.vec_scale(K, rng.randrange(q), u), random_matrix(rng, K, 1, m)[0]])
+        if rng.random() < 0.5:
+            u, v = v, u
+        solver = linalg.pair_solver(K, u, v)
+        assert (solver is None) == (linalg.rank(K, (u, v)) < 2), (u, v)
+        if solver is None:
+            seen["dependent"] += 1
+            continue
+        A = linalg.transpose((u, v))
+        inside = linalg.vec_add(K, linalg.vec_scale(K, rng.randrange(q), u), linalg.vec_scale(K, rng.randrange(q), v))
+        k = rng.randrange(m)
+        nudged = inside[:k] + (K._add[inside[k]][rng.randrange(1, q)],) + inside[k + 1 :]
+        for y in (inside, nudged, random_matrix(rng, K, 1, m)[0]):
+            want = linalg.solve(K, A, y)
+            assert solver(y) == want, (u, v, y)
+            seen["inside" if want is not None else "outside"] += 1
+    assert min(seen[k] for k in ("dependent", "inside", "outside")) > 0, seen
+
+
+FIELD_PAIRS = [(q, q2) for q in FIELDS for q2 in FIELDS if list_homomorphisms(gf(q), gf(q2))]
+
+
+@pytest.mark.parametrize("q, q2", FIELD_PAIRS)
+def test_twisted_images_match_the_point_route(q, q2):
+    """Seeded 3- and 4-row maps on the points of PG(2, q) (and the zero
+    vector), for every homomorphism gf(q) -> gf(q2), gf(2) -> gf(4),
+    gf(3) -> gf(9) and gf(4) -> gf(16) among them, at full and deficient
+    rank: the same normalised image at every point, None in the kernel."""
+    K, K2 = gf(q), gf(q2)
+    rng = random.Random(f"twisted {q} {q2}")
+    vectors = [(0, 0, 0)] + linalg.all_proj_points(K, 3)
+    for sigma in list_homomorphisms(K, K2):
+        for r in (3, 2, 1):
+            while True:
+                m = rng.randrange(3, 5)
+                M = linalg.mat_mul(K2, random_matrix(rng, K2, m, r), random_matrix(rng, K2, r, 3))
+                if linalg.rank(K2, M) == r:
+                    break
+            phi = SemilinearMap(sigma, M)
+            want = [linalg.normalize_vec(K2, phi.apply_vec(v)) for v in vectors]
+            assert linalg.twisted_images(K2, M, sigma.table, vectors) == want
+            assert want[0] is None
+            if q == q2:  # a bijective sigma: a deficient rank leaves rational kernel points
+                assert (None in want[1:]) == (r < 3)
+    assert linalg.twisted_images(K2, ((1, 0, 0),), tuple(range(q)), []) == []

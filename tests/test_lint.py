@@ -4,7 +4,8 @@ top-level function or class is referred to somewhere, every method of a
 top-level class other than a dunder is reached by an attribute or a string
 somewhere (a local variable of the same name does not count), and every
 parameter with a default is passed by some call.  linalg.py, under every enumeration kernel, runs
-on the field's tables and never touches a GF arithmetic method.
+on the field's tables and never touches a GF arithmetic method; nor do the
+maps and the structure check of gf.FieldHom.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -14,6 +15,7 @@ import ast
 import importlib.util
 import math
 import pathlib
+import textwrap
 
 import pytest
 
@@ -268,7 +270,14 @@ def field_method_uses(source):
 
 
 def test_linalg_runs_on_field_tables():
+    """linalg, and the per-element maps and structure check of gf.FieldHom."""
     assert field_method_uses((SRC / "linalg.py").read_text(encoding="utf-8")) == []
+    source = (SRC / "gf.py").read_text(encoding="utf-8")
+    hom = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == "FieldHom")
+    methods = {f.name: f for f in hom.body if isinstance(f, ast.FunctionDef)}
+    for name in ("map_vec", "map_matrix", "preserves_structure"):
+        body = textwrap.dedent(ast.get_source_segment(source, methods[name]))
+        assert field_method_uses(body) == [], name
 
 
 def test_field_method_is_reported():

@@ -3,6 +3,7 @@ drivers, certification, and the exhaustive oracle."""
 
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -49,7 +50,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
-from quotient_routes import fibred_product_identity, identity_matrix
+from quotient_routes import fibred_product_identity, identity_matrix, ref_verify
 
 
 def random_semilinear(rng, K, K2=None, n1=4, m1=4, min_rank=4, homs=None):
@@ -161,6 +162,31 @@ def test_ftpg_verification_failure_on_corrupted_map(pg33):
     images[7], images[8] = images[8], images[7]
     with pytest.raises(VerificationFailed):
         reconstruct_ftpg(PartialPointMap(pg33, K, 3, tuple(images)))
+
+
+@pytest.mark.parametrize("n, q, q2", [(3, 2, 2), (3, 3, 3), (3, 4, 4), (2, 2, 4), (2, 3, 9), (2, 4, 16)])
+def test_verify_reports_what_the_point_sweep_reports(n, q, q2):
+    """Seeded maps at full and deficient rank, over every homomorphism
+    gf(q) -> gf(q2): the row-wise sweep accepts the true images and, with
+    one to three images moved (to another point or to None), raises the
+    message of the per-point sweep it replaced."""
+    K, K2 = gf(q), gf(q2)
+    P = build_pg(n, q)
+    targets = linalg.all_proj_points(K2, n + 1) + [None]
+    rng = random.Random(f"verify {n} {q} {q2}")
+    for sigma in list_homomorphisms(K, K2):
+        for r in (n + 1, n, n - 1):
+            phi = random_semilinear(rng, K, K2, n + 1, n + 1, r, homs=[sigma])
+            images = induced_point_map(phi, P).images
+            reconstruct._verify(phi, P.vectors, images)
+            for _ in range(5):
+                moved = list(images)
+                for x in rng.sample(range(P.n_points), rng.randrange(1, 4)):
+                    moved[x] = rng.choice([y for y in targets if y != moved[x]])
+                with pytest.raises(VerificationFailed) as want:
+                    ref_verify(phi, P.vectors, moved)
+                with pytest.raises(VerificationFailed, match=re.escape(str(want.value)) + "$"):
+                    reconstruct._verify(phi, P.vectors, moved)
 
 
 # -- quotient transport --------------------------------------------------------------
@@ -320,6 +346,31 @@ def test_two_point_builds_pair_matrices_once(fixture, driver, request, monkeypat
         monkeypatch.setattr(reconstruct, name, counting(calls, name, getattr(reconstruct, name)))
     assert driver(inst).phi == gen
     assert calls["_pair_matrices"] == calls["_two_point"] == 1
+
+
+@pytest.mark.parametrize("fixture, driver", [
+    ("ag33", reconstruct_locally_projective),
+    ("elliptic_34", reconstruct_locally_affino),
+])
+def test_drivers_solve_in_closed_form_and_sweep_row_wise(fixture, driver, request, monkeypatch):
+    """No frame equation, sigma table or lift goes through linalg.solve, and
+    no sweep maps one point at a time: apply_vec serves only the lift's two
+    base-direction checks."""
+    X = request.getfixturevalue(fixture)
+    gen = SemilinearMap(identity_hom(X.field), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, X)
+    calls, callers = Counter(), []
+    monkeypatch.setattr(linalg, "solve", counting(calls, "solve", linalg.solve))
+    apply_vec = SemilinearMap.apply_vec
+
+    def traced(phi, v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return apply_vec(phi, v)
+
+    monkeypatch.setattr(SemilinearMap, "apply_vec", traced)
+    assert driver(inst).phi == gen
+    assert calls["solve"] == 0
+    assert callers == ["_lift", "_lift"]
 
 
 def test_extension_intersects_once_per_point(ag34, monkeypatch):
