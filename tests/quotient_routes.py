@@ -89,6 +89,17 @@ the theorem and sweeps coplanarity bitsets on a table.  literal_bundle
 checks every 4-tuple of lines (or the seeded draws) literally, with
 literal_violation as the test of one 4-tuple.
 
+The generated-by verdict: the library sweeps the rule closures of F + p
+over the flats F and the points p off F.  ref_generated_by is the
+exhaustive route that came before it, kept verbatim without its sampled
+fallback: it lists every set closed under ref_rule_closure from the empty
+set by adding one point at a time, and reports the least that is not a
+flat.  It counts the rule-closed sets, so keep it to small geometries.
+
+The flat-preimage witness: the library tests each preimage by closure
+alone.  ref_flat_preimage_witness is the test that came before it, kept
+verbatim: it asks the source's flat set first.
+
 The bundle certification and the morphism sweep: no library path runs
 them.  certified_bundles counts the complete bundles of X (four pairwise
 coplanar lines, no three in a plane) and says whether each is concurrent;
@@ -129,6 +140,7 @@ from fingeo.errors import (
 from fingeo.geometry import (
     CoordGeometry,
     FiniteGeometry,
+    GeneratedReport,
     GeometryMorphism,
     _QuotientClasses,
     _flat_preimage_witness,
@@ -1130,3 +1142,61 @@ def check_morphism(f: GeometryMorphism) -> MorphismReport:
     # actual (c) witness against a passing (a) is a genuine disagreement
     agree = (cond_a == cond_c) or (method == "sampled" and not cond_a and cond_c)
     return MorphismReport(cond_a, witness, cond_c, method, used_seed, agree)
+
+
+def ref_rule_closure(G, mask, use_planes):
+    """Close a set under 'contains the line through any two of its points'
+    (and the plane of any three non-collinear, when use_planes)."""
+    cur = mask
+    while True:
+        new = cur
+        pts = list(bits_of(cur))
+        for a, b in itertools.combinations(pts, 2):
+            new |= G.line_through_pair(a, b)
+        if use_planes:
+            for a, b, c in itertools.combinations(pts, 3):
+                line_ab = G.line_through_pair(a, b)
+                if not line_ab >> c & 1:
+                    new |= G.closure_mask((1 << a) | (1 << b) | (1 << c))
+        if new == cur:
+            return cur
+        cur = new
+
+
+def ref_generated_by(G, use_planes) -> GeneratedReport:
+    flats = G.flat_set()
+    # every flat must be rule-closed
+    for m in G.flats():
+        if ref_rule_closure(G, m, use_planes) != m:
+            return GeneratedReport(False, "exhaustive", None, None,
+                                   witness={"flat_not_rule_closed": sorted(bits_of(m))})
+    # enumerate the closure system generated by the rule
+    empty = ref_rule_closure(G, 0, use_planes)
+    seen = {empty}
+    frontier = [empty]
+    while frontier:
+        nxt = []
+        for fmask in frontier:
+            for x in bits_of(G.full_mask & ~fmask):
+                t = ref_rule_closure(G, fmask | (1 << x), use_planes)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    extra = [m for m in seen if m not in flats]
+    if extra:
+        least = min(extra, key=lambda m: (m.bit_count(), m))
+        return GeneratedReport(False, "exhaustive", None, len(seen),
+                               witness={"rule_closed_not_flat": sorted(bits_of(least))})
+    return GeneratedReport(len(seen) == len(flats), "exhaustive", None, len(seen))
+
+
+def ref_flat_preimage_witness(f: GeometryMorphism):
+    """The first target flat whose preimage is not a source flat, with that
+    preimage, or None when every preimage is a flat."""
+    src_flats = f.source.flat_set()
+    for t in f.target.flats():
+        pre = f.preimage_mask(t)
+        if pre not in src_flats and f.source.closure_mask(pre) != pre:
+            return {"target_flat": list(bits_of(t)), "preimage": list(bits_of(pre))}
+    return None

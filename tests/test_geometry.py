@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingeo import linalg
+from fingeo import geometry, linalg
 from fingeo.errors import (
     NotAMorphism,
     NotConstantOnClasses,
@@ -43,9 +43,10 @@ from fingeo.geometry import (
     quotient,
     subgeometry,
 )
+from fingeo.gallery import make_affine
 from fingeo.gf import gf, list_homomorphisms
 from fingeo.projective import build_pg
-from quotient_routes import check_morphism
+from quotient_routes import check_morphism, ref_flat_preimage_witness, ref_generated_by
 
 
 def xor_int(P, i):
@@ -289,9 +290,86 @@ def test_generated_by_witness_is_least_rule_closed_non_flat(pg32, backend):
     assert sorted(bits_of(min(extra, key=lambda m: (m.bit_count(), m)))) == [0, 1, 6]
 
 
-def test_sampled_fallback_for_large_geometry(pg34):
+def test_generated_by_lines_exact_on_pg34(pg34):
     rep = is_generated_by_lines(pg34)
-    assert rep.verdict and rep.method == "sampled" and rep.seed is not None
+    assert (rep.verdict, rep.method, rep.seed) == (True, "exhaustive", None)
+    assert rep.family_size == len(pg34.flats()) == 529
+
+
+def seeded_subgeometries(P, seed, count):
+    """count subgeometries of P on random.Random(seed) draws of 3 to all of
+    its points."""
+    rng = random.Random(seed)
+    return [
+        subgeometry(P, sorted(rng.sample(range(P.n_points), rng.randrange(3, P.n_points + 1))))
+        for _ in range(count)
+    ]
+
+
+@functools.cache
+def small_generated_by_cases():
+    """Geometries of at most 24 points: the spaces PG(3,2), PG(2,3) and
+    AG(3,2), seeded subgeometries of each, a table copy of every one, and
+    PairClosesToLine."""
+    cases = []
+    for P in (build_pg(3, 2), build_pg(2, 3), make_affine(3, gf(2))):
+        for G in [P] + seeded_subgeometries(P, P.n_points, 8):
+            cases += [G, TableGeometry(G.n_points, G.flats())]
+    return cases + [PairClosesToLine()]
+
+
+@pytest.mark.parametrize("use_planes", [False, True], ids=["lines", "planes"])
+def test_generated_by_matches_reference(use_planes):
+    """The (flat, point) sweep gives the verdict and witness of the
+    exhaustive enumeration of rule-closed sets, and on a true verdict its
+    count of them."""
+    decide = is_generated_by_lines_planes if use_planes else is_generated_by_lines
+    verdicts = set()
+    for G in small_generated_by_cases():
+        assert G.n_points <= 24
+        rep, ref = decide(G), ref_generated_by(G, use_planes)
+        assert (rep.verdict, rep.witness, rep.method, rep.seed) == (ref.verdict, ref.witness, "exhaustive", None)
+        assert rep.family_size == (ref.family_size if ref.verdict else None)
+        verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+def least_rule_closed_non_flat_up_to_3(G):
+    """The least set of at most 3 points, in (size, mask) order, that holds
+    the line through any two of its points and is not closed, by brute
+    force over every such set; None when there is none."""
+    for r in (1, 2, 3):
+        for pts in itertools.combinations(range(G.n_points), r):
+            m = mask_of(pts)
+            rule_closed = all(G.line_through_pair(a, b) & ~m == 0 for a, b in itertools.combinations(pts, 2))
+            if rule_closed and G.closure_mask(m) != m:
+                return list(pts)
+    return None
+
+
+def wrongly_true_cases():
+    """Seeded subgeometries above 24 points that a sample of random subsets
+    called generated by lines: 12 of PG(3,3) with 26 to 35 points and one
+    of PG(3,4) with 60, each with its least rule-closed non-flat or None."""
+    P = build_pg(3, 3)
+    rng = random.Random(7)
+    subs = [subgeometry(P, sorted(rng.sample(range(40), rng.randrange(26, 36)))) for _ in range(12)]
+    subs.append(subgeometry(build_pg(3, 4), sorted(random.Random(3).sample(range(85), 60))))
+    witnesses = {1: [10, 26, 27], 6: [10, 23, 27], 9: [2, 9, 21], 11: [0, 4, 16], 12: [18, 24, 51]}
+    return [(G, witnesses.get(i)) for i, G in enumerate(subs)]
+
+
+def test_generated_by_exact_above_24_points():
+    cases = wrongly_true_cases()
+    reps = [is_generated_by_lines(G) for G, _ in cases]
+    assert [rep.witness for rep in reps] == [w and {"rule_closed_not_flat": w} for _, w in cases]
+    for (G, witness), rep in zip(cases, reps):
+        assert G.n_points > 24
+        # each witness is a triangle whose three lines hold only its own
+        # points in G
+        assert least_rule_closed_non_flat_up_to_3(G) == witness
+        assert (rep.verdict, rep.method, rep.seed) == (witness is None, "exhaustive", None)
+        assert rep.family_size == (len(G.flats()) if rep.verdict else None)
 
 
 # -- subgeometries ----------------------------------------------------------------
@@ -631,6 +709,30 @@ def test_dim_bounds_isomorphism_matches_check_morphism(case):
     rep = check_dim_bounds(GeometryMorphism(G, G, perm))
     assert rep.bijective and rep.equal_dims
     assert rep.isomorphism == check_morphism(GeometryMorphism(G, G, tuple(inv))).is_morphism
+
+
+def with_flat_set_preimage_test(fn):
+    """fn's outcome when each flat preimage is looked up in the source's
+    flat set before its closure is taken, as it was before."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_flat_preimage_witness", ref_flat_preimage_witness)
+        return outcome(fn)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(partial_maps(), bijections())
+def test_flat_preimages_by_closure_match_flat_set_route(case, bijection):
+    """validate and check_dim_bounds give the same results and witnesses
+    when flat preimages are tested by closure alone, on partial maps that
+    fail in every way, on total maps (mostly neither injective nor
+    morphisms) and on bijections."""
+    src, tgt, e, images = case
+    pm = PartialMorphism(src, tgt, Flat(src, e), images)
+    assert outcome(pm.validate) == with_flat_set_preimage_test(pm.validate)
+    total = GeometryMorphism(src, tgt, tuple(0 if y is None else y for y in images))
+    G, perm = bijection
+    for f in (total, GeometryMorphism(G, G, perm)):
+        assert outcome(lambda: check_dim_bounds(f)) == with_flat_set_preimage_test(lambda: check_dim_bounds(f))
 
 
 # -- dimension bounds ---------------------------------------------------------------

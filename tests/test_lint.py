@@ -1,6 +1,7 @@
 """Static checks on the package source: every module uses what it imports,
 imports no underscore name from another module of the package, every
-top-level function or class is referred to somewhere, every method of a
+top-level function, class or UPPER_CASE constant is referred to somewhere
+(assigning a name does not count), every method of a
 top-level class other than a dunder is reached by an attribute or a string
 somewhere (a local variable of the same name does not count), and every
 parameter with a default is passed by some call.  linalg.py, under every enumeration kernel, runs
@@ -15,6 +16,7 @@ import ast
 import importlib.util
 import math
 import pathlib
+import re
 import textwrap
 
 import pytest
@@ -27,6 +29,7 @@ CORPUS = sorted(
     p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
 )
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source):
@@ -56,15 +59,16 @@ def private_imports(source):
 
 
 def referenced_names(source):
-    """Names a module refers to: plain names and imported names as they
-    are, attribute names and string constants spelling a name (lookups by
-    name) with a leading dot, since only those can reach a method.  A
-    top-level definition's references to itself do not count."""
+    """Names a module refers to: plain names read (not assigned) and
+    imported names as they are, attribute names and string constants
+    spelling a name (lookups by name) with a leading dot, since only those
+    can reach a method.  A top-level definition's references to itself do
+    not count."""
     out = set()
     for top in ast.parse(source).body:
         own = top.name if isinstance(top, DEFINITIONS) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = "." + node.attr
@@ -80,12 +84,20 @@ def referenced_names(source):
 
 
 def dead_definitions(source, referenced):
-    """(line, name) for each top-level function or class of the module that
-    is not among the referenced names, and (line, "Class.method") for each
-    method of a top-level class, other than a dunder, that no attribute or
-    string refers to."""
+    """(line, name) for each top-level function, class or UPPER_CASE
+    constant of the module that is not among the referenced names, and
+    (line, "Class.method") for each method of a top-level class, other than
+    a dunder, that no attribute or string refers to."""
     out = []
     for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (node.lineno, t.id)
+                for t in targets
+                if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+                and not {t.id, "." + t.id} & referenced
+            ]
         if not isinstance(node, DEFINITIONS):
             continue
         if not {node.name, "." + node.name} & referenced:
@@ -209,6 +221,17 @@ def test_dead_definition_is_reported():
     other = "from .m import used\n\nhandler = getattr(m, 'ByName')\n"
     referenced = referenced_names(source) | referenced_names(other)
     assert dead_definitions(source, referenced) == [(5, "dead")]
+
+
+def test_dead_constant_is_reported():
+    source = (
+        "USED = 1\nBY_ATTRIBUTE = 2\nDEAD = 3\nDEAD_TOO: int = 4\nlower = 5\n_PRIVATE = 6\n\n\n"
+        "def f():\n    return USED\n"
+    )
+    # assigning DEAD elsewhere is no read of it
+    other = "from . import m\n\nprint(m.BY_ATTRIBUTE, m.f())\nDEAD = 0\n"
+    referenced = referenced_names(source) | referenced_names(other)
+    assert dead_definitions(source, referenced) == [(3, "DEAD"), (4, "DEAD_TOO")]
 
 
 def test_dead_method_is_reported():

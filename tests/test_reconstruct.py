@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fingeo import linalg, reconstruct
+from fingeo import geometry, linalg, reconstruct
 from fingeo.classify import affino_admissible_points, full_quotient_points, secant_lines
 from fingeo.errors import (
     ExceptionalNotFlat,
@@ -24,7 +24,7 @@ from fingeo.errors import (
     ReductionsDisagree,
     VerificationFailed,
 )
-from fingeo.geometry import bits_of, subgeometry
+from fingeo.geometry import CoordGeometry, bits_of, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
 from fingeo.projective import (
     SemilinearMap,
@@ -37,6 +37,7 @@ from fingeo.projective import (
 from fingeo.reconstruct import (
     MorphismInstance,
     PartialPointMap,
+    ReconstructionResult,
     _affino_leg,
     _lp_leg,
     brute_force_oracle,
@@ -50,7 +51,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
-from quotient_routes import fibred_product_identity, identity_matrix, ref_verify
+from quotient_routes import fibred_product_identity, identity_matrix, ref_flat_preimage_witness, ref_verify
 
 
 def random_semilinear(rng, K, K2=None, n1=4, m1=4, min_rank=4, homs=None):
@@ -723,6 +724,61 @@ def test_certify_tangent_point_waives_kernel_claim(pg33):
     rep = certify_side_conditions(result, inst)
     assert rep["tangent_point_hypothesis"] is False
     assert rep["kernel_zero"] == "not applicable"
+
+
+def certify_corpus(X):
+    """Seeded (result, instance) pairs: round trips on X, an embedded
+    AG(3,3), of injective semilinear maps over GF(3) and into GF(9); round
+    trips on AG(4,2) of rank-4 maps, not injective, whose kernel lies in the
+    hyperplane at infinity; and random injective point maps of X into
+    PG(3,3), most of them no embedding, with the identity standing in for
+    the reconstruction."""
+    rng = random.Random(28)
+    K = gf(3)
+    out = []
+    for K2 in (K, K, gf(9), gf(9)):
+        inst = MorphismInstance.restrict_semilinear(random_semilinear(rng, K, K2), X)
+        out.append((reconstruct_locally_projective(inst), inst))
+    P = build_pg(4, 2)
+    affine = subgeometry(P, [i for i, v in enumerate(P.vectors) if v[0] == 1])
+    while len(out) < 6:
+        gen = random_semilinear(rng, gf(2), n1=5, m1=5)
+        if linalg.rank(gf(2), gen.matrix) == 4 and gen.kernel().rows[0][0] == 0:
+            inst = MorphismInstance.restrict_semilinear(gen, affine)
+            out.append((reconstruct_locally_projective(inst), inst))
+    ident = SemilinearMap(identity_hom(K), identity_matrix(4))
+    for _ in range(4):
+        images = tuple(rng.sample(X.ambient.vectors, X.n_points))
+        out.append((ReconstructionResult(ident, ident.kernel(), (0, 1), {}), MorphismInstance(X, K, 3, images)))
+    return out
+
+
+def test_certify_by_closure_matches_flat_set_route(ag33):
+    """certify_side_conditions reports the same when flat preimages are
+    tested by closure alone as when each is looked up in the flat set of
+    the image geometry first, as it was before."""
+    reports = []
+    for result, inst in certify_corpus(ag33):
+        got = certify_side_conditions(result, inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_flat_preimage_witness", ref_flat_preimage_witness)
+            assert certify_side_conditions(result, inst) == got
+        reports.append(got)
+    assert {r["injective"] for r in reports} == {r["embedding_input"] for r in reports} == {True, False}
+
+
+def test_certify_builds_no_flats_of_the_images(ag33, monkeypatch):
+    """Only X and its ambient PG(3,3) are asked for their flats, as the
+    targets of the two inverse maps; no geometry on the images is."""
+    result, inst = certify_corpus(ag33)[2]
+    assert inst.target_field.q == 9
+    for G in (ag33, ag33.ambient):
+        G.flats()
+    built = []
+    build = CoordGeometry._build_flats
+    monkeypatch.setattr(CoordGeometry, "_build_flats", lambda G: (built.append(G), build(G)))
+    assert certify_side_conditions(result, inst)["extension_embedding"]
+    assert built == []
 
 
 # -- oracle ------------------------------------------------------------------------------------
