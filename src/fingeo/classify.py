@@ -578,7 +578,8 @@ def is_locally_affino_projective(X: CoordGeometry) -> Verdict:
     witnesses = [{"point": x} for x, hm in enumerate(certs) if hm is None]
     out = Verdict("locally_affino_projective", not witnesses, witnesses)
     if not witnesses:
-        out.certificates["tangent_hyperplanes"] = {x: sorted(bits_of(hm)) for x, hm in enumerate(certs)}
+        points = {hm: sorted(bits_of(hm)) for hm in set(certs)}
+        out.certificates["tangent_hyperplanes"] = {x: points[hm] for x, hm in enumerate(certs)}
     return out
 
 

@@ -476,14 +476,19 @@ class CoordQuotient(_QuotientClasses, CoordGeometry):
     does, and the classes are the fibres of the projection V -> V/W, so the
     quotient's points are the normalised projections of the classes and
     its closure is the span-trace kernel of every coordinate geometry.
+    coords keeps the coordinates of V/W (a projective.QuotientCoords) that
+    did the projecting.
     """
 
     def __init__(self, parent, e_mask):
+        from .projective import LinearSubspace, quotient_coords  # projective builds on this module
+
         K = parent.field
-        proj = linalg.quotient_projection(K, *parent.span_rows(e_mask), parent.ncoords)
+        self.coords = quotient_coords(LinearSubspace(K, parent.ncoords, parent.span_rows(e_mask)[0]))
+        xs = list(bits_of(parent.full_mask & ~e_mask))
+        images = linalg.twisted_images(K, self.coords.proj_matrix, range(K.q), [parent.vectors[x] for x in xs])
         class_map = {}
-        for x in bits_of(parent.full_mask & ~e_mask):
-            u = linalg.normalize_vec(K, linalg.matvec(K, proj, parent.vectors[x]))
+        for x, u in zip(xs, images):
             if u is None:
                 raise ExceptionalNotFlat(f"point {x} lies in the span of E but not in E")
             class_map[u] = class_map.get(u, 0) | 1 << x

@@ -62,8 +62,18 @@ def matvec(K: GF, M, v):
 
 
 def mat_mul(K: GF, A, B):
-    cols = tuple(zip(*B))
-    return tuple(tuple(dot(K, row, col) for col in cols) for row in A)
+    """A . B: each nonzero entry a of a row of A adds a times B's matching row."""
+    add, mul = K._add, K._mul
+    n = min(map(len, B), default=0)
+    out = []
+    for row in A:
+        acc = [0] * n
+        for a, brow in zip(row, B):
+            if a:
+                mrow = mul[a]
+                acc = [add[s][mrow[b]] for s, b in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_scale(K: GF, c, M):

@@ -4,15 +4,17 @@ The base engine turns a partial morphism between full projective spaces into
 the unique-up-to-scalar semilinear map inducing it: fix a frame on a
 complement of the exceptional flat, rescale the frame images to one common
 factor through the sums of frame pairs, read the field homomorphism off a
-coordinate line, extend semilinearly, and verify against every point (each
-frame equation solved in closed form, every point's image in one sweep).
-Embedded geometries go through one two-point driver: pick a base pair,
-recover a leg (the semilinear map V/<v_x> -> V'/<v_x'>, with the coordinates
-of both quotients) at each base point, build the legs' global matrices once,
-read the common scalar off their reductions modulo the base pair, and lift
-along the fibred product.  Both legs run on X's own point quotient X/x.  The
-locally projective and locally affino-projective cases differ only in how a
-leg is recovered: directly from the quotient map, or through the fiber of
+coordinate line, extend semilinearly on frame coordinates read off the flat's
+RREF, and verify against every point (each frame equation solved in closed
+form, every point's image in one sweep).  Embedded geometries go through one
+two-point driver: pick a base pair, recover a leg (the semilinear map
+V/<v_x> -> V'/<v_x'>, with the coordinates of both quotients) at each base
+point, build the legs' global matrices once, read the common scalar off their
+reductions modulo the base pair, and lift along the fibred product.  Both
+legs run on X's own point quotient X/x, whose coordinates of V/<v_x> are
+built once per geometry, and project all of X into V'/<v_x'> in one sweep.
+The locally projective and locally affino-projective cases differ only in how
+a leg is recovered: directly from the quotient map, or through the fiber of
 the base image and an extension over the completing hyperplane, which meets
 the image spans of each point's secant lines by forward elimination and which
 the base engine alone accepts or rejects.  One final sweep per map replaces
@@ -181,7 +183,8 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     the sums of frame pairs; the homomorphism is read off the first frame
     line and verified exhaustively; the semilinear extension is compared
     against every point of the source.  Each frame pair gets one closed-form
-    solver (None for proportional images), the sigma table one more.
+    solver (None for proportional images), the sigma table one more, and the
+    frame coordinates modulo E are the quotient projection read off E's RREF.
     """
     pm = _as_point_map(psi)
     src = pm.source
@@ -263,13 +266,9 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     if not sigma.preserves_structure():
         raise SigmaNotHomomorphism(f"extracted table {table} is not a ring homomorphism")
 
-    # matrix: frame coordinates (coefficients on the frame modulo E),
-    # sigma-twisted, then the rescaled frame images
-    basis_cols = frame_vecs + list(e_rows)
-    Binv = linalg.inverse(K, linalg.transpose(basis_cols))
-    if Binv is None:
-        raise InternalContradiction("frame plus exceptional basis is singular")
-    R = Binv[:d1]
+    # matrix: frame coordinates (the projection V -> V/span(E), read off E's
+    # RREF), sigma-twisted, then the rescaled frame images
+    R = linalg.quotient_projection(K, e_rows, e_piv, n1)
     M = linalg.mat_mul(K2, linalg.transpose(vpp), sigma.map_matrix(R))
     phi = SemilinearMap(sigma, M)
     _verify(phi, src.vectors, pm.images)
@@ -311,19 +310,19 @@ def _point_quotient(K: GF, v):
 
 
 def _class_images(inst: MorphismInstance, Q, xi: int, qcp) -> tuple:
-    """The image in V'/<v_xi'> (coordinates qcp) of each class of a quotient
-    Q of X, in class order, as a normalised vector or None for a class sent
-    onto the base image.  A class whose points have two images is rejected."""
+    """The image in V'/<v_xi'> (coordinates qcp, all points projected in one
+    sweep) of each class of a quotient Q of X, in class order, normalised, or
+    None for a class sent onto the base image.  Two images in a class fail."""
     K2 = inst.target_field
+    imgs = linalg.twisted_images(K2, qcp.proj_matrix, range(K2.q), inst.images)
     out = []
     for c, members in enumerate(Q.classes):
         xs = list(bits_of(members))
-        imgs = [linalg.normalize_vec(K2, qcp.project(inst.images[x])) for x in xs]
-        for x, img in zip(xs, imgs):
-            if img != imgs[0]:
+        for x in xs:
+            if imgs[x] != imgs[xs[0]]:
                 a, b = inst.images[xs[0]], inst.images[x]
                 raise NotConstantOnClasses(f"class {c} of the quotient at {xi} maps to {a} and to {b}")
-        out.append(imgs[0])
+        out.append(imgs[xs[0]])
     return tuple(out)
 
 
@@ -337,7 +336,7 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> tuple:
     qcp = _point_quotient(inst.target_field, inst.images[xi])
     images = _class_images(inst, Q, xi, qcp)
     psi = reconstruct_ftpg(PartialPointMap(Q, inst.target_field, inst.target_dim - 1, images))
-    return psi, _point_quotient(inst.source_field, inst.geometry.vectors[xi]), qcp
+    return psi, Q.coords, qcp
 
 
 def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
@@ -555,8 +554,8 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> tuple:
     inner = MorphismInstance(Q, K2, inst.target_dim - 1, images, "affino-projective")
     psiF = reconstruct_ftpg(extend_affino(inner))
 
-    # precompose with the projection V/<v_xi> -> V/span(F)
-    qc = _point_quotient(K, X.vectors[xi])
+    # precompose with the projection V/<v_xi> -> V/span(F), in X/xi's coordinates
+    qc = X.point_quotient(xi).coords
     C = linalg.mat_mul(K, linalg.quotient_projection(K, rows, pivots, n1), qc.lift_matrix)
     A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
     return SemilinearMap(psiF.sigma, A), qc, qcp

@@ -18,10 +18,11 @@ its quotient by a fiber).  ref_lp_leg and ref_affino_leg project every
 point of X by hand into a freshly built PG(V/W) instead.
 
 The base engine: the library rescales the frame images of reconstruct_ftpg
-through a chain of pairwise sum points for every input.
+through a chain of pairwise sum points for every input, and reads the frame
+coordinates off the RREF of the exceptional flat's span.
 ref_reconstruct_ftpg is the engine that came before it, kept verbatim: it
-rescales independent frame images through the unit point and keeps the
-chain for dependent ones.
+rescales independent frame images through the unit point, keeps the chain
+for dependent ones, and inverts the frame plus the exceptional basis.
 
 The final sweep: the library computes the images of every point at once,
 one output row at a time (linalg.twisted_images).  ref_verify is the sweep
@@ -68,6 +69,12 @@ projection off the RREF.  ref_intersect_spans and ref_quotient_projection
 are the kernels that came before, kept verbatim: the first solves for the
 coefficients of the stacked rows' kernel and combines them, the second
 reduces each unit vector against the basis.
+
+The class images: the library projects every point of X into V'/<v_x'>
+in one sweep (linalg.twisted_images with the identity table) and reads
+each class off it.  ref_class_images is the route that came before it,
+kept verbatim: it projects the points of each class one at a time through
+QuotientCoords.project and normalize_vec.
 
 The two-point glue: the library's driver builds the global matrices of its
 two legs once, reads the common scalar off their reductions and lifts the
@@ -323,6 +330,21 @@ def ref_lp_leg(inst, xi):
     if not all(touched):
         raise NoBasePair(f"X/{xi} does not fill the ambient quotient")
     return reconstruct_ftpg(PartialPointMap(src_q, K2, qcp.dim_q - 1, tuple(images)))
+
+
+def ref_class_images(inst: MorphismInstance, Q, xi: int, qcp) -> tuple:
+    """The image in V'/<v_xi'> of each class of Q, point by point."""
+    K2 = inst.target_field
+    out = []
+    for c, members in enumerate(Q.classes):
+        xs = list(bits_of(members))
+        imgs = [linalg.normalize_vec(K2, qcp.project(inst.images[x])) for x in xs]
+        for x, img in zip(xs, imgs):
+            if img != imgs[0]:
+                a, b = inst.images[xs[0]], inst.images[x]
+                raise NotConstantOnClasses(f"class {c} of the quotient at {xi} maps to {a} and to {b}")
+        out.append(imgs[0])
+    return tuple(out)
 
 
 def ref_affino_leg(inst, xi):

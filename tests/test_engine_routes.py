@@ -28,6 +28,16 @@ ap and lap drivers ask for on those inputs, both must return the same
 partial point map or raise the same class with the same message, which
 names the ambient point.
 
+_class_images projects every point of X into V'/<v_x'> in one sweep, where
+ref_class_images projects each class's points one at a time.  At every
+point quotient of seeded maps and their perturbed copies both must return
+the same class images or raise NotConstantOnClasses with the same message.
+
+reconstruct_ftpg reads the frame coordinates off the RREF of the
+exceptional flat's span, where ref_reconstruct_ftpg inverts the frame plus
+that span's basis.  On seeded maps whose exceptional flats have every rank
+from 0 to 3, both must return the same map.
+
 The two-point drivers build the global matrices of their legs once, read
 the common scalar off the reductions and lift the scaled first matrix,
 where ref_two_point runs the public normalize_pair and glue_fibred_product,
@@ -45,10 +55,10 @@ from collections import Counter
 import pytest
 
 from fingeo import linalg, reconstruct
-from fingeo.errors import FingeoError, InconsistentExtension, InternalContradiction, ZeroMap
+from fingeo.errors import FingeoError, InconsistentExtension, InternalContradiction, NotConstantOnClasses, ZeroMap
 from fingeo.geometry import QuotientGeometry, TableGeometry, check_geometry_axioms, subgeometry
 from fingeo.gf import gf, list_homomorphisms
-from fingeo.projective import SemilinearMap, build_pg, check_projective_axioms
+from fingeo.projective import LinearSubspace, SemilinearMap, build_pg, check_projective_axioms, quotient_coords
 from fingeo.reconstruct import (
     MorphismInstance,
     PartialPointMap,
@@ -60,6 +70,7 @@ from fingeo.reconstruct import (
 )
 from quotient_routes import (
     RefQuotientGeometry,
+    ref_class_images,
     ref_extend_affino,
     ref_extend_unchecked,
     ref_reconstruct_ftpg,
@@ -395,3 +406,82 @@ def test_lp_driver_on_perturbed_inputs(fixture, q2, driver, count, request):
         assert induced == inst.images
         outcomes[ReconstructionResult] += 1
     assert outcomes[ReconstructionResult] and len(outcomes) > 1, outcomes
+
+
+# (fixture, target field order, seeded maps)
+CLASS_IMAGE_SETTINGS = (
+    ("ag33", 3, 2),
+    ("ag33", 9, 1),
+    ("two_hyperplanes_33", 3, 2),
+    ("elliptic_34", 4, 2),
+    ("cone_34", 4, 2),
+)
+
+
+def class_images_outcome(fn, inst, Q, xi, qcp):
+    """The class images, or the error class and message."""
+    try:
+        return fn(inst, Q, xi, qcp)
+    except FingeoError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fixture, q2, count", CLASS_IMAGE_SETTINGS, ids=lambda v: str(v))
+def test_class_images_match_the_point_route(fixture, q2, count, request):
+    """_class_images projects every point in one sweep, where
+    ref_class_images projects each class's points one at a time: at every
+    point quotient of seeded maps and their perturbed copies both return the
+    same images or raise NotConstantOnClasses with the same message, which
+    a perturbed copy meets wherever a class has two points."""
+    X = request.getfixturevalue(fixture)
+    K2 = gf(q2)
+    seen = Counter()
+    pairs = any(m & (m - 1) for xi in range(X.n_points) for m in X.point_quotient(xi).classes)
+    for inst in seeded_instances(X, q2, count):
+        for xi in range(X.n_points):
+            Q = X.point_quotient(xi)
+            qcp = quotient_coords(LinearSubspace.from_vectors(K2, 4, [inst.images[xi]]))
+            got = class_images_outcome(reconstruct._class_images, inst, Q, xi, qcp)
+            assert got == class_images_outcome(ref_class_images, inst, Q, xi, qcp)
+            seen[got[0] if isinstance(got[0], type) else "images"] += 1
+    assert set(seen) == ({"images", NotConstantOnClasses} if pairs else {"images"}), seen
+
+
+# (n1, q, q', rank): maps K^n1 -> K'^4 of the given rank; the kernel meets
+# K^n1 in the exceptional flat
+EXCEPTIONAL_SETTINGS = (
+    (4, 2, 2, 4),
+    (4, 3, 3, 3),
+    (4, 2, 4, 3),
+    (5, 2, 2, 4),
+    (5, 3, 3, 3),
+    (5, 4, 4, 4),
+    (6, 2, 2, 3),
+    (6, 2, 4, 4),
+)
+
+
+def test_frame_coordinates_match_the_inverse_route():
+    """reconstruct_ftpg reads the frame coordinates off the RREF of the
+    exceptional flat's span, where ref_reconstruct_ftpg inverts the frame
+    plus that span's basis: on seeded maps with an exceptional flat of
+    every rank from 0 to 3 both return the same map."""
+    ranks = Counter()
+    for n1, q, q2, r in EXCEPTIONAL_SETTINGS:
+        K, K2 = gf(q), gf(q2)
+        P = build_pg(n1 - 1, q)
+        homs = list_homomorphisms(K, K2)
+        rng = random.Random(f"exceptional {n1} {q} {q2} {r}")
+        for _ in range(4):
+            while True:
+                left = [[rng.randrange(q2) for _ in range(r)] for _ in range(4)]
+                right = [[rng.randrange(q2) for _ in range(n1)] for _ in range(r)]
+                M = linalg.mat_mul(K2, left, right)
+                if linalg.rank(K2, M) == r:
+                    break
+            phi = SemilinearMap(rng.choice(homs), M)
+            psi = PartialPointMap(P, K2, 3, tuple(linalg.normalize_vec(K2, phi.apply_vec(v)) for v in P.vectors))
+            got = outcome(reconstruct_ftpg, psi)
+            assert isinstance(got, tuple) and got == outcome(ref_reconstruct_ftpg, psi)
+            ranks[len(P.span_rows(psi.undefined_mask())[0])] += 1
+    assert set(ranks) == {0, 1, 2, 3}, ranks

@@ -5,7 +5,10 @@ replaced (quotient_routes.ref_intersect_spans and ref_quotient_projection),
 span_meet by the RREF of its basis against ref_intersect_spans, and the
 table-driven vector kernels against FieldElement arithmetic.  pair_solver is
 checked against solve, and twisted_images against the per-point route
-normalize_vec(apply_vec(v)).
+normalize_vec(apply_vec(v)).  mat_mul, which adds table rows of B, is
+checked against one dot product per entry on every shape, empty ones
+included, and the quotient projection against the inverse of a frame plus
+the span's basis.
 """
 
 import functools
@@ -399,3 +402,34 @@ def test_twisted_images_match_the_point_route(q, q2):
             if q == q2:  # a bijective sigma: a deficient rank leaves rational kernel points
                 assert (None in want[1:]) == (r < 3)
     assert linalg.twisted_images(K2, ((1, 0, 0),), tuple(range(q)), []) == []
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_mat_mul_matches_the_dot_route(q):
+    K = gf(q)
+    rng = random.Random(f"mat_mul {q}")
+    for m, k, n in itertools.product(range(4), repeat=3):
+        for zero in (False, True):
+            A = random_matrix(rng, K, m, k)
+            B = ((0,) * n,) * k if zero else random_matrix(rng, K, k, n)
+            want = tuple(tuple(linalg.dot(K, row, col) for col in zip(*B)) for row in A)
+            assert linalg.mat_mul(K, A, B) == want
+            assert linalg.mat_mul(K, B, A) == tuple(tuple(linalg.dot(K, row, col) for col in zip(*A)) for row in B)
+    A, ragged = random_matrix(rng, K, 2, 2), ((1, 0, 1), (1, 1))
+    assert linalg.mat_mul(K, A, ragged) == tuple(tuple(linalg.dot(K, row, col) for col in zip(*ragged)) for row in A)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_quotient_projection_is_the_frame_inverse(q):
+    """The rows of the inverse of [unit vectors on the free columns | RREF
+    rows], taken as columns, that belong to the unit vectors are the quotient
+    projection: the frame coordinates modulo the span."""
+    K = gf(q)
+    rng = random.Random(f"frame {q}")
+    for n in range(3, 7):
+        for _ in range(6):
+            rows, pivots = linalg.rref(K, random_matrix(rng, K, rng.randrange(n - 2), n))
+            free = [j for j in range(n) if j not in pivots]
+            basis = [linalg.unit_vec(n, j) for j in free] + list(rows)
+            inv = linalg.inverse(K, linalg.transpose(basis))
+            assert linalg.quotient_projection(K, rows, pivots, n) == inv[: len(free)]

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fingeo import geometry, linalg, reconstruct
+from fingeo import geometry, linalg, projective, reconstruct
 from fingeo.classify import affino_admissible_points, full_quotient_points, secant_lines
 from fingeo.errors import (
     ExceptionalNotFlat,
@@ -27,6 +27,7 @@ from fingeo.errors import (
 from fingeo.geometry import CoordGeometry, bits_of, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
 from fingeo.projective import (
+    QuotientCoords,
     SemilinearMap,
     build_pg,
     induced_partial,
@@ -390,6 +391,59 @@ def test_extension_intersects_once_per_point(ag34, monkeypatch):
     assert pm.images == tuple(linalg.normalize_vec(K, gen.apply_vec(v)) for v in P.vectors)
     assert calls["span_meet"] == sum(len(lines) - 1 for _, lines in secant_lines(ag34)) > 0
     assert calls["rref"] == calls["intersect_spans"] == calls["in_span"] == 0
+
+
+@pytest.mark.parametrize("fixture, driver", [
+    ("ag33", reconstruct_locally_projective),
+    ("elliptic_34", reconstruct_locally_affino),
+])
+def test_class_images_project_in_one_sweep(fixture, driver, request, monkeypatch):
+    """No point goes through QuotientCoords.project on its own: the class
+    images of the legs and of induced_quotient_map come from one sweep."""
+    X = request.getfixturevalue(fixture)
+    gen = SemilinearMap(identity_hom(X.field), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, X)
+    calls = Counter()
+    monkeypatch.setattr(QuotientCoords, "project", counting(calls, "project", QuotientCoords.project))
+    assert driver(inst).phi == gen
+    induced_quotient_map(inst, driver(inst).base_points[0])
+    assert calls["project"] == 0
+
+
+def test_frame_coordinates_need_no_inverse(pg33, monkeypatch):
+    """reconstruct_ftpg reads the frame coordinates off the exceptional
+    flat's RREF, with and without an exceptional flat."""
+    calls = Counter()
+    monkeypatch.setattr(linalg, "inverse", counting(calls, "inverse", linalg.inverse))
+    for matrix in (identity_matrix(4), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))):
+        phi = SemilinearMap(identity_hom(gf(3)), matrix)
+        assert reconstruct_ftpg(induced_point_map(phi, pg33)) == phi
+    assert calls["inverse"] == 0
+
+
+@pytest.mark.parametrize("fixture, driver", [
+    ("ag33", reconstruct_locally_projective),
+    ("elliptic_34", reconstruct_locally_affino),
+])
+def test_source_quotients_are_built_once_per_point(fixture, driver, request, monkeypatch):
+    """A leg's coordinates of V/<v_x> are those of X's cached point quotient
+    X/x: a second reconstruction on the same geometry builds none of them."""
+    X = request.getfixturevalue(fixture)
+    gen = SemilinearMap(identity_hom(X.field), ((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)))
+    inst = MorphismInstance.restrict_semilinear(gen, X)
+    pair = driver(inst).base_points
+    source = {(X.vectors[x],) for x in pair}
+    assert not source & {(inst.images[x],) for x in pair}
+    built = []
+
+    def recording(W):
+        built.append(W.rows)
+        return quotient_coords(W)
+
+    monkeypatch.setattr(reconstruct, "quotient_coords", recording)
+    monkeypatch.setattr(projective, "quotient_coords", recording)
+    assert driver(inst).phi == gen
+    assert built and not source & set(built)
 
 
 # -- locally projective driver -----------------------------------------------------------
