@@ -290,10 +290,11 @@ def check_lp_axioms(X) -> Verdict:
         fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])
     if X.dim() == 3:
         results["lp4prime"] = True
-        for m1, m2 in itertools.combinations(inc.planes, 2) if sweep else ():
+        planes = [(m, list(bits_of(m))) for m in inc.planes] if sweep else ()
+        for (m1, pts1), (m2, pts2) in itertools.combinations(planes, 2):
             inter = m1 & m2
             if inter and X.flat_dim(inter) != 1:
-                fail("lp4prime", planes=[sorted(bits_of(m1)), sorted(bits_of(m2))])
+                fail("lp4prime", planes=[pts1.copy(), pts2.copy()])
         # a greedy basis of X is four points whose closure, X, has dimension 3
         results["lp5"] = True
     return Verdict("lp_axioms", all(results.values()), witnesses, results)

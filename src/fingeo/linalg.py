@@ -3,11 +3,18 @@
 Vectors are tuples of field encodings, matrices are tuples of row tuples.
 Everything is pure and allocation-light; these routines sit under every
 enumeration kernel in the package.  Every kernel runs on the field's
-tables, never on its arithmetic methods.  Rank, echelon bases and the meet
-of two spans share one forward elimination, with no back-substitution; the
-annihilator and the quotient projection are read off an RREF.  Two-unknown
-systems are solved in closed form, and a semilinear map's images on many
-points are computed one output row at a time.
+tables, never on its arithmetic methods.
+
+One forward elimination (_kept_rows), which stops reading rows at full
+rank, sits under rank, echelon bases, the meet of two spans (span_meet)
+and rref, which sorts the kept rows by lead and back-substitutes.  The
+annihilator and the quotient projection are read off an RREF.
+pair_solver solves two-unknown systems in closed form, twisted_images
+computes a semilinear map's images on many points one output row at a
+time, and mat_mul adds table rows of B per nonzero entry of A.
+
+rref_extend, solve, intersect_spans and span_points have no caller in the
+library; they stay because perfbench/tracer.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -95,41 +102,6 @@ def normalize_vec(K: GF, v):
     return None
 
 
-def rref(K: GF, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return (), ()
-    add, neg, mul, invt = K._add, K._neg, K._mul, K._inv
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = invt[work[r][col]]
-        if inv != 1:
-            mrow = mul[inv]
-            work[r] = [mrow[a] for a in work[r]]
-        row_r = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                mrow = mul[neg[work[i][col]]]
-                wi = work[i]
-                work[i] = [add[a][mrow[b]] if b else a for a, b in zip(wi, row_r)]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
-
-
 def _kept_rows(K: GF, rows):
     """Forward elimination up to full rank: each row, reduced against the
     rows kept so far (each zero at the earlier leads), is kept when nonzero,
@@ -152,6 +124,26 @@ def _kept_rows(K: GF, rows):
                 break
         if len(kept) == len(v):
             return
+
+
+def rref(K: GF, rows):
+    """Reduced row echelon form; returns (rows, pivot_columns): the rows
+    forward elimination keeps, sorted by lead, with each lead then cleared
+    from the rows above it, last lead first.  A row space has one RREF."""
+    pivots, out = [], []
+    for lead, v in sorted(_kept_rows(K, rows)):
+        pivots.append(lead)
+        out.append(v)
+    if len(out) > 1:
+        add, neg, mul = K._add, K._neg, K._mul
+        for k in range(len(out) - 1, 0, -1):
+            piv, row = pivots[k], out[k]
+            for i in range(k):
+                c = out[i][piv]
+                if c:
+                    mrow = mul[neg[c]]
+                    out[i] = [add[a][mrow[b]] if b else a for a, b in zip(out[i], row)]
+    return tuple(map(tuple, out)), tuple(pivots)
 
 
 def echelon(K: GF, rows):
@@ -199,30 +191,8 @@ def in_span(K: GF, basis_rows, pivots, v):
 
 
 def rref_extend(K: GF, basis_rows, pivots, v):
-    """Insert one vector into an rref basis; returns (rows, pivots) unchanged
-    when v already lies in the span."""
-    red = reduce_against(K, basis_rows, pivots, v)
-    lead = next((i for i, c in enumerate(red) if c), None)
-    if lead is None:
-        return basis_rows, pivots
-    if red[lead] != 1:
-        red = vec_scale(K, K._inv[red[lead]], red)
-    rows = []
-    pivs = []
-    placed = False
-    for row, piv in zip(basis_rows, pivots):
-        if not placed and lead < piv:
-            rows.append(red)
-            pivs.append(lead)
-            placed = True
-        if row[lead]:
-            row = vec_sub(K, row, vec_scale(K, row[lead], red))
-        rows.append(row)
-        pivs.append(piv)
-    if not placed:
-        rows.append(red)
-        pivs.append(lead)
-    return tuple(rows), tuple(pivs)
+    """The RREF of an RREF basis and one vector."""
+    return rref(K, (*basis_rows, v))
 
 
 def annihilator(K: GF, rows, pivots, ncols):
@@ -346,26 +316,11 @@ def intersect_spans(K: GF, rows1, rows2):
 
 
 def span_points(K: GF, basis_rows):
-    """All normalized projective representatives in the row span.
-
-    Enumerates (q^r - 1)/(q - 1) coefficient vectors whose leading entry is 1,
-    so no deduplication is needed.
-    """
-    r = len(basis_rows)
-    if r == 0:
+    """All normalized projective representatives in the span of independent
+    rows: the images of the points of PG(r-1, q) under their transpose."""
+    if not basis_rows:
         return []
-    q = K.q
-    pts = []
-    for lead in range(r):
-        tail_width = r - lead - 1
-        for t in range(q**tail_width):
-            coeff = (0,) * lead + (1,) + _digits(t, q, tail_width)
-            v = zero_vec(len(basis_rows[0]))
-            for c, row in zip(coeff, basis_rows):
-                if c:
-                    v = vec_add(K, v, vec_scale(K, c, row))
-            pts.append(normalize_vec(K, v))
-    return pts
+    return twisted_images(K, transpose(basis_rows), range(K.q), all_proj_points(K, len(basis_rows)))
 
 
 def subspaces(K: GF, n):
@@ -380,14 +335,6 @@ def subspaces(K: GF, n):
                 for (k, j), a in zip(free, values):
                     rows[k][j] = a
                 yield tuple(map(tuple, rows)), pivots
-
-
-def _digits(n, q, width):
-    out = []
-    for _ in range(width):
-        out.append(n % q)
-        n //= q
-    return tuple(out)
 
 
 def all_vectors(K: GF, n):

@@ -64,11 +64,14 @@ Its extension loop is ref_extend_unchecked, which takes each secant line's
 images in RREF and intersects the spans by ref_intersect_spans.
 
 The span kernels: the library intersects two spans by one elimination of
-the residues of the first against the second, and reads the quotient
-projection off the RREF.  ref_intersect_spans and ref_quotient_projection
-are the kernels that came before, kept verbatim: the first solves for the
-coefficients of the stacked rows' kernel and combines them, the second
-reduces each unit vector against the basis.
+the residues of the first against the second, reads the quotient
+projection off the RREF, and takes the RREF itself as the rows forward
+elimination keeps plus back-substitution.  ref_intersect_spans,
+ref_quotient_projection and ref_rref are the kernels that came before,
+kept verbatim: the first solves for the coefficients of the stacked rows'
+kernel and combines them, the second reduces each unit vector against the
+basis, and the third is a Gauss-Jordan sweep over every column and every
+row.
 
 The class images: the library projects every point of X into V'/<v_x'>
 in one sweep (linalg.twisted_images with the identity table) and reads
@@ -960,6 +963,41 @@ def ref_quotient_projection(K, rows, pivots, ncols):
         red = linalg.reduce_against(K, rows, pivots, linalg.unit_vec(ncols, j))
         cols.append(tuple(red[f] for f in free))
     return tuple(zip(*cols))
+
+
+def ref_rref(K, rows):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return (), ()
+    add, neg, mul, invt = K._add, K._neg, K._mul, K._inv
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = invt[work[r][col]]
+        if inv != 1:
+            mrow = mul[inv]
+            work[r] = [mrow[a] for a in work[r]]
+        row_r = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                mrow = mul[neg[work[i][col]]]
+                wi = work[i]
+                work[i] = [add[a][mrow[b]] if b else a for a, b in zip(wi, row_r)]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
 
 
 def ref_brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:

@@ -120,6 +120,13 @@ def test_axioms_broken_exchange_witness():
     assert between not in (s, t)
 
 
+def test_axioms_table_not_closed_under_meets():
+    """{0, 1} and {1, 2} meet in {1}, which the table does not hold."""
+    rep = check_geometry_axioms(TableGeometry(4, [0, 0b0011, 0b0110, 0b1111]))
+    assert not rep.g2
+    assert rep.witnesses["g2"] == [[0, 1], [1, 2]]
+
+
 def test_axioms_ag23():
     P = build_pg(2, 3)
     line = P.lines()[0]

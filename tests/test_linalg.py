@@ -1,6 +1,9 @@
 """Exact linear algebra over small Galois fields.
 
-The span kernels are checked tuple for tuple against the routes they
+rref and rref_extend, which run on forward elimination, are checked tuple
+for tuple against the Gauss-Jordan sweep they replaced
+(quotient_routes.ref_rref), and rref is shown to stop reading rows at full
+rank.  The span kernels are checked tuple for tuple against the routes they
 replaced (quotient_routes.ref_intersect_spans and ref_quotient_projection),
 span_meet by the RREF of its basis against ref_intersect_spans, and the
 table-driven vector kernels against FieldElement arithmetic.  pair_solver is
@@ -21,7 +24,7 @@ import pytest
 from fingeo import linalg
 from fingeo.gf import gf, hom_from_power, list_homomorphisms
 from fingeo.projective import SemilinearMap
-from quotient_routes import identity_matrix, ref_intersect_spans, ref_quotient_projection
+from quotient_routes import identity_matrix, ref_intersect_spans, ref_quotient_projection, ref_rref
 
 
 def random_matrix(rng, K, m, n):
@@ -122,11 +125,12 @@ def test_span_points_counts(q):
     rng = random.Random(q * 13)
     for _ in range(20):
         M = random_matrix(rng, K, rng.randrange(1, 4), 4)
-        rows, _ = linalg.rref(K, M)
+        rows, pivots = linalg.rref(K, M)
         pts = linalg.span_points(K, rows)
         r = len(rows)
         assert len(pts) == (q**r - 1) // (q - 1)
-        assert len(set(pts)) == len(pts)
+        assert set(pts) == {v for v in linalg.all_proj_points(K, 4) if linalg.in_span(K, rows, pivots, v)}
+    assert linalg.span_points(K, ()) == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -158,6 +162,40 @@ def test_rref_extend_matches_rref():
         r2, p2 = linalg.rref_extend(K, rows, piv, v)
         expect = linalg.rref(K, list(rows) + [v])
         assert (r2, p2) == expect
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_rref_matches_gauss_jordan(q):
+    """Seeded inputs of widths 1 to 7 and 0 to 12 rows, with zero and
+    repeated rows, given as a tuple, a list of lists and a generator: rref
+    and rref_extend give the reference RREF, rows and pivots alike."""
+    K = gf(q)
+    rng = random.Random(f"rref {q}")
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        M = list(random_matrix(rng, K, rng.randrange(13), n))
+        for _ in range(rng.randrange(3)):
+            M.insert(rng.randrange(len(M) + 1), rng.choice(M) if M and rng.random() < 0.5 else (0,) * n)
+        want = ref_rref(K, M)
+        assert linalg.rref(K, tuple(M)) == want, M
+        assert linalg.rref(K, [list(r) for r in M]) == want, M
+        assert linalg.rref(K, (r for r in M)) == want, M
+        rows, pivots = want
+        v = random_matrix(rng, K, 1, n)[0] if rng.random() < 0.7 else (0,) * n
+        assert linalg.rref_extend(K, rows, pivots, v) == ref_rref(K, rows + (v,)), (rows, v)
+    assert linalg.rref(K, ()) == ref_rref(K, ()) == ((), ())
+    assert linalg.rref(K, [(0, 0, 0)] * 3) == ref_rref(K, [(0, 0, 0)] * 3) == ((), ())
+
+
+def test_rref_stops_reading_at_full_rank():
+    """Rows after n rows that span K^n are never read."""
+    K = gf(3)
+
+    def rows():
+        yield from ((1, 2, 0), (1, 1, 1), (0, 0, 2))
+        raise AssertionError("a row after full rank was read")
+
+    assert linalg.rref(K, rows()) == (identity_matrix(3), (0, 1, 2))
 
 
 def gaussian_binomial(n, r, q):

@@ -17,6 +17,7 @@ from fingeo.errors import (
     ImageInLine,
     ImageInPlane,
     InternalContradiction,
+    LiftInconsistent,
     NoBasePair,
     NotConstantOnClasses,
     NotEnoughPoints,
@@ -323,6 +324,35 @@ def test_glue_scaled_leg_detected():
     phi1, phi2, v1, v2, v1p, v2p = leg_maps(gen, P, 0, 2)
     with pytest.raises(ReductionsDisagree):
         glue_fibred_product(phi1.scaled(2), phi2, v1, v2, v1p, v2p)
+
+
+def gf4_legs():
+    """The legs of a seeded linear map of PG(3,4) at points 0 and 1, and the
+    legs of a second, unrelated one."""
+    K = gf(4)
+    P = build_pg(3, 4)
+    rng = random.Random(7)
+    gen, other = (random_semilinear(rng, K, min_rank=4, homs=[identity_hom(K)]) for _ in range(2))
+    return leg_maps(gen, P, 0, 1), leg_maps(other, P, 0, 1)
+
+
+def test_normalize_pair_rejects_unrelated_and_vanishing_legs():
+    (phi1, phi2, v1, v2, v1p, v2p), (_, unrelated, *_) = gf4_legs()
+    with pytest.raises(NotProportional, match="reductions are not proportional"):
+        normalize_pair(phi1, unrelated, v1, v2, v1p, v2p)
+    zero = SemilinearMap(phi2.sigma, ((0,) * 3,) * 3)
+    with pytest.raises(NotProportional, match="a reduction modulo the base pair vanished"):
+        normalize_pair(phi1, zero, v1, v2, v1p, v2p)
+
+
+def test_glue_rejects_mixed_sigma_and_dependent_base():
+    (phi1, phi2, v1, v2, v1p, v2p), _ = gf4_legs()
+    K = phi1.source_field
+    twisted = SemilinearMap(hom_from_power(K, K, 1), phi2.matrix)
+    with pytest.raises(ReductionsDisagree, match="different field homomorphisms"):
+        glue_fibred_product(phi1, twisted, v1, v2, v1p, v2p)
+    with pytest.raises(LiftInconsistent, match="base vectors must be independent on both sides"):
+        glue_fibred_product(phi1, phi2, v1, linalg.vec_scale(K, 2, v1), v1p, v2p)
 
 
 def counting(calls, name, fn):
