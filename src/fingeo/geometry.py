@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections import namedtuple
 
@@ -94,44 +95,36 @@ class Flat:
         return f"Flat{self.points}"
 
 
+def _through(masks, n):
+    """For each item 0..n-1, the bitset of the indices of the masks that
+    hold it."""
+    through = [[] for _ in range(n)]
+    for i, m in enumerate(masks):
+        for x in bits_of(m):
+            through[x].append(i)
+    return tuple(map(mask_of, through))
+
+
 class Incidence:
     """Which points, lines and planes of a geometry meet, as bitsets over
-    indices into its lines() and planes(): point_lines[x] holds the lines
-    through the point x, plane_lines[p] the lines inside the plane p and
-    line_planes[l] the planes holding the line l, exactly on every backend.
-    lines_through[x] lists the lines through x as masks.  The plane parts
-    are built on first use."""
+    indices into its lines() and planes(), built from their definitions on
+    every backend: point_lines[x] holds the lines through the point x,
+    line_planes[l] the planes through every point of the line l, and
+    plane_lines, its transpose, the lines inside each plane.  The plane
+    parts are built on first use."""
 
     def __init__(self, G):
         self.lines, self.planes = G.lines(), G.planes()
-        through = [[] for _ in range(G.n_points)]
-        for i, m in enumerate(self.lines):
-            for x in bits_of(m):
-                through[x].append(i)
-        self.point_lines = tuple(map(mask_of, through))
-        self.lines_through = tuple(tuple(self.lines[i] for i in ix) for ix in through)
-
-    @functools.cached_property
-    def plane_lines(self):
-        """A line inside a plane holds two of its points, so the lines met
-        twice are the candidates, with no scan of every line; on a
-        coordinate geometry, where two points span a line, all of them."""
-        out = []
-        for pm in self.planes:
-            once = twice = 0
-            for x in bits_of(pm):
-                twice |= once & self.point_lines[x]
-                once |= self.point_lines[x]
-            out.append(mask_of(i for i in bits_of(twice) if self.lines[i] & ~pm == 0))
-        return tuple(out)
+        self.point_lines = _through(self.lines, G.n_points)
 
     @functools.cached_property
     def line_planes(self):
-        out = [0] * len(self.lines)
-        for p, held in enumerate(self.plane_lines):
-            for i in bits_of(held):
-                out[i] |= 1 << p
-        return tuple(out)
+        through = _through(self.planes, len(self.point_lines))
+        return tuple(functools.reduce(operator.and_, map(through.__getitem__, bits_of(m))) for m in self.lines)
+
+    @functools.cached_property
+    def plane_lines(self):
+        return _through(self.line_planes, len(self.planes))
 
     def line_of(self, a, b):
         """The first line through the points a and b, or None."""
@@ -262,7 +255,9 @@ class FiniteGeometry:
         return Incidence(self)
 
     def lines_through(self, i):
-        return self.incidence.lines_through[i]
+        """The lines through the point i, as masks in lines() order."""
+        inc = self.incidence
+        return tuple(inc.lines[j] for j in bits_of(inc.point_lines[i]))
 
     def line_through_pair(self, i, j):
         return self.closure_mask((1 << i) | (1 << j))

@@ -24,10 +24,6 @@ import itertools
 from .gf import GF
 
 
-def zero_vec(n):
-    return (0,) * n
-
-
 def unit_vec(n, j):
     return tuple(1 if i == j else 0 for i in range(n))
 
@@ -298,15 +294,6 @@ def solve(K: GF, A, b):
             return None  # inconsistent: pivot in the constant column
         x[piv] = row[n]
     return tuple(x)
-
-
-def inverse(K: GF, M):
-    n = len(M)
-    aug = [tuple(row) + unit_vec(n, i) for i, row in enumerate(M)]
-    rows, pivots = rref(K, aug)
-    if list(pivots) != list(range(n)):
-        return None
-    return tuple(row[n:] for row in rows)
 
 
 def intersect_spans(K: GF, rows1, rows2):

@@ -290,7 +290,8 @@ def _veblen_young_fast(G):
     """Equivalent sweep when two points always span one line: for lines L1,
     L2 crossing at b, all the lines joining L1 - b to L2 - b pairwise meet."""
     inc = G.incidence
-    for b, through in enumerate(inc.lines_through):
+    for b in range(G.n_points):
+        through = G.lines_through(b)
         bbit = 1 << b
         for i, l1 in enumerate(through):
             pts1 = [x for x in bits_of(l1 & ~bbit)]

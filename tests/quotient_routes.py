@@ -116,6 +116,10 @@ coplanar lines, no three in a plane) and says whether each is concurrent;
 check_morphism decides the flat-preimage condition and also sweeps the
 finite-closure condition on subsets of size <= 4, kept verbatim as the
 reference for PartialMorphism.validate and check_dim_bounds.
+
+The matrix helpers: the library builds no identity or zero vector and
+inverts no matrix.  identity_matrix, zero_vec and inverse serve the tests
+and the references above.
 """
 
 import functools
@@ -763,7 +767,7 @@ def ref_reconstruct_ftpg(psi) -> SemilinearMap:
     # matrix: frame coordinates (coefficients on the frame modulo E),
     # sigma-twisted, then the rescaled frame images
     basis_cols = frame_vecs + list(e_rows)
-    Binv = linalg.inverse(K, linalg.transpose(basis_cols))
+    Binv = inverse(K, linalg.transpose(basis_cols))
     if Binv is None:
         raise InternalContradiction("frame plus exceptional basis is singular")
     R = Binv[:d1]
@@ -916,7 +920,7 @@ def ref_intersect_spans(K, rows1, rows2):
     r1 = len(rows1)
     vecs = []
     for c in coeffs:
-        v = linalg.zero_vec(len(rows1[0]))
+        v = zero_vec(len(rows1[0]))
         for ci, row in zip(c[:r1], rows1):
             if ci:
                 v = linalg.vec_add(K, v, linalg.vec_scale(K, ci, row))
@@ -929,6 +933,21 @@ def ref_intersect_spans(K, rows1, rows2):
 def identity_matrix(n):
     """The n x n identity; only tests build one."""
     return tuple(linalg.unit_vec(n, i) for i in range(n))
+
+
+def zero_vec(n):
+    """The zero vector of length n; only tests build one."""
+    return (0,) * n
+
+
+def inverse(K, M):
+    """The inverse of a square matrix, or None when it is singular: the RREF
+    of M augmented by the identity.  The library inverts no matrix."""
+    n = len(M)
+    rows, pivots = linalg.rref(K, [tuple(row) + linalg.unit_vec(n, i) for i, row in enumerate(M)])
+    if list(pivots) != list(range(n)):
+        return None
+    return tuple(row[n:] for row in rows)
 
 
 def fibred_product_identity(K, v1, v2) -> bool:

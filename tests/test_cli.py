@@ -220,6 +220,35 @@ def test_quotient_command(tmp_path):
     assert rep["quotient_dim"] == 2
 
 
+@pytest.mark.parametrize("rows, classes", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1], [2]]),
+    # in file order point 0 would be (1, 0, 0), on the line of the first
+    # three rows, and the classes [[1, 2], [3]]
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [[1], [2], [3]]),
+])
+def test_embedded_points_are_numbered_in_pg_order(tmp_path, rows, classes):
+    """An embedded geometry's points are numbered in PG(n, q) order, not in
+    file order: point 0 is (0, 0, 1), the last row."""
+    path = tmp_path / "points.json"
+    dump_json({"field": "gf(2)", "ambient_dim": 2, "points": rows}, path)
+    assert load_geometry(path).vectors[0] == (0, 0, 1)
+    proc = run_cli("quotient", "--geometry", str(path), "--flat", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert report_of(proc)["classes"] == classes
+
+
+def test_embedded_repeated_points_are_merged(tmp_path):
+    """A row that repeats a point, or a scalar multiple of one, is the same
+    point: (2, 0, 0) is (1, 0, 0) over gf(3)."""
+    path = tmp_path / "points.json"
+    rows = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    dump_json({"field": "gf(3)", "ambient_dim": 2, "points": rows}, path)
+    assert load_geometry(path).n_points == 4
+    proc = run_cli("check", "--axioms", "g", "--geometry", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert report_of(proc)["report"]["all_pass"]
+
+
 @pytest.mark.parametrize("kind", ["coordinate", "table"])
 def test_quotient_out_writes_the_table_format(tmp_path, capsys, kind):
     """quotient --out writes the quotient's flats as a table geometry, the

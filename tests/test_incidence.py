@@ -1,9 +1,12 @@
 """The incidence index against its definitions, on every backend: a full
 PG, a subgeometry, a coordinate quotient, the quotient of a table, and
-tables, among them two that are not geometries.  On the tables, which
-sweep every point, the locally projective witnesses are compared with the
+tables, among them two hand-built ones that are not geometries and seeded
+random families closed under intersection.  On the tables, which sweep
+every point, the locally projective witnesses are compared with the
 per-point filter of all flats that came before the one-pass grouping."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -24,6 +27,18 @@ def random_sub():
     return subgeometry(P, rng.sample(range(P.n_points), 25))
 
 
+def random_table(seed, n=8, sets=10):
+    """The intersection closure of seeded random point sets, with the empty
+    set and every point."""
+    rng = random.Random(seed)
+    family = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(sets)}
+    while more := {a & b for a, b in itertools.combinations(family, 2)} - family:
+        family |= more
+    return TableGeometry(n, family)
+
+
+RANDOM_SEEDS = range(12)
+
 CASES = {
     "pg33": (lambda: build_pg(3, 3), CoordGeometry),
     "subgeometry": (random_sub, CoordGeometry),
@@ -37,6 +52,7 @@ CASES = {
         lambda: TableGeometry(5, [0, 0b00011, 0b00111, 0b01011, 0b10111, 0b11111]),
         TableGeometry,
     ),
+    **{f"random-table-{seed}": (functools.partial(random_table, seed), TableGeometry) for seed in RANDOM_SEEDS},
 }
 
 
@@ -70,9 +86,19 @@ def test_table_planes_drop_lines_met_twice():
     assert not G.incidence.plane_lines[G.planes().index(plane)] >> G.lines().index(line) & 1
 
 
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_tables_are_not_geometries(seed):
+    """Each random table has two lines sharing two points, and a line met
+    twice by a plane it is not in, so the index is checked where two points
+    of a line fix neither the line nor its planes."""
+    G = random_table(seed)
+    lines, planes = G.lines(), G.planes()
+    assert any((a & b).bit_count() >= 2 for a, b in itertools.combinations(lines, 2))
+    assert any((m & pm).bit_count() >= 2 and m & ~pm for m in lines for pm in planes)
+
+
 def test_index_is_built_once(pg32):
     assert pg32.incidence is pg32.incidence
-    assert pg32.lines_through(0) is pg32.lines_through(0)
 
 
 @pytest.mark.parametrize("case", [c for c, (_, backend) in CASES.items() if not issubclass(backend, CoordGeometry)])

@@ -6,7 +6,8 @@ top-level class other than a dunder is reached by an attribute or a string
 somewhere (a local variable of the same name does not count), and every
 parameter with a default is passed by some call.  linalg.py, under every enumeration kernel, runs
 on the field's tables and never touches a GF arithmetic method; nor do the
-maps and the structure check of gf.FieldHom.
+maps and the structure check of gf.FieldHom.  Every function of linalg.py
+is called by the package or wrapped by perfbench/tracer.py.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -321,6 +322,54 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def linalg_calls(modules):
+    """Names called as linalg.<name>(...) in the modules, a mapping of file
+    name to source, and as a bare <name>(...) in linalg.py itself."""
+    out = set()
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "linalg":
+                out.add(func.attr)
+            elif isinstance(func, ast.Name) and module == "linalg.py":
+                out.add(func.id)
+    return out
+
+
+def uncalled_linalg(modules, exempt):
+    """(line, name) for each top-level function of linalg.py that no module
+    calls and exempt does not hold."""
+    called = linalg_calls(modules)
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(modules["linalg.py"]).body
+        if isinstance(node, ast.FunctionDef) and node.name not in called | set(exempt)
+    ]
+
+
+def test_linalg_functions_are_called():
+    """A kernel that only tests call belongs with them; the tracer wraps
+    its LINALG names by getattr, so those stay."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert uncalled_linalg(modules, load_tracer().LINALG) == []
+
+
+def test_uncalled_linalg_is_reported():
+    linalg = (
+        "def used():\n    return 1\n\n\n"
+        "def traced():\n    return used()\n\n\n"
+        "def inverse(M):\n    return M\n\n\n"
+        "def passed(v):\n    return v\n"
+    )
+    # a method of the same name is not the kernel, and passing a kernel
+    # by name is no call of it
+    other = "from . import linalg\n\nsigma.inverse()\nmap(linalg.passed, [])\n"
+    modules = {"linalg.py": linalg, "other.py": other}
+    assert uncalled_linalg(modules, ("traced",)) == [(9, "inverse"), (13, "passed")]
 
 
 def test_tracer_names_exist():

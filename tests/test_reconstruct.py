@@ -53,7 +53,7 @@ from fingeo.reconstruct import (
     reconstruct_locally_affino,
     reconstruct_locally_projective,
 )
-from quotient_routes import fibred_product_identity, identity_matrix, ref_flat_preimage_witness, ref_verify
+from quotient_routes import fibred_product_identity, identity_matrix, inverse, ref_flat_preimage_witness, ref_verify
 
 
 def random_semilinear(rng, K, K2=None, n1=4, m1=4, min_rank=4, homs=None):
@@ -442,13 +442,28 @@ def test_class_images_project_in_one_sweep(fixture, driver, request, monkeypatch
 
 def test_frame_coordinates_need_no_inverse(pg33, monkeypatch):
     """reconstruct_ftpg reads the frame coordinates off the exceptional
-    flat's RREF, with and without an exceptional flat."""
-    calls = Counter()
-    monkeypatch.setattr(linalg, "inverse", counting(calls, "inverse", linalg.inverse))
+    flat's RREF, with and without an exceptional flat.  Every elimination
+    runs through linalg._kept_rows, and inverting the frame would eliminate
+    rows wider than the 4 coordinates: the frame beside the identity, or a
+    system beside its right-hand side."""
+    psis = []
     for matrix in (identity_matrix(4), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))):
         phi = SemilinearMap(identity_hom(gf(3)), matrix)
-        assert reconstruct_ftpg(induced_point_map(phi, pg33)) == phi
-    assert calls["inverse"] == 0
+        psis.append((induced_point_map(phi, pg33), phi))
+    widths = []
+    kept_rows = linalg._kept_rows
+
+    def recording(K, rows):
+        rows = list(rows)
+        widths.extend(map(len, rows))
+        return kept_rows(K, rows)
+
+    monkeypatch.setattr(linalg, "_kept_rows", recording)
+    for psi, phi in psis:
+        assert reconstruct_ftpg(psi) == phi
+    assert widths and max(widths) == 4
+    assert inverse(gf(3), identity_matrix(4)) == identity_matrix(4)
+    assert max(widths) == 8
 
 
 @pytest.mark.parametrize("fixture, driver", [
