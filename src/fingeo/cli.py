@@ -25,7 +25,6 @@ from .projective import check_projective_axioms
 # classify, gallery and reconstruct are imported by the commands that run
 # them, so that the other commands never compile them
 
-CONSTRUCTOR_ERRORS = (SizeLimit, ValueError)
 # gallery.EXAMPLE_NAMES, the choices of make-example --name, copied here so
 # that parsing the arguments runs no gallery; a test pins the two equal
 EXAMPLE_NAMES = (
@@ -69,7 +68,7 @@ def cmd_make_example(args, t0):
     K = serialize.field_from_name(args.field)
     try:
         X = build_example(args.name, K, args.dim)
-    except CONSTRUCTOR_ERRORS + (FingeoError,) as exc:
+    except FingeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     serialize.save_geometry(X, args.out)

@@ -9,6 +9,18 @@ class DivisionByZero(FingeoError, ZeroDivisionError):
     pass
 
 
+class InvalidArgument(FingeoError, ValueError):
+    """An argument outside the values a function takes."""
+
+
+class InvalidArgumentType(FingeoError, TypeError):
+    """An argument of a type a function cannot interpret."""
+
+
+class ReadOnlyField(FingeoError, AttributeError):
+    """An assignment to a field of an immutable record."""
+
+
 class FieldMismatch(FingeoError):
     pass
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import EqualHyperplanes, InternalContradiction, NoEmbedding, NoIrreducibleForm, SizeLimit
+from .errors import EqualHyperplanes, InternalContradiction, InvalidArgument, NoEmbedding, NoIrreducibleForm, SizeLimit
 from .geometry import CoordGeometry, bits_of, subgeometry
 from .gf import GF, gf, list_homomorphisms
 from .projective import LinearSubspace, build_pg
@@ -169,7 +169,7 @@ def make_quadric(P: CoordGeometry, form: str) -> CoordGeometry:
 
         expected = q * (q + 1)
     else:
-        raise ValueError(f"unknown quadric form {form!r}")
+        raise InvalidArgument(f"unknown quadric form {form!r}")
 
     keep = [i for i, v in enumerate(P.vectors) if val(v) == 0]
     if form == "cone":
@@ -210,7 +210,7 @@ def build_example(name: str, K: GF, dim=None) -> CoordGeometry:
         if not homs:
             raise NoEmbedding(f"no proper subfield of {K.name} at desk scale")
         return make_subfield_complement(dim if dim is not None else 3, gf(homs[0]), K)
-    raise ValueError(f"unknown example {name!r}")
+    raise InvalidArgument(f"unknown example {name!r}")
 
 
 EXAMPLE_NAMES = (

@@ -126,11 +126,6 @@ class Incidence:
     def plane_lines(self):
         return _through(self.line_planes, len(self.planes))
 
-    def line_of(self, a, b):
-        """The first line through the points a and b, or None."""
-        common = self.point_lines[a] & self.point_lines[b]
-        return self.lines[(common & -common).bit_length() - 1] if common else None
-
 
 class FiniteGeometry:
     """Base class; subclasses provide _closure_mask."""
@@ -146,9 +141,6 @@ class FiniteGeometry:
 
     # -- closure -------------------------------------------------------------
 
-    def _closure_mask(self, mask: int) -> int:
-        raise NotImplementedError
-
     def closure_mask(self, mask: int) -> int:
         got = self._closure_memo.get(mask)
         if got is None:
@@ -158,13 +150,6 @@ class FiniteGeometry:
 
     def closure(self, points) -> Flat:
         return Flat(self, self.closure_mask(mask_of(points)))
-
-    def flat(self, points) -> Flat:
-        """Wrap a point set known (or required) to be closed."""
-        m = mask_of(points)
-        if self.closure_mask(m) != m:
-            raise ValueError("point set is not closed")
-        return Flat(self, m)
 
     # -- flat cache ------------------------------------------------------------
 

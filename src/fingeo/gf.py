@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, SizeLimit
+from .errors import DivisionByZero, FieldMismatch, InvalidArgument, ReadOnlyField, SizeLimit
 
 MAX_ORDER = 16
 MAX_CHAR = 13
@@ -39,9 +39,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
                 m //= p
                 k += 1
             if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+                raise InvalidArgument(f"{q} is not a prime power")
             return p, k
-    raise ValueError(f"{q} is not a prime power")
+    raise InvalidArgument(f"{q} is not a prime power")
 
 
 # -- dense polynomials over GF(p), little-endian coefficient tuples --------
@@ -109,7 +109,7 @@ class GF:
         if q > MAX_ORDER or p > MAX_CHAR:
             raise SizeLimit(f"gf({q}) outside supported range (q<={MAX_ORDER}, p<={MAX_CHAR})")
         if not _is_prime(p) or k < 1:
-            raise ValueError(f"invalid field parameters p={p}, k={k}")
+            raise InvalidArgument(f"invalid field parameters p={p}, k={k}")
         self.p = p
         self.k = k
         self.q = q
@@ -202,7 +202,7 @@ class GF:
 
     def from_coeffs(self, cs):
         if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients")
+            raise InvalidArgument(f"expected {self.k} coefficients")
         return _digits_int(tuple(c % self.p for c in cs), self.p)
 
     def element(self, val):
@@ -235,7 +235,7 @@ class FieldElement:
         object.__setattr__(self, "val", val)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise ReadOnlyField(f"cannot assign to field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not FieldElement:
@@ -252,7 +252,7 @@ class FieldElement:
             return other.val
         if isinstance(other, int):
             if not 0 <= other < self.field.q:
-                raise ValueError(f"{other} is not an element encoding of {self.field}")
+                raise InvalidArgument(f"{other} is not an element encoding of {self.field}")
             return other
         return NotImplemented
 
@@ -293,7 +293,7 @@ def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 def frobenius(a: FieldElement, i: int) -> FieldElement:
     """The canonical automorphism x -> x**(p**i) applied to a."""
     if not 0 <= i < a.field.k:
-        raise ValueError(f"power index {i} outside [0, {a.field.k})")
+        raise InvalidArgument(f"power index {i} outside [0, {a.field.k})")
     return FieldElement(a.field, a.field.frobenius(a.val, i))
 
 
@@ -423,5 +423,5 @@ def parse_field_name(text: str) -> GF:
     """Parse the "gf(q)" designator used in files and on the CLI."""
     s = text.strip().lower() if isinstance(text, str) else ""
     if not (s.startswith("gf(") and s.endswith(")")):
-        raise ValueError(f"bad field designator {text!r}")
+        raise InvalidArgument(f"bad field designator {text!r}")
     return gf(int(s[3:-1]))

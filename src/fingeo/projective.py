@@ -11,11 +11,12 @@ K-subspaces and makes composition associative.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import linalg
-from .errors import NotProjective, SizeLimit, ZeroMap
+from .errors import InvalidArgument, NotProjective, SizeLimit, ZeroMap
 from .geometry import (
     CoordGeometry,
     FiniteGeometry,
@@ -40,7 +41,7 @@ class ProjPoint(namedtuple("ProjPoint", "field coords")):
     def make(field: GF, coords) -> "ProjPoint":
         v = linalg.normalize_vec(field, tuple(coords))
         if v is None:
-            raise ValueError("projective point needs a nonzero vector")
+            raise InvalidArgument("projective point needs a nonzero vector")
         return ProjPoint(field, v)
 
     def __repr__(self):
@@ -125,7 +126,7 @@ class SemilinearMap(namedtuple("SemilinearMap", "sigma matrix")):
     def compose(self, inner: "SemilinearMap") -> "SemilinearMap":
         """self after inner: matrix = M_self . (M_inner)^sigma_self."""
         if inner.target_field is not self.source_field:
-            raise ValueError("fields do not chain")
+            raise InvalidArgument("fields do not chain")
         twisted = self.sigma.map_matrix(inner.matrix)
         return SemilinearMap(
             self.sigma.compose(inner.sigma),
@@ -203,14 +204,7 @@ class ProjectiveReport:
 
 def check_projective_axioms(G: FiniteGeometry) -> ProjectiveReport:
     """Point/line/triangle axioms plus the dimension formula on all flat pairs
-    (nested pairs are skipped: they cannot violate it).
-
-    The triangle (Veblen-Young) sweep runs literally on small universes.  When
-    the two-points-one-line axiom holds, the sweep is equivalently organised
-    per pair of concurrent lines: every two lines that each meet both legs off
-    the crossing point must themselves meet; that form is exhaustive and far
-    cheaper on the larger spaces.
-    """
+    (nested pairs are skipped: they cannot violate it)."""
     flats = G.flats()
     if len(flats) * (len(flats) + 1) // 2 > FLAT_PAIR_LIMIT:
         raise SizeLimit("flat-pair sweep beyond limit")
@@ -255,62 +249,56 @@ def _point_line_axioms(G, witnesses):
     p2 = all(line.bit_count() >= 2 for line in lines)
     if not p2:
         witnesses["p2"] = {"short_line": sorted(bits_of(min(lines, key=int.bit_count)))}
-    if p1 and n > 16:
-        p3, w = _veblen_young_fast(G)
-    else:
-        p3, w = _veblen_young_literal(G)
+    p3, w = _veblen_young(G)
     if not p3:
         witnesses["p3"] = w
     return p1, p2, p3
 
 
-def _veblen_young_literal(G):
-    """If a line meets two sides of a triangle off the common vertex, it
-    meets the third side; checked over all triangles and lines."""
+def _veblen_young(G):
+    """P3 (Veblen-Young) at each vertex of each triangle a < b < c: a line
+    off the vertex meeting both sides through it meets the third side.  A
+    side is the first line through its two points; c on the side ab skips
+    the triangle.  The first failure at a middle vertex b is returned at
+    once, else the first at a or c, with the vertex in the middle."""
     inc = G.incidence
-    line_of = inc.line_of
-    for tri in itertools.combinations(range(G.n_points), 3):
-        a, b, c = tri
-        lab = line_of(a, b)
-        lbc = line_of(b, c)
-        lac = line_of(a, c)
-        if lab is None or lbc is None or lac is None:
-            continue
-        if lab >> c & 1:
-            continue  # degenerate triangle
-        for m in inc.lines:
-            if m >> b & 1:
+    lines, point_lines = inc.lines, inc.point_lines
+    n = G.n_points
+    # the lines meeting each line, and the index of the first line through
+    # each pair of points (-1 when there is none)
+    meets = [reduce(operator.or_, map(point_lines.__getitem__, bits_of(m))) for m in lines]
+    side = [[(c & -c).bit_length() - 1 for c in (pa & pb for pb in point_lines)] for pa in point_lines]
+    later = None
+    for a in range(n):
+        pa, side_a = point_lines[a], side[a]
+        for b in range(a + 1, n):
+            ab = side_a[b]
+            if ab < 0:
                 continue
-            if m & lab and m & lbc and not m & lac:
-                return False, {"triangle": list(tri), "line": sorted(bits_of(m))}
-    return True, None
+            line_ab, meets_ab, side_b = lines[ab], meets[ab], side[b]
+            off_ab = meets_ab & ~(pa | point_lines[b])
+            for c in range(b + 1, n):
+                bc, ac = side_b[c], side_a[c]
+                if bc < 0 or ac < 0 or line_ab >> c & 1:
+                    continue
+                meets_bc, meets_ac = meets[bc], meets[ac]
+                # a line off a and b meeting ab and just one of bc and ac
+                # fails at b if it meets bc, at a if it meets ac
+                one = off_ab & (meets_bc ^ meets_ac)
+                if one & meets_bc:
+                    return False, _triangle_witness(lines, (a, b, c), one & meets_bc)
+                if later is None:
+                    if one:
+                        later = (b, a, c), one
+                    elif at_c := meets_bc & meets_ac & ~(meets_ab | point_lines[c]):
+                        later = (a, c, b), at_c
+    return (True, None) if later is None else (False, _triangle_witness(lines, *later))
 
 
-def _veblen_young_fast(G):
-    """Equivalent sweep when two points always span one line: for lines L1,
-    L2 crossing at b, all the lines joining L1 - b to L2 - b pairwise meet."""
-    inc = G.incidence
-    for b in range(G.n_points):
-        through = G.lines_through(b)
-        bbit = 1 << b
-        for i, l1 in enumerate(through):
-            pts1 = [x for x in bits_of(l1 & ~bbit)]
-            for l2 in through[i + 1 :]:
-                pts2 = [x for x in bits_of(l2 & ~bbit)]
-                cross = set()
-                for a in pts1:
-                    for c in pts2:
-                        cross.add(inc.line_of(a, c))
-                cross = sorted(cross)
-                for j, m1 in enumerate(cross):
-                    for m2 in cross[j + 1 :]:
-                        if not m1 & m2:
-                            return False, {
-                                "vertex": b,
-                                "legs": [sorted(bits_of(l1)), sorted(bits_of(l2))],
-                                "lines": [sorted(bits_of(m1)), sorted(bits_of(m2))],
-                            }
-    return True, None
+def _triangle_witness(lines, triangle, bad):
+    """The triangle, its vertex in the middle, and the first line of the
+    bitset bad."""
+    return {"triangle": list(triangle), "line": sorted(bits_of(lines[(bad & -bad).bit_length() - 1]))}
 
 
 def decompose_irreducible(G: FiniteGeometry):

@@ -44,12 +44,15 @@ from .errors import (
     ImageInPlane,
     InconsistentExtension,
     InternalContradiction,
+    InvalidArgument,
+    InvalidArgumentType,
     LiftInconsistent,
     NoBasePair,
     NotAffinoProjective,
     NotConstantOnClasses,
     NotEnoughPoints,
     NotProportional,
+    ReadOnlyField,
     ReductionsDisagree,
     SigmaNotHomomorphism,
     VerificationFailed,
@@ -90,7 +93,7 @@ class PartialPointMap:
         object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise ReadOnlyField(f"cannot assign to field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not PartialPointMap:
@@ -165,12 +168,12 @@ def _as_point_map(psi) -> PartialPointMap:
     if isinstance(psi, PartialMorphism):
         src, tgt = psi.source, psi.target
         if not (isinstance(src, CoordGeometry) and src.is_full_pg):
-            raise ValueError("source must be a full projective space")
+            raise InvalidArgument("source must be a full projective space")
         if not isinstance(tgt, CoordGeometry):
-            raise ValueError("target must carry coordinates")
+            raise InvalidArgument("target must carry coordinates")
         images = tuple(None if y is None else tgt.vectors[y] for y in psi.map)
         return PartialPointMap(src, tgt.field, tgt.dim(), images)
-    raise TypeError(f"cannot interpret {type(psi).__name__} as a partial point map")
+    raise InvalidArgumentType(f"cannot interpret {type(psi).__name__} as a partial point map")
 
 
 def reconstruct_ftpg(psi) -> SemilinearMap:

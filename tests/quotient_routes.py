@@ -39,7 +39,15 @@ The incidence checks: the library reads the lp axioms and the P1 and
 Veblen-Young sweeps of the projective axioms off one incidence index per
 geometry, and computes the coplanarity of lines only on tables.
 ref_lp_axioms and ref_projective_axioms are the routes that came before,
-kept literally: each builds its own pair-to-line table.
+kept literally: each builds its own pair-to-line table.  The Veblen-Young
+sweep of ref_projective_axioms is ref_veblen_young_every_vertex, the
+statement of P3 tested at each vertex of each triangle in turn.  The
+library's sweep before it took one of two routes, kept verbatim as
+ref_veblen_young_literal, which tested only the middle vertex of each
+triangle and missed failures at the other two, and ref_veblen_young_fast,
+which grouped the triangles by their two lines through the vertex and ran
+on geometries of more than 16 points where two points lie on one line;
+ref_parent_veblen_young picks between them as the library did.
 
 The tangent points: on a coordinate geometry the library counts the
 quotient-line form, searches planes for a quadrilateral and sweeps plane
@@ -124,6 +132,7 @@ and the references above.
 
 import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -528,16 +537,43 @@ def ref_lp_axioms(X) -> Verdict:
     return out
 
 
-def ref_projective_axioms(G) -> ProjectiveReport:
-    """Point/line/triangle axioms plus the dimension formula on all flat pairs
-    (nested pairs are skipped: they cannot violate it).
+def ref_veblen_young_every_vertex(G, lines):
+    """If a line off a vertex of a triangle meets both sides through it, it
+    meets the third side; checked at each vertex of each triangle a < b < c
+    whose sides are the first lines through each pair, skipping the
+    triangle when c lies on the side ab.  The first failure at a middle
+    vertex b is reported, else the first at a or c, as the triangle with
+    its vertex in the middle and the first failing line."""
+    n = G.n_points
+    line_of = {}
+    for m in lines:
+        for a, b in itertools.combinations(bits_of(m), 2):
+            line_of.setdefault((a, b), m)
+    meeting = {m: {i for i, other in enumerate(lines) if other & m} for m in lines}
+    through = [{i for i, m in enumerate(lines) if m >> x & 1} for x in range(n)]
+    later = None
+    for a, b, c in itertools.combinations(range(n), 3):
+        lab, lbc, lac = line_of.get((a, b)), line_of.get((b, c)), line_of.get((a, c))
+        if lab is None or lbc is None or lac is None or lab >> c & 1:
+            continue
+        for u, v, w, side1, side2, third in (
+            (a, b, c, lab, lbc, lac),
+            (b, a, c, lab, lac, lbc),
+            (a, c, b, lac, lbc, lab),
+        ):
+            bad = (meeting[side1] & meeting[side2]) - meeting[third] - through[v]
+            if bad:
+                witness = {"triangle": [u, v, w], "line": sorted(bits_of(lines[min(bad)]))}
+                if v == b:
+                    return False, witness
+                later = later or witness
+    return later is None, later
 
-    The triangle (Veblen-Young) sweep runs literally on small universes.  When
-    the two-points-one-line axiom holds, the sweep is equivalently organised
-    per pair of concurrent lines: every two lines that each meet both legs off
-    the crossing point must themselves meet; that form is exhaustive and far
-    cheaper on the larger spaces.
-    """
+
+def ref_projective_axioms(G, veblen_young=ref_veblen_young_every_vertex) -> ProjectiveReport:
+    """Point/line/triangle axioms plus the dimension formula on all flat pairs
+    (nested pairs are skipped: they cannot violate it).  The triangle axiom
+    runs veblen_young(G, lines)."""
     flats = G.flats()
     if len(flats) * (len(flats) + 1) // 2 > FLAT_PAIR_LIMIT:
         raise SizeLimit("flat-pair sweep beyond limit")
@@ -565,10 +601,7 @@ def ref_projective_axioms(G) -> ProjectiveReport:
         witnesses["p2"] = {"short_line": sorted(bits_of(min(lines, key=int.bit_count)))}
 
     # P3
-    if p1 and n > 16:
-        p3, w = ref_veblen_young_fast(G, lines)
-    else:
-        p3, w = ref_veblen_young_literal(G, lines)
+    p3, w = veblen_young(G, lines)
     if not p3:
         witnesses["p3"] = w
 
@@ -592,6 +625,32 @@ def ref_projective_axioms(G) -> ProjectiveReport:
         # every violation involves a disjoint pair: parallel-type failures only
         note = "not projective, locally projective candidate"
     return ProjectiveReport(p1, p2, p3, dim_ok, irreducible, witnesses, note)
+
+
+def ref_parent_veblen_young(G, lines):
+    """The library's P3 sweep before the every-vertex one:
+    ref_veblen_young_fast when two points lie on one line and there are more
+    than 16 points, else ref_veblen_young_literal."""
+    through = [{m for m in lines if m >> x & 1} for x in range(G.n_points)]
+    p1 = all(len(through[a] & through[b]) == 1 for a, b in itertools.combinations(range(G.n_points), 2))
+    if p1 and G.n_points > 16:
+        return ref_veblen_young_fast(G, lines)
+    return ref_veblen_young_literal(G, lines)
+
+
+def parent_p3_change(G, report):
+    """How the projective report of G differs from the one the parent's P3
+    routes give: None when the two are byte-identical, else the pair of
+    their p3 verdicts, parent's first, once every field but p3,
+    is_projective and the p3 witness is found equal."""
+    old = ref_projective_axioms(G, ref_parent_veblen_young).as_dict()
+    new = report.as_dict()
+    if json.dumps(old) == json.dumps(new):
+        return None
+    for d in (old, new):
+        d["witnesses"].pop("p3", None)
+    assert json.dumps({**old, "p3": 0, "is_projective": 0}) == json.dumps({**new, "p3": 0, "is_projective": 0})
+    return old["p3"], new["p3"]
 
 
 def ref_veblen_young_literal(G, lines):

@@ -272,6 +272,22 @@ def test_quotient_out_writes_the_table_format(tmp_path, capsys, kind):
     assert load_geometry(out).flats() == Q.flats()
 
 
+def test_check_p_reports_veblen_young_off_the_middle_vertex(tmp_path, capsys):
+    """The point quotient of cone(3,2) at 0, saved by quotient --out: the
+    line {2, 4} meets both sides through 0 of the triangle 0, 1, 3 and
+    misses the side {1, 3}, so P3 fails with the vertex in the middle."""
+    from fingeo import cli
+
+    cone, quo = tmp_path / "cone.json", tmp_path / "quotient.json"
+    assert cli.main(["make-example", "--name", "cone", "--field", "gf(2)", "--out", str(cone)]) == 0
+    assert cli.main(["quotient", "--geometry", str(cone), "--flat", "0", "--out", str(quo)]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", "--axioms", "p", "--geometry", str(quo), "--witnesses"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["p1"] and report["p2"] and report["p3"] is False
+    assert report["witnesses"]["p3"] == {"triangle": [1, 0, 3], "line": [2, 4]}
+
+
 QUADRICS = ("elliptic-quadric", "hyperbolic-quadric", "cone")
 
 

@@ -72,10 +72,6 @@ def test_index_matches_definitions(case):
         assert inc.plane_lines[p] == mask_of(i for i, m in enumerate(lines) if m & ~pm == 0)
     for i, m in enumerate(lines):
         assert inc.line_planes[i] == mask_of(p for p, pm in enumerate(planes) if m & ~pm == 0)
-    for a in range(G.n_points):
-        for b in range(G.n_points):
-            first = next((m for m in lines if m >> a & 1 and m >> b & 1), None)
-            assert inc.line_of(a, b) == first
 
 
 def test_table_planes_drop_lines_met_twice():

@@ -7,7 +7,8 @@ somewhere (a local variable of the same name does not count), and every
 parameter with a default is passed by some call.  linalg.py, under every enumeration kernel, runs
 on the field's tables and never touches a GF arithmetic method; nor do the
 maps and the structure check of gf.FieldHom.  Every function of linalg.py
-is called by the package or wrapped by perfbench/tracer.py.
+is called by the package or wrapped by perfbench/tracer.py.  Every raise
+names FingeoError or a subclass of it from errors.py.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -278,6 +279,57 @@ def test_unset_option_is_reported():
     other = "f(1, 2, d=0)\nC(1).m(5)\nC.s(**{})\nf(*args)\n"
     calls = call_arguments([source, other])
     assert unset_options(source, calls) == [(1, "f", "e"), (2, "inner", "g"), (8, "C", "y")]
+
+
+def fingeo_errors(source):
+    """The names of FingeoError and of the classes of the errors module
+    source that derive from it."""
+    names = {"FingeoError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def untyped_raises(source, typed):
+    """(line, name) for each raise whose exception is named outside typed.
+    A bare re-raise passes, and the cause of raise ... from is not read."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name not in typed:
+                out.append((node.lineno, ast.unparse(exc)))
+    return sorted(out)
+
+
+@pytest.fixture(scope="module")
+def typed_errors():
+    return fingeo_errors((SRC / "errors.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_raise_is_typed(module, typed_errors):
+    """Every library failure is a FingeoError."""
+    assert untyped_raises((SRC / module).read_text(encoding="utf-8"), typed_errors) == []
+
+
+def test_untyped_raise_is_reported():
+    errors = "class FingeoError(Exception):\n    pass\n\n\nclass Typed(FingeoError, ValueError):\n    pass\n"
+    source = (
+        "def f(x):\n"
+        "    try:\n"
+        "        g(x)\n"
+        "    except KeyError as exc:\n"
+        "        raise errors.Typed(x) from exc\n"
+        "    except OSError:\n"
+        "        raise\n"
+        "    if x:\n"
+        "        raise ValueError(x)\n"
+        "    raise NotImplementedError\n"
+    )
+    assert untyped_raises(source, fingeo_errors(errors)) == [(9, "ValueError"), (10, "NotImplementedError")]
 
 
 FIELD_METHODS = ("add", "sub", "neg", "mul", "inv", "div")

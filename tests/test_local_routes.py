@@ -18,7 +18,12 @@ removed.
 The lp axioms and the projective axioms read one incidence index per
 geometry.  Their reports must be byte-identical to the literal routes that
 built their own partial indices, on all of the above and on three tables
-that are not geometries.  A coordinate geometry decides the bundle
+that are not geometries; the Veblen-Young reference tests every vertex of
+every triangle, also on seeded random subgeometries of PG(2,3), PG(2,4),
+PG(3,2) and PG(3,3) and on random tables closed under intersection.  On
+those the report must also be the one the two P3 routes before it gave,
+except where the middle-vertex route missed a failure, and for the
+witness of a failure on the concurrent-lines route.  A coordinate geometry decides the bundle
 condition with no coplanarity at all, so the coordinate cases check that
 no coplanarity is computed, and the bundle reports of the tables must be
 byte-identical to literal_bundle's search over every 4-tuple of lines (or
@@ -27,6 +32,7 @@ on coordinate geometries.
 """
 
 import functools
+import itertools
 import json
 import random
 
@@ -54,6 +60,7 @@ from fingeo.gf import gf
 from fingeo.projective import build_pg
 from quotient_routes import (
     literal_bundle,
+    parent_p3_change,
     ref_dim_formula_violations,
     ref_locally_projective,
     ref_lp_axioms,
@@ -92,6 +99,10 @@ ODD_TABLES = {
     "pair-off-plane": TableGeometry(5, [0, 0b00011, 0b00111, 0b01011, 0b10111, 0b11111]),
     "broken": TableGeometry(4, [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0111, 0b1111]),
 }
+# for P3 (Veblen-Young): seeded random subgeometries of four small spaces,
+# of any size, and random families of point sets closed under intersection
+P3_CORPUS = [f"sub-pg{n}{q}-{seed}" for n, q in ((2, 3), (2, 4), (3, 2), (3, 3)) for seed in range(20)]
+P3_CORPUS += [f"table-{n}-{seed}" for n in (8, 10) for seed in range(20)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,6 +119,17 @@ def geometry(case):
         P = build_pg(int(case[6]), 2)
         rng = random.Random(int(case.split("-")[1]))
         return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(4, 17)))
+    if case.startswith("sub-pg"):
+        P = build_pg(int(case[6]), int(case[7]))
+        rng = random.Random(int(case.split("-")[2]))
+        return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, P.n_points + 1)))
+    if case.startswith("table-"):
+        n, seed = map(int, case.split("-")[1:])
+        rng = random.Random(seed)
+        family = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(n + 4)}
+        while more := {a & b for a, b in itertools.combinations(family, 2)} - family:
+            family |= more
+        return TableGeometry(n, family)
     if case.startswith("pg32-minus-"):
         P = build_pg(3, 2)
         plane = P.planes()[int(case.rsplit("-", 1)[1])]
@@ -236,10 +258,41 @@ def test_lp_axioms_match_literal_route(case):
     assert dumps(check_lp_axioms(X)) == dumps(ref_lp_axioms(X))
 
 
-@pytest.mark.parametrize("case", INCIDENCE_CASES)
+@pytest.mark.parametrize("case", INCIDENCE_CASES + P3_CORPUS)
 def test_projective_axioms_match_literal_route(case):
     G = geometry(case)
     assert dumps(projective.check_projective_axioms(G)) == dumps(ref_projective_axioms(G))
+
+
+@functools.lru_cache(maxsize=None)
+def p3_change(case):
+    """Whether the parent took the concurrent-lines route (P1 and more than
+    16 points), the p3 verdict, and the change from the parent's report."""
+    G = geometry(case)
+    rep = projective.check_projective_axioms(G)
+    return rep.p1 and G.n_points > 16, rep.p3, parent_p3_change(G, rep)
+
+
+@pytest.mark.parametrize("case", P3_CORPUS)
+def test_veblen_young_changes_only_missed_failures(case):
+    """Against the parent's two P3 routes: on the concurrent-lines route the
+    verdict is kept and only its witness may change; elsewhere the report
+    is the parent's, or p3 turns false where the middle-vertex route missed
+    a failure."""
+    concurrent, _, change = p3_change(case)
+    assert change in ((None, (False, False)) if concurrent else (None, (True, False)))
+
+
+def test_veblen_young_corpus_covers_every_change():
+    """The corpus reaches both verdicts of each parent route, and P3
+    failures the middle-vertex route missed."""
+    assert {p3_change(case) for case in P3_CORPUS} == {
+        (False, True, None),
+        (False, False, None),
+        (False, False, (True, False)),
+        (True, True, None),
+        (True, False, (False, False)),
+    }
 
 
 def bundle_report(check, X):

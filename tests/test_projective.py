@@ -8,6 +8,7 @@ import pytest
 
 from fingeo import linalg
 from fingeo.errors import NotProjective, SizeLimit, ZeroMap
+from fingeo.gallery import build_example
 from fingeo.geometry import Flat, TableGeometry, bits_of, mask_of, quotient, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
 from fingeo.projective import (
@@ -154,6 +155,35 @@ def test_decompose_requires_projective(ag33):
         line = P.lines()[0]
         A = subgeometry(P, sorted(bits_of(P.full_mask & ~line)))
         decompose_irreducible(A)
+
+
+def cone_quotient():
+    """The point quotient of cone(3,2) at 0, five points in a plane."""
+    return build_example("cone", gf(2)).point_quotient(0)
+
+
+def test_cone_quotient_fails_veblen_young_off_the_middle_vertex():
+    """The line {2, 4} meets both sides through 0 of the triangle 0, 1, 3
+    and misses the side {1, 3}; at the middle vertex 1 nothing fails."""
+    rep = check_projective_axioms(cone_quotient())
+    assert rep.p1 and rep.p2 and not rep.p3
+    assert rep.witnesses["p3"] == {"triangle": [1, 0, 3], "line": [2, 4]}
+
+
+def random42_1():
+    """Seeded random subgeometry 1 of PG(4,2), as test_local_routes builds
+    it: P3 fails at the vertex 4 of the triangle 0, 1, 4."""
+    P = build_pg(4, 2)
+    rng = random.Random(1)
+    return subgeometry(P, rng.sample(range(P.n_points), rng.randrange(4, 17)))
+
+
+@pytest.mark.parametrize("build", [cone_quotient, random42_1])
+def test_decompose_refuses_veblen_young_failures_off_the_middle_vertex(build):
+    G = build()
+    assert check_projective_axioms(G).p1 and check_projective_axioms(G).p2
+    with pytest.raises(NotProjective):
+        decompose_irreducible(G)
 
 
 # -- semilinear maps ---------------------------------------------------------------
