@@ -9,9 +9,10 @@ linear-span trace), table geometries (an explicit closed-set family), and
 quotient geometries (classes of x v E over a parent).  A quotient of a
 coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
 so every coordinate backend shares one closure kernel and one flat
-enumeration: its flats are the traces of the subspaces of K^n, listed once
-each.  A quotient of any other geometry is a table geometry on the parent
-flats through E (QuotientGeometry).
+enumeration: its flats are the traces of the subspaces of K^n, swept once
+each: a free column of an RREF picks one annihilator form, and a trace is
+the AND of the picked form masks.  A quotient of any other geometry is a
+table geometry on the parent flats through E (QuotientGeometry).
 
 Everything is immutable after construction; the flat cache and the
 incidence index are built once on first demand and only read afterwards.
@@ -97,12 +98,13 @@ class Flat:
 
 def _through(masks, n):
     """For each item 0..n-1, the bitset of the indices of the masks that
-    hold it."""
-    through = [[] for _ in range(n)]
+    hold it: its bits are set in one bytearray, read as an int once."""
+    through = [bytearray((len(masks) + 7) // 8) for _ in range(n)]
     for i, m in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
         for x in bits_of(m):
-            through[x].append(i)
-    return tuple(map(mask_of, through))
+            through[x][byte] |= bit
+    return tuple(int.from_bytes(b, "little") for b in through)
 
 
 class Incidence:
@@ -273,7 +275,8 @@ class CoordGeometry(FiniteGeometry):
     linalg.annihilator reads those forms off the span's RREF rows, already
     normalised, and the bitmask of each form is computed once per geometry.
 
-    The flats are the traces of the subspaces of K^n (see _build_flats).
+    The flats are the traces of the subspaces of K^n, swept column by column
+    with no annihilator built (see _build_flats).
     The embedding is read off the coordinates: the points are distinct
     points of PG(ncoords - 1, q), so is_full_pg follows from the point
     count, ambient is that projective space (the geometry itself when full,
@@ -366,12 +369,35 @@ class CoordGeometry(FiniteGeometry):
 
     def _build_flats(self):
         """A flat is the trace of its span, and that span is the least
-        subspace with that trace: so listing every subspace of K^n by rank
-        and keeping each trace at its first rank gives every flat with its
-        RREF basis."""
+        subspace with that trace (the only one at its rank): so sweeping the
+        subspaces of K^n by rank and keeping each trace at its first rank
+        gives every flat with its RREF basis.
+
+        The sweep is column-wise.  Free column j of an RREF holds any values
+        c at the k rows whose pivot p_i lies left of j, and its annihilator
+        form e_j - sum c[i] e_{p_i} depends on that column alone.  So per
+        pivot set each free column lists its q^k values and, in step (-c[i]
+        runs through K's negatives as c[i] runs through K), their form
+        masks; a pivot column has only its unit column.  A subspace is one
+        pick per column, its trace the AND of the picked masks, and its rows
+        are built only for a new trace."""
+        n, full, neg, values = self.ncoords, self.full_mask, self.field._neg, range(self.field.q)
         rows_of = {}
-        for basis in linalg.subspaces(self.field, self.ncoords):
-            rows_of.setdefault(self.trace_mask(*basis), basis)
+        for r in range(n + 1):
+            for pivots in itertools.combinations(range(n), r):
+                cols, masks = [], []
+                for j in range(n):
+                    if j in pivots:
+                        cols.append([linalg.unit_vec(r, pivots.index(j))])
+                        continue
+                    cols.append(list(itertools.product(*(values if p < j else (0,) for p in pivots))))
+                    forms = itertools.product(*(((neg if i in pivots else (0,)) if i < j else (int(i == j),))
+                                                for i in range(n)))
+                    masks.append(list(map(self.form_mask, forms)))
+                for picked, ms in zip(itertools.product(*cols), itertools.product(*masks)):
+                    t = functools.reduce(operator.and_, ms, full)
+                    if t not in rows_of:
+                        rows_of[t] = tuple(zip(*picked)), pivots
         self._flat_rows.update(rows_of)
         self._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
 

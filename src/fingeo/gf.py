@@ -237,6 +237,9 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise ReadOnlyField(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise ReadOnlyField(f"cannot delete field {name!r}")
+
     def __eq__(self, other):
         if other.__class__ is not FieldElement:
             return NotImplemented

@@ -310,20 +310,6 @@ def span_points(K: GF, basis_rows):
     return twisted_images(K, transpose(basis_rows), range(K.q), all_proj_points(K, len(basis_rows)))
 
 
-def subspaces(K: GF, n):
-    """Every subspace of K^n once, as its RREF (rows, pivots), by increasing
-    rank; within a rank by pivot set, then by the values of the free
-    entries (right of each row's pivot and off the pivot columns)."""
-    for r in range(n + 1):
-        for pivots in itertools.combinations(range(n), r):
-            free = [(k, j) for k, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
-            for values in itertools.product(range(K.q), repeat=len(free)):
-                rows = [[int(j == p) for j in range(n)] for p in pivots]
-                for (k, j), a in zip(free, values):
-                    rows[k][j] = a
-                yield tuple(map(tuple, rows)), pivots
-
-
 def all_vectors(K: GF, n):
     """All q^n coordinate vectors, ascending lexicographic."""
     return itertools.product(range(K.q), repeat=n)

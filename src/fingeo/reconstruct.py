@@ -95,6 +95,9 @@ class PartialPointMap:
     def __setattr__(self, name, value):
         raise ReadOnlyField(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise ReadOnlyField(f"cannot delete field {name!r}")
+
     def __eq__(self, other):
         if other.__class__ is not PartialPointMap:
             return NotImplemented

@@ -125,6 +125,12 @@ check_morphism decides the flat-preimage condition and also sweeps the
 finite-closure condition on subsets of size <= 4, kept verbatim as the
 reference for PartialMorphism.validate and check_dim_bounds.
 
+The coordinate flats: the library sweeps the subspaces of K^n column by
+column, picking one annihilator form mask per free column.
+ref_subspace_flats is the enumeration that came before it, kept verbatim:
+subspaces lists each subspace's RREF rows, and trace_mask rebuilds its
+annihilator forms from them.
+
 The matrix helpers: the library builds no identity or zero vector and
 inverts no matrix.  identity_matrix, zero_vec and inverse serve the tests
 and the references above.
@@ -1076,6 +1082,32 @@ def ref_rref(K, rows):
         if r == len(work):
             break
     return tuple(tuple(work[i]) for i in range(r)), tuple(pivots)
+
+
+def subspaces(K, n):
+    """Every subspace of K^n once, as its RREF (rows, pivots), by increasing
+    rank; within a rank by pivot set, then by the values of the free
+    entries (right of each row's pivot and off the pivot columns)."""
+    for r in range(n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free = [(k, j) for k, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+            for values in itertools.product(range(K.q), repeat=len(free)):
+                rows = [[int(j == p) for j in range(n)] for p in pivots]
+                for (k, j), a in zip(free, values):
+                    rows[k][j] = a
+                yield tuple(map(tuple, rows)), pivots
+
+
+def ref_subspace_flats(G):
+    """A flat is the trace of its span, and that span is the least
+    subspace with that trace: so listing every subspace of K^n by rank
+    and keeping each trace at its first rank gives every flat with its
+    RREF basis."""
+    rows_of = {}
+    for basis in subspaces(G.field, G.ncoords):
+        rows_of.setdefault(G.trace_mask(*basis), basis)
+    G._flat_rows.update(rows_of)
+    G._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
 
 
 def ref_brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:

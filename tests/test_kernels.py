@@ -1,12 +1,15 @@
 """Differential tests for the coordinate closure kernel, the value-mask
-form masks, the subspace flat enumeration, forward-elimination rank, the
-bundle condition and the bitset bundle sweeps.
+form masks, the column-wise subspace flat sweep, forward-elimination rank,
+the bundle condition and the bitset bundle sweeps.
 
 The literal algorithms they replaced are kept here as references: a
 per-point in_span trace of the span, a per-point dot product for each
 form, the generic quotient closure through the parent, the generic flat
 sweep and the coordinate covering sweep, rank as the length of the RREF,
 and the bundle certification over every itertools.combinations 4-tuple.
+The subspace enumeration with one annihilator per subspace,
+ref_subspace_flats in quotient_routes, is the reference for the
+column-wise sweep.
 The bundle check over every 4-tuple, literal_bundle in quotient_routes, is
 the reference both for the table sweep and for the theorem that decides
 every coordinate geometry, quotients included, with no sweep.
@@ -27,7 +30,7 @@ from fingeo.classify import (
     _one_gap_tuples,
     check_bundle_theorem,
 )
-from fingeo.errors import CapExceeded, DimensionTooLow, ExceptionalNotFlat
+from fingeo.errors import CapExceeded, DimensionTooLow, ExceptionalNotFlat, NoEmbedding
 from fingeo.gallery import EXAMPLE_NAMES, build_example, make_quadric
 from fingeo.gf import gf
 from fingeo.geometry import (
@@ -42,7 +45,7 @@ from fingeo.geometry import (
     subgeometry,
 )
 from fingeo.projective import build_pg
-from quotient_routes import certified_bundles, literal_bundle, literal_violation
+from quotient_routes import certified_bundles, literal_bundle, literal_violation, ref_subspace_flats
 
 
 def literal_trace(G, mask):
@@ -277,6 +280,65 @@ def test_table_failing_exchange_keeps_every_flat():
     assert mask_of([1, 2]) in G.flat_set()
     # the covering skip would lose it, so the generic sweep must not skip
     assert mask_of([1, 2]) not in covering_sweep(G)
+
+
+# -- column-wise subspace sweep -------------------------------------------------
+
+
+def assert_sweep_matches_subspace_flats(make):
+    """Two fresh geometries from make: one runs the column-wise sweep, the
+    other the subspace enumeration it replaced; the flats, their
+    dimensions, the flats of each dimension and the stored bases agree."""
+    G, ref = make(), make()
+    G.flats()
+    ref_subspace_flats(ref)
+    assert G._flats == ref._flats, G.label()
+    assert G._flat_dims == ref._flat_dims, G.label()
+    assert G._flats_by_dim == ref._flats_by_dim, G.label()
+    assert G._flat_rows == ref._flat_rows, G.label()
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_sweep_matches_subspace_flats_on_gallery(q):
+    """Every gallery example that builds over GF(q), and its quotients by a
+    point and by a line through it."""
+    for name in EXAMPLE_NAMES:
+        try:
+            X = build_example(name, gf(q))
+        except NoEmbedding:
+            continue  # no proper subfield to embed
+        assert_sweep_matches_subspace_flats(functools.partial(fresh_copy, X))
+        rng = random.Random(f"sweep quotients {name} {q}")
+        x, y = rng.sample(range(X.n_points), 2)
+        for e_mask in (1 << x, X.line_through_pair(x, y)):
+            assert_sweep_matches_subspace_flats(functools.partial(CoordQuotient, X, e_mask))
+
+
+@pytest.mark.parametrize("n, q", ((1, 2), (1, 7), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)))
+def test_sweep_matches_subspace_flats_on_random_subgeometries(n, q):
+    """Seeded random subgeometries of PG(n, q) of every size from the empty
+    geometry and a single point up to the whole space, and their quotients
+    by a point."""
+    P = build_pg(n, q)
+    rng = random.Random(f"sweep subgeometries {n} {q}")
+    for k in (0, 1, 2, P.n_points, *(rng.randrange(P.n_points + 1) for _ in range(6))):
+        idx = rng.sample(range(P.n_points), k)
+        assert_sweep_matches_subspace_flats(functools.partial(subgeometry, P, idx))
+        if k:
+            X = subgeometry(P, idx)
+            assert_sweep_matches_subspace_flats(functools.partial(CoordQuotient, X, 1 << rng.randrange(k)))
+
+
+def test_sweep_builds_no_annihilator(monkeypatch, pg33, elliptic_34):
+    """The sweep reads each form off its column, so it never asks
+    linalg.annihilator for a span's forms."""
+    geometries = [fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(elliptic_34, 1)]
+    calls = []
+    annihilator = linalg.annihilator
+    monkeypatch.setattr(linalg, "annihilator", lambda *args: calls.append(args) or annihilator(*args))
+    for G in geometries:
+        G.flats()
+    assert calls == []
 
 
 # -- bundle sweep -------------------------------------------------------------

