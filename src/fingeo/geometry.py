@@ -11,11 +11,13 @@ coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
 so every coordinate backend shares one closure kernel and one flat
 enumeration: its flats are the traces of the subspaces of K^n, swept once
 each: a free column of an RREF picks one annihilator form, and a trace is
-the AND of the picked form masks.  A quotient of any other geometry is a
-table geometry on the parent flats through E (QuotientGeometry).
+the AND of the picked form masks; the sweep records each trace's rank, and
+a flat's RREF basis is built on its first join.  A quotient of any other
+geometry is a table geometry on the parent flats through E (QuotientGeometry).
 
-Everything is immutable after construction; the flat cache and the
-incidence index are built once on first demand and only read afterwards.
+Everything is immutable after construction; the flat table {mask:
+dimension} and the incidence index are built once on first demand and only
+read afterwards.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from collections import namedtuple
 from . import linalg
 from .errors import (
     ExceptionalNotFlat,
+    InvalidArgument,
+    InvalidArgumentType,
     NotAMorphism,
     NotConstantOnClasses,
     NotGenerating,
@@ -54,6 +58,18 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _points_mask(G, points) -> int:
+    """mask_of for the public entry points: each index must be a point of G."""
+    m = 0
+    for i in points:
+        if not isinstance(i, int):
+            raise InvalidArgumentType(f"point index {i!r} is not an int")
+        if not 0 <= i < G.n_points:
+            raise InvalidArgument(f"point {i} outside 0..{G.n_points - 1}")
+        m |= 1 << i
+    return m
 
 
 class Flat:
@@ -136,7 +152,6 @@ class FiniteGeometry:
         self.n_points = n_points
         self.full_mask = (1 << n_points) - 1
         self._flats = None
-        self._flat_dims = None
         self._point_quotients = {}
         self._predicate_cache = {}
         self._closure_memo = {}
@@ -151,7 +166,7 @@ class FiniteGeometry:
         return got
 
     def closure(self, points) -> Flat:
-        return Flat(self, self.closure_mask(mask_of(points)))
+        return Flat(self, self.closure_mask(_points_mask(self, points)))
 
     # -- flat cache ------------------------------------------------------------
 
@@ -163,16 +178,14 @@ class FiniteGeometry:
 
     def flat_set(self):
         self.flats()
-        return self._flat_set
+        return self._flat_dims.keys()
 
     def flat_dim(self, mask):
-        if self._flat_dims is None:
+        """A flat's dimension is read from the flat table; any other mask's is computed."""
+        if self._flats is None:
             self.flats()
         d = self._flat_dims.get(mask)
-        if d is None:
-            d = self._dim_of(mask)
-            self._flat_dims[mask] = d
-        return d
+        return len(self._basis(mask)) - 1 if d is None else d
 
     def join_dim(self, m1, m2):
         """Dimension of the join of two flats."""
@@ -194,30 +207,28 @@ class FiniteGeometry:
                         seen.add(t)
                         nxt.append(t)
             frontier = nxt
-        self._store_flats(seen, self._dim_of)
+        self._store_flats({m: len(self._basis(m)) - 1 for m in seen})
 
-    def _store_flats(self, masks, dim_of):
-        """Keep the flats sorted by (size, mask), as a set, with their
-        dimensions, and as one tuple per dimension in the same order."""
-        self._flats = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-        self._flat_set = frozenset(self._flats)
-        self._flat_dims = {m: dim_of(m) for m in self._flats}
+    def _store_flats(self, dims):
+        """Keep the flat table {mask: dimension}, the flats sorted by (size,
+        mask) and one tuple per dimension in the same order."""
+        self._flat_dims = dims
+        self._flats = tuple(sorted(sorted(dims), key=int.bit_count))
         by_dim = {}
         for m in self._flats:
-            by_dim.setdefault(self._flat_dims[m], []).append(m)
+            by_dim.setdefault(dims[m], []).append(m)
         self._flats_by_dim = {d: tuple(ms) for d, ms in by_dim.items()}
 
-    def _dim_of(self, mask):
-        """Greedy basis cardinality minus one (canonical point order)."""
-        basis_mask = 0
-        cl = self.closure_mask(0)
-        d = -1
+    def _basis(self, mask):
+        """The greedy basis of the points of mask: each point, in canonical
+        order, that lies off the closure of those taken before it."""
+        basis, bmask, cl = [], 0, self.closure_mask(0)
         for x in bits_of(mask):
             if not cl >> x & 1:
-                basis_mask |= 1 << x
-                cl = self.closure_mask(basis_mask)
-                d += 1
-        return d
+                basis.append(x)
+                bmask |= 1 << x
+                cl = self.closure_mask(bmask)
+        return tuple(basis)
 
     def dim(self):
         return self.flat_dim(self.full_mask) if self.n_points else -1
@@ -276,7 +287,8 @@ class CoordGeometry(FiniteGeometry):
     normalised, and the bitmask of each form is computed once per geometry.
 
     The flats are the traces of the subspaces of K^n, swept column by column
-    with no annihilator built (see _build_flats).
+    with no annihilator built; the sweep records ranks only, and a flat's
+    RREF basis is built on its first join (see _build_flats, flat_rows).
     The embedding is read off the coordinates: the points are distinct
     points of PG(ncoords - 1, q), so is_full_pg follows from the point
     count, ambient is that projective space (the geometry itself when full,
@@ -357,7 +369,7 @@ class CoordGeometry(FiniteGeometry):
         return self.trace_mask(*self.span_rows(mask))
 
     def flat_rows(self, mask):
-        """Cached span basis per flat."""
+        """The RREF basis of a flat's span, built on first use and cached."""
         got = self._flat_rows.get(mask)
         if got is None:
             got = self._flat_rows[mask] = self.span_rows(mask)
@@ -371,35 +383,29 @@ class CoordGeometry(FiniteGeometry):
         """A flat is the trace of its span, and that span is the least
         subspace with that trace (the only one at its rank): so sweeping the
         subspaces of K^n by rank and keeping each trace at its first rank
-        gives every flat with its RREF basis.
+        gives every flat with its dimension.
 
         The sweep is column-wise.  Free column j of an RREF holds any values
         c at the k rows whose pivot p_i lies left of j, and its annihilator
         form e_j - sum c[i] e_{p_i} depends on that column alone.  So per
-        pivot set each free column lists its q^k values and, in step (-c[i]
-        runs through K's negatives as c[i] runs through K), their form
-        masks; a pivot column has only its unit column.  A subspace is one
-        pick per column, its trace the AND of the picked masks, and its rows
-        are built only for a new trace."""
-        n, full, neg, values = self.ncoords, self.full_mask, self.field._neg, range(self.field.q)
-        rows_of = {}
+        pivot set each free column lists the form masks of its q^k values
+        (-c[i] runs through K's negatives as c[i] runs through K); a pivot
+        column adds no form.  A subspace is one pick per free column and its
+        trace the AND of the picked masks.  Only ranks are recorded: a
+        flat's RREF basis is built by flat_rows when a join first asks."""
+        n, full, neg = self.ncoords, self.full_mask, self.field._neg
+        dims = {}
         for r in range(n + 1):
             for pivots in itertools.combinations(range(n), r):
-                cols, masks = [], []
+                masks = []
                 for j in range(n):
-                    if j in pivots:
-                        cols.append([linalg.unit_vec(r, pivots.index(j))])
-                        continue
-                    cols.append(list(itertools.product(*(values if p < j else (0,) for p in pivots))))
-                    forms = itertools.product(*(((neg if i in pivots else (0,)) if i < j else (int(i == j),))
-                                                for i in range(n)))
-                    masks.append(list(map(self.form_mask, forms)))
-                for picked, ms in zip(itertools.product(*cols), itertools.product(*masks)):
-                    t = functools.reduce(operator.and_, ms, full)
-                    if t not in rows_of:
-                        rows_of[t] = tuple(zip(*picked)), pivots
-        self._flat_rows.update(rows_of)
-        self._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
+                    if j not in pivots:
+                        forms = itertools.product(*(((neg if i in pivots else (0,)) if i < j else (int(i == j),))
+                                                    for i in range(n)))
+                        masks.append(list(map(self.form_mask, forms)))
+                for ms in itertools.product(*masks):
+                    dims.setdefault(functools.reduce(operator.and_, ms, full), r - 1)
+        self._store_flats(dims)
 
     def label(self):
         if self._name:
@@ -520,32 +526,22 @@ def closure(G: FiniteGeometry, points) -> Flat:
 
 def subgeometry(G: FiniteGeometry, points) -> FiniteGeometry:
     """The geometry induced on a point subset: flats are traces S & A."""
-    idx = sorted(set(points))
+    keep = _points_mask(G, points)
+    idx = list(bits_of(keep))
     if isinstance(G, CoordGeometry):
         return CoordGeometry(G.field, [G.vectors[i] for i in idx])
-    table = {m & mask_of(idx) for m in G.flats()}
     remap = {old: new for new, old in enumerate(idx)}
-    shrunk = []
-    for m in table:
-        shrunk.append(mask_of(remap[i] for i in bits_of(m)))
-    return TableGeometry(len(idx), shrunk, name=f"sub({G.label()})")
+    table = [mask_of(remap[i] for i in bits_of(t)) for t in {m & keep for m in G.flats()}]
+    return TableGeometry(len(idx), table, name=f"sub({G.label()})")
 
 
 def basis_of(G: FiniteGeometry, S: Flat, generators) -> tuple:
     """Greedy independent subsequence of generators spanning S, scanned in
     canonical point order."""
-    gen = sorted(set(generators))
-    if G.closure_mask(mask_of(gen)) != S.mask:
+    gen = _points_mask(G, generators)
+    if G.closure_mask(gen) != S.mask:
         raise NotGenerating("generators do not span the flat")
-    basis = []
-    cl = G.closure_mask(0)
-    bmask = 0
-    for x in gen:
-        if not cl >> x & 1:
-            basis.append(x)
-            bmask |= 1 << x
-            cl = G.closure_mask(bmask)
-    return tuple(basis)
+    return G._basis(gen)
 
 
 def dim(G: FiniteGeometry, S: Flat) -> int:

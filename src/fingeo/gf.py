@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, InvalidArgument, ReadOnlyField, SizeLimit
+from .errors import DivisionByZero, FieldMismatch, InvalidArgument, InvalidArgumentType, ReadOnlyField, SizeLimit
 
 MAX_ORDER = 16
 MAX_CHAR = 13
@@ -231,6 +231,8 @@ class FieldElement:
     and hashed by (field, val)."""
 
     def __init__(self, field: GF, val: int):
+        if not (isinstance(val, int) and 0 <= val < field.q):
+            raise InvalidArgument(f"{val!r} is not an element encoding of {field}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "val", val)
 
@@ -249,15 +251,13 @@ class FieldElement:
         return hash((self.field, self.val))
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.val
         if isinstance(other, int):
-            if not 0 <= other < self.field.q:
-                raise InvalidArgument(f"{other} is not an element encoding of {self.field}")
-            return other
-        return NotImplemented
+            other = FieldElement(self.field, other)
+        if not isinstance(other, FieldElement):
+            raise InvalidArgumentType(f"cannot combine {type(other).__name__} with an element of {self.field}")
+        if other.field is not self.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+        return other.val
 
     @property
     def coeffs(self):

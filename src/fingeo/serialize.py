@@ -2,7 +2,7 @@
 point-pair map files, and reconstruction results.
 
 Embedded geometry:   {"field": "gf(q)", "ambient_dim": n, "points": [[c0..cn], ...]}
-Abstract geometry:   {"points": N, "flats": [[indices], ...]}
+Abstract geometry:   {"points": N, "flats": [[indices], ...]}, N <= PG_MAX_POINTS
 Semilinear map:      {"sigma": {"power": i}, "matrix": [[..]],
                       "source": "gf(q)", "target": "gf(q')"}
 Map file:            {"pairs": [[[src coords], [dst coords]], ...]}
@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .errors import FileFormatError
+from .errors import FileFormatError, SizeLimit
 from .geometry import CoordGeometry, TableGeometry, bits_of, mask_of, subgeometry
 from .gf import GF, hom_from_power, parse_field_name
-from .projective import SemilinearMap, build_pg
+from .projective import PG_MAX_POINTS, SemilinearMap, build_pg
 
 
 def _fail(msg):
@@ -115,6 +115,8 @@ def geometry_from_dict(data) -> object:
             _fail(f"bad abstract geometry: {exc}")
         if type(n) is not int or n < 1:
             _fail(f"abstract geometry needs a positive integer point count, not {n!r}")
+        if n > PG_MAX_POINTS:
+            raise SizeLimit(f"abstract geometry has {n} points; beyond desk scale ({PG_MAX_POINTS})")
         if not isinstance(flats, list):
             _fail("'flats' must be a list of index lists")
         for f in flats:

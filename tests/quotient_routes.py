@@ -1107,7 +1107,7 @@ def ref_subspace_flats(G):
     for basis in subspaces(G.field, G.ncoords):
         rows_of.setdefault(G.trace_mask(*basis), basis)
     G._flat_rows.update(rows_of)
-    G._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
+    G._store_flats({m: len(rows) - 1 for m, (rows, _) in rows_of.items()})
 
 
 def ref_brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:

@@ -57,6 +57,21 @@ def test_make_example_size_limit_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_abstract_geometry_beyond_desk_scale_exit_3(tmp_path):
+    """An abstract geometry file is capped at the point count of the largest
+    projective space built (PG_MAX_POINTS): one more point is refused with
+    exit 3 before any flat is read, as an embedded file beyond desk scale."""
+    from fingeo.projective import PG_MAX_POINTS
+
+    for n, code in ((PG_MAX_POINTS, 1), (PG_MAX_POINTS + 1, 3), (10**9, 3)):
+        path = tmp_path / f"abstract{n}.json"
+        path.write_text(json.dumps({"points": n, "flats": [] if code == 1 else [[n + 5]]}))
+        proc = run_cli("check", "--axioms", "g", "--geometry", str(path))
+        assert proc.returncode == code, n
+        if code == 3:
+            assert proc.stdout == "" and "beyond desk scale" in proc.stderr
+
+
 def test_make_example_bad_args_exit_2(tmp_path):
     proc = run_cli("make-example", "--name", "not-a-thing", "--field", "gf(3)", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from fingeo import geometry, linalg
 from fingeo.errors import (
+    InvalidArgument,
+    InvalidArgumentType,
     NotAMorphism,
     NotConstantOnClasses,
     NotGenerating,
@@ -158,6 +160,30 @@ def test_basis_not_generating(pg32):
     full = Flat(pg32, pg32.full_mask)
     with pytest.raises(NotGenerating):
         basis_of(pg32, full, [0, 1])
+
+
+@pytest.mark.parametrize("backend", ("coordinate", "table"))
+def test_point_sets_are_checked(pg32, backend):
+    """closure, subgeometry and basis_of take only indices of points of the
+    geometry: an index past the last point or below 0 is InvalidArgument,
+    and a non-int InvalidArgumentType, on every backend."""
+    G = pg32 if backend == "coordinate" else TableGeometry(3, [[0], [1], [2]])
+    full = Flat(G, G.full_mask)
+    calls = (
+        lambda pts: closure(G, pts),
+        lambda pts: subgeometry(G, pts),
+        lambda pts: basis_of(G, full, pts),
+    )
+    for call in calls:
+        for bad in ([G.n_points], [0, G.n_points + 4], [-1]):
+            with pytest.raises(InvalidArgument):
+                call(bad)
+        for bad in ([1.0], ["0"], [None]):
+            with pytest.raises(InvalidArgumentType):
+                call(bad)
+    # indices of points still pass, in any order and repeated
+    assert closure(G, [0]).mask == 1
+    assert subgeometry(G, iter([2, 0, 2])).n_points == 2
 
 
 def test_basis_cardinality_permutation_invariant(pg32):

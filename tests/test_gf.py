@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from fingeo.errors import DivisionByZero, FieldMismatch, SizeLimit
+from fingeo.errors import DivisionByZero, FieldMismatch, InvalidArgument, InvalidArgumentType, SizeLimit
 from fingeo.gf import (
     FieldElement,
     FieldHom,
@@ -63,6 +63,32 @@ def test_field_element_operators():
     assert (a * b / b).val == a.val
     assert (-a + a).val == 0
     assert len(a.coeffs) == 2
+
+
+@pytest.mark.parametrize("op", ("add", "sub", "mul", "truediv"))
+def test_field_element_operands_are_checked(op):
+    """A non-element operand is a typed failure, not a bare error from
+    the field tables; an int must encode an element."""
+    a = gf(4).element(1)
+    for other in (1.5, "x", None, (1,)):
+        with pytest.raises(InvalidArgumentType):
+            getattr(a, f"__{op}__")(other)
+    for other in (-1, 4):
+        with pytest.raises(InvalidArgument):
+            getattr(a, f"__{op}__")(other)
+    with pytest.raises(FieldMismatch):
+        getattr(a, f"__{op}__")(gf(5).element(1))
+
+
+def test_field_element_value_is_checked():
+    K = gf(4)
+    for val in (-1, 4, 9, 1.0, "1", None):
+        with pytest.raises(InvalidArgument):
+            FieldElement(K, val)
+    assert FieldElement(K, 3).val == 3
+    assert K.element(9).val == 1  # element() reduces an int modulo q
+    with pytest.raises(InvalidArgument):
+        K.element(1.5)
 
 
 @pytest.mark.parametrize("q", SUPPORTED)

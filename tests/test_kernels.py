@@ -167,9 +167,11 @@ def test_covering_sweep_matches_generic_sweep(kernel_geometries, name):
     FiniteGeometry._build_flats(ref)
     assert G.flats() == ref.flats()
     assert G._flat_dims == ref._flat_dims
-    # the stored extended bases are the flats' own RREF bases
+    # the bases built on demand are those the covering sweep extended
+    rows = fresh_copy(G)
+    ref_covering_flats(rows)
     for m in G.flats():
-        assert G.flat_rows(m) == G.span_rows(m)
+        assert G.flat_rows(m) == rows._flat_rows[m]
 
 
 def test_covering_sweep_on_quotients(pg33, elliptic_34):
@@ -205,20 +207,21 @@ def ref_covering_flats(G):
                     nxt.append(t)
         frontier = nxt
     G._flat_rows.update(rows_of)
-    G._store_flats(rows_of, lambda m: len(rows_of[m][0]) - 1)
+    G._store_flats({m: len(rows) - 1 for m, (rows, _) in rows_of.items()})
 
 
 def assert_flats_match_covering_sweep(make):
     """Two fresh geometries from make: one enumerates its flats, the other
     runs the covering sweep; the flats, their dimensions, the flats of
-    each dimension and the stored bases agree."""
+    each dimension and each flat's basis agree."""
     G, ref = make(), make()
     ref_covering_flats(ref)
     assert G.flats() == ref.flats(), G.label()
     assert G._flat_dims == ref._flat_dims, G.label()
     for d in range(-1, ref.dim() + 2):
         assert G.rank_flats(d) == ref.rank_flats(d), (G.label(), d)
-    assert G._flat_rows == ref._flat_rows, G.label()
+    for m in ref.flats():
+        assert G.flat_rows(m) == ref._flat_rows[m], (G.label(), m)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
@@ -288,14 +291,15 @@ def test_table_failing_exchange_keeps_every_flat():
 def assert_sweep_matches_subspace_flats(make):
     """Two fresh geometries from make: one runs the column-wise sweep, the
     other the subspace enumeration it replaced; the flats, their
-    dimensions, the flats of each dimension and the stored bases agree."""
+    dimensions, the flats of each dimension and each flat's basis agree."""
     G, ref = make(), make()
     G.flats()
     ref_subspace_flats(ref)
     assert G._flats == ref._flats, G.label()
     assert G._flat_dims == ref._flat_dims, G.label()
     assert G._flats_by_dim == ref._flats_by_dim, G.label()
-    assert G._flat_rows == ref._flat_rows, G.label()
+    for m in ref.flats():
+        assert G.flat_rows(m) == ref._flat_rows[m], (G.label(), m)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
@@ -327,6 +331,17 @@ def test_sweep_matches_subspace_flats_on_random_subgeometries(n, q):
         if k:
             X = subgeometry(P, idx)
             assert_sweep_matches_subspace_flats(functools.partial(CoordQuotient, X, 1 << rng.randrange(k)))
+
+
+def test_sweep_builds_no_rows(pg33, elliptic_34):
+    """The sweep records ranks only: no flat has a basis until a join asks,
+    and join_dim builds the bases of the two flats it joins and no other."""
+    for G in (fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(elliptic_34, 1)):
+        G.flats()
+        assert G._flat_rows == {}, G.label()
+        m1, m2 = G.lines()[0], G.lines()[-1]
+        assert G.join_dim(m1, m2) == G.flat_dim(G.closure_mask(m1 | m2))
+        assert set(G._flat_rows) == {m1, m2}, G.label()
 
 
 def test_sweep_builds_no_annihilator(monkeypatch, pg33, elliptic_34):

@@ -452,3 +452,12 @@ def test_tracer_names_exist():
     G = projective.build_pg(2, 2)
     missing += [f"instance.{a}" for a in ("_flats", "_point_quotients") if not hasattr(G, a)]
     assert missing == []
+    # the tracer tells a cold call from a warm one by these caches: a fresh
+    # geometry (build_pg interns its spaces) has neither, and each call
+    # fills its own
+    for fresh in (geometry.CoordGeometry(G.field, G.vectors), geometry.TableGeometry(7, G.flats())):
+        assert fresh._flats is None and fresh._point_quotients == {}, fresh
+        fresh.flats()
+        assert isinstance(fresh._flats, tuple), fresh
+        fresh.point_quotient(0)
+        assert list(fresh._point_quotients) == [0], fresh
