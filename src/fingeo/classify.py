@@ -14,8 +14,8 @@ explicitly.  Predicates over the ambient space take any CoordGeometry,
 quotients included: its ambient space P is the PG(n, q) its coordinates
 live in, read off by X.ambient and X.ambient_indices.  They read the lines
 and hyperplanes of P, never its incidence index; the tangent lines at
-every point come from one pass over P's lines (tangent_lines), as do the
-secant lines (secant_lines).  Facts read more than once, the secant lines
+every point, and the tangent points with them, come from one pass over
+P's lines (tangent_lines), as do the secant lines (secant_lines).  Facts read more than once, the secant lines
 among them, are kept on the geometry by one memo (_memo).
 """
 
@@ -115,9 +115,7 @@ def tangent_lines(X: CoordGeometry) -> tuple:
     that meet X nowhere else) in P.lines() order; built once, by one pass
     over P's lines.  X/x = P/x exactly when x has no tangent line, and X/x
     is affino-projective in P/x exactly when a hyperplane through x holds
-    them all.  Each line of X through x is the trace of its own ambient line, so
-    x has no tangent line exactly when (q^n - 1)/(q - 1) lines of X pass
-    through it, n = ncoords - 1, which needs no ambient space."""
+    them all."""
     local_of = {a: x for x, a in enumerate(X.ambient_indices)}
     xmask = mask_of(X.ambient_indices)
     out = [[] for _ in range(X.n_points)]
@@ -135,11 +133,8 @@ def tangent_unions(X: CoordGeometry) -> list:
 
 @_memo
 def _tangent_points(X: CoordGeometry) -> int:
-    """The points of X on a tangent line, as a bitmask, counted as in
-    tangent_lines; built once."""
-    q, pl = X.field.q, X.incidence.point_lines
-    through = (q ** (X.ncoords - 1) - 1) // (q - 1)
-    return mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through)
+    """The points of X on a tangent line, as a bitmask; built once."""
+    return mask_of(x for x, ts in enumerate(tangent_lines(X)) if ts)
 
 
 @_memo
@@ -244,13 +239,10 @@ def is_locally_projective(X) -> Verdict:
 
 def check_line_condition(X: CoordGeometry) -> Verdict:
     """Every ambient line misses X or meets it at least twice: X has no
-    tangent point.  The tangent lines are listed only when some exist."""
-    if not _tangent_points(X):
-        return Verdict("line_condition", True)
-    # a line meeting X once is a tangent line at exactly one point; sorted by
-    # (size, mask), the tangent lines come in P.lines() order
+    tangent line, and each tangent line, at its one point of X, is a witness."""
+    # sorted by (size, mask), the tangent lines come in P.lines() order
     tangents = sorted(itertools.chain(*tangent_lines(X)), key=lambda m: (m.bit_count(), m))
-    return Verdict("line_condition", False, [{"line": sorted(bits_of(line))} for line in tangents])
+    return Verdict("line_condition", not tangents, [{"line": sorted(bits_of(line))} for line in tangents])
 
 
 # -- point/line/plane axioms --------------------------------------------------------
@@ -272,8 +264,8 @@ def check_lp_axioms(X) -> Verdict:
     A locally projective coordinate geometry passes lp4 and lp4prime with
     no sweep: each failure is two planes meeting in x alone inside a
     3-flat (for lp4, l1 v x and l2 v x inside the plane's join with x),
-    which breaks the dimension formula at x, 2 + 2 against 3 + 0."""
-    inc = X.incidence
+    which breaks the dimension formula at x, 2 + 2 against 3 + 0; such a
+    geometry builds no incidence index."""
     results = dict.fromkeys(("lp1", "lp2", "lp3", "lp4"), True)
     witnesses = []
 
@@ -282,9 +274,10 @@ def check_lp_axioms(X) -> Verdict:
         witnesses.append({"axiom": axiom, **witness})
 
     coord = isinstance(X, CoordGeometry)
+    sweep = not (coord and is_locally_projective(X))
+    inc = X.incidence if sweep else None
     if not coord:
         _lp_sweeps(X, inc, fail)
-    sweep = not (coord and is_locally_projective(X))
     lp4 = _lp4_witness(X, inc) if sweep else None
     if lp4 is not None:
         fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])

@@ -128,16 +128,19 @@ class Incidence:
     indices into its lines() and planes(), built from their definitions on
     every backend: point_lines[x] holds the lines through the point x,
     line_planes[l] the planes through every point of the line l, and
-    plane_lines, its transpose, the lines inside each plane.  The plane
-    parts are built on first use."""
+    plane_lines, its transpose, the lines inside each plane.  Each of the
+    three is built on first read."""
 
     def __init__(self, G):
-        self.lines, self.planes = G.lines(), G.planes()
-        self.point_lines = _through(self.lines, G.n_points)
+        self.n_points, self.lines, self.planes = G.n_points, G.lines(), G.planes()
+
+    @functools.cached_property
+    def point_lines(self):
+        return _through(self.lines, self.n_points)
 
     @functools.cached_property
     def line_planes(self):
-        through = _through(self.planes, len(self.point_lines))
+        through = _through(self.planes, self.n_points)
         return tuple(functools.reduce(operator.and_, map(through.__getitem__, bits_of(m))) for m in self.lines)
 
     @functools.cached_property
@@ -414,13 +417,26 @@ class CoordGeometry(FiniteGeometry):
 
 
 class TableGeometry(FiniteGeometry):
-    """Abstract geometry from an explicit family of closed sets."""
+    """Abstract geometry from an explicit family of closed sets, each an
+    int mask or an iterable of point indices."""
 
     def __init__(self, n_points, closed_sets, name=None):
+        if not isinstance(n_points, int):
+            raise InvalidArgumentType(f"point count {n_points!r} is not an int")
+        if n_points < 0:
+            raise InvalidArgument(f"point count {n_points} is negative")
         super().__init__(n_points)
-        self.raw_table = tuple(sorted({mask_of(s) if not isinstance(s, int) else s for s in closed_sets},
-                                      key=lambda m: (m.bit_count(), m)))
+        self.raw_table = tuple(sorted(set(map(self._table_mask, closed_sets)), key=lambda m: (m.bit_count(), m)))
         self._name = name
+
+    def _table_mask(self, s):
+        if not isinstance(s, int):
+            if not hasattr(s, "__iter__"):
+                raise InvalidArgumentType(f"closed set {s!r} is neither a mask nor a list of points")
+            return _points_mask(self, s)
+        if not 0 <= s <= self.full_mask:
+            raise InvalidArgument(f"closed-set mask {s} outside 0..2^{self.n_points} - 1")
+        return s
 
     def _closure_mask(self, mask):
         acc = self.full_mask
@@ -609,12 +625,14 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
     """Verdict per axiom with a concrete witness on failure.
 
     The closure operator itself is checked (extensive, monotone, idempotent)
-    on singletons, cached flats and CLOSURE_SAMPLES seeded subsets.  The
-    exchange axiom holds on every span-trace geometry, coordinate quotients
-    included: a point outside a flat lies outside its span, and strictly
-    nested flats have strictly nested spans.  Table geometries, their
-    quotients included, get the literal interval scan of every (flat,
-    outside point) pair.
+    on singletons, cached flats and CLOSURE_SAMPLES seeded subsets.  G2 and
+    the exchange axiom hold on every span-trace geometry, coordinate
+    quotients included: the meet of two traces is the trace of the meet of
+    their spans, a point outside a flat lies outside its span, and strictly
+    nested flats have strictly nested spans.  Tables run G2 on the table
+    they were given, and any other geometry on its flats.  Table
+    geometries, their quotients included, get the literal interval scan of
+    every (flat, outside point) pair.
     """
     witnesses = {}
     flats = G.flats()
@@ -651,15 +669,13 @@ def check_geometry_axioms(G: FiniteGeometry) -> AxiomReport:
     if not g1:
         witnesses["g1"] = {"empty_closed": cl(0) == 0, "bad_singleton": singleton_bad}
 
-    # G2: pairwise intersections stay in the closure system; for table
-    # geometries run it on the raw table, which is what the user supplied
+    # G2: pairwise intersections stay in the closure system (see above)
     g2 = True
-    if isinstance(G, TableGeometry):
-        family = G.raw_table
-        member = set(family)
+    if isinstance(G, CoordGeometry):
+        family = ()
     else:
-        family = flats
-        member = flat_set
+        family = G.raw_table if isinstance(G, TableGeometry) else flats
+    member = set(family)
     for m1, m2 in itertools.combinations(family, 2):
         if m1 & m2 not in member:
             g2 = False

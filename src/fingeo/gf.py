@@ -219,9 +219,12 @@ class GF:
         return (gf, (self.q,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gf(q: int) -> GF:
-    """The canonical GF(q); interned per order q."""
+    """The canonical GF(q); interned per order q (typed, so that 4.0 is no
+    key for GF(4))."""
+    if not isinstance(q, int):
+        raise InvalidArgumentType(f"field order {q!r} is not an int")
     p, k = _factor_prime_power(q)
     return GF(p, k)
 
@@ -427,4 +430,8 @@ def parse_field_name(text: str) -> GF:
     s = text.strip().lower() if isinstance(text, str) else ""
     if not (s.startswith("gf(") and s.endswith(")")):
         raise InvalidArgument(f"bad field designator {text!r}")
-    return gf(int(s[3:-1]))
+    try:
+        q = int(s[3:-1])
+    except ValueError:
+        raise InvalidArgument(f"bad field designator {text!r}") from None
+    return gf(q)

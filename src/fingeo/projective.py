@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import lru_cache, reduce
 
 from . import linalg
-from .errors import InvalidArgument, NotProjective, SizeLimit, ZeroMap
+from .errors import InvalidArgument, InvalidArgumentType, NotProjective, SizeLimit, ZeroMap
 from .geometry import (
     CoordGeometry,
     FiniteGeometry,
@@ -159,9 +159,12 @@ class SemilinearMap(namedtuple("SemilinearMap", "sigma matrix")):
 # -- projective spaces ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_pg(n: int, q: int) -> CoordGeometry:
-    """The projective space PG(n, q) as a coordinate geometry; interned."""
+    """The projective space PG(n, q) as a coordinate geometry; interned, by
+    typed arguments as gf is."""
+    if not isinstance(n, int):
+        raise InvalidArgumentType(f"projective dimension {n!r} is not an int")
     if not 1 <= n <= 5:
         raise SizeLimit(f"projective dimension {n} outside 1..5")
     K = gf(q)

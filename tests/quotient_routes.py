@@ -60,7 +60,11 @@ holds but a plane lacks a quadrilateral.
 The tangent lines: the library lists them for every point of X in one
 pass over the lines of the ambient space P.  ref_tangent_lines is the scan
 that came before it, kept verbatim: it walks the lines of P through each
-point of X on P's incidence index.
+point of X on P's incidence index.  The library reads the tangent points
+off those lines; ref_tangent_points_by_count is the count that came before
+it, kept verbatim, which needs no ambient space: each line of X through x
+is the trace of its own ambient line, so x lies on no tangent line exactly
+when (q^n - 1)/(q - 1) lines of X pass through it, n = ncoords - 1.
 
 The extension over the completing hyperplane: the library's extend_affino
 leaves every check to the base engine, whose class test and final sweep
@@ -308,6 +312,14 @@ def ref_tangent_lines(X: CoordGeometry) -> tuple:
     P, idx = X.ambient, X.ambient_indices
     xmask = mask_of(idx)
     return tuple(tuple(line for line in P.lines_through(a) if line & xmask == 1 << a) for a in idx)
+
+
+def ref_tangent_points_by_count(X: CoordGeometry) -> int:
+    """The points of X on a tangent line, as a bitmask, counted on X's
+    incidence index."""
+    q, pl = X.field.q, X.incidence.point_lines
+    through = (q ** (X.ncoords - 1) - 1) // (q - 1)
+    return mask_of(x for x, ls in enumerate(pl) if ls.bit_count() < through)
 
 
 def ref_quotient_affino(X, x):

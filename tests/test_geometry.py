@@ -129,6 +129,46 @@ def test_axioms_table_not_closed_under_meets():
     assert rep.witnesses["g2"] == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("kind", ("pg", "subgeometry", "quotient"))
+def test_coordinate_axioms_sweep_no_flat_pairs(kind):
+    """G2 holds on every span-trace geometry by theorem, so no pair of its
+    flats is swept: iterating the flats fails the test."""
+
+    class Unswept(tuple):
+        def __iter__(self):
+            raise AssertionError("flats swept")
+
+    P = build_pg.__wrapped__(3, 3)
+    G = {"pg": P, "subgeometry": make_affine(3, gf(3)), "quotient": P.point_quotient(0)}[kind]
+    unswept = Unswept(G.flats())
+    G.flats = lambda: unswept
+    rep = check_geometry_axioms(G)
+    assert rep.all_pass and rep.witnesses == {}
+
+
+def test_table_input_is_checked():
+    """A closed set is an int mask in 0..2^n - 1 or a list of indices of
+    points; a point count is an int >= 0."""
+    for n, sets in ((3, [[5]]), (3, [[-1]]), (3, [-1]), (3, [8]), (-2, [])):
+        with pytest.raises(InvalidArgument):
+            TableGeometry(n, sets)
+    for n, sets in ((3.0, []), ("3", []), (3, [1.5]), (3, [None]), (3, [[1.0]]), (3, [["0"]])):
+        with pytest.raises(InvalidArgumentType):
+            TableGeometry(n, sets)
+    G = TableGeometry(3, [7, [0, 1], (0, 1), iter([2])])
+    assert G.raw_table == (0b100, 0b011, 0b111)
+    assert TableGeometry(0, [0]).flats() == (0,)
+
+
+def test_table_callers_pass_the_checks(pg22):
+    """subgeometry and the quotient of a table build tables from masks they
+    read off a geometry; both pass the input checks and agree with the
+    coordinate routes."""
+    T = TableGeometry(pg22.n_points, pg22.flats())
+    assert subgeometry(T, [0, 1, 2, 4]).flats() == subgeometry(pg22, [0, 1, 2, 4]).flats()
+    assert T.point_quotient(0).flats() == pg22.point_quotient(0).flats()
+
+
 def test_axioms_ag23():
     P = build_pg(2, 3)
     line = P.lines()[0]

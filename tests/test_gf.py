@@ -228,9 +228,21 @@ def test_parse_field_name():
     assert parse_field_name(" GF(9) ") is gf(9)
     with pytest.raises(ValueError):
         parse_field_name("pg(3)")
-    for value in (5, None, True, [], {}):
-        with pytest.raises(ValueError, match=re.escape(f"bad field designator {value!r}")):
+    for value in (5, None, True, [], {}, "gf(x)", "gf()", "gf(4.0)"):
+        with pytest.raises(InvalidArgument, match=re.escape(f"bad field designator {value!r}")):
             parse_field_name(value)
+
+
+def test_field_order_is_checked():
+    """A non-int order is a typed failure, also once GF(4) is interned:
+    4.0 equals 4 but is no key for it."""
+    assert gf(4) is gf(4)
+    for q in ("4", 4.0, None):
+        with pytest.raises(InvalidArgumentType):
+            gf(q)
+    for q in (0, -4, 6):
+        with pytest.raises(InvalidArgument):
+            gf(q)
 
 
 def test_identity_hom():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from fingeo import linalg
-from fingeo.errors import NotProjective, SizeLimit, ZeroMap
+from fingeo.errors import InvalidArgument, InvalidArgumentType, NotProjective, SizeLimit, ZeroMap
 from fingeo.gallery import build_example
 from fingeo.geometry import Flat, TableGeometry, bits_of, mask_of, quotient, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
@@ -70,6 +70,17 @@ def test_pg_size_limit():
         build_pg(0, 2)
     with pytest.raises(SizeLimit):
         build_pg(5, 16)
+
+
+def test_pg_arguments_are_checked():
+    """Non-int arguments are typed failures, also once PG(3,4) and PG(3,2)
+    are interned; an order that is no prime power is InvalidArgument."""
+    assert build_pg(3, 4) is build_pg(3, 4) and build_pg(3, 2).n_points == 15
+    for n, q in ((3, 4.0), (3.0, 2), (3, "4"), ("3", 2)):
+        with pytest.raises(InvalidArgumentType):
+            build_pg(n, q)
+    with pytest.raises(InvalidArgument):
+        build_pg(3, 6)
 
 
 def test_proj_point_normalization():

@@ -1,16 +1,19 @@
 """The local predicates of a coordinate geometry, decided at its tangent
 points, against the routes that swept every point (quotient_routes).
 
-A point x of X lies on no tangent line exactly when (q^n - 1)/(q - 1)
-lines of X pass through it, and there X/x = P/x.  So the library counts the
-quotient-line form, searches planes for a quadrilateral and sweeps plane
-and hyperplane meets only at tangent points, reads full_quotient_points and
-the line condition off the count, and decides lp4 and lp4prime by local
+Where a point x of X lies on no tangent line, X/x = P/x.  The library
+reads the tangent points off the tangent lines (tangent_lines), and they
+must be the points that the count of lines of X through each point
+(ref_tangent_points_by_count) finds.  It counts the quotient-line form,
+searches planes for a quadrilateral and sweeps plane and hyperplane meets
+only at tangent points, reads full_quotient_points and the line condition
+off the tangent lines, and decides lp4 and lp4prime by local
 projectivity.  On a seeded corpus every report must be the one the full
 routes give, and the two runtime checks the library dropped must hold:
 the line condition implies local projectivity, and the quotient-line form
 implies a quadrilateral in every plane.  The guards show that the sweeps
-the theorems settle are not reached.
+the theorems settle are not reached, and that X's incidence index is built
+only by the sweeps that read it.
 """
 
 import functools
@@ -30,13 +33,18 @@ from fingeo.classify import (
     is_locally_projective,
     tangent_lines,
 )
-from fingeo.errors import InternalContradiction
+from fingeo.errors import InternalContradiction, SizeLimit
 from fingeo.gallery import build_example, make_affine
-from fingeo.geometry import bits_of, mask_of, subgeometry
+from fingeo.geometry import CoordGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import SemilinearMap, build_pg
 from fingeo.reconstruct import MorphismInstance, reconstruct_locally_projective
-from quotient_routes import ref_has_enough_points, ref_local_dim_formula_at, ref_skew_points
+from quotient_routes import (
+    ref_has_enough_points,
+    ref_local_dim_formula_at,
+    ref_skew_points,
+    ref_tangent_points_by_count,
+)
 
 GALLERY = [f"{name}-{q}" for q in (2, 3) for name in ("affine", "elliptic-quadric", "cone", "two-hyperplanes")]
 # sparse and dense seeded subgeometries (a dense one misses one to three
@@ -71,7 +79,7 @@ def dumps(verdict):
 def test_tangent_point_routes_match_full_routes(case, monkeypatch):
     X = geometry(case)
     lines_at = tangent_lines(X)
-    assert classify._tangent_points(X) == mask_of(x for x, ts in enumerate(lines_at) if ts)
+    assert classify._tangent_points(X) == ref_tangent_points_by_count(X)
     assert full_quotient_points(X) == tuple(x for x, ts in enumerate(lines_at) if not ts)
     tangents = sorted(itertools.chain(*lines_at), key=lambda m: (m.bit_count(), m))
     lines = [{"line": sorted(bits_of(m))} for m in tangents]
@@ -139,10 +147,53 @@ def test_affine_space_searches_no_plane(q, monkeypatch):
     assert v.verdict is True and v.certificates == {"quotient_line_form": True}
 
 
-def test_lp_reconstruction_builds_no_ambient_view(monkeypatch):
-    monkeypatch.setattr(classify, "tangent_lines", reached)
+@pytest.mark.parametrize("name, q", [("affine", 3), ("two-plane-complement", 3), ("subfield-complement", 4)])
+def test_line_condition_check_builds_no_flats_of_x(name, q):
+    """The constructors that check the line condition read it off the
+    tangent lines, which are the lines of P: X's flats and incidence index
+    are left unbuilt."""
+    X = build_example(name, gf(q))
+    assert X._flats is None
+    assert "incidence" not in vars(X)
+
+
+def test_lp_axioms_of_a_locally_projective_geometry_build_no_incidence_index():
+    X = make_affine(3, gf(3))
+    assert check_lp_axioms(X).verdict is True
+    assert "incidence" not in vars(X)
+
+
+def test_enough_points_without_tangent_points_builds_no_point_lines():
+    """AG(3,4) has no tangent point, so no point's lines are counted."""
+    X = make_affine(3, gf(4))
+    assert has_enough_points(X).verdict is True
+    assert "point_lines" not in vars(X.incidence)
+
+
+def test_lp_reconstruction_builds_no_point_lines():
+    """The lp driver finds its base points on the tangent lines, not by
+    counting the lines of X through each point."""
     K = gf(3)
     X = make_affine(3, K)
     gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
     res = reconstruct_locally_projective(MorphismInstance.restrict_semilinear(gen, X))
     assert res.phi == gen.canonical()
+    assert classify.tangent_lines.__wrapped__ in X._predicate_cache
+    assert "point_lines" not in vars(X.incidence)
+
+
+def test_local_predicates_beyond_desk_scale_raise_size_limit():
+    """The tangent points are read off the lines of the ambient PG(n, q),
+    so a geometry whose ambient space is beyond desk scale (here 40 points
+    of GF(2)^7, in PG(6, 2)) gets SizeLimit, as every ambient predicate
+    does."""
+    K = gf(2)
+    vectors = sorted(random.Random(7).sample(range(1, 2**7), 40))
+    X = CoordGeometry(K, [tuple(v >> i & 1 for i in range(7)) for v in vectors])
+    gen = SemilinearMap(identity_hom(K), tuple(tuple(int(i == j) for j in range(7)) for i in range(7)))
+    inst = MorphismInstance.restrict_semilinear(gen, X)
+    calls = [has_enough_points, is_locally_projective, check_lp_axioms, check_line_condition,
+             lambda X: reconstruct_locally_projective(inst)]
+    for call in calls:
+        with pytest.raises(SizeLimit):
+            call(X)
