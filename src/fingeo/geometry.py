@@ -11,8 +11,9 @@ coordinate geometry is itself a coordinate geometry on V/W (CoordQuotient),
 so every coordinate backend shares one closure kernel and one flat
 enumeration: its flats are the traces of the subspaces of K^n, swept once
 each: a free column of an RREF picks one annihilator form, and a trace is
-the AND of the picked form masks; the sweep records each trace's rank, and
-a flat's RREF basis is built on its first join.  A quotient of any other
+the AND of the picked form masks, read from the geometry's one form table;
+the sweep records each trace's rank, and a flat's RREF basis is built on its
+first join.  A quotient of any other
 geometry is a table geometry on the parent flats through E (QuotientGeometry).
 
 Everything is immutable after construction; the flat table {mask:
@@ -287,7 +288,9 @@ class CoordGeometry(FiniteGeometry):
     the points on which every form of its annihilator vanishes, so a trace
     is the AND of the hyperplane bitmasks of the annihilator's basis forms.
     linalg.annihilator reads those forms off the span's RREF rows, already
-    normalised, and the bitmask of each form is computed once per geometry.
+    normalised with a trailing 1, and every such form's bitmask comes from
+    one table per geometry (_form_table), built by one walk over coefficient
+    prefixes on the geometry's first closure.
 
     The flats are the traces of the subspaces of K^n, swept column by column
     with no annihilator built; the sweep records ranks only, and a flat's
@@ -309,7 +312,6 @@ class CoordGeometry(FiniteGeometry):
         self._name = name
         self._vec_index = {v: i for i, v in enumerate(self.vectors)}
         self._flat_rows = {}
-        self._form_masks = {}
 
     @functools.cached_property
     def ambient(self):
@@ -333,39 +335,55 @@ class CoordGeometry(FiniteGeometry):
         return linalg.rref(self.field, [self.vectors[i] for i in bits_of(mask)])
 
     @functools.cached_property
-    def _value_masks(self):
-        """masks[i][a]: the points whose coordinate i is a."""
-        masks = [[0] * self.field.q for _ in range(self.ncoords)]
+    def _form_table(self):
+        """The bitmask of every form with a trailing 1 (its last nonzero
+        entry is 1): the points on which it vanishes.  One depth-first walk
+        over coefficient prefixes builds them all.  parts[s] holds the points
+        whose partial dot product with the prefix is s, so forms that share
+        a prefix share its split, and the form prefix + (1, 0, ...) vanishes
+        on parts[s] & (coordinate j is -s): q ANDs.  Only prefixes whose
+        first nonzero entry is 1 are walked: the split of lam * prefix is
+        the same parts, relabelled s -> lam * s."""
+        K, n = self.field, self.ncoords
+        q, add, mul, neg = K.q, K._add, K._mul, K._neg
+        values = [[0] * q for _ in range(n)]
         for x, v in enumerate(self.vectors):
             for i, a in enumerate(v):
-                masks[i][a] |= 1 << x
-        return masks
+                values[i][a] |= 1 << x
+        table = {}
 
-    def form_mask(self, form):
-        """Points on which the linear form vanishes; memoised per form.  The
-        points are split by partial dot product, one nonzero coefficient at
-        a time: parts[s] holds the points whose sum so far is s."""
-        got = self._form_masks.get(form)
-        if got is None:
-            K = self.field
-            parts = [self.full_mask] + [0] * (K.q - 1)
-            for c, masks in zip(form, self._value_masks):
-                if c:
-                    nxt = [0] * K.q
+        def walk(prefix, parts):
+            j = len(prefix)
+            vm, tail = values[j], (1,) + (0,) * (n - j - 1)
+            for times in mul[1:]:  # times[c] = lam * c, one row per lam != 0
+                table[tuple(times[c] for c in prefix) + tail] = functools.reduce(
+                    operator.or_, (pm & vm[neg[times[s]]] for s, pm in enumerate(parts)), 0
+                )
+            if j + 1 < n:
+                walk(prefix + (0,), parts)
+                for c in range(1, q):
+                    nxt = [0] * q
                     for s, pm in enumerate(parts):
                         if pm:
-                            add_s = K._add[s]
-                            for ca, am in zip(K._mul[c], masks):
+                            add_s = add[s]
+                            for ca, am in zip(mul[c], vm):
                                 nxt[add_s[ca]] |= pm & am
-                    parts = nxt
-            got = self._form_masks[form] = parts[0]
-        return got
+                    walk(prefix + (c,), nxt)
+
+        # the zero prefix of length j: its form e_j vanishes where v_j = 0,
+        # and its child (0, ..., 0, 1) splits the points by v_j
+        for j in range(n):
+            table[(0,) * j + (1,) + (0,) * (n - j - 1)] = values[j][0]
+            if j + 1 < n:
+                walk((0,) * j + (1,), values[j])
+        return table
 
     def trace_mask(self, rows, pivots):
         """Points of this geometry lying in the span of an RREF basis."""
+        table = self._form_table
         m = self.full_mask
         for form in linalg.annihilator(self.field, rows, pivots, self.ncoords):
-            m &= self.form_mask(form)
+            m &= table[form]
         return m
 
     def _closure_mask(self, mask):
@@ -396,7 +414,7 @@ class CoordGeometry(FiniteGeometry):
         column adds no form.  A subspace is one pick per free column and its
         trace the AND of the picked masks.  Only ranks are recorded: a
         flat's RREF basis is built by flat_rows when a join first asks."""
-        n, full, neg = self.ncoords, self.full_mask, self.field._neg
+        n, full, neg, table = self.ncoords, self.full_mask, self.field._neg, self._form_table
         dims = {}
         for r in range(n + 1):
             for pivots in itertools.combinations(range(n), r):
@@ -405,7 +423,7 @@ class CoordGeometry(FiniteGeometry):
                     if j not in pivots:
                         forms = itertools.product(*(((neg if i in pivots else (0,)) if i < j else (int(i == j),))
                                                     for i in range(n)))
-                        masks.append(list(map(self.form_mask, forms)))
+                        masks.append(list(map(table.__getitem__, forms)))
                 for ms in itertools.product(*masks):
                     dims.setdefault(functools.reduce(operator.and_, ms, full), r - 1)
         self._store_flats(dims)

@@ -11,7 +11,7 @@ All arithmetic is table-driven and exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import DivisionByZero, FieldMismatch, InvalidArgument, InvalidArgumentType, ReadOnlyField, SizeLimit
 
@@ -219,12 +219,32 @@ class GF:
         return (gf, (self.q,))
 
 
-@lru_cache(maxsize=None, typed=True)
+def interned(*names):
+    """Decorator: fn interned by an lru_cache, with its arguments, called
+    names, checked to be ints in front of the cache, so that a bad one is
+    InvalidArgumentType even when the cache could not hash it.  As on
+    lru_cache's own wrapper, cache_clear empties the cache and __wrapped__
+    is fn, uncached."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def wrapper(*args):
+            for name, value in zip(names, args):
+                if not isinstance(value, int):
+                    raise InvalidArgumentType(f"{name} {value!r} is not an int")
+            return cached(*args)
+
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
+
+
+@interned("field order")
 def gf(q: int) -> GF:
-    """The canonical GF(q); interned per order q (typed, so that 4.0 is no
-    key for GF(4))."""
-    if not isinstance(q, int):
-        raise InvalidArgumentType(f"field order {q!r} is not an int")
+    """The canonical GF(q), interned per order q."""
     p, k = _factor_prime_power(q)
     return GF(p, k)
 

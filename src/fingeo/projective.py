@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 
 from . import linalg
-from .errors import InvalidArgument, InvalidArgumentType, NotProjective, SizeLimit, ZeroMap
+from .errors import InvalidArgument, NotProjective, SizeLimit, ZeroMap
 from .geometry import (
     CoordGeometry,
     FiniteGeometry,
@@ -26,7 +26,7 @@ from .geometry import (
     dim_formula_violations,
     mask_of,
 )
-from .gf import GF, FieldHom, gf
+from .gf import GF, FieldHom, gf, interned
 
 PG_MAX_POINTS = 6000
 FLAT_PAIR_LIMIT = 2_000_000
@@ -159,12 +159,9 @@ class SemilinearMap(namedtuple("SemilinearMap", "sigma matrix")):
 # -- projective spaces ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
+@interned("projective dimension", "field order")
 def build_pg(n: int, q: int) -> CoordGeometry:
-    """The projective space PG(n, q) as a coordinate geometry; interned, by
-    typed arguments as gf is."""
-    if not isinstance(n, int):
-        raise InvalidArgumentType(f"projective dimension {n!r} is not an int")
+    """The projective space PG(n, q) as a coordinate geometry, interned."""
     if not 1 <= n <= 5:
         raise SizeLimit(f"projective dimension {n} outside 1..5")
     K = gf(q)

@@ -135,6 +135,13 @@ ref_subspace_flats is the enumeration that came before it, kept verbatim:
 subspaces lists each subspace's RREF rows, and trace_mask rebuilds its
 annihilator forms from them.
 
+The form masks: the library builds the mask of every form with a trailing
+1 in one walk over coefficient prefixes (CoordGeometry._form_table).
+ref_form_mask is the per-form route that came before it, kept verbatim
+apart from its memo: it splits the points by partial dot product, one
+nonzero coefficient at a time, over the value masks of ref_value_masks.
+It takes any form, normalised or not.
+
 The matrix helpers: the library builds no identity or zero vector and
 inverts no matrix.  identity_matrix, zero_vec and inverse serve the tests
 and the references above.
@@ -1108,6 +1115,33 @@ def subspaces(K, n):
                 for (k, j), a in zip(free, values):
                     rows[k][j] = a
                 yield tuple(map(tuple, rows)), pivots
+
+
+def ref_value_masks(G):
+    """masks[i][a]: the points whose coordinate i is a."""
+    masks = [[0] * G.field.q for _ in range(G.ncoords)]
+    for x, v in enumerate(G.vectors):
+        for i, a in enumerate(v):
+            masks[i][a] |= 1 << x
+    return masks
+
+
+def ref_form_mask(G, form, value_masks):
+    """Points on which the linear form vanishes.  The
+    points are split by partial dot product, one nonzero coefficient at
+    a time: parts[s] holds the points whose sum so far is s."""
+    K = G.field
+    parts = [G.full_mask] + [0] * (K.q - 1)
+    for c, masks in zip(form, value_masks):
+        if c:
+            nxt = [0] * K.q
+            for s, pm in enumerate(parts):
+                if pm:
+                    add_s = K._add[s]
+                    for ca, am in zip(K._mul[c], masks):
+                        nxt[add_s[ca]] |= pm & am
+            parts = nxt
+    return parts[0]
 
 
 def ref_subspace_flats(G):

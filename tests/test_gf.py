@@ -245,6 +245,13 @@ def test_field_order_is_checked():
             gf(q)
 
 
+def test_unhashable_field_order_is_a_typed_failure():
+    """The check runs in front of the cache, which could not hash a list."""
+    for q in ([4], {4: 4}, {4}):
+        with pytest.raises(InvalidArgumentType, match="field order"):
+            gf(q)
+
+
 def test_identity_hom():
     for q in (2, 3, 4, 9):
         h = identity_hom(gf(q))

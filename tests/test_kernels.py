@@ -1,5 +1,5 @@
-"""Differential tests for the coordinate closure kernel, the value-mask
-form masks, the column-wise subspace flat sweep, forward-elimination rank,
+"""Differential tests for the coordinate closure kernel, the prefix-walk
+form table, the column-wise subspace flat sweep, forward-elimination rank,
 the bundle condition and the bitset bundle sweeps.
 
 The literal algorithms they replaced are kept here as references: a
@@ -7,6 +7,8 @@ per-point in_span trace of the span, a per-point dot product for each
 form, the generic quotient closure through the parent, the generic flat
 sweep and the coordinate covering sweep, rank as the length of the RREF,
 and the bundle certification over every itertools.combinations 4-tuple.
+The per-form route, ref_form_mask in quotient_routes, is a second
+reference for the form table.
 The subspace enumeration with one annihilator per subspace,
 ref_subspace_flats in quotient_routes, is the reference for the
 column-wise sweep.
@@ -45,7 +47,14 @@ from fingeo.geometry import (
     subgeometry,
 )
 from fingeo.projective import build_pg
-from quotient_routes import certified_bundles, literal_bundle, literal_violation, ref_subspace_flats
+from quotient_routes import (
+    certified_bundles,
+    literal_bundle,
+    literal_violation,
+    ref_form_mask,
+    ref_subspace_flats,
+    ref_value_masks,
+)
 
 
 def literal_trace(G, mask):
@@ -146,18 +155,50 @@ def literal_form_mask(G, form):
     return mask_of(i for i, v in enumerate(G.vectors) if not linalg.dot(G.field, form, v))
 
 
+def trailing_one_forms(n, q):
+    """Every form of K^n whose last nonzero entry is 1."""
+    for j in range(n):
+        for prefix in itertools.product(range(q), repeat=j):
+            yield prefix + (1,) + (0,) * (n - j - 1)
+
+
+def assert_form_table_matches(G):
+    """G's form table holds exactly the forms with a trailing 1, each with
+    the mask of the per-point dot product and of the per-form route."""
+    table = G._form_table
+    forms = list(trailing_one_forms(G.ncoords, G.field.q))
+    assert sorted(table) == sorted(forms), G.label()
+    value_masks = ref_value_masks(G)
+    for form in forms:
+        assert table[form] == literal_form_mask(G, form) == ref_form_mask(G, form, value_masks), form
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
 def test_form_mask_matches_dot_loop(q):
+    """Every form of a seeded subgeometry of PG(3, q) and of its quotients
+    by a point and by a line."""
     rng = random.Random(f"form masks {q}")
-    P = build_pg(3, q) if q <= 4 else build_pg(2, q)
+    P = build_pg(3, q)
     X = subgeometry(P, rng.sample(range(P.n_points), rng.randrange(3, min(P.n_points, 60))))
-    for G in (X, CoordQuotient(X, 1 << rng.randrange(X.n_points))):
-        forms = [(0,) * G.ncoords]
-        for _ in range(40):
-            density = rng.choice((0.4, 0.8, 1.0))
-            forms.append(tuple(rng.randrange(1, q) if rng.random() < density else 0 for _ in range(G.ncoords)))
-        for form in forms:
-            assert G.form_mask(form) == literal_form_mask(G, form), form
+    line = X.closure_mask(mask_of(rng.sample(range(X.n_points), 2)))
+    for G in (X, CoordQuotient(X, 1 << rng.randrange(X.n_points)), CoordQuotient(X, line)):
+        assert_form_table_matches(G)
+
+
+def test_form_table_edge_cases():
+    """The empty geometry has no form, a point of PG(0, q) one form, which
+    misses it, and a subgeometry of PG(11, 2) all 4095 forms of GF(2)^12."""
+    K = gf(2)
+    empty = CoordGeometry(K, [])
+    assert empty._form_table == {} and empty.closure_mask(0) == 0
+    for q in (2, 5, 16):
+        point = CoordGeometry(gf(q), [(1,)])
+        assert point._form_table == {(1,): 0}
+        assert point.closure_mask(0) == 0 and point.closure_mask(1) == 1
+    rng = random.Random("form masks PG(11, 2)")
+    X = CoordGeometry(K, [tuple(v >> i & 1 for i in range(12)) for v in rng.sample(range(1, 1 << 12), 50)])
+    assert len(X._form_table) == 4095
+    assert_form_table_matches(X)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -354,6 +395,56 @@ def test_sweep_builds_no_annihilator(monkeypatch, pg33, elliptic_34):
     for G in geometries:
         G.flats()
     assert calls == []
+
+
+def test_cold_closures_build_the_form_table_once(monkeypatch, pg33, elliptic_34):
+    """The first closure on a fresh geometry builds the whole form table;
+    later closures and the flat sweep read it and build nothing more."""
+    built = []
+    walk = CoordGeometry._form_table.func
+    counted = functools.cached_property(lambda G: built.append(G) or walk(G))
+    counted.__set_name__(CoordGeometry, "_form_table")
+    monkeypatch.setattr(CoordGeometry, "_form_table", counted)
+    rng = random.Random("one walk")
+    for G in (fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(fresh_copy(elliptic_34), 1)):
+        for m in sample_masks(G, rng, count=10):
+            assert G.closure_mask(m) == literal_closure(G, m)
+        assert built[-1] is G
+        G.flats()
+        assert built.count(G) == 1 and len(G._form_table) == (G.field.q**G.ncoords - 1) // (G.field.q - 1)
+
+
+class ReadRecord(dict):
+    """A form table that records the forms read from it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, form):
+        self.read.add(form)
+        return super().__getitem__(form)
+
+
+class Unreadable(tuple):
+    def __iter__(self):
+        raise AssertionError("coordinates read")
+
+    def __getitem__(self, i):
+        raise AssertionError("coordinates read")
+
+
+def test_sweep_reads_only_table_entries(pg33, elliptic_34):
+    """Given its form table, the flat sweep reads every form of it and no
+    coordinate of a point: no mask comes from anywhere else."""
+    for G in (pg33, elliptic_34, CoordQuotient(elliptic_34, 1)):
+        got, ref = fresh_copy(G), fresh_copy(G)
+        table = got.__dict__["_form_table"] = ReadRecord(fresh_copy(G)._form_table)
+        got.vectors = Unreadable(got.vectors)
+        got.flats()
+        ref_subspace_flats(ref)
+        assert table.read == set(table)
+        assert got._flat_dims == ref._flat_dims and got._flats == ref._flats
 
 
 # -- bundle sweep -------------------------------------------------------------

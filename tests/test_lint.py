@@ -8,7 +8,9 @@ parameter with a default is passed by some call.  linalg.py, under every enumera
 on the field's tables and never touches a GF arithmetic method; nor do the
 maps and the structure check of gf.FieldHom.  Every function of linalg.py
 is called by the package or wrapped by perfbench/tracer.py.  Every raise
-names FingeoError or a subclass of it from errors.py.
+names FingeoError or a subclass of it from errors.py.  Every form mask of
+a coordinate geometry comes from its one form table, which only the
+closure kernel and the flat sweep read.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -365,6 +367,67 @@ def test_field_method_is_reported():
         "    return add[c][mul[a][b]], inv(a), K.q\n"
     )
     assert field_method_uses(source) == [(3, "mul"), (4, "inv")]
+
+
+# the form table's readers, and the names of the per-form routes it replaced
+TABLE_READERS = ("trace_mask", "_build_flats")
+FORM_MASK_NAME = re.compile(r"(?i)(form|value)_?masks?")
+
+
+def form_mask_routes(source):
+    """(line, name) for each mask route beside the one form table: a
+    definition, attribute or name like form_mask, _form_masks or
+    _value_masks, and a read of _form_table or of linalg.annihilator in a
+    function (or method) other than TABLE_READERS."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = None
+            if isinstance(child, DEFINITIONS):
+                name = child.name
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, (ast.Name, ast.arg)):
+                name = getattr(child, "id", None) or child.arg
+            if name and FORM_MASK_NAME.search(name):
+                out.append((child.lineno, name))
+            reads_table = isinstance(child, ast.Attribute) and child.attr in ("_form_table", "annihilator")
+            if reads_table and owner not in TABLE_READERS:
+                out.append((child.lineno, f"{owner}: {child.attr}"))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function and owner is None else owner)
+
+    visit(ast.parse(source), None)
+    return sorted(out)
+
+
+def test_one_form_mask_route():
+    """Every form mask of a coordinate geometry comes from its form table,
+    and only the closure kernel and the flat sweep read it."""
+    for module in MODULES:
+        if module != "linalg.py":  # kernel_basis reads annihilator forms, no masks
+            assert form_mask_routes((SRC / module).read_text(encoding="utf-8")) == [], module
+
+
+def test_second_form_mask_route_is_reported():
+    source = (
+        "class G:\n"
+        "    def form_mask(self, form):\n"
+        "        return self._form_masks[form]\n"
+        "\n"
+        "    def trace_mask(self, rows, pivots):\n"
+        "        return [self._form_table[f] for f in linalg.annihilator(rows, pivots)]\n"
+        "\n"
+        "    def _form_table(self):\n"
+        "        return dict(self._value_masks)\n"
+        "\n"
+        "    def lines(self):\n"
+        "        return self._form_table\n"
+    )
+    assert form_mask_routes(source) == [
+        (2, "form_mask"), (3, "_form_masks"), (9, "_value_masks"), (12, "lines: _form_table"),
+    ]
 
 
 def load_tracer():

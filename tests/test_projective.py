@@ -2,7 +2,11 @@
 coordinates, proportionality."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +85,38 @@ def test_pg_arguments_are_checked():
             build_pg(n, q)
     with pytest.raises(InvalidArgument):
         build_pg(3, 6)
+
+
+def test_unhashable_pg_arguments_are_typed_failures():
+    """The check runs in front of the cache, which could not hash a list."""
+    for n, q, what in ((3, [2], "field order"), ([3], 2, "projective dimension"), (3, {2}, "field order")):
+        with pytest.raises(InvalidArgumentType, match=what):
+            build_pg(n, q)
+
+
+def test_pg_cache_is_cleared_through_wrappers():
+    """perfbench's cache_clear walks __wrapped__ to the cache: it empties
+    build_pg's cache directly and through a tracing wrapper.  Run in a
+    fresh process, so that this session's interned spaces stay."""
+    script = """
+import functools, sys
+sys.path.insert(0, sys.argv[1])
+from common import cache_clear
+from fingeo.projective import build_pg
+
+P = build_pg(2, 3)
+assert build_pg(2, 3) is P and build_pg.__wrapped__(2, 3) is not P
+cache_clear(build_pg)
+Q = build_pg(2, 3)
+assert Q is not P
+traced = functools.wraps(build_pg)(lambda *args: build_pg(*args))
+cache_clear(traced)
+assert build_pg(2, 3) is not Q
+"""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "perfbench")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_proj_point_normalization():
