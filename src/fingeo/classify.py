@@ -27,14 +27,14 @@ import operator
 import random
 
 from .errors import DimensionTooLow, InternalContradiction
-from .geometry import CoordGeometry, bits_of, dim_formula_violations, mask_of
+from .geometry import CoordGeometry, Report, bits_of, dim_formula_violations, mask_of
 
 BUNDLE_LIMIT = 10**8
 BUNDLE_SEED = 0xB1D
 BUNDLE_SAMPLES = 20000
 
 
-class Verdict:
+class Verdict(Report):
     """One predicate outcome with witnesses / certificates."""
 
     def __init__(self, name, verdict, witnesses=None, certificates=None, method="exhaustive", seed=None):
@@ -44,9 +44,6 @@ class Verdict:
         self.certificates = {} if certificates is None else certificates
         self.method = method
         self.seed = seed
-
-    def __eq__(self, other):
-        return type(other) is Verdict and vars(self) == vars(other)
 
     def __bool__(self):
         return self.verdict is True
@@ -62,13 +59,10 @@ class Verdict:
         return d
 
 
-class ClassificationReport:
+class ClassificationReport(Report):
     def __init__(self, geometry, verdicts):
         self.geometry = geometry
         self.verdicts = verdicts
-
-    def __eq__(self, other):
-        return type(other) is ClassificationReport and vars(self) == vars(other)
 
     def as_dict(self, include_witnesses=True):
         return {
@@ -287,7 +281,7 @@ def check_lp_axioms(X) -> Verdict:
         for (m1, pts1), (m2, pts2) in itertools.combinations(planes, 2):
             inter = m1 & m2
             if inter and X.flat_dim(inter) != 1:
-                fail("lp4prime", planes=[pts1.copy(), pts2.copy()])
+                fail("lp4prime", planes=[pts1, pts2])
         # a greedy basis of X is four points whose closure, X, has dimension 3
         results["lp5"] = True
     return Verdict("lp_axioms", all(results.values()), witnesses, results)

@@ -73,6 +73,15 @@ def _points_mask(G, points) -> int:
     return m
 
 
+class Report:
+    """The base of the report records: two reports are equal when they
+    are of one class and hold equal fields.  Reports stay mutable, so they
+    are unhashable."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
+
+
 class Flat:
     """A closed point set of a geometry."""
 
@@ -611,7 +620,7 @@ def dim_formula_violations(G: FiniteGeometry, flats):
 # -- axiom checking -----------------------------------------------------------
 
 
-class AxiomReport:
+class AxiomReport(Report):
     def __init__(self, g1, g2, g3, g4, closure_ok, witnesses):
         self.g1 = g1
         self.g2 = g2
@@ -619,9 +628,6 @@ class AxiomReport:
         self.g4 = g4
         self.closure_ok = closure_ok
         self.witnesses = witnesses
-
-    def __eq__(self, other):
-        return type(other) is AxiomReport and vars(self) == vars(other)
 
     @property
     def all_pass(self):
@@ -817,7 +823,7 @@ def flat_preimage_condition(f: GeometryMorphism) -> bool:
 # -- generated by lines / planes ----------------------------------------------
 
 
-class GeneratedReport:
+class GeneratedReport(Report):
     """The verdict of is_generated_by_lines(_planes), exact at every size:
     method is always "exhaustive" and seed None, as on the other verdict
     records.  family_size is the number of flats on a true verdict (the
@@ -831,9 +837,6 @@ class GeneratedReport:
         self.seed = seed
         self.family_size = family_size
         self.witness = witness
-
-    def __eq__(self, other):
-        return type(other) is GeneratedReport and vars(self) == vars(other)
 
     def __bool__(self):
         return self.verdict
@@ -941,7 +944,7 @@ def factor_through_quotient(phi: PartialMorphism) -> GeometryMorphism:
 # -- dimension bounds -----------------------------------------------------------
 
 
-class DimBoundsReport:
+class DimBoundsReport(Report):
     def __init__(self, surjective, dim_source, dim_target, dim_ok, equal_dims, bijective, isomorphism):
         self.surjective = surjective
         self.dim_source = dim_source
@@ -951,19 +954,8 @@ class DimBoundsReport:
         self.bijective = bijective
         self.isomorphism = isomorphism  # None when dims differ
 
-    def __eq__(self, other):
-        return type(other) is DimBoundsReport and vars(self) == vars(other)
-
     def as_dict(self):
-        return {
-            "surjective": self.surjective,
-            "dim_source": self.dim_source,
-            "dim_target": self.dim_target,
-            "dim_ok": self.dim_ok,
-            "equal_dims": self.equal_dims,
-            "bijective": self.bijective,
-            "isomorphism": self.isomorphism,
-        }
+        return dict(vars(self))
 
 
 def check_dim_bounds(f: GeometryMorphism) -> DimBoundsReport:

@@ -22,6 +22,7 @@ from .geometry import (
     FiniteGeometry,
     Flat,
     PartialMorphism,
+    Report,
     bits_of,
     dim_formula_violations,
     mask_of,
@@ -172,7 +173,7 @@ def build_pg(n: int, q: int) -> CoordGeometry:
     return CoordGeometry(K, pts, name=f"pg({n},{q})")
 
 
-class ProjectiveReport:
+class ProjectiveReport(Report):
     def __init__(self, p1, p2, p3, dim_formula, irreducible, witnesses, note=""):
         self.p1 = p1
         self.p2 = p2
@@ -181,9 +182,6 @@ class ProjectiveReport:
         self.irreducible = irreducible
         self.witnesses = witnesses
         self.note = note
-
-    def __eq__(self, other):
-        return type(other) is ProjectiveReport and vars(self) == vars(other)
 
     @property
     def is_projective(self):

@@ -63,6 +63,7 @@ from .geometry import (
     Flat,
     GeometryMorphism,
     PartialMorphism,
+    Report,
     bits_of,
     class_clash,
     flat_preimage_condition,
@@ -137,15 +138,12 @@ class MorphismInstance(
         return MorphismInstance(X, phi.target_field, phi.n_out - 1, tuple(images), kind)
 
 
-class ReconstructionResult:
+class ReconstructionResult(Report):
     def __init__(self, phi: SemilinearMap, exceptional: LinearSubspace, base_points: tuple, certificate=None):
         self.phi = phi
         self.exceptional = exceptional
         self.base_points = base_points
         self.certificate = {} if certificate is None else certificate
-
-    def __eq__(self, other):
-        return type(other) is ReconstructionResult and vars(self) == vars(other)
 
     @staticmethod
     def of(phi_raw: SemilinearMap, X: CoordGeometry, pair) -> "ReconstructionResult":
@@ -623,10 +621,12 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
 def _inverse_is_morphism(K2, images, source) -> bool:
     """For distinct coordinate images over K2 of the points of source: the
     inverse map, from the geometry on the images back onto source, pulls
-    flats back to flats."""
-    pairs = sorted(zip(images, range(len(images))))
-    im_geo = CoordGeometry(K2, [v for v, _ in pairs])
-    return flat_preimage_condition(GeometryMorphism(im_geo, source, tuple(x for _, x in pairs)))
+    flats back to flats.  The images are read at the pivots of their
+    span's RREF, an isomorphism onto K2^rank that keeps every closure, so
+    the image geometry has rank coordinates, not the target's."""
+    _, pivots = linalg.rref(K2, images)
+    im_geo = CoordGeometry(K2, [tuple(v[p] for p in pivots) for v in images])
+    return flat_preimage_condition(GeometryMorphism(im_geo, source, tuple(range(len(images)))))
 
 
 # -- exhaustive oracle -------------------------------------------------------------

@@ -22,7 +22,7 @@ from fingeo.errors import DimensionTooLow
 from fingeo.geometry import TableGeometry, bits_of, subgeometry
 from fingeo.geometry import is_generated_by_lines_planes
 from fingeo.gf import gf
-from fingeo.gallery import coordinate_hyperplanes, make_complement, make_hyperplane_union
+from fingeo.gallery import coordinate_hyperplanes, make_complement, make_hyperplane_union, make_quadric
 from fingeo.projective import build_pg, check_projective_axioms, decompose_irreducible
 from quotient_routes import certified_bundles
 
@@ -124,6 +124,17 @@ def test_lp_axioms_broken_geometry():
     v = check_lp_axioms(G)
     assert v.verdict is False
     assert v.witnesses
+
+
+def test_lp4prime_witnesses_share_each_plane_point_list(pg33):
+    """Every lp4prime witness naming a plane holds the one point list built
+    for that plane, not a copy: hyperbolic(3,3) has 40 planes and 192
+    witnesses, so copies would be 384 lists."""
+    X = make_quadric(pg33, "hyperbolic")
+    pairs = [w["planes"] for w in check_lp_axioms(X).witnesses if w["axiom"] == "lp4prime"]
+    assert len(pairs) == 192 and len(X.incidence.planes) == 40
+    lists = {id(points): points for pair in pairs for points in pair}
+    assert len(lists) == len({tuple(points) for points in lists.values()}) <= 40
 
 
 # -- bundle condition -----------------------------------------------------------------------

@@ -10,7 +10,9 @@ maps and the structure check of gf.FieldHom.  Every function of linalg.py
 is called by the package or wrapped by perfbench/tracer.py.  Every raise
 names FingeoError or a subclass of it from errors.py.  Every form mask of
 a coordinate geometry comes from its one form table, which only the
-closure kernel and the flat sweep read.
+closure kernel and the flat sweep read.  The report records share one
+equality rule, geometry.Report's: only Report and the three immutable
+records define __eq__.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -428,6 +430,44 @@ def test_second_form_mask_route_is_reported():
     assert form_mask_routes(source) == [
         (2, "form_mask"), (3, "_form_masks"), (9, "_value_masks"), (12, "lines: _form_table"),
     ]
+
+
+# the classes with an equality rule of their own: the report records'
+# shared base and the three immutable, hashable records
+OWN_EQUALITY = {"Report", "Flat", "FieldElement", "PartialPointMap"}
+
+
+def classes_defining_eq(source):
+    """(line, name) for each class whose body defines __eq__."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body)
+    )
+
+
+def test_one_report_equality_rule():
+    """A report record inherits its __eq__ from geometry.Report."""
+    found = {name for module in MODULES for _, name in classes_defining_eq((SRC / module).read_text(encoding="utf-8"))}
+    assert found == OWN_EQUALITY
+
+
+def test_own_equality_rule_is_reported():
+    source = (
+        "class Report:\n"
+        "    def __eq__(self, other):\n"
+        "        return vars(self) == vars(other)\n"
+        "\n"
+        "\n"
+        "class Verdict(Report):\n"
+        "    def __bool__(self):\n"
+        "        return True\n"
+        "\n"
+        "    def __eq__(self, other):\n"
+        "        return type(other) is Verdict\n"
+    )
+    assert classes_defining_eq(source) == [(1, "Report"), (6, "Verdict")]
 
 
 def load_tracer():

@@ -880,6 +880,25 @@ def test_certify_builds_no_flats_of_the_images(ag33, monkeypatch):
     assert built == []
 
 
+def test_certify_reads_images_in_their_span(ag33, monkeypatch):
+    """The image geometries certify builds have the coordinates of the
+    images' span, not the target's: for a map of AG(3,3) into 5 coordinates
+    over GF(9), both have 4."""
+    gen = random_semilinear(random.Random(37), gf(3), gf(9), m1=5)
+    inst = MorphismInstance.restrict_semilinear(gen, ag33)
+    result = reconstruct_locally_projective(inst)
+    built = []
+
+    def recording(K, vectors):
+        built.append(len(vectors[0]))
+        return CoordGeometry(K, vectors)
+
+    monkeypatch.setattr(reconstruct, "CoordGeometry", recording)
+    report = certify_side_conditions(result, inst)
+    assert report["embedding_input"] and report["extension_embedding"]
+    assert built == [4, 4]
+
+
 # -- oracle ------------------------------------------------------------------------------------
 
 
