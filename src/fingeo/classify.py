@@ -12,22 +12,25 @@ negative verdict carries a witness that can be re-checked in isolation;
 every certificate (hyperplane H, tangent hyperplanes H_x) is reported
 explicitly.  Predicates over the ambient space take any CoordGeometry,
 quotients included: its ambient space P is the PG(n, q) its coordinates
-live in, read off by X.ambient and X.ambient_indices.  They read the lines
-and hyperplanes of P, never its incidence index; the tangent lines at
-every point, and the tangent points with them, come from one pass over
-P's lines (tangent_lines), as do the secant lines (secant_lines).  Facts read more than once, the secant lines
-among them, are kept on the geometry by one memo (_memo).
+live in, read off by X.ambient and X.ambient_indices.  They read the lines,
+planes and hyperplanes of P, never its incidence index; the tangent lines
+at every point, and the tangent points with them, come from one pass over
+P's lines (tangent_lines), as do the secant lines (secant_lines), and the
+span of each plane of X from one pass over P's planes (plane_spans), which
+the enough-points count and lp4prime read.  Facts read more than once are
+kept on the geometry by one memo (_memo).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 import random
 
 from .errors import DimensionTooLow, InternalContradiction
-from .geometry import CoordGeometry, Report, bits_of, dim_formula_violations, mask_of
+from .geometry import CoordGeometry, Report, bits_of, containing, dim_formula_violations, mask_of
 
 BUNDLE_LIMIT = 10**8
 BUNDLE_SEED = 0xB1D
@@ -132,34 +135,51 @@ def _tangent_points(X: CoordGeometry) -> int:
 
 
 @_memo
+def plane_spans(X: CoordGeometry) -> tuple:
+    """For each plane of X, in X.planes() order, its span: the one plane of P
+    whose trace it is; built once, by one pass over P's planes.  Through its
+    span a plane knows the tangent lines inside it."""
+    local_of, xmask = {a: x for x, a in enumerate(X.ambient_indices)}, mask_of(X.ambient_indices)
+    spans = {mask_of(map(local_of.__getitem__, bits_of(pi & xmask))): pi for pi in X.ambient.planes()}
+    return tuple(map(spans.__getitem__, X.planes()))
+
+
+@_memo
 def has_enough_points(X) -> Verdict:
     """Every plane of X contains a quadrilateral.
 
     The certificate quotient_line_form says whether every line of every
     X/x has at least three points.  A line of X/x is a plane of X through
     x, and its points are the lines of X through x inside that plane, so
-    one plane scan counts them on the incidence index and searches the
-    plane.  The form implies the plane form and can be strictly stronger
-    (ruled quadrics have two-point quotient lines).
+    one plane scan counts them and searches the plane.  The form implies
+    the plane form and can be strictly stronger (ruled quadrics have
+    two-point quotient lines).
 
-    On a coordinate geometry a point off the tangent points lies on q + 1
-    lines of each plane through it, so only tangent points are counted,
-    and only planes failing the count are searched: if each point of a
-    plane lies on three of its lines, a non-collinear a, b, c of it and no
-    quadrilateral put every point on ab, bc or ca; a third line through a
-    has a point d on bc, a third line through d a point e on ab, and
-    a, c, d, e is a quadrilateral after all.  Tables search every plane
-    and assert the implication.
+    On a coordinate geometry a point x of a plane lies on q + 1 of its
+    lines less the tangent lines at x inside the plane's span, each of
+    which adds q points to the span's meet with x's tangent union; so only
+    tangent points are counted, with no incidence index, and only planes
+    failing the count are searched: if each point of a plane lies on three
+    of its lines, a non-collinear a, b, c of it and no quadrilateral put
+    every point on ab, bc or ca; a third line through a has a point d on
+    bc, a third line through d a point e on ab, and a, c, d, e is a
+    quadrilateral after all.  Tables count on the incidence index, search
+    every plane and assert the implication.
     """
     if X.dim() < 2:
         raise DimensionTooLow(f"dim {X.dim()} < 2")
-    inc = X.incidence
     coord = isinstance(X, CoordGeometry)
     counted = _tangent_points(X) if coord else X.full_mask
+    if not coord:
+        inc = X.incidence
+        lines_at = lambda p, x: (inc.plane_lines[p] & inc.point_lines[x]).bit_count()
+    elif counted:  # with no point counted, nothing is asked
+        q, spans, unions = X.field.q, plane_spans(X), tangent_unions(X)
+        lines_at = lambda p, x: q + 1 - ((spans[p] & unions[x]).bit_count() - 1) // q
     quotient_form = True
     witnesses = []
-    for p, pm in enumerate(inc.planes):
-        full = all((inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3 for x in bits_of(pm & counted))
+    for p, pm in enumerate(X.planes()):
+        full = all(lines_at(p, x) >= 3 for x in bits_of(pm & counted))
         quotient_form &= full
         if not (coord and full) and _has_quadrilateral(X, pm) is None:
             witnesses.append({"plane": sorted(bits_of(pm))})
@@ -258,8 +278,10 @@ def check_lp_axioms(X) -> Verdict:
     A locally projective coordinate geometry passes lp4 and lp4prime with
     no sweep: each failure is two planes meeting in x alone inside a
     3-flat (for lp4, l1 v x and l2 v x inside the plane's join with x),
-    which breaks the dimension formula at x, 2 + 2 against 3 + 0; such a
-    geometry builds no incidence index."""
+    which breaks the dimension formula at x, 2 + 2 against 3 + 0.  Other
+    coordinate geometries read lp4 and lp4prime off the tangent lines and
+    the spans of lines and planes (_lp4_witness, _lp4prime_partners), with no
+    incidence index; tables sweep them on theirs."""
     results = dict.fromkeys(("lp1", "lp2", "lp3", "lp4"), True)
     witnesses = []
 
@@ -269,22 +291,46 @@ def check_lp_axioms(X) -> Verdict:
 
     coord = isinstance(X, CoordGeometry)
     sweep = not (coord and is_locally_projective(X))
-    inc = X.incidence if sweep else None
     if not coord:
-        _lp_sweeps(X, inc, fail)
-    lp4 = _lp4_witness(X, inc) if sweep else None
+        _lp_sweeps(X, X.incidence, fail)
+    lp4 = _lp4_witness(X) if sweep else None
     if lp4 is not None:
         fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])
     if X.dim() == 3:
-        results["lp4prime"] = True
-        planes = [(m, list(bits_of(m))) for m in inc.planes] if sweep else ()
-        for (m1, pts1), (m2, pts2) in itertools.combinations(planes, 2):
-            inter = m1 & m2
-            if inter and X.flat_dim(inter) != 1:
-                fail("lp4prime", planes=[pts1, pts2])
+        later = _lp4prime_partners(X) if sweep else []
+        results["lp4prime"] = not any(later)
+        points = [list(bits_of(m)) for m in X.planes()] if any(later) else []  # one list per plane, shared
+        witnesses += ({"axiom": "lp4prime", "planes": [points[i], points[k]]} for i, ks in enumerate(later) for k in ks)
         # a greedy basis of X is four points whose closure, X, has dimension 3
         results["lp5"] = True
     return Verdict("lp_axioms", all(results.values()), witnesses, results)
+
+
+def _lp4prime_partners(X):
+    """For each plane of a 3-dimensional X, the indices of the later planes
+    that meet it in one point, ascending: the pairs in combinations order.
+    On a coordinate geometry two planes meet in x alone exactly when their
+    spans, distinct planes of a 3-space, meet in a tangent line at x; so
+    the partners are found through the tangent lines inside each span, read
+    at each point x of a plane as the span's meet with x's tangent union.
+    Tables sweep every pair."""
+    planes = X.planes()
+    if not isinstance(X, CoordGeometry):
+        return [[k for k in range(i + 1, len(planes)) if m & planes[k] and X.flat_dim(m & planes[k]) != 1]
+                for i, m in enumerate(planes)]
+    spans, tangent, unions, amb = plane_spans(X), _tangent_points(X), tangent_unions(X), X.ambient_indices
+    # at each point x, the tangent line at x through each other point of P
+    line_at = [{z: t for t in lines for z in bits_of(t)} for lines in tangent_lines(X)]
+    holders, held = {}, [[] for _ in planes]  # the planes holding each tangent line, ascending, and back
+    for i, pm in enumerate(planes):
+        for x in bits_of(pm & tangent):
+            rest = spans[i] & unions[x] & ~(1 << amb[x])
+            while rest:
+                t = line_at[x][rest.bit_length() - 1]
+                held[i].append(holders.setdefault(t, []))
+                holders[t].append(i)
+                rest &= ~t
+    return [sorted(itertools.chain(*(ks[bisect.bisect(ks, i):] for ks in lists))) for i, lists in enumerate(held)]
 
 
 def _lp_sweeps(X, inc, fail):
@@ -324,25 +370,30 @@ def _lp_sweeps(X, inc, fail):
                 fail("lp3", plane=sorted(bits_of(m)), points=[a, b])
 
 
-def _lp4_witness(X, inc):
+def _lp4_witness(X):
     """The first plane, pair of its lines l1, l2 and point x off the plane,
     in that order, with (l1 v x) & (l2 v x) not a line, as (l1, l2, x), or
-    None.  On a coordinate geometry l1 v x is the plane of l1 holding x, and
-    the other planes of l1 partition the points off the plane, as do those
-    of l2; so x fails exactly when its two planes meet in x alone, and lines
-    that meet pass at every x.  Other geometries close both joins."""
-    lines, planes, cl = inc.lines, inc.planes, X.closure_mask
-    for p, pm in enumerate(planes):
-        others = ~(1 << p)
-        for i, k in itertools.combinations(bits_of(inc.plane_lines[p]), 2):
-            l1, l2 = lines[i], lines[k]
-            if isinstance(X, CoordGeometry):
-                meets = () if l1 & l2 else (
-                    planes[a] & planes[b]
-                    for a in bits_of(inc.line_planes[i] & others)
-                    for b in bits_of(inc.line_planes[k] & others)
-                )
-                x = min((m.bit_length() - 1 for m in meets if m.bit_count() == 1), default=-1)
+    None.  On a coordinate geometry the spans of disjoint lines l1 and l2 of
+    the plane meet in a point z off X, and l1 v x and l2 v x are the traces
+    of two planes of P meeting in the line xz; so x fails exactly when xz is
+    a tangent line at x, and lines that meet pass at every x.  Tables close
+    both joins."""
+    coord = isinstance(X, CoordGeometry)
+    if coord:
+        P, local_of, xmask = X.ambient, {a: x for x, a in enumerate(X.ambient_indices)}, mask_of(X.ambient_indices)
+        span = {mask_of(map(local_of.__getitem__, bits_of(line & xmask))): line for line in P.lines()}
+        through = containing(tangent_unions(X), P.n_points)  # at each z, the points whose tangent lines hold it
+    else:
+        inc, cl = X.incidence, X.closure_mask
+    for p, pm in enumerate(X.planes()):
+        if coord:
+            lines = [(m, span[m]) for m in X.lines() if m & ~pm == 0]
+        else:
+            lines = [(inc.lines[i], None) for i in bits_of(inc.plane_lines[p])]
+        for (l1, s1), (l2, s2) in itertools.combinations(lines, 2):
+            if coord:
+                bad = 0 if l1 & l2 else through[(s1 & s2).bit_length() - 1] & ~pm
+                x = (bad & -bad).bit_length() - 1
             else:
                 outside = bits_of(X.full_mask & ~pm)
                 x = next((x for x in outside if X.flat_dim(cl(l1 | 1 << x) & cl(l2 | 1 << x)) != 1), -1)

@@ -122,7 +122,7 @@ class Flat:
         return f"Flat{self.points}"
 
 
-def _through(masks, n):
+def containing(masks, n):
     """For each item 0..n-1, the bitset of the indices of the masks that
     hold it: its bits are set in one bytearray, read as an int once."""
     through = [bytearray((len(masks) + 7) // 8) for _ in range(n)]
@@ -138,24 +138,26 @@ class Incidence:
     indices into its lines() and planes(), built from their definitions on
     every backend: point_lines[x] holds the lines through the point x,
     line_planes[l] the planes through every point of the line l, and
-    plane_lines, its transpose, the lines inside each plane.  Each of the
-    three is built on first read."""
+    plane_lines, its transpose, the lines inside each plane.  Each is built
+    on first read: point_lines by lines_through, the projective axioms and
+    the plane questions of a table (classify), which alone read the other
+    two; a coordinate geometry answers those from spans and tangent lines."""
 
     def __init__(self, G):
         self.n_points, self.lines, self.planes = G.n_points, G.lines(), G.planes()
 
     @functools.cached_property
     def point_lines(self):
-        return _through(self.lines, self.n_points)
+        return containing(self.lines, self.n_points)
 
     @functools.cached_property
     def line_planes(self):
-        through = _through(self.planes, self.n_points)
+        through = containing(self.planes, self.n_points)
         return tuple(functools.reduce(operator.and_, map(through.__getitem__, bits_of(m))) for m in self.lines)
 
     @functools.cached_property
     def plane_lines(self):
-        return _through(self.line_planes, len(self.planes))
+        return containing(self.line_planes, len(self.planes))
 
 
 class FiniteGeometry:
@@ -406,7 +408,14 @@ class CoordGeometry(FiniteGeometry):
         return got
 
     def join_dim(self, m1, m2):
-        # the span of the join is the sum of the two spans
+        """Dimension of the join of two flats: at most d1 + d2 less the
+        dimension of m1 & m2, whose span lies in the meet of the spans, and
+        above max(d1, d2) unless one flat holds the other.  Bounds that agree
+        (for every pair but skew lines in dimension 3) need no rank."""
+        d1, d2, meet = self.flat_dim(m1), self.flat_dim(m2), m1 & m2
+        low = max(d1, d2) + (meet != m1 and meet != m2)
+        if low == min(self.dim(), d1 + d2 - self.flat_dim(meet)):
+            return low
         return linalg.rank(self.field, self.flat_rows(m1)[0] + self.flat_rows(m2)[0]) - 1
 
     def _build_flats(self):

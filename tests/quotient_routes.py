@@ -35,9 +35,9 @@ parent flats through E.  RefQuotientGeometry is the class that came before
 it, kept verbatim: it closes a class set through the parent closure of E
 and its representatives.
 
-The incidence checks: the library reads the lp axioms and the P1 and
-Veblen-Young sweeps of the projective axioms off one incidence index per
-geometry, and computes the coplanarity of lines only on tables.
+The incidence checks: the library reads the lp axioms of a table and the
+P1 and Veblen-Young sweeps of the projective axioms off one incidence
+index per geometry, and computes the coplanarity of lines only on tables.
 ref_lp_axioms and ref_projective_axioms are the routes that came before,
 kept literally: each builds its own pair-to-line table.  The Veblen-Young
 sweep of ref_projective_axioms is ref_veblen_young_every_vertex, the
@@ -50,12 +50,28 @@ on geometries of more than 16 points where two points lie on one line;
 ref_parent_veblen_young picks between them as the library did.
 
 The tangent points: on a coordinate geometry the library counts the
-quotient-line form, searches planes for a quadrilateral and sweeps plane
-and hyperplane meets only where a point lies on a tangent line.
+quotient-line form (through the tangent lines inside each plane's span),
+searches planes for a quadrilateral and sweeps plane and hyperplane meets
+only where a point lies on a tangent line.
 ref_has_enough_points, ref_count_line_form and ref_skew_points are the
 routes that came before, kept verbatim: they count, search and sweep
 everywhere, and ref_has_enough_points still raises when the quotient form
 holds but a plane lacks a quadrilateral.
+
+The plane questions: on a coordinate geometry that is not locally
+projective the library reads the enough-points count, lp4 and lp4prime
+off the tangent lines inside each plane's span (classify.plane_spans), and
+builds no incidence index.  ref_incidence_enough_points,
+ref_incidence_lp_axioms and ref_incidence_lp4_witness are the routes that
+came before, kept verbatim apart from the module-level
+is_locally_projective: they count the lines of a plane through a point on
+X's incidence index, meet the planes of two lines pair by pair, and sweep
+every pair of planes for lp4prime.
+
+The coordinate joins: the library bounds the dimension of the join of
+two flats by counting and takes a rank only when the bounds differ.
+ref_join_dim is the route that came before it, kept verbatim: a rank of
+the two flats' stacked bases for every pair.
 
 The tangent lines: the library lists them for every point of X in one
 pass over the lines of the ambient space P.  ref_tangent_lines is the scan
@@ -155,12 +171,15 @@ import random
 from dataclasses import dataclass
 
 from fingeo import linalg
+from fingeo import classify
 from fingeo.classify import (
     BUNDLE_SAMPLES,
     BUNDLE_SEED,
     Verdict,
     _coplanarity,
     _has_quadrilateral,
+    _lp_sweeps,
+    _tangent_points,
     is_affino_projective,
 )
 from fingeo.errors import (
@@ -310,6 +329,88 @@ def ref_skew_points(X: CoordGeometry) -> int:
             if meet & (meet - 1) == 0:  # empty or one point
                 bad |= meet
     return bad
+
+
+def ref_incidence_enough_points(X) -> Verdict:
+    """has_enough_points as it was, counting the lines of each plane through
+    each counted point on X's incidence index on every backend."""
+    if X.dim() < 2:
+        raise DimensionTooLow(f"dim {X.dim()} < 2")
+    inc = X.incidence
+    coord = isinstance(X, CoordGeometry)
+    counted = _tangent_points(X) if coord else X.full_mask
+    quotient_form = True
+    witnesses = []
+    for p, pm in enumerate(inc.planes):
+        full = all((inc.plane_lines[p] & inc.point_lines[x]).bit_count() >= 3 for x in bits_of(pm & counted))
+        quotient_form &= full
+        if not (coord and full) and _has_quadrilateral(X, pm) is None:
+            witnesses.append({"plane": sorted(bits_of(pm))})
+    if quotient_form and witnesses:
+        raise InternalContradiction("quotient-line form passed but a plane lacks a quadrilateral")
+    return Verdict("enough_points", not witnesses, witnesses, {"quotient_line_form": quotient_form})
+
+
+def ref_incidence_lp_axioms(X) -> Verdict:
+    """check_lp_axioms as it was: lp4 and lp4prime on X's incidence index,
+    lp4prime by a sweep over every pair of planes.  It asks
+    classify.is_locally_projective through the module, so that a test can
+    force the sweeps on both routes."""
+    results = dict.fromkeys(("lp1", "lp2", "lp3", "lp4"), True)
+    witnesses = []
+
+    def fail(axiom, **witness):
+        results[axiom] = False
+        witnesses.append({"axiom": axiom, **witness})
+
+    coord = isinstance(X, CoordGeometry)
+    sweep = not (coord and classify.is_locally_projective(X))
+    inc = X.incidence if sweep else None
+    if not coord:
+        _lp_sweeps(X, inc, fail)
+    lp4 = ref_incidence_lp4_witness(X, inc) if sweep else None
+    if lp4 is not None:
+        fail("lp4", lines=[sorted(bits_of(m)) for m in lp4[:2]], point=lp4[2])
+    if X.dim() == 3:
+        results["lp4prime"] = True
+        planes = [(m, list(bits_of(m))) for m in inc.planes] if sweep else ()
+        for (m1, pts1), (m2, pts2) in itertools.combinations(planes, 2):
+            inter = m1 & m2
+            if inter and X.flat_dim(inter) != 1:
+                fail("lp4prime", planes=[pts1, pts2])
+        # a greedy basis of X is four points whose closure, X, has dimension 3
+        results["lp5"] = True
+    return Verdict("lp_axioms", all(results.values()), witnesses, results)
+
+
+def ref_incidence_lp4_witness(X, inc):
+    """_lp4_witness as it was: on a coordinate geometry the planes of l1 and
+    of l2 other than the plane, read off the incidence index, are met pair
+    by pair; other geometries close both joins."""
+    lines, planes, cl = inc.lines, inc.planes, X.closure_mask
+    for p, pm in enumerate(planes):
+        others = ~(1 << p)
+        for i, k in itertools.combinations(bits_of(inc.plane_lines[p]), 2):
+            l1, l2 = lines[i], lines[k]
+            if isinstance(X, CoordGeometry):
+                meets = () if l1 & l2 else (
+                    planes[a] & planes[b]
+                    for a in bits_of(inc.line_planes[i] & others)
+                    for b in bits_of(inc.line_planes[k] & others)
+                )
+                x = min((m.bit_length() - 1 for m in meets if m.bit_count() == 1), default=-1)
+            else:
+                outside = bits_of(X.full_mask & ~pm)
+                x = next((x for x in outside if X.flat_dim(cl(l1 | 1 << x) & cl(l2 | 1 << x)) != 1), -1)
+            if x >= 0:
+                return l1, l2, x
+    return None
+
+
+def ref_join_dim(G: CoordGeometry, m1, m2):
+    """CoordGeometry.join_dim as it was: a rank for every pair."""
+    # the span of the join is the sum of the two spans
+    return linalg.rank(G.field, G.flat_rows(m1)[0] + G.flat_rows(m2)[0]) - 1
 
 
 def ref_tangent_lines(X: CoordGeometry) -> tuple:

@@ -34,7 +34,7 @@ from fingeo.classify import (
     tangent_unions,
 )
 from fingeo.gallery import EXAMPLE_NAMES, build_example, make_affine, make_quadric
-from fingeo.geometry import FiniteGeometry, bits_of, mask_of, subgeometry
+from fingeo.geometry import CoordQuotient, FiniteGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
 from fingeo.reconstruct import (
@@ -44,7 +44,7 @@ from fingeo.reconstruct import (
     extend_affino,
     reconstruct_affino_projective,
 )
-from quotient_routes import ref_tangent_lines
+from quotient_routes import ref_join_dim, ref_tangent_lines
 
 # GF(2) and GF(3) have no proper subfield to take a complement of
 GALLERY = [(name, q) for q in (2, 3, 4) for name in EXAMPLE_NAMES if q == 4 or name != "subfield-complement"]
@@ -295,17 +295,67 @@ def test_random_cases_cover_both_tangent_point_outcomes():
 
 
 @pytest.fixture(scope="module")
-def join_geometries(pg32, ag33, elliptic_33):
+def join_geometries(pg32, ag33, elliptic_33, elliptic_34, cone_33):
+    rng = random.Random("join geometries")
+    P4, P5 = build_pg(4, 3), build_pg(5, 2)
+    X5 = subgeometry(P5, rng.sample(range(P5.n_points), 36))
     return {
         "pg32": pg32,
         "ag33": ag33,
         "pg32/0": pg32.point_quotient(0),
         "elliptic_33/0": elliptic_33.point_quotient(0),
+        "elliptic_34": elliptic_34,
+        "cone_33": cone_33,
+        "sub43": subgeometry(P4, rng.sample(range(P4.n_points), 14)),
+        "sub52/line": CoordQuotient(X5, X5.lines()[0]),
     }
 
 
-@pytest.mark.parametrize("name", ["pg32", "ag33", "pg32/0", "elliptic_33/0"])
+JOIN_NAMES = ["pg32", "ag33", "pg32/0", "elliptic_33/0", "elliptic_34", "cone_33", "sub43", "sub52/line"]
+
+
+@pytest.mark.parametrize("name", JOIN_NAMES)
 def test_coordinate_join_dim_matches_closure_route(join_geometries, name):
+    """Every pair of flats, joined from the dimension bounds or by a rank,
+    against the closure route and against the rank route for every pair."""
     G = join_geometries[name]
     for m1, m2 in itertools.combinations_with_replacement(G.flats(), 2):
-        assert G.join_dim(m1, m2) == FiniteGeometry.join_dim(G, m1, m2)
+        assert G.join_dim(m1, m2) == FiniteGeometry.join_dim(G, m1, m2) == ref_join_dim(G, m1, m2)
+
+
+def test_join_geometries_cover_ranks_and_bounds(join_geometries):
+    """Some joins need the rank (a pair of skew lines in dimension >= 3) and
+    the line quotient is three-dimensional."""
+    assert join_geometries["sub52/line"].dim() == 3
+    for name in ("pg32", "elliptic_34", "cone_33", "sub43", "sub52/line"):
+        G = join_geometries[name]
+        assert any(not m1 & m2 and G.join_dim(m1, m2) == 3 for m1, m2 in itertools.combinations(G.lines(), 2))
+
+
+def count_ranks(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *args: calls.append(args) or rank(*args))
+    return calls
+
+
+def test_local_projectivity_of_a_quadric_takes_no_rank(monkeypatch):
+    """On elliptic(3,4) every flagged point names its witness from pairs of
+    planes, whose joins the dimension bounds decide."""
+    X = build_example("elliptic-quadric", gf(4))
+    calls = count_ranks(monkeypatch)
+    v = classify_module.is_locally_projective(X)
+    assert v.verdict is False and len(v.witnesses) == X.n_points
+    assert calls == []
+
+
+def test_skew_lines_join_by_a_rank(monkeypatch):
+    """Two skew lines of PG(3,3) lie between the bounds 2 and 3, so their
+    join takes one rank; two lines through a point take none."""
+    P = build_pg.__wrapped__(3, 3)
+    lines = P.lines()
+    skew = next(m for m in lines if not m & lines[0])
+    meeting = next(m for m in lines[1:] if m & lines[0])
+    calls = count_ranks(monkeypatch)
+    assert P.join_dim(lines[0], meeting) == 2 and calls == []
+    assert P.join_dim(lines[0], skew) == 3 and len(calls) == 1

@@ -375,14 +375,23 @@ def test_sweep_matches_subspace_flats_on_random_subgeometries(n, q):
 
 
 def test_sweep_builds_no_rows(pg33, elliptic_34):
-    """The sweep records ranks only: no flat has a basis until a join asks,
-    and join_dim builds the bases of the two flats it joins and no other."""
-    for G in (fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(elliptic_34, 1)):
+    """The sweep records ranks only: no flat has a basis until a join asks.
+    A join the dimension bounds decide (two lines through a point, or any
+    two lines of a plane) builds no basis; a join of two disjoint lines in
+    dimension 3 takes a rank, and builds the bases of the two flats it joins
+    and no other."""
+    for G in (fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(elliptic_34, 1), CoordQuotient(build_pg(4, 2), 1)):
         G.flats()
         assert G._flat_rows == {}, G.label()
-        m1, m2 = G.lines()[0], G.lines()[-1]
-        assert G.join_dim(m1, m2) == G.flat_dim(G.closure_mask(m1 | m2))
-        assert set(G._flat_rows) == {m1, m2}, G.label()
+        lines = G.lines()
+        m1 = lines[0]
+        meeting, disjoint = next(m for m in lines[1:] if m & m1), next(m for m in lines if not m & m1)
+        for m2 in (meeting, disjoint) if G.dim() == 2 else (meeting,):
+            assert G.join_dim(m1, m2) == G.flat_dim(G.closure_mask(m1 | m2))
+        assert G._flat_rows == {}, G.label()
+        if G.dim() == 3:
+            assert G.join_dim(m1, disjoint) == G.flat_dim(G.closure_mask(m1 | disjoint))
+            assert set(G._flat_rows) == {m1, disjoint}, G.label()
 
 
 def test_sweep_builds_no_annihilator(monkeypatch, pg33, elliptic_34):
