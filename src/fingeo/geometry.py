@@ -323,6 +323,7 @@ class CoordGeometry(FiniteGeometry):
         self._name = name
         self._vec_index = {v: i for i, v in enumerate(self.vectors)}
         self._flat_rows = {}
+        self._plans = {}
 
     @functools.cached_property
     def ambient(self):
@@ -405,6 +406,15 @@ class CoordGeometry(FiniteGeometry):
         got = self._flat_rows.get(mask)
         if got is None:
             got = self._flat_rows[mask] = self.span_rows(mask)
+        return got
+
+    def plan(self, build, *key):
+        """build(self, *key), run on first use and kept on this geometry: the
+        parts of a computation that depend only on the geometry and the key."""
+        k = (build, *key)
+        got = self._plans.get(k)
+        if got is None:
+            got = self._plans[k] = build(self, *key)
         return got
 
     def join_dim(self, m1, m2):

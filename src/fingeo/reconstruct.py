@@ -6,13 +6,16 @@ complement of the exceptional flat, rescale the frame images to one common
 factor through the sums of frame pairs, read the field homomorphism off a
 coordinate line, extend semilinearly on frame coordinates read off the flat's
 RREF, and verify against every point (each frame equation solved in closed
-form, every point's image in one sweep).  Embedded geometries go through one
-two-point driver: pick a base pair, recover a leg (the semilinear map
-V/<v_x> -> V'/<v_x'>, with the coordinates of both quotients) at each base
-point, build the legs' global matrices once, read the common scalar off their
-reductions modulo the base pair, and lift along the fibred product.  Both
-legs run on X's own point quotient X/x, whose coordinates of V/<v_x> are
-built once per geometry, and project all of X into V'/<v_x'> in one sweep.
+form, every point's image in one sweep); the frame's points and the flat's
+projection are planned once per source and flat.  Embedded geometries go
+through one two-point driver: pick a base pair, recover a leg (the
+semilinear map V/<v_x> -> V'/<v_x'>, with the coordinates of both
+quotients) at each base point, build the legs' global matrices once, read
+the common scalar off their reductions modulo the base pair (and the pair's
+own quotient V/<v1, v2> once per geometry), and lift along the fibred
+product.  Both legs run on X's own point quotient X/x, whose coordinates of
+V/<v_x> are built once per geometry, and project all of X into V'/<v_x'> in
+one sweep.
 The locally projective and locally affino-projective cases differ only in how
 a leg is recovered: directly from the quotient map, or through the fiber of
 the base image and an extension over the completing hyperplane, which meets
@@ -164,17 +167,33 @@ class ReconstructionResult(Report):
 
 
 def _as_point_map(psi) -> PartialPointMap:
+    if not isinstance(psi, (PartialPointMap, PartialMorphism)):
+        raise InvalidArgumentType(f"cannot interpret {type(psi).__name__} as a partial point map")
+    src = psi.source
+    if not (isinstance(src, CoordGeometry) and src.is_full_pg):
+        raise InvalidArgument("source must be a full projective space")
     if isinstance(psi, PartialPointMap):
+        if len(psi.images) != src.n_points:
+            raise InvalidArgument(f"{len(psi.images)} images for {src.n_points} source points")
         return psi
-    if isinstance(psi, PartialMorphism):
-        src, tgt = psi.source, psi.target
-        if not (isinstance(src, CoordGeometry) and src.is_full_pg):
-            raise InvalidArgument("source must be a full projective space")
-        if not isinstance(tgt, CoordGeometry):
-            raise InvalidArgument("target must carry coordinates")
-        images = tuple(None if y is None else tgt.vectors[y] for y in psi.map)
-        return PartialPointMap(src, tgt.field, tgt.dim(), images)
-    raise InvalidArgumentType(f"cannot interpret {type(psi).__name__} as a partial point map")
+    tgt = psi.target
+    if not isinstance(tgt, CoordGeometry):
+        raise InvalidArgument("target must carry coordinates")
+    return PartialPointMap(src, tgt.field, tgt.dim(), tuple(None if y is None else tgt.vectors[y] for y in psi.map))
+
+
+def _frame_plan(src: CoordGeometry, undef: int) -> tuple:
+    """What the frame procedure reads off the source and its exceptional flat
+    E alone, built once per (source, E) by src.plan: the point index of each
+    unit vector on the free columns of E's RREF and of each frame-line point
+    e_i + lam.e_j (i < j, by lam), and V -> V/span(E) (None for E empty)."""
+    K, n1 = src.field, src.ncoords
+    e_rows, e_piv = src.span_rows(undef)
+    frame = [linalg.unit_vec(n1, j) for j in range(n1) if j not in e_piv]
+    sums = {(i, j): tuple(src.point_index(linalg.vec_add(K, u, linalg.vec_scale(K, lam, v))) for lam in range(K.q))
+            for i, u in enumerate(frame) for j, v in enumerate(frame) if i < j}
+    R = linalg.quotient_projection(K, e_rows, e_piv, n1) if undef else None
+    return tuple(map(src.point_index, frame)), sums, R
 
 
 def reconstruct_ftpg(psi) -> SemilinearMap:
@@ -189,11 +208,11 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
     against every point of the source.  Each frame pair gets one closed-form
     solver (None for proportional images), the sigma table one more, and the
     frame coordinates modulo E are the quotient projection read off E's RREF.
+    The frame's points and that projection come from the source's frame plan.
     """
     pm = _as_point_map(psi)
     src = pm.source
     K, K2 = src.field, pm.target_field
-    n1 = src.ncoords
 
     undef = pm.undefined_mask()
     if src.closure_mask(undef) != undef:
@@ -208,25 +227,21 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
         if clash is not None:
             raise VerificationFailed(f"map is not constant on the class of point {clash}")
 
-    e_rows, e_piv = src.span_rows(undef)
-    free = [j for j in range(n1) if j not in e_piv]
-    d1 = len(free)
+    frame_idx, sums, R = src.plan(_frame_plan, undef)
+    d1 = len(frame_idx)
     if d1 < 3:
         raise VerificationFailed("exceptional flat too large for the image span")
-    frame_vecs = [linalg.unit_vec(n1, j) for j in free]
-    frame_idx = [src.point_index(v) for v in frame_vecs]
     w = [pm.images[i] for i in frame_idx]
     if any(v is None for v in w):
         raise InternalContradiction("frame point maps into the exceptional flat")
 
     def image_of_sum(i, j, lam=1):
-        pvec = linalg.vec_add(K, frame_vecs[i], linalg.vec_scale(K, lam, frame_vecs[j]))
-        y = pm.images[src.point_index(pvec)]
+        y = pm.images[sums[i, j][lam]]
         if y is None:
             raise VerificationFailed("a frame line meets the exceptional flat")
         return y
 
-    solvers = {(i, j): linalg.pair_solver(K2, w[i], w[j]) for i in range(d1) for j in range(i + 1, d1)}
+    solvers = {(i, j): linalg.pair_solver(K2, w[i], w[j]) for i, j in sums}
 
     # rescale the frame images to one common factor by chaining relative
     # scales through pairwise sum points: with true images u_i and normalised
@@ -243,10 +258,10 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
             for j in range(d1):
                 if gamma[j] is not None:
                     continue
-                solver = solvers[(i, j) if i < j else (j, i)]
-                if solver is None:
+                pair = (i, j) if i < j else (j, i)
+                if solvers[pair] is None:
                     continue
-                ab = solver(image_of_sum(i, j))
+                ab = solvers[pair](image_of_sum(*pair))
                 if ab is None or 0 in ab:
                     raise VerificationFailed("image of a frame-line point left the frame plane")
                 a, b = ab if i < j else ab[::-1]
@@ -272,9 +287,8 @@ def reconstruct_ftpg(psi) -> SemilinearMap:
 
     # matrix: frame coordinates (the projection V -> V/span(E), read off E's
     # RREF), sigma-twisted, then the rescaled frame images
-    R = linalg.quotient_projection(K, e_rows, e_piv, n1)
-    M = linalg.mat_mul(K2, linalg.transpose(vpp), sigma.map_matrix(R))
-    phi = SemilinearMap(sigma, M)
+    M = linalg.transpose(vpp)
+    phi = SemilinearMap(sigma, M if R is None else linalg.mat_mul(K2, M, sigma.map_matrix(R)))
     _verify(phi, src.vectors, pm.images)
     return phi.canonical()
 
@@ -309,8 +323,13 @@ def _require_enough_points(inst: MorphismInstance):
         raise NotEnoughPoints("a plane of X has no quadrilateral")
 
 
-def _point_quotient(K: GF, v):
-    return quotient_coords(LinearSubspace.from_vectors(K, len(v), [v]))
+def _quotient(K: GF, *vs):
+    return quotient_coords(LinearSubspace.from_vectors(K, len(vs[0]), vs))
+
+
+def _pair_quotient(X: CoordGeometry, x1: int, x2: int):
+    """V/<v1, v2> for a base pair of X, built once per pair by X.plan."""
+    return _quotient(X.field, X.vectors[x1], X.vectors[x2])
 
 
 def _class_images(inst: MorphismInstance, Q, xi: int, qcp) -> tuple:
@@ -337,7 +356,7 @@ def _lp_leg(inst: MorphismInstance, xi: int) -> tuple:
     Q = inst.geometry.point_quotient(xi)
     if not Q.is_full_pg:
         raise NoBasePair(f"X/{xi} does not fill the ambient quotient")
-    qcp = _point_quotient(inst.target_field, inst.images[xi])
+    qcp = _quotient(inst.target_field, inst.images[xi])
     images = _class_images(inst, Q, xi, qcp)
     psi = reconstruct_ftpg(PartialPointMap(Q, inst.target_field, inst.target_dim - 1, images))
     return psi, Q.coords, qcp
@@ -352,7 +371,7 @@ def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
     Qs = inst.geometry.point_quotient(x0)
     Qt = tgt.point_quotient(tgt.point_index(inst.images[x0]))
     # Qt's points are normalised projections modulo phi(x0), as the class images are
-    images = _class_images(inst, Qs, x0, _point_quotient(K2, inst.images[x0]))
+    images = _class_images(inst, Qs, x0, _quotient(K2, inst.images[x0]))
     e_mask = mask_of(c for c, u in enumerate(images) if u is None)
     mapping = tuple(None if u is None else Qt.point_index(u) for u in images)
     pm = PartialMorphism(Qs, Qt, Flat(Qs, Qs.closure_mask(e_mask)), mapping)
@@ -369,15 +388,14 @@ def induced_quotient_map(inst: MorphismInstance, x0: int) -> PartialMorphism:
 # -- pair normalization and gluing ----------------------------------------------------
 
 
-def _pair_matrices(legs, v1, v2, v1p, v2p):
+def _pair_matrices(legs, q12, v1p, v2p):
     """For each leg (phi_i, qc_i, qc'_i), phi_i: V/<v_i> -> V'/<v_i'> with
     the coordinates of both quotients, the pair (G_i, B_i) of its global
     matrix G_i = L'_i . A_i . sigma(Q_i), a V -> V' map computing a
     representative of the quotient-level image, and its reduction
-    B_i = Q'_12 . G_i . L_12 modulo the base pair."""
-    K, K2 = legs[0][0].source_field, legs[0][0].target_field
-    q12 = quotient_coords(LinearSubspace.from_vectors(K, len(v1), [v1, v2]))
-    q12p = quotient_coords(LinearSubspace.from_vectors(K2, len(v1p), [v1p, v2p]))
+    B_i = Q'_12 . G_i . L_12 modulo the base pair, q12 = V/<v1, v2>."""
+    K2 = legs[0][0].target_field
+    q12p = _quotient(K2, v1p, v2p)
     out = []
     for phi, qc, qcp in legs:
         inner = linalg.mat_mul(K2, phi.matrix, phi.sigma.map_matrix(qc.proj_matrix))
@@ -387,18 +405,19 @@ def _pair_matrices(legs, v1, v2, v1p, v2p):
 
 
 def _public_legs(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p):
-    """The legs of the public pair steps, with their quotient coordinates."""
+    """The legs of the public pair steps, with their quotient coordinates, and V/<v1, v2>."""
     K, K2 = phi1.source_field, phi1.target_field
-    return [(phi, _point_quotient(K, v), _point_quotient(K2, vp)) for phi, v, vp in ((phi1, v1, v1p), (phi2, v2, v2p))]
+    legs = [(phi, _quotient(K, v), _quotient(K2, vp)) for phi, v, vp in ((phi1, v1, v1p), (phi2, v2, v2p))]
+    return legs, _quotient(K, v1, v2)
 
 
-def _normalized_pair(legs, v1, v2, v1p, v2p):
+def _normalized_pair(legs, q12, v1p, v2p):
     """(lam, G1, G2): the legs' global matrices and the scalar with
     lam . B1 = B2, read at the first nonzero entry of B1, then verified."""
     if legs[0][0].sigma != legs[1][0].sigma:
         raise NotProportional("the two legs carry different field homomorphisms")
     K2 = legs[0][0].target_field
-    (G1, B1), (G2, B2) = _pair_matrices(legs, v1, v2, v1p, v2p)
+    (G1, B1), (G2, B2) = _pair_matrices(legs, q12, v1p, v2p)
     if all(not any(r) for r in B1) or all(not any(r) for r in B2):
         raise NotProportional("a reduction modulo the base pair vanished")
     lam = next(K2.div(b, a) for r1, r2 in zip(B1, B2) for a, b in zip(r1, r2) if a)
@@ -434,7 +453,7 @@ def _lift(sigma, G1, G2, v1, v2, v1p, v2p) -> SemilinearMap:
 def normalize_pair(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v2p) -> SemilinearMap:
     """Scale phi1 so the two reductions modulo the base pair coincide: the
     public form of the two-point driver's first step."""
-    lam, _, _ = _normalized_pair(_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1, v2, v1p, v2p)
+    lam, _, _ = _normalized_pair(*_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1p, v2p)
     return phi1.scaled(lam)
 
 
@@ -445,7 +464,7 @@ def glue_fibred_product(phi1: SemilinearMap, phi2: SemilinearMap, v1, v2, v1p, v
     if phi1.sigma != phi2.sigma:
         raise ReductionsDisagree("the two legs carry different field homomorphisms")
     _require_independent(phi1.source_field, phi1.target_field, v1, v2, v1p, v2p)
-    (G1, B1), (G2, B2) = _pair_matrices(_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1, v2, v1p, v2p)
+    (G1, B1), (G2, B2) = _pair_matrices(*_public_legs(phi1, phi2, v1, v2, v1p, v2p), v1p, v2p)
     if B1 != B2:
         raise ReductionsDisagree("reductions modulo the base pair differ; normalize first")
     return _lift(phi1.sigma, G1, G2, v1, v2, v1p, v2p)
@@ -475,12 +494,12 @@ def _two_point(inst: MorphismInstance, admissible, leg, pair_rank) -> Reconstruc
     base point, normalize the pair to a common scalar and glue along the
     fibred product, then verify against all of X.  The global matrices are
     built once, from the quotients each leg hands over, as
-    G(lam . psi1) = lam . G(psi1)."""
+    G(lam . psi1) = lam . G(psi1).  V/<v1, v2> comes from X's plan of the pair."""
     pair = _pick_pair(inst, admissible, pair_rank)
     legs = [leg(inst, x) for x in pair]
     v1, v2 = (inst.geometry.vectors[x] for x in pair)
     v1p, v2p = (inst.images[x] for x in pair)
-    lam, G1, G2 = _normalized_pair(legs, v1, v2, v1p, v2p)
+    lam, G1, G2 = _normalized_pair(legs, inst.geometry.plan(_pair_quotient, *pair), v1p, v2p)
     _require_independent(inst.source_field, inst.target_field, v1, v2, v1p, v2p)
     phi = _lift(legs[0][0].sigma, linalg.mat_scale(inst.target_field, lam, G1), G2, v1, v2, v1p, v2p)
     _verify(phi, inst.geometry.vectors, inst.images)
@@ -545,24 +564,30 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> tuple:
     is affino-projective, so the induced map on it extends over P/span(F) and
     is reconstructed, then precomposed with V/<v_xi> -> V/span(F)."""
     X, K2 = inst.geometry, inst.target_field
-    K, n1 = X.field, X.ncoords
     fiber = mask_of(x for x in range(X.n_points) if inst.images[x] == inst.images[xi])
-    rows, pivots = X.span_rows(fiber)
-    if n1 - len(rows) < 3:
+    if X.ncoords - len(X.span_rows(fiber)[0]) < 3:
         raise NoBasePair("fiber quotient too small to carry the reconstruction")
     Q = X.point_quotient(xi) if fiber == 1 << xi else quotient_geometry(X, fiber)
-    qcp = _point_quotient(K2, inst.images[xi])
+    qcp = _quotient(K2, inst.images[xi])
     images = _class_images(inst, Q, xi, qcp)
     if None in images:
         raise NotConstantOnClasses(f"a point outside the fiber of {xi} maps onto its image")
     inner = MorphismInstance(Q, K2, inst.target_dim - 1, images, "affino-projective")
     psiF = reconstruct_ftpg(extend_affino(inner))
 
-    # precompose with the projection V/<v_xi> -> V/span(F), in X/xi's coordinates
+    # precompose with the projection V/<v_xi> -> V/span(F), in X/xi's
+    # coordinates: the identity when F = {xi}, X's plan of (xi, F) otherwise
     qc = X.point_quotient(xi).coords
-    C = linalg.mat_mul(K, linalg.quotient_projection(K, rows, pivots, n1), qc.lift_matrix)
-    A = linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))
-    return SemilinearMap(psiF.sigma, A), qc, qcp
+    if fiber == 1 << xi:
+        return psiF, qc, qcp
+    C = X.plan(_fiber_projection, xi, fiber)
+    return SemilinearMap(psiF.sigma, linalg.mat_mul(K2, psiF.matrix, psiF.sigma.map_matrix(C))), qc, qcp
+
+
+def _fiber_projection(X: CoordGeometry, xi: int, fiber: int):
+    """V/<v_xi> -> V/span(F) in X/xi's coordinates, F a flat through xi."""
+    R = linalg.quotient_projection(X.field, *X.span_rows(fiber), X.ncoords)
+    return linalg.mat_mul(X.field, R, X.point_quotient(xi).coords.lift_matrix)
 
 
 def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:

@@ -23,6 +23,12 @@ coordinates off the RREF of the exceptional flat's span.
 ref_reconstruct_ftpg is the engine that came before it, kept verbatim: it
 rescales independent frame images through the unit point, keeps the chain
 for dependent ones, and inverts the frame plus the exceptional basis.
+The library also takes the frame's point indices (unit vectors and
+frame-line points) and the projection modulo E from a frame plan built
+once per source geometry and exceptional flat.  ref_per_call_frame_ftpg is
+the engine that came before it, kept verbatim: it reads E's RREF, finds
+every frame point through point_index and builds the projection on every
+call.
 
 The final sweep: the library computes the images of every point at once,
 one output row at a time (linalg.twisted_images).  ref_verify is the sweep
@@ -964,6 +970,108 @@ def ref_reconstruct_ftpg(psi) -> SemilinearMap:
         want = pm.images[i]
         if got != want:
             raise VerificationFailed(f"reconstruction disagrees at point {i}: {got} vs {want}")
+    return phi.canonical()
+
+
+def ref_per_call_frame_ftpg(psi) -> SemilinearMap:
+    """The semilinear map (canonically scaled) inducing a partial morphism
+    between full projective spaces whose image is not contained in a line.
+
+    Frame procedure: the undefined set must be a flat E and the map constant
+    on its join classes; the coordinate complement of E carries a frame of
+    unit vectors, whose images are rescaled to one common factor through
+    the sums of frame pairs; the homomorphism is read off the first frame
+    line and verified exhaustively; the semilinear extension is compared
+    against every point of the source.  Each frame pair gets one closed-form
+    solver (None for proportional images), the sigma table one more, and the
+    frame coordinates modulo E are the quotient projection read off E's RREF.
+    """
+    pm = _as_point_map(psi)
+    src = pm.source
+    K, K2 = src.field, pm.target_field
+    n1 = src.ncoords
+
+    undef = pm.undefined_mask()
+    if src.closure_mask(undef) != undef:
+        raise ExceptionalNotFlat("the undefined set is not a flat")
+
+    img_rank = linalg.rank(K2, [v for v in pm.images if v is not None])
+    if img_rank < 3:
+        raise ImageInLine(f"image spans a rank-{img_rank} subspace")
+
+    if undef:
+        clash = class_clash(src, undef, pm.images)
+        if clash is not None:
+            raise VerificationFailed(f"map is not constant on the class of point {clash}")
+
+    e_rows, e_piv = src.span_rows(undef)
+    free = [j for j in range(n1) if j not in e_piv]
+    d1 = len(free)
+    if d1 < 3:
+        raise VerificationFailed("exceptional flat too large for the image span")
+    frame_vecs = [linalg.unit_vec(n1, j) for j in free]
+    frame_idx = [src.point_index(v) for v in frame_vecs]
+    w = [pm.images[i] for i in frame_idx]
+    if any(v is None for v in w):
+        raise InternalContradiction("frame point maps into the exceptional flat")
+
+    def image_of_sum(i, j, lam=1):
+        pvec = linalg.vec_add(K, frame_vecs[i], linalg.vec_scale(K, lam, frame_vecs[j]))
+        y = pm.images[src.point_index(pvec)]
+        if y is None:
+            raise VerificationFailed("a frame line meets the exceptional flat")
+        return y
+
+    solvers = {(i, j): linalg.pair_solver(K2, w[i], w[j]) for i in range(d1) for j in range(i + 1, d1)}
+
+    # rescale the frame images to one common factor by chaining relative
+    # scales through pairwise sum points: with true images u_i and normalised
+    # images w_i = lambda_i u_i, the chain gives gamma_j w_j = lambda_0 u_j,
+    # a factor canonical() removes.  Proportional images (possible only for a
+    # non-surjective sigma, when the full kernel has no rational point) form
+    # classes and every cross-class pair is usable, so the chain connects
+    gamma = [None] * d1
+    gamma[0] = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in range(d1):
+                if gamma[j] is not None:
+                    continue
+                solver = solvers[(i, j) if i < j else (j, i)]
+                if solver is None:
+                    continue
+                ab = solver(image_of_sum(i, j))
+                if ab is None or 0 in ab:
+                    raise VerificationFailed("image of a frame-line point left the frame plane")
+                a, b = ab if i < j else ab[::-1]
+                gamma[j] = K2.mul(gamma[i], K2.div(b, a))
+                nxt.append(j)
+        frontier = nxt
+    if any(g is None for g in gamma):
+        raise ImageInLine("frame images are proportional; image lies in a line")
+    vpp = [linalg.vec_scale(K2, g, wi) for g, wi in zip(gamma, w)]
+
+    # sigma from the first frame line with independent endpoint images
+    si, sj = next(pair for pair, solver in solvers.items() if solver)
+    solver = linalg.pair_solver(K2, vpp[si], vpp[sj])
+    table = [0] * K.q
+    for lam in range(1, K.q):
+        ab = solver(image_of_sum(si, sj, lam))
+        if ab is None or ab[0] == 0:
+            raise VerificationFailed("image of a frame-line point left the frame plane")
+        table[lam] = K2.div(ab[1], ab[0])
+    sigma = FieldHom(K, K2, tuple(table))
+    if not sigma.preserves_structure():
+        raise SigmaNotHomomorphism(f"extracted table {table} is not a ring homomorphism")
+
+    # matrix: frame coordinates (the projection V -> V/span(E), read off E's
+    # RREF), sigma-twisted, then the rescaled frame images
+    R = linalg.quotient_projection(K, e_rows, e_piv, n1)
+    M = linalg.mat_mul(K2, linalg.transpose(vpp), sigma.map_matrix(R))
+    phi = SemilinearMap(sigma, M)
+    _verify(phi, src.vectors, pm.images)
     return phi.canonical()
 
 

@@ -38,6 +38,15 @@ exceptional flat's span, where ref_reconstruct_ftpg inverts the frame plus
 that span's basis.  On seeded maps whose exceptional flats have every rank
 from 0 to 3, both must return the same map.
 
+reconstruct_ftpg takes its frame points and the projection modulo the
+exceptional flat E from a plan kept on the source geometry per E, where
+ref_per_call_frame_ftpg builds them on every call.  On seeded maps of rank
+4, 3 and 2, interleaved on the same PG(3,3) and PG(3,4) objects, on copies
+with the same kernel, on perturbed copies and on maps folded onto the
+planes through a kernel line, both must return the same map or raise the
+same class with the same message; the plans' keys are flats, no more of
+them than the source has.
+
 The two-point drivers build the global matrices of their legs once, read
 the common scalar off the reductions and lift the scaled first matrix,
 where ref_two_point runs the public normalize_pair and glue_fibred_product,
@@ -55,7 +64,14 @@ from collections import Counter
 import pytest
 
 from fingeo import linalg, reconstruct
-from fingeo.errors import FingeoError, InconsistentExtension, InternalContradiction, NotConstantOnClasses, ZeroMap
+from fingeo.errors import (
+    FingeoError,
+    InconsistentExtension,
+    InternalContradiction,
+    NotConstantOnClasses,
+    VerificationFailed,
+    ZeroMap,
+)
 from fingeo.geometry import QuotientGeometry, TableGeometry, check_geometry_axioms, subgeometry
 from fingeo.gf import gf, list_homomorphisms
 from fingeo.projective import LinearSubspace, SemilinearMap, build_pg, check_projective_axioms, quotient_coords
@@ -73,6 +89,7 @@ from quotient_routes import (
     ref_class_images,
     ref_extend_affino,
     ref_extend_unchecked,
+    ref_per_call_frame_ftpg,
     ref_reconstruct_ftpg,
     ref_two_point,
 )
@@ -485,3 +502,68 @@ def test_frame_coordinates_match_the_inverse_route():
             assert isinstance(got, tuple) and got == outcome(ref_reconstruct_ftpg, psi)
             ranks[len(P.span_rows(psi.undefined_mask())[0])] += 1
     assert set(ranks) == {0, 1, 2, 3}, ranks
+
+
+def ranked_generator(rng, K, K2, r):
+    """A seeded semilinear map K^4 -> K2^4 of rank exactly r."""
+    while True:
+        A = [[rng.randrange(K2.q) for _ in range(r)] for _ in range(4)]
+        B = [[rng.randrange(K2.q) for _ in range(4)] for _ in range(r)]
+        M = linalg.mat_mul(K2, A, B)
+        if linalg.rank(K2, M) == r:
+            return SemilinearMap(rng.choice(list_homomorphisms(K, K2)), M)
+
+
+def frame_plan_inputs(P, K2, rng):
+    """For a seeded generator of rank 4, then 3, then 2: its point map on P,
+    one with the same kernel (the generator after a random invertible map),
+    one with two images swapped, one with an image replaced, and for rank 2
+    the map folded onto the planes through its kernel line: each class goes
+    to its own point of the conic (1, t, t^2, 0), plus (0, 0, 1, 0)."""
+    conic = [(1, t, K2.mul(t, t), 0) for t in range(K2.q)] + [(0, 0, 1, 0)]
+    points = linalg.all_proj_points(K2, 4)
+    for r in (4, 3, 2):
+        gen = ranked_generator(rng, P.field, K2, r)
+        images = [linalg.normalize_vec(K2, gen.apply_vec(v)) for v in P.vectors]
+        yield images
+        A = ranked_generator(rng, K2, K2, 4)
+        yield [linalg.normalize_vec(K2, A.apply_vec(y)) if y else None for y in images]
+        i, j = rng.sample([x for x, y in enumerate(images) if y], 2)
+        swapped = list(images)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield swapped
+        replaced = list(images)
+        replaced[i] = rng.choice(points)
+        yield replaced
+        if r == 2:
+            fold = {}
+            yield [y and conic[fold.setdefault(y, len(fold))] for y in images]
+
+
+def test_frame_plans_match_the_per_call_frame():
+    rng = random.Random("frame plans")
+    settings = [(build_pg(3, 3), gf(3)), (build_pg(3, 4), gf(4)), (build_pg(3, 3), gf(9)), (build_pg(3, 4), gf(16))]
+    outcomes = Counter()
+    for _ in range(4):
+        for P, K2 in settings:
+            for images in frame_plan_inputs(P, K2, rng):
+                psi = PartialPointMap(P, K2, 3, tuple(images))
+                got, ref = [outcome_with_message(fn, psi) for fn in (reconstruct_ftpg, ref_per_call_frame_ftpg)]
+                assert got == ref
+                outcomes["map" if isinstance(got, SemilinearMap) else got] += 1
+    assert outcomes["map"] > 0
+    assert (VerificationFailed, "exceptional flat too large for the image span") in outcomes
+    assert {type(k) for k in outcomes} == {str, tuple} and len(outcomes) > 3
+    for P in (build_pg(3, 3), build_pg(3, 4)):
+        keys = [key[1] for key in P._plans if key[0] is reconstruct._frame_plan]
+        assert all(P.closure_mask(E) == E for E in keys)
+        assert {E.bit_count() for E in keys} >= {0, 1, P.field.q + 1}
+        assert len(keys) <= len(P.flats())
+
+
+def outcome_with_message(fn, psi):
+    """The canonical map, or the error class and message."""
+    try:
+        return fn(psi)
+    except FingeoError as exc:
+        return type(exc), str(exc)

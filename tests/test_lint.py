@@ -12,7 +12,8 @@ names FingeoError or a subclass of it from errors.py.  Every form mask of
 a coordinate geometry comes from its one form table, which only the
 closure kernel and the flat sweep read.  The report records share one
 equality rule, geometry.Report's: only Report and the three immutable
-records define __eq__.
+records define __eq__.  reconstruct.py keeps no module-level cache: its
+plans live on the geometry objects.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -334,6 +335,77 @@ def test_untyped_raise_is_reported():
         "    raise NotImplementedError\n"
     )
     assert untyped_raises(source, fingeo_errors(errors)) == [(9, "ValueError"), (10, "NotImplementedError")]
+
+
+MUTABLE = (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)
+# gf.interned is the package's lru_cache decorator
+CACHE_NAMES = ("lru_cache", "cache", "interned")
+
+
+def module_caches(source):
+    """(line, text) for each place a module could memoise across calls for
+    the whole process: a dict or set built in an assignment at module or
+    class level, and every use of lru_cache, functools.cache or gf.interned."""
+    tree = ast.parse(source)
+    out = []
+    for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        for node in scope.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if value is not None and any(
+                isinstance(n, MUTABLE) or (isinstance(n, ast.Call) and ast.unparse(n.func) in ("dict", "set"))
+                for n in ast.walk(value)
+            ):
+                out.append((node.lineno, ast.unparse(value)))
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CACHE_NAMES:
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_reconstruction_keeps_no_module_cache():
+    """A process-wide memo would grow with every input and make repeated
+    reconstructions free; the plans of reconstruct.py live on geometries."""
+    assert module_caches((SRC / "reconstruct.py").read_text(encoding="utf-8")) == []
+
+
+def test_module_cache_is_reported():
+    source = (
+        "import functools\n"
+        "PLANS = {}\n"
+        "SEEN: set = set()\n"
+        "ORDER = (1, 2)\n"
+        "\n"
+        "\n"
+        "class Engine:\n"
+        "    memo = {k: k for k in ORDER}\n"
+        "\n"
+        "    @functools.cached_property\n"
+        "    def plans(self):\n"
+        "        return {}\n"
+        "\n"
+        "\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def frame(n):\n"
+        "    local = {}\n"
+        "    return local\n"
+        "\n"
+        "\n"
+        "@functools.cache\n"
+        "def pair(n):\n"
+        "    return n\n"
+        "\n"
+        "\n"
+        "leg = gf.interned('n')(pair)\n"
+    )
+    assert module_caches(source) == [
+        (2, "{}"),
+        (3, "set()"),
+        (8, "{k: k for k in ORDER}"),
+        (15, "functools.lru_cache"),
+        (21, "functools.cache"),
+        (26, "gf.interned"),
+    ]
 
 
 FIELD_METHODS = ("add", "sub", "neg", "mul", "inv", "div")

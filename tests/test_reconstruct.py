@@ -17,6 +17,7 @@ from fingeo.errors import (
     ImageInLine,
     ImageInPlane,
     InternalContradiction,
+    InvalidArgument,
     LiftInconsistent,
     NoBasePair,
     NotConstantOnClasses,
@@ -25,6 +26,7 @@ from fingeo.errors import (
     ReductionsDisagree,
     VerificationFailed,
 )
+from fingeo.gallery import build_example
 from fingeo.geometry import CoordGeometry, bits_of, subgeometry
 from fingeo.gf import gf, hom_from_power, identity_hom, list_homomorphisms
 from fingeo.projective import (
@@ -472,13 +474,18 @@ def test_frame_coordinates_need_no_inverse(pg33, monkeypatch):
 ])
 def test_source_quotients_are_built_once_per_point(fixture, driver, request, monkeypatch):
     """A leg's coordinates of V/<v_x> are those of X's cached point quotient
-    X/x: a second reconstruction on the same geometry builds none of them."""
+    X/x, and V/<v1, v2> comes from X's plan of the base pair: a second
+    reconstruction on the same geometry builds none of them."""
     X = request.getfixturevalue(fixture)
     gen = SemilinearMap(identity_hom(X.field), ((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)))
     inst = MorphismInstance.restrict_semilinear(gen, X)
     pair = driver(inst).base_points
-    source = {(X.vectors[x],) for x in pair}
-    assert not source & {(inst.images[x],) for x in pair}
+
+    def spans(vectors):
+        return {linalg.rref(X.field, [v])[0] for v in vectors} | {linalg.rref(X.field, vectors)[0]}
+
+    source = spans([X.vectors[x] for x in pair])
+    assert len(source) == 3 and not source & spans([inst.images[x] for x in pair])
     built = []
 
     def recording(W):
@@ -489,6 +496,40 @@ def test_source_quotients_are_built_once_per_point(fixture, driver, request, mon
     monkeypatch.setattr(projective, "quotient_coords", recording)
     assert driver(inst).phi == gen
     assert built and not source & set(built)
+
+
+def test_warm_base_engine_reads_its_frame_plan(pg33, monkeypatch):
+    """A warm reconstruct_ftpg, with and without an exceptional flat, takes
+    its frame from the source's frame plan: it finds no point through
+    point_index and reduces no span through span_rows."""
+    K = gf(3)
+    psis = [
+        induced_point_map(SemilinearMap(identity_hom(K), M), pg33)
+        for M in (((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)), ((1, 0, 0, 0), (0, 1, 2, 0), (0, 0, 0, 1)))
+    ]
+    want = [reconstruct_ftpg(psi) for psi in psis]
+    calls = Counter()
+    for name in ("point_index", "span_rows"):
+        monkeypatch.setattr(CoordGeometry, name, counting(calls, name, getattr(CoordGeometry, name)))
+    assert [reconstruct_ftpg(psi) for psi in psis] == want
+    assert psis[1].undefined_mask() and calls == Counter()
+
+
+@pytest.mark.parametrize("source, images", [
+    ("affine", "identity"),
+    ("elliptic-quadric", "identity"),
+    ("projective", "short"),
+    ("projective", "long"),
+])
+def test_point_map_needs_a_full_source_and_one_image_per_point(source, images):
+    """A PartialPointMap whose source is not a full projective space, or
+    whose images do not match its points one for one, is refused with
+    InvalidArgument before the engine reads it."""
+    X = build_example(source, gf(3))
+    got = {"identity": X.vectors, "short": X.vectors[:-1], "long": X.vectors + X.vectors[:1]}[images]
+    message = "source must be a full projective space" if images == "identity" else f"{len(got)} images for 40 source points"
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        reconstruct_ftpg(PartialPointMap(X, gf(3), 3, tuple(got)))
 
 
 # -- locally projective driver -----------------------------------------------------------
