@@ -12,13 +12,14 @@ negative verdict carries a witness that can be re-checked in isolation;
 every certificate (hyperplane H, tangent hyperplanes H_x) is reported
 explicitly.  Predicates over the ambient space take any CoordGeometry,
 quotients included: its ambient space P is the PG(n, q) its coordinates
-live in, read off by X.ambient and X.ambient_indices.  They read the lines,
+live in, read off by X.ambient and the ambient view built once beside it
+(X.ambient_indices, X.local_of, X.ambient_mask).  They read the lines,
 planes and hyperplanes of P, never its incidence index; the tangent lines
 at every point, and the tangent points with them, come from one pass over
 P's lines (tangent_lines), as do the secant lines (secant_lines), and the
-span of each plane of X from one pass over P's planes (plane_spans), which
-the enough-points count and lp4prime read.  Facts read more than once are
-kept on the geometry by one memo (_memo).
+span of each line or plane of X from one pass over P's lines or planes
+(_spans), which lp4, the enough-points count and lp4prime read.  Facts read
+more than once are kept in the geometry's one memo, X.plan (_memo).
 """
 
 from __future__ import annotations
@@ -75,17 +76,8 @@ class ClassificationReport(Report):
 
 
 def _memo(fn):
-    """fn(X) computed once per geometry and kept on X, keyed by fn.  An
-    exception is not kept, so it is raised again on every call."""
-
-    @functools.wraps(fn)
-    def memoised(X):
-        got = X._predicate_cache.get(fn)
-        if got is None:
-            got = X._predicate_cache[fn] = fn(X)
-        return got
-
-    return memoised
+    """fn(X) computed once per geometry and kept in its plan, keyed by fn."""
+    return functools.wraps(fn)(lambda X: X.plan(fn))
 
 
 # -- enough points ---------------------------------------------------------------
@@ -113,8 +105,7 @@ def tangent_lines(X: CoordGeometry) -> tuple:
     over P's lines.  X/x = P/x exactly when x has no tangent line, and X/x
     is affino-projective in P/x exactly when a hyperplane through x holds
     them all."""
-    local_of = {a: x for x, a in enumerate(X.ambient_indices)}
-    xmask = mask_of(X.ambient_indices)
+    local_of, xmask = X.local_of, X.ambient_mask
     out = [[] for _ in range(X.n_points)]
     for line in X.ambient.lines():
         hit = line & xmask
@@ -123,9 +114,10 @@ def tangent_lines(X: CoordGeometry) -> tuple:
     return tuple(map(tuple, out))
 
 
-def tangent_unions(X: CoordGeometry) -> list:
-    """For each local point, the union of its tangent lines."""
-    return [functools.reduce(operator.or_, ts, 0) for ts in tangent_lines(X)]
+@_memo
+def tangent_unions(X: CoordGeometry) -> tuple:
+    """For each local point, the union of its tangent lines; built once."""
+    return tuple(functools.reduce(operator.or_, ts, 0) for ts in tangent_lines(X))
 
 
 @_memo
@@ -134,14 +126,18 @@ def _tangent_points(X: CoordGeometry) -> int:
     return mask_of(x for x, ts in enumerate(tangent_lines(X)) if ts)
 
 
+def _spans(X: CoordGeometry, d: int) -> dict:
+    """{trace: span} over the d-flats of P, by one pass over them: a d-flat
+    of X is the trace of exactly one, its span.  Planned once per d."""
+    return {mask_of(map(X.local_of.__getitem__, bits_of(s & X.ambient_mask))): s for s in X.ambient.rank_flats(d)}
+
+
 @_memo
 def plane_spans(X: CoordGeometry) -> tuple:
     """For each plane of X, in X.planes() order, its span: the one plane of P
-    whose trace it is; built once, by one pass over P's planes.  Through its
-    span a plane knows the tangent lines inside it."""
-    local_of, xmask = {a: x for x, a in enumerate(X.ambient_indices)}, mask_of(X.ambient_indices)
-    spans = {mask_of(map(local_of.__getitem__, bits_of(pi & xmask))): pi for pi in X.ambient.planes()}
-    return tuple(map(spans.__getitem__, X.planes()))
+    whose trace it is; built once.  Through its span a plane knows the
+    tangent lines inside it."""
+    return tuple(map(X.plan(_spans, 2).__getitem__, X.planes()))
 
 
 @_memo
@@ -380,9 +376,8 @@ def _lp4_witness(X):
     both joins."""
     coord = isinstance(X, CoordGeometry)
     if coord:
-        P, local_of, xmask = X.ambient, {a: x for x, a in enumerate(X.ambient_indices)}, mask_of(X.ambient_indices)
-        span = {mask_of(map(local_of.__getitem__, bits_of(line & xmask))): line for line in P.lines()}
-        through = containing(tangent_unions(X), P.n_points)  # at each z, the points whose tangent lines hold it
+        span = X.plan(_spans, 1)
+        through = containing(tangent_unions(X), X.ambient.n_points)  # at each z, the points whose tangent lines hold it
     else:
         inc, cl = X.incidence, X.closure_mask
     for p, pm in enumerate(X.planes()):
@@ -568,19 +563,13 @@ def _one_gap_tuples(adj):
 def is_affino_projective(X: CoordGeometry) -> Verdict:
     """Some ambient hyperplane H with X u H = P; hyperplanes scanned in
     canonical order, first certificate returned, count reported."""
-    P, xmask = X.ambient, mask_of(X.ambient_indices)
-    first = None
-    count = 0
-    for hm in P.hyperplanes():
-        if xmask | hm == P.full_mask:
-            count += 1
-            if first is None:
-                first = hm
-    out = Verdict("affino_projective", first is not None)
-    out.certificates["certificate_count"] = count
-    if first is not None:
-        out.certificates["hyperplane"] = sorted(bits_of(first))
-        out.certificates["hyperplane_mask"] = first
+    P, xmask = X.ambient, X.ambient_mask
+    certs = [hm for hm in P.hyperplanes() if xmask | hm == P.full_mask]
+    out = Verdict("affino_projective", bool(certs))
+    out.certificates["certificate_count"] = len(certs)
+    if certs:
+        out.certificates["hyperplane"] = sorted(bits_of(certs[0]))
+        out.certificates["hyperplane_mask"] = certs[0]
     return out
 
 
@@ -590,11 +579,10 @@ def secant_lines(X: CoordGeometry) -> tuple:
     through p not inside X's first certifying hyperplane H (p lies in H, as
     X u H = P) as the q local points it holds, in P.lines() order."""
     H = is_affino_projective(X).certificates["hyperplane_mask"]
-    local_of = {a: x for x, a in enumerate(X.ambient_indices)}
-    out = {p: [] for p in range(X.ambient.n_points) if p not in local_of}
+    out = {p: [] for p in range(X.ambient.n_points) if p not in X.local_of}
     for line in X.ambient.lines():
         if line & ~H and (p := (line & H).bit_length() - 1) in out:
-            out[p].append(tuple(local_of[a] for a in bits_of(line & ~H)))
+            out[p].append(tuple(map(X.local_of.__getitem__, bits_of(line & ~H))))
     return tuple((p, tuple(lines)) for p, lines in out.items())
 
 
@@ -652,11 +640,10 @@ def is_ovoid(X: CoordGeometry) -> Verdict:
     mob = is_mobius(X)
     if mob.verdict == "not applicable":
         return Verdict("ovoid", "not applicable")
-    xmask = mask_of(X.ambient_indices)
     witnesses = list(mob.witnesses)
     verdict = bool(mob)
     for line in X.ambient.lines():
-        if (line & xmask).bit_count() > 2:
+        if (line & X.ambient_mask).bit_count() > 2:
             verdict = False
             witnesses.append({"long_secant": sorted(bits_of(line))})
             break

@@ -18,7 +18,8 @@ geometry is a table geometry on the parent flats through E (QuotientGeometry).
 
 Everything is immutable after construction; the flat table {mask:
 dimension} and the incidence index are built once on first demand and only
-read afterwards.
+read afterwards.  Every other keyed fact lives in one memo per geometry
+(plan); only closures and point quotients are kept apart.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ class FiniteGeometry:
         self.full_mask = (1 << n_points) - 1
         self._flats = None
         self._point_quotients = {}
-        self._predicate_cache = {}
         self._closure_memo = {}
+        self._plans = {}
 
     # -- closure -------------------------------------------------------------
 
@@ -283,6 +284,15 @@ class FiniteGeometry:
             self._point_quotients[x] = got
         return got
 
+    def plan(self, build, *key):
+        """build(self, *key), run on first use and kept in this geometry's one
+        memo of derived facts; an exception is not kept, but raised again."""
+        k = (build, *key)
+        got = self._plans.get(k)
+        if got is None:
+            got = self._plans[k] = build(self, *key)
+        return got
+
     # -- identification -----------------------------------------------------
 
     def label(self):
@@ -305,13 +315,13 @@ class CoordGeometry(FiniteGeometry):
 
     The flats are the traces of the subspaces of K^n, swept column by column
     with no annihilator built; the sweep records ranks only, and a flat's
-    RREF basis is built on its first join (see _build_flats, flat_rows).
+    RREF basis is planned on its first join (see _build_flats, flat_rows).
     The embedding is read off the coordinates: the points are distinct
     points of PG(ncoords - 1, q), so is_full_pg follows from the point
     count, ambient is that projective space (the geometry itself when full,
-    built on first use otherwise) and ambient_indices places each point in
-    it.  A quotient with at most one class is full, so it never asks for
-    PG(0, q).
+    built on first use otherwise), ambient_indices places each point in it,
+    and local_of and ambient_mask read those places back.  A quotient with
+    at most one class is full, so it never asks for PG(0, q).
     """
 
     def __init__(self, K: GF, vectors, name=None):
@@ -322,8 +332,6 @@ class CoordGeometry(FiniteGeometry):
         self.is_full_pg = self.n_points == (K.q**self.ncoords - 1) // (K.q - 1)
         self._name = name
         self._vec_index = {v: i for i, v in enumerate(self.vectors)}
-        self._flat_rows = {}
-        self._plans = {}
 
     @functools.cached_property
     def ambient(self):
@@ -338,6 +346,16 @@ class CoordGeometry(FiniteGeometry):
     def ambient_indices(self):
         """The ambient index of each point."""
         return tuple(map(self.ambient.point_index, self.vectors))
+
+    @functools.cached_property
+    def local_of(self):
+        """{ambient index: local index} of each point."""
+        return {a: x for x, a in enumerate(self.ambient_indices)}
+
+    @functools.cached_property
+    def ambient_mask(self):
+        """The points, as a mask of the ambient space."""
+        return mask_of(self.ambient_indices)
 
     def point_index(self, coords):
         return self._vec_index.get(tuple(coords))
@@ -402,20 +420,8 @@ class CoordGeometry(FiniteGeometry):
         return self.trace_mask(*self.span_rows(mask))
 
     def flat_rows(self, mask):
-        """The RREF basis of a flat's span, built on first use and cached."""
-        got = self._flat_rows.get(mask)
-        if got is None:
-            got = self._flat_rows[mask] = self.span_rows(mask)
-        return got
-
-    def plan(self, build, *key):
-        """build(self, *key), run on first use and kept on this geometry: the
-        parts of a computation that depend only on the geometry and the key."""
-        k = (build, *key)
-        got = self._plans.get(k)
-        if got is None:
-            got = self._plans[k] = build(self, *key)
-        return got
+        """The RREF basis of a flat's span, planned on first use."""
+        return self.plan(CoordGeometry.span_rows, mask)
 
     def join_dim(self, m1, m2):
         """Dimension of the join of two flats: at most d1 + d2 less the

@@ -175,6 +175,10 @@ def _as_point_map(psi) -> PartialPointMap:
     if isinstance(psi, PartialPointMap):
         if len(psi.images) != src.n_points:
             raise InvalidArgument(f"{len(psi.images)} images for {src.n_points} source points")
+        q = psi.target_field.q
+        bad = {c for v in psi.images if v is not None for c in v if type(c) is not int or not 0 <= c < q}
+        if bad:
+            raise InvalidArgument(f"image entry {min(map(repr, bad))} outside {psi.target_field.name}")
         return psi
     tgt = psi.target
     if not isinstance(tgt, CoordGeometry):
@@ -565,9 +569,9 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> tuple:
     is reconstructed, then precomposed with V/<v_xi> -> V/span(F)."""
     X, K2 = inst.geometry, inst.target_field
     fiber = mask_of(x for x in range(X.n_points) if inst.images[x] == inst.images[xi])
-    if X.ncoords - len(X.span_rows(fiber)[0]) < 3:
+    if X.ncoords - 1 - X.flat_dim(fiber) < 3:
         raise NoBasePair("fiber quotient too small to carry the reconstruction")
-    Q = X.point_quotient(xi) if fiber == 1 << xi else quotient_geometry(X, fiber)
+    Q = X.point_quotient(xi) if fiber == 1 << xi else X.plan(quotient_geometry, fiber)
     qcp = _quotient(K2, inst.images[xi])
     images = _class_images(inst, Q, xi, qcp)
     if None in images:
@@ -585,9 +589,10 @@ def _affino_leg(inst: MorphismInstance, xi: int) -> tuple:
 
 
 def _fiber_projection(X: CoordGeometry, xi: int, fiber: int):
-    """V/<v_xi> -> V/span(F) in X/xi's coordinates, F a flat through xi."""
-    R = linalg.quotient_projection(X.field, *X.span_rows(fiber), X.ncoords)
-    return linalg.mat_mul(X.field, R, X.point_quotient(xi).coords.lift_matrix)
+    """V/<v_xi> -> V/span(F) in X/xi's coordinates, F a flat through xi,
+    read off X's planned quotient X/F."""
+    return linalg.mat_mul(X.field, X.plan(quotient_geometry, fiber).coords.proj_matrix,
+                          X.point_quotient(xi).coords.lift_matrix)
 
 
 def reconstruct_locally_affino(inst: MorphismInstance, pair_rank=0) -> ReconstructionResult:
@@ -616,7 +621,7 @@ def certify_side_conditions(result: ReconstructionResult, inst: MorphismInstance
     if inst.declared_kind in ("affino-projective", "locally-affino-projective"):
         # p off X is tangent to all of X when each line px is a tangent line
         # at x, that is when p lies on every union of tangent lines
-        outside = P.full_mask & ~mask_of(X.ambient_indices)
+        outside = P.full_mask & ~X.ambient_mask
         tangent_points = functools.reduce(operator.and_, tangent_unions(X), outside)
         report["tangent_point_hypothesis"] = tangent_points == 0
         if tangent_points:

@@ -74,6 +74,10 @@ is_locally_projective: they count the lines of a plane through a point on
 X's incidence index, meet the planes of two lines pair by pair, and sweep
 every pair of planes for lp4prime.
 
+The line spans: classify._spans(X, 1) maps the trace of each line of P
+on X to its span, planned once per geometry.  ref_line_spans is the dict
+_lp4_witness built inline on every call before, kept verbatim.
+
 The coordinate joins: the library bounds the dimension of the join of
 two flats by counting and takes a rank only when the bounds differ.
 ref_join_dim is the route that came before it, kept verbatim: a rank of
@@ -411,6 +415,13 @@ def ref_incidence_lp4_witness(X, inc):
             if x >= 0:
                 return l1, l2, x
     return None
+
+
+def ref_line_spans(X: CoordGeometry) -> dict:
+    """_lp4_witness's inline span dict as it was: the trace of each line of
+    P, in local indices, mapped to that line."""
+    P, local_of, xmask = X.ambient, {a: x for x, a in enumerate(X.ambient_indices)}, mask_of(X.ambient_indices)
+    return {mask_of(map(local_of.__getitem__, bits_of(line & xmask))): line for line in P.lines()}
 
 
 def ref_join_dim(G: CoordGeometry, m1, m2):
@@ -1357,12 +1368,13 @@ def ref_subspace_flats(G):
     """A flat is the trace of its span, and that span is the least
     subspace with that trace: so listing every subspace of K^n by rank
     and keeping each trace at its first rank gives every flat with its
-    RREF basis."""
+    RREF basis.  The flats are stored on G, and their bases returned as
+    {mask: (rows, pivots)}."""
     rows_of = {}
     for basis in subspaces(G.field, G.ncoords):
         rows_of.setdefault(G.trace_mask(*basis), basis)
-    G._flat_rows.update(rows_of)
     G._store_flats({m: len(rows) - 1 for m, (rows, _) in rows_of.items()})
+    return rows_of
 
 
 def ref_brute_force_oracle(inst: MorphismInstance, cap=1 << 24) -> tuple:

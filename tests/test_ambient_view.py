@@ -34,7 +34,7 @@ from fingeo.classify import (
     tangent_unions,
 )
 from fingeo.gallery import EXAMPLE_NAMES, build_example, make_affine, make_quadric
-from fingeo.geometry import CoordQuotient, FiniteGeometry, bits_of, mask_of, subgeometry
+from fingeo.geometry import CoordGeometry, CoordQuotient, FiniteGeometry, bits_of, mask_of, subgeometry
 from fingeo.gf import gf, identity_hom
 from fingeo.projective import LinearSubspace, SemilinearMap, build_pg
 from fingeo.reconstruct import (
@@ -164,6 +164,7 @@ def test_view_matches_ambient_scans(geometries, case):
     P, idx = ambient_of(X)
     xmask = mask_of(idx)
     assert (X.ambient, X.ambient_indices) == (P, idx)
+    assert (X.local_of, X.ambient_mask) == ({a: x for x, a in enumerate(idx)}, xmask)
     assert tangent_lines(X) == ref_tangent_lines(X)
     assert check_line_condition(X).witnesses == ref_line_condition_witnesses(X)
     assert check_minimal_embedding(X).witnesses == ref_minimal_embedding_witnesses(X)
@@ -171,7 +172,7 @@ def test_view_matches_ambient_scans(geometries, case):
     refs = [ref_lap_certificates(P, xmask, amb) for amb in idx]
     assert lap_certificates(X) == tuple(ref[0] if ref else None for ref in refs)
     assert affino_admissible_points(X) == tuple(x for x, ref in enumerate(refs) if ref)
-    assert tangent_unions(X) == [ref_mobius_union(P, xmask, amb) for amb in idx]
+    assert tangent_unions(X) == tuple(ref_mobius_union(P, xmask, amb) for amb in idx)
 
 
 @pytest.mark.parametrize("name", ["affine", "elliptic-quadric"])
@@ -249,6 +250,21 @@ def test_ovoid_reads_the_mobius_verdict(monkeypatch):
     assert calls == [X]
     assert is_mobius(X) is is_mobius(X)
     assert is_affino_projective(X) is is_affino_projective(X)
+
+
+@pytest.mark.parametrize("name", ["elliptic-quadric", "cone", "affine", "two-hyperplanes"])
+def test_second_classify_plans_nothing(name):
+    """Every keyed fact classify derives is kept in the geometry's one memo:
+    a second run reads the same reports and plans nothing new on X or on
+    its ambient space."""
+    X = build_example(name, gf(3))
+    X = CoordGeometry(X.field, X.vectors)  # with an empty plan
+    first = classify(X)
+    plans = [dict(G._plans) for G in (X, X.ambient)]
+    assert plans[0]
+    assert classify(X) == first
+    for G, before in zip((X, X.ambient), plans):
+        assert G._plans.keys() == before.keys() and all(G._plans[k] is v for k, v in before.items())
 
 
 AMBIENT_PREDICATES = (

@@ -209,10 +209,9 @@ def test_covering_sweep_matches_generic_sweep(kernel_geometries, name):
     assert G.flats() == ref.flats()
     assert G._flat_dims == ref._flat_dims
     # the bases built on demand are those the covering sweep extended
-    rows = fresh_copy(G)
-    ref_covering_flats(rows)
+    rows_of = ref_covering_flats(fresh_copy(G))
     for m in G.flats():
-        assert G.flat_rows(m) == rows._flat_rows[m]
+        assert G.flat_rows(m) == rows_of[m]
 
 
 def test_covering_sweep_on_quotients(pg33, elliptic_34):
@@ -227,7 +226,9 @@ def ref_covering_flats(G):
     """The covering sweep that enumerated the flats of a coordinate geometry
     before the subspace enumeration, kept verbatim: extend each flat's basis
     by one outside point x.  Every other point of the resulting flat gives
-    the same span, so all of them leave the points still to visit."""
+    the same span, so all of them leave the points still to visit.  The
+    flats are stored on G, and their bases returned as {mask: (rows,
+    pivots)}."""
     K = G.field
     rows_of = {0: ((), ())}
     frontier = [0]
@@ -247,8 +248,8 @@ def ref_covering_flats(G):
                     rows_of[t] = basis
                     nxt.append(t)
         frontier = nxt
-    G._flat_rows.update(rows_of)
     G._store_flats({m: len(rows) - 1 for m, (rows, _) in rows_of.items()})
+    return rows_of
 
 
 def assert_flats_match_covering_sweep(make):
@@ -256,13 +257,13 @@ def assert_flats_match_covering_sweep(make):
     runs the covering sweep; the flats, their dimensions, the flats of
     each dimension and each flat's basis agree."""
     G, ref = make(), make()
-    ref_covering_flats(ref)
+    rows_of = ref_covering_flats(ref)
     assert G.flats() == ref.flats(), G.label()
     assert G._flat_dims == ref._flat_dims, G.label()
     for d in range(-1, ref.dim() + 2):
         assert G.rank_flats(d) == ref.rank_flats(d), (G.label(), d)
     for m in ref.flats():
-        assert G.flat_rows(m) == ref._flat_rows[m], (G.label(), m)
+        assert G.flat_rows(m) == rows_of[m], (G.label(), m)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
@@ -335,12 +336,12 @@ def assert_sweep_matches_subspace_flats(make):
     dimensions, the flats of each dimension and each flat's basis agree."""
     G, ref = make(), make()
     G.flats()
-    ref_subspace_flats(ref)
+    rows_of = ref_subspace_flats(ref)
     assert G._flats == ref._flats, G.label()
     assert G._flat_dims == ref._flat_dims, G.label()
     assert G._flats_by_dim == ref._flats_by_dim, G.label()
     for m in ref.flats():
-        assert G.flat_rows(m) == ref._flat_rows[m], (G.label(), m)
+        assert G.flat_rows(m) == rows_of[m], (G.label(), m)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
@@ -374,6 +375,11 @@ def test_sweep_matches_subspace_flats_on_random_subgeometries(n, q):
             assert_sweep_matches_subspace_flats(functools.partial(CoordQuotient, X, 1 << rng.randrange(k)))
 
 
+def planned_rows(G):
+    """The flats whose RREF basis G has planned."""
+    return {key[1] for key in G._plans if key[0] is CoordGeometry.span_rows}
+
+
 def test_sweep_builds_no_rows(pg33, elliptic_34):
     """The sweep records ranks only: no flat has a basis until a join asks.
     A join the dimension bounds decide (two lines through a point, or any
@@ -382,16 +388,16 @@ def test_sweep_builds_no_rows(pg33, elliptic_34):
     and no other."""
     for G in (fresh_copy(pg33), fresh_copy(elliptic_34), CoordQuotient(elliptic_34, 1), CoordQuotient(build_pg(4, 2), 1)):
         G.flats()
-        assert G._flat_rows == {}, G.label()
+        assert planned_rows(G) == set(), G.label()
         lines = G.lines()
         m1 = lines[0]
         meeting, disjoint = next(m for m in lines[1:] if m & m1), next(m for m in lines if not m & m1)
         for m2 in (meeting, disjoint) if G.dim() == 2 else (meeting,):
             assert G.join_dim(m1, m2) == G.flat_dim(G.closure_mask(m1 | m2))
-        assert G._flat_rows == {}, G.label()
+        assert planned_rows(G) == set(), G.label()
         if G.dim() == 3:
             assert G.join_dim(m1, disjoint) == G.flat_dim(G.closure_mask(m1 | disjoint))
-            assert set(G._flat_rows) == {m1, disjoint}, G.label()
+            assert planned_rows(G) == {m1, disjoint}, G.label()
 
 
 def test_sweep_builds_no_annihilator(monkeypatch, pg33, elliptic_34):

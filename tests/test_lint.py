@@ -12,8 +12,9 @@ names FingeoError or a subclass of it from errors.py.  Every form mask of
 a coordinate geometry comes from its one form table, which only the
 closure kernel and the flat sweep read.  The report records share one
 equality rule, geometry.Report's: only Report and the three immutable
-records define __eq__.  reconstruct.py keeps no module-level cache: its
-plans live on the geometry objects.
+records define __eq__.  reconstruct.py, classify.py and geometry.py keep
+no module-level cache: the facts they derive live on the geometry objects,
+in one memo per geometry (plan), whose stores no other module touches.
 
 The package's __init__.py is skipped by the import check, since its imports
 are re-exports; for the definition check they count as references.
@@ -369,6 +370,13 @@ def test_reconstruction_keeps_no_module_cache():
     assert module_caches((SRC / "reconstruct.py").read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("module", ["classify.py", "geometry.py"])
+def test_memo_modules_keep_no_module_cache(module):
+    """The derived facts of a geometry live in its own memo, so classify.py
+    and geometry.py keep no process-wide one either."""
+    assert module_caches((SRC / module).read_text(encoding="utf-8")) == []
+
+
 def test_module_cache_is_reported():
     source = (
         "import functools\n"
@@ -502,6 +510,64 @@ def test_second_form_mask_route_is_reported():
     assert form_mask_routes(source) == [
         (2, "form_mask"), (3, "_form_masks"), (9, "_value_masks"), (12, "lines: _form_table"),
     ]
+
+
+# the keyed stores a geometry keeps: the one memo of derived facts (plan),
+# the closure memo, the point quotients the tracer counts and the
+# coordinate index
+KEYED_STORES = {"_plans", "_closure_memo", "_point_quotients", "_vec_index"}
+
+
+def keyed_stores(source):
+    """(line, name) for each self.<name> that an __init__ sets to a dict or a
+    set: the stores a class keeps per key."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for a in ast.walk(node):
+                if isinstance(a, ast.Assign) and (
+                    isinstance(a.value, MUTABLE)
+                    or (isinstance(a.value, ast.Call) and ast.unparse(a.value.func) in ("dict", "set"))
+                ):
+                    out += [(a.lineno, t.attr) for t in a.targets
+                            if isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"]
+    return sorted(out)
+
+
+def store_accesses(source, names):
+    """(line, name) for each attribute read or written whose name is in names."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in names)
+
+
+def test_one_memo_per_geometry():
+    """A geometry keeps its derived facts in one memo, reached by plan: its
+    __init__ makes no other keyed store, and no module but geometry.py
+    reads or writes one of its stores."""
+    source = (SRC / "geometry.py").read_text(encoding="utf-8")
+    stores = {name for _, name in keyed_stores(source)}
+    others = {m: store_accesses((SRC / m).read_text(encoding="utf-8"), stores) for m in MODULES if m != "geometry.py"}
+    assert (stores - KEYED_STORES, {m: found for m, found in others.items() if found}) == (set(), {})
+
+
+def test_second_memo_is_reported():
+    source = (
+        "class Geometry:\n"
+        "    def __init__(self, n):\n"
+        "        self._plans = {}\n"
+        "        self._cache = dict()\n"
+        "        self.order = (1, 2)\n"
+        "        self._seen = {k for k in range(n)}\n"
+        "\n"
+        "    def plan(self, k):\n"
+        "        self._memo = {}\n"
+        "        return self._plans.get(k)\n"
+    )
+    stores = keyed_stores(source)
+    assert stores == [(3, "_plans"), (4, "_cache"), (6, "_seen")]
+    # an access from another module, read or write, is reported
+    other = "def predicate(X):\n    got = X._cache.get(1)\n    X._plans[1] = got\n    return X.order\n"
+    assert store_accesses(other, {name for _, name in stores}) == [(2, "_cache"), (3, "_plans")]
 
 
 # the classes with an equality rule of their own: the report records'

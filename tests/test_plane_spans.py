@@ -11,7 +11,9 @@ one tangent line.  On the gallery, its point quotients and seeded
 subgeometries the reports must be byte-identical to the incidence routes',
 also with the lp4 and lp4prime sweeps forced on locally projective
 geometries; and classify must build neither half of X's incidence index
-that the old routes read.
+that the old routes read.  The line spans lp4 meets come from the same
+span builder as the plane spans (classify._spans), and must equal the dict
+that _lp4_witness built inline.
 """
 
 import functools
@@ -27,7 +29,12 @@ from fingeo.gallery import EXAMPLE_NAMES, build_example
 from fingeo.geometry import CoordGeometry, Incidence, TableGeometry, subgeometry
 from fingeo.gf import gf
 from fingeo.projective import build_pg
-from quotient_routes import ref_incidence_enough_points, ref_incidence_lp4_witness, ref_incidence_lp_axioms
+from quotient_routes import (
+    ref_incidence_enough_points,
+    ref_incidence_lp4_witness,
+    ref_incidence_lp_axioms,
+    ref_line_spans,
+)
 
 # the subfield complement needs a proper subfield: GF(4) alone has one here
 GALLERY = [f"{name}-{q}" for q in (2, 3, 4, 5) for name in EXAMPLE_NAMES if name != "subfield-complement" or q == 4]
@@ -96,6 +103,14 @@ def test_each_plane_is_the_trace_of_its_span(case):
     for pm, span in zip(X.planes(), spans):
         assert span in P.planes()
         assert sum(1 << a for i, a in enumerate(X.ambient_indices) if pm >> i & 1) == span & xmask
+
+
+@pytest.mark.parametrize("case", [case for case in GALLERY if not case.endswith("-5")] + RANDOM)
+def test_line_spans_match_the_inline_dict(case):
+    """One span builder serves lines and planes: its line spans are the dict
+    _lp4_witness built inline, entry for entry and in the same order."""
+    X = geometry(case)
+    assert list(classify._spans(X, 1).items()) == list(ref_line_spans(X).items())
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))

@@ -532,6 +532,17 @@ def test_point_map_needs_a_full_source_and_one_image_per_point(source, images):
         reconstruct_ftpg(PartialPointMap(X, gf(3), 3, tuple(got)))
 
 
+@pytest.mark.parametrize("entry", [7, -7, -1, 3, 1.0, True, "1"])
+def test_point_map_entries_must_lie_in_the_target_field(pg33, entry):
+    """An image entry that is not an int in 0..q-1 is refused with
+    InvalidArgument, before any table is indexed with it; 1.0 is refused
+    even where the int 1 appears too."""
+    images = list(pg33.vectors)
+    images[5] = (1, entry, 0, 0)
+    with pytest.raises(InvalidArgument, match=f"^image entry {re.escape(repr(entry))} outside gf\\(3\\)$"):
+        reconstruct_ftpg(PartialPointMap(pg33, gf(3), 3, tuple(images)))
+
+
 # -- locally projective driver -----------------------------------------------------------
 
 
@@ -761,6 +772,47 @@ def test_fiber_that_is_not_a_flat_is_not_a_morphism(ag43):
     images[1] = images[0]
     with pytest.raises(ExceptionalNotFlat):
         reconstruct_locally_affino(MorphismInstance(ag43, K, 4, tuple(images)))
+
+
+def test_fiber_rank_is_checked_before_the_quotient(ag33):
+    """Two points of an affine line sent to one image: their fiber spans too
+    much for the leg (NoBasePair) and is no flat of X (ExceptionalNotFlat);
+    the rank check comes first."""
+    K = gf(3)
+    images = list(MorphismInstance.restrict_semilinear(random_semilinear(random.Random("fiber-ag33"), K), ag33).images)
+    images[1] = images[0]
+    inst = MorphismInstance(ag33, K, 3, tuple(images))
+    with pytest.raises(NoBasePair, match="^fiber quotient too small to carry the reconstruction$"):
+        _affino_leg(inst, 0)
+
+
+def test_fiber_quotients_are_planned_once_per_fiber(monkeypatch):
+    """Maps of AG(4,3) of rank 4 whose kernel is a point at infinity send
+    each affine line through it to one point, so every leg factors through
+    a line fiber: each fiber's quotient X/F is built once per geometry,
+    whichever base pair and however often a leg asks."""
+    P = build_pg(4, 3)
+    X = subgeometry(P, [i for i, v in enumerate(P.vectors) if v[0] == 1])  # fresh, with an empty plan
+    built = Counter()
+
+    def recording(G, fiber):
+        built[id(G), fiber] += 1
+        return geometry.quotient_geometry(G, fiber)
+
+    monkeypatch.setattr(reconstruct, "quotient_geometry", recording)
+    rng = random.Random("line fibers ag43")
+    K = gf(3)
+    for _ in range(3):
+        while True:
+            gen = random_semilinear(rng, K, n1=5, m1=5, min_rank=4)
+            kernel = gen.kernel()
+            if kernel.rank == 1 and kernel.rows[0][0] == 0:
+                break
+        inst = MorphismInstance.restrict_semilinear(gen, X)
+        for pair_rank in (0, 1, 2, 0):
+            assert reconstruct_locally_affino(inst, pair_rank).phi == gen.canonical()
+    assert len(built) >= 6 and set(built.values()) == {1}
+    assert {key[0] for key in built} == {id(X)} and {fiber.bit_count() for _, fiber in built} == {3}
 
 
 def test_unnormalised_image_in_a_class_is_not_a_morphism(elliptic_33):

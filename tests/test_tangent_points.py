@@ -178,7 +178,7 @@ def test_lp_reconstruction_builds_no_point_lines():
     gen = SemilinearMap(identity_hom(K), ((1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (0, 0, 0, 1)))
     res = reconstruct_locally_projective(MorphismInstance.restrict_semilinear(gen, X))
     assert res.phi == gen.canonical()
-    assert classify.tangent_lines.__wrapped__ in X._predicate_cache
+    assert (classify.tangent_lines.__wrapped__,) in X._plans
     assert "point_lines" not in vars(X.incidence)
 
 
